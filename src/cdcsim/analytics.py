@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .placement import InvalidSpecError, JobSpec
+from .placement import InvalidSpecError, JobSpec, group_sizes
 
 
 def l_uncoded(r: int, K: int) -> Fraction:
@@ -23,16 +23,12 @@ def l_uncoded(r: int, K: int) -> Fraction:
     return 1 - Fraction(r, K)
 
 
-def _ell_range(r: int, s: int, K: int) -> range:
-    return range(max(r + 1, s), min(r + s, K) + 1)
-
-
 def l_cdc(r: int, s: int, K: int) -> Fraction:
     """Load of the coded shuffle, exact over all multicast group sizes."""
     if not 1 <= r <= K or not 1 <= s <= K:
         raise ValueError(f"invalid (r={r}, s={s}) for K={K}")
     total = Fraction(0)
-    for ell in _ell_range(r, s, K):
+    for ell in group_sizes(K, r, s):
         total += Fraction(
             ell * comb(K, ell) * comb(ell - 2, r - 1) * comb(r, ell - s),
             r * comb(K, r) * comb(K, s),
@@ -40,8 +36,17 @@ def l_cdc(r: int, s: int, K: int) -> Fraction:
     return total
 
 
-def _msg_len_term(r: int, s: int, K: int, ell: int) -> Fraction:
-    return Fraction(comb(ell - 2, r - 1) * comb(r, ell - s), r * comb(K, r))
+def _l_cdc_ld(r: int, s: int, K: int, Q: int, N: int, T: int,
+              rho_by_ell: Mapping[int, Fraction | int], msg_factor: Fraction) -> Fraction:
+    """Rank-compressed load with the message term scaled by ``msg_factor``."""
+    total = Fraction(0)
+    for ell in group_sizes(K, r, s):
+        rho = Fraction(rho_by_ell.get(ell, 0))
+        if rho < 0:
+            raise ValueError(f"negative rank {rho} for group size {ell}")
+        msg = Fraction(comb(ell - 2, r - 1) * comb(r, ell - s), r * comb(K, r)) * msg_factor
+        total += (msg + Fraction(K * comb(K - 1, ell - 1), Q * N * T)) * rho
+    return total
 
 
 def l_cdc_ld(r: int, s: int, K: int, Q: int, N: int, T: int,
@@ -52,13 +57,7 @@ def l_cdc_ld(r: int, s: int, K: int, Q: int, N: int, T: int,
     one coefficient bit per basis dimension per message.  ``rho_by_ell`` maps
     group size to the average rank across nodes for that size.
     """
-    total = Fraction(0)
-    for ell in _ell_range(r, s, K):
-        rho = Fraction(rho_by_ell.get(ell, 0))
-        if rho < 0:
-            raise ValueError(f"negative rank {rho} for group size {ell}")
-        total += (_msg_len_term(r, s, K, ell) + Fraction(K * comb(K - 1, ell - 1), Q * N * T)) * rho
-    return total
+    return _l_cdc_ld(r, s, K, Q, N, T, rho_by_ell, Fraction(1))
 
 
 def l_cdc_ld_accounting(r: int, s: int, K: int, Q: int, N: int, T: int,
@@ -69,14 +68,7 @@ def l_cdc_ld_accounting(r: int, s: int, K: int, Q: int, N: int, T: int,
     message term, which is 1 exactly when s=1.  Transcript bit counting
     matches this reading by construction.
     """
-    total = Fraction(0)
-    for ell in _ell_range(r, s, K):
-        rho = Fraction(rho_by_ell.get(ell, 0))
-        if rho < 0:
-            raise ValueError(f"negative rank {rho} for group size {ell}")
-        msg = _msg_len_term(r, s, K, ell) * Fraction(K, comb(K, s))
-        total += (msg + Fraction(K * comb(K - 1, ell - 1), Q * N * T)) * rho
-    return total
+    return _l_cdc_ld(r, s, K, Q, N, T, rho_by_ell, Fraction(K, comb(K, s)))
 
 
 def average_rank(rho: Mapping[tuple[int, int], int], K: int) -> dict[int, Fraction]:
@@ -181,7 +173,7 @@ def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str
     "full-rank" (rank equals the message count C(K-1, ell-1)), or an explicit
     mapping from group size to value.
     """
-    ells = list(_ell_range(r, s, K))
+    ells = list(group_sizes(K, r, s))
     if model == "full-rank":
         return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}, "full-rank"
     if isinstance(model, Mapping):

@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import analytics, engine
@@ -24,7 +23,6 @@ from .gf2 import BitVec
 from .placement import JobSpec, make_placement, placement_to_json
 from .workloads import (
     CodedLinearTransformWorkload,
-    CountOverflowError,
     LinearTransformWorkload,
     SyntheticRankWorkload,
     ingest_string,
@@ -63,11 +61,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def threads_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("CDC_SIM_THREADS", "1")))
-    except ValueError:
-        return 1
+def _fail(exc: Exception) -> int:
+    """Print a one-line error and return its exit code: the only place
+    exceptions map to exit codes."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedCombinationError) else EXIT_CONFIG
 
 
 def _fr(x: Fraction | None) -> str | None:
@@ -184,17 +182,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         if scheme not in engine.SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {engine.SCHEMES}")
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
 
     try:
         result = engine.run(spec, workload, scheme)
-    except UnsupportedCombinationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (CountOverflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        return _fail(exc)
 
     report = analytics.build_load_report(result)
     out_dir = config["out_dir"]
@@ -249,20 +242,8 @@ def _sweep_fig3(sweep: dict, out_dir: str) -> None:
 
 def _sweep_fig4(sweep: dict, out_dir: str) -> None:
     rho = sweep.get("rho", "full-rank")
-    r_values = sweep["r_values"]
-    workers = threads_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                lambda r: analytics.tradeoff_sweep(sweep["K"], sweep["Q"], sweep["N"],
-                                                   sweep["T"], [r], s=sweep.get("s", 1),
-                                                   rho_model=rho),
-                r_values,
-            )
-        rows = sorted((row for chunk in chunks for row in chunk), key=lambda row: row.r)
-    else:
-        rows = analytics.tradeoff_sweep(sweep["K"], sweep["Q"], sweep["N"], sweep["T"],
-                                        r_values, s=sweep.get("s", 1), rho_model=rho)
+    rows = analytics.tradeoff_sweep(sweep["K"], sweep["Q"], sweep["N"], sweep["T"],
+                                    sweep["r_values"], s=sweep.get("s", 1), rho_model=rho)
     _write_csv(
         os.path.join(out_dir, "fig4.csv"),
         ["r", "L_uncoded", "L_cdc", "L_cdc_ld"],
@@ -293,8 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"unknown sweep kind {kind!r}")
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
     print(f"wrote {kind} table to {out_dir}")
     return EXIT_OK
 
@@ -307,7 +287,11 @@ def fixture_to_json(result: engine.RunResult, workload_desc: dict) -> dict:
 
 
 def replay_fixture(doc: dict) -> str:
-    """Decode a serialized transcript against its workload; returns the verdict."""
+    """Decode a serialized transcript against its workload; returns the verdict.
+
+    A transcript that cannot be decoded (missing messages, inconsistent
+    lengths, a malformed rank decomposition) fails rather than raising.
+    """
     transcript = engine.transcript_from_json(doc["transcript"])
     spec = transcript.spec
     workload = build_workload(doc["workload"], spec)
@@ -316,7 +300,7 @@ def replay_fixture(doc: dict) -> str:
     try:
         _outputs, _reference, _recovered, verification = engine.decode_and_verify(
             spec, placement, store, transcript, workload)
-    except IncompleteShuffleError:
+    except (IncompleteShuffleError, ValueError):
         return "fail"
     return verification
 
@@ -328,8 +312,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
                 doc = json.load(fh)
             verdict = replay_fixture(doc)
         except (KeyError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _fail(exc)
         print(f"fixture {args.input}: {verdict}")
         return EXIT_OK if verdict == "pass" else EXIT_VERIFY
 
@@ -343,14 +326,16 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         out_dir = config["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
 
     with open(os.path.join(out_dir, "placement.json"), "w", encoding="utf-8") as fh:
         fh.write(dump_json(placement_to_json(make_placement(spec))))
     verdicts = []
     for scheme in engine.SCHEMES:
-        result = engine.run(spec, workload, scheme)
+        try:
+            result = engine.run(spec, workload, scheme)
+        except ValueError as exc:
+            return _fail(exc)
         doc = fixture_to_json(result, workload_desc)
         path = os.path.join(out_dir, f"fixture-{scheme}.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from .gf2 import (
     reconstruct,
     vandermonde,
 )
-from .placement import JobSpec, Placement
+from .placement import JobSpec, Placement, group_sizes, ksubsets
 
 
 class IncompleteShuffleError(RuntimeError):
@@ -34,15 +34,6 @@ class IncompleteShuffleError(RuntimeError):
     def __init__(self, missing: Sequence[tuple[int, int]]):
         self.missing = sorted(set(missing))
         super().__init__(f"unrecoverable intermediate values: {self.missing}")
-
-
-def group_sizes(spec: JobSpec) -> range:
-    """Valid multicast group sizes."""
-    return range(max(spec.r + 1, spec.s), min(spec.r + spec.s, spec.K) + 1)
-
-
-def groups_of_size(spec: JobSpec, ell: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(1, spec.K + 1), ell))
 
 
 def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
@@ -63,24 +54,24 @@ def build_vset(group: Sequence[int], holders: Sequence[int], placement: Placemen
     """Collect the (q, n) pairs served by one (group, holders) multicast.
 
     A function index q qualifies when every non-holder in the group wants it
-    and nobody outside the group does; a file index n qualifies when it is
-    held by exactly the holder subset.  Pairs come out sorted by q then n.
+    and nobody outside the group does, i.e. its reduce batch is an s-subset
+    of the group containing every receiver; a file index n qualifies when it
+    is held by exactly the holder subset.  Pairs come out sorted by q then n.
     """
     spec = placement.spec
     group = tuple(sorted(group))
     holders = tuple(sorted(holders))
     ell = len(group)
-    if not max(spec.r + 1, spec.s) <= ell <= min(spec.r + spec.s, spec.K):
+    if ell not in group_sizes(spec.K, spec.r, spec.s):
         raise ValueError(f"group size {ell} invalid for r={spec.r}, s={spec.s}, K={spec.K}")
     if len(holders) != spec.r or not set(holders) <= set(group):
         raise ValueError(f"holders {holders} must be an r={spec.r} subset of group {group}")
 
     receivers = set(group) - set(holders)
-    group_set = set(group)
-    qs = [
-        q for q in range(1, spec.Q + 1)
-        if receivers <= set(placement.batch_of_func[q]) <= group_set
-    ]
+    qs = sorted(
+        q for subset in combinations(group, spec.s) if receivers <= set(subset)
+        for q in placement.reduce_batches[subset]
+    )
     ns = placement.file_batches[holders]
     value_ids = tuple((q, n) for q in qs for n in sorted(ns))
     expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2
@@ -308,8 +299,8 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, int]]]:
     """
     spec = placement.spec
     covered: dict[int, set[tuple[int, int]]] = {k: set() for k in range(1, spec.K + 1)}
-    for ell in group_sizes(spec):
-        for group in groups_of_size(spec, ell):
+    for ell in group_sizes(spec.K, spec.r, spec.s):
+        for group in ksubsets(spec.K, ell):
             for holders in combinations(group, spec.r):
                 vset = build_vset(group, holders, placement)
                 for receiver in set(group) - set(holders):

@@ -16,18 +16,17 @@ from typing import Mapping
 
 from .codec import (
     IncompleteShuffleError,
+    LdPayload,
     decode_cdc_s1,
     encode_cdc,
     full_message,
-    group_sizes,
     groups_containing,
-    groups_of_size,
     ld_compress,
     ld_decompress,
     multicast_coverage,
 )
 from .gf2 import BitVec
-from .placement import JobSpec, Placement, make_placement, needed_values
+from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
 from .workloads import IntermediateStore
 
 SCHEMES = ("uncoded", "cdc", "cdc-ld")
@@ -102,8 +101,8 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
                     store: IntermediateStore) -> ShuffleTranscript:
     broadcasts = []
-    for ell in group_sizes(spec):
-        for group in groups_of_size(spec, ell):
+    for ell in group_sizes(spec.K, spec.r, spec.s):
+        for group in ksubsets(spec.K, ell):
             for k in group:
                 for msg in encode_cdc(k, group, placement, store.values):
                     broadcasts.append(Broadcast(
@@ -121,7 +120,7 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
     broadcasts = []
     rho: dict[tuple[int, int], int] = {}
     for k in range(1, spec.K + 1):
-        for ell in group_sizes(spec):
+        for ell in group_sizes(spec.K, spec.r, spec.s):
             messages = [full_message(k, g, placement, store.values)
                         for g in groups_containing(spec, k, ell)]
             payload = ld_compress(k, ell, messages, spec)
@@ -148,29 +147,14 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
         for b in transcript.broadcasts:
             ell = b.meta["ell"]
             rho_b = b.meta["rho"]
-            payload = LdView(b.sender, ell, b.meta["msg_len"],
-                             b.payloads[:rho_b], b.payloads[rho_b:])
+            payload = LdPayload(b.sender, ell, b.meta["msg_len"],
+                                b.payloads[:rho_b], b.payloads[rho_b:])
             messages = ld_decompress(payload)
             for group, msg in zip(groups_containing(spec, b.sender, ell), messages):
                 received[(b.sender, group)] = msg
     else:
         raise ValueError(f"no message view for scheme {transcript.scheme}")
     return received
-
-
-# ld_decompress only needs these fields; a lightweight stand-in lets the
-# decoder work straight off a deserialized transcript.
-@dataclass(frozen=True)
-class LdView:
-    node: int
-    ell: int
-    msg_len: int
-    basis: tuple[BitVec, ...]
-    coeffs: tuple[BitVec, ...]
-
-    @property
-    def rho(self) -> int:
-        return len(self.basis)
 
 
 def _local_values(placement: Placement, store: IntermediateStore,

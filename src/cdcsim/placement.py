@@ -67,6 +67,11 @@ def ksubsets(K: int, t: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, K + 1), t))
 
 
+def group_sizes(K: int, r: int, s: int) -> range:
+    """Valid multicast group sizes: max(r+1, s) through min(r+s, K)."""
+    return range(max(r + 1, s), min(r + s, K) + 1)
+
+
 @dataclass(frozen=True)
 class Placement:
     """Batch maps and the per-node file / function sets they induce."""
@@ -77,7 +82,6 @@ class Placement:
     node_files: dict[int, tuple[int, ...]]
     node_funcs: dict[int, tuple[int, ...]]
     batch_of_file: dict[int, tuple[int, ...]]
-    batch_of_func: dict[int, tuple[int, ...]]
 
 
 def make_placement(spec: JobSpec) -> Placement:
@@ -90,13 +94,10 @@ def make_placement(spec: JobSpec) -> Placement:
         for n in files:
             batch_of_file[n] = subset
 
-    reduce_batches: dict[tuple[int, ...], tuple[int, ...]] = {}
-    batch_of_func: dict[int, tuple[int, ...]] = {}
-    for j, subset in enumerate(ksubsets(spec.K, spec.s)):
-        funcs = tuple(range(j * spec.eta2 + 1, (j + 1) * spec.eta2 + 1))
-        reduce_batches[subset] = funcs
-        for q in funcs:
-            batch_of_func[q] = subset
+    reduce_batches = {
+        subset: tuple(range(j * spec.eta2 + 1, (j + 1) * spec.eta2 + 1))
+        for j, subset in enumerate(ksubsets(spec.K, spec.s))
+    }
 
     node_files = {
         k: tuple(sorted(n for subset, files in file_batches.items() if k in subset for n in files))
@@ -106,8 +107,7 @@ def make_placement(spec: JobSpec) -> Placement:
         k: tuple(sorted(q for subset, funcs in reduce_batches.items() if k in subset for q in funcs))
         for k in range(1, spec.K + 1)
     }
-    return Placement(spec, file_batches, reduce_batches, node_files, node_funcs,
-                     batch_of_file, batch_of_func)
+    return Placement(spec, file_batches, reduce_batches, node_files, node_funcs, batch_of_file)
 
 
 def needed_values(placement: Placement, k: int) -> set[tuple[int, int]]:

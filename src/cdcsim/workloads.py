@@ -227,8 +227,6 @@ def coded_lintrans_map(w: LinearTransformWorkload, redundancy: str,
     """
     if redundancy != "parity":
         raise ValueError(f"unsupported redundancy pattern {redundancy!r} (only 'parity')")
-    if spec.K < 2:
-        raise ValueError("parity coding needs at least 2 nodes")
     if spec.Q != spec.K:
         raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
     _check_lintrans_dims(w, spec)
@@ -254,8 +252,7 @@ class CodedLinearTransformWorkload:
     def build_store(self, spec: JobSpec) -> IntermediateStore:
         return coded_lintrans_map(self.base, self.redundancy, spec)
 
-    def reduce(self, q: int, values: Sequence[BitVec]) -> BitVec:
-        return BitVec.concat_all(values)
+    reduce = LinearTransformWorkload.reduce
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import pathlib
 from fractions import Fraction
 
+import pytest
+
 from cdcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VERIFY, main
+
+FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
 
 def read_csv(path):
@@ -169,6 +174,24 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("scheme, tamper", [
+        ("cdc-ld", lambda b: b["meta"].update(rho=b["meta"]["rho"] + 1)),
+        ("cdc", lambda b: b["payloads"][0].update(bits=b["payloads"][0]["bits"] + 1)),
+    ], ids=["cdc-ld-rho", "cdc-bits"])
+    def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
+        doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+        tamper(doc["transcript"]["broadcasts"][0])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    def test_multi_copy_exits_4(self, tmp_path, capsys):
+        code = main(["fixture", "--K", "4", "--N", "6", "--Q", "6", "--r", "2", "--s", "2",
+                     "--T", "8", "--workload", "synthetic", "--out-dir", str(tmp_path)])
+        assert code == EXIT_UNSUPPORTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_run_twice_byte_identical(self, tmp_path):
@@ -183,13 +206,6 @@ class TestDeterminism:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["sweep", "--preset", "fig4", "--out-dir", str(out)]) == EXIT_OK
-        assert (a / "fig4.csv").read_bytes() == (b / "fig4.csv").read_bytes()
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", "--preset", "fig4", "--out-dir", str(a)]) == EXIT_OK
-        monkeypatch.setenv("CDC_SIM_THREADS", "4")
-        assert main(["sweep", "--preset", "fig4", "--out-dir", str(b)]) == EXIT_OK
         assert (a / "fig4.csv").read_bytes() == (b / "fig4.csv").read_bytes()
 
 

@@ -57,15 +57,16 @@ class TestVSet:
                 assert len(vset.value_ids) == spec.eta1 * spec.eta2
 
     def test_matches_membership_oracle(self):
-        spec = JobSpec(K=5, N=10, Q=20, r=2, s=2, T=4)
-        placement = make_placement(spec)
-        for ell in (3, 4):
-            for group in combinations(range(1, 6), ell):
-                for holders in combinations(group, 2):
-                    vset = build_vset(group, holders, placement)
-                    oracle = vset_members_bruteforce(placement, group, holders)
-                    assert set(vset.value_ids) == oracle
-                    assert len(vset.value_ids) == comb(2, ell - 2) * spec.eta1 * spec.eta2
+        for K, r, s in ((5, 2, 2), (5, 1, 1), (5, 2, 1), (5, 1, 3), (5, 2, 3), (6, 3, 3)):
+            spec = JobSpec(K=K, N=2 * comb(K, r), Q=2 * comb(K, s), r=r, s=s, T=4)
+            placement = make_placement(spec)
+            for ell in range(max(r + 1, s), min(r + s, K) + 1):
+                for group in combinations(range(1, K + 1), ell):
+                    for holders in combinations(group, r):
+                        vset = build_vset(group, holders, placement)
+                        oracle = vset_members_bruteforce(placement, group, holders)
+                        assert list(vset.value_ids) == sorted(oracle)
+                        assert len(vset.value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
 
     def test_canonical_order(self):
         spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=4)
