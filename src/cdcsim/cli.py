@@ -290,7 +290,8 @@ def replay_fixture(doc: dict) -> str:
     """Decode a serialized transcript against its workload; returns the verdict.
 
     A transcript that cannot be decoded (missing messages, inconsistent
-    lengths, a malformed rank decomposition) fails rather than raising.
+    lengths, a malformed rank decomposition, duplicate broadcasts) fails
+    rather than raising.
     """
     transcript = engine.transcript_from_json(doc["transcript"])
     spec = transcript.spec

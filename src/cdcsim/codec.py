@@ -135,16 +135,28 @@ def _own_segments(k: int, group: tuple[int, ...], placement: Placement,
 
 
 def _scale_segment(field, scalar: int, seg: BitVec) -> BitVec:
-    """Blockwise scalar multiplication: the segment as a vector of field symbols."""
+    """Blockwise scalar multiplication: the segment as a vector of field symbols.
+
+    Bit-sliced over all lam-bit lanes at once: shift-and-add over the scalar's
+    bits, multiplying every lane by x with one shift and a lane-wise reduction.
+    """
+    field._check(scalar)
     lam = field.degree
-    if scalar == 1:
-        return seg
-    value = 0
-    nblocks = seg.nbits // lam
-    for b in range(nblocks):
-        sym = (seg.value >> (b * lam)) & ((1 << lam) - 1)
-        value |= field.mul(scalar, sym) << (b * lam)
-    return BitVec(value, seg.nbits)
+    if seg.nbits % lam:
+        raise ValueError(f"segment of {seg.nbits} bits is not a whole number of "
+                         f"{lam}-bit symbols")
+    # lane-wise constants: the top bit of every lane, and x^lam mod modulus
+    top = ((1 << seg.nbits) - 1) // ((1 << lam) - 1) << (lam - 1)
+    low = field.modulus ^ (1 << lam)
+    x = seg.value
+    acc = 0
+    while scalar:
+        if scalar & 1:
+            acc ^= x
+        scalar >>= 1
+        hi = x & top
+        x = ((x ^ hi) << 1) ^ ((hi >> (lam - 1)) * low)
+    return BitVec(acc, seg.nbits)
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,

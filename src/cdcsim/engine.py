@@ -142,10 +142,17 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
     received: dict[tuple[int, tuple[int, ...]], BitVec] = {}
     if transcript.scheme == "cdc":
         for b in transcript.broadcasts:
-            received[(b.sender, tuple(b.meta["group"]))] = b.payloads[0]
+            key = (b.sender, tuple(b.meta["group"]))
+            if key in received:
+                raise ValueError(f"second broadcast for (sender, group) {key}")
+            received[key] = b.payloads[0]
     elif transcript.scheme == "cdc-ld":
+        seen = set()
         for b in transcript.broadcasts:
             ell = b.meta["ell"]
+            if (b.sender, ell) in seen:
+                raise ValueError(f"second broadcast for (sender, ell) {(b.sender, ell)}")
+            seen.add((b.sender, ell))
             rho_b = b.meta["rho"]
             payload = LdPayload(b.sender, ell, b.meta["msg_len"],
                                 b.payloads[:rho_b], b.payloads[rho_b:])
@@ -191,7 +198,12 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
     """
     recovered: dict[int, dict[tuple[int, int], BitVec]] = {}
     if transcript.scheme == "uncoded":
-        by_pair = {(b.meta["q"], b.meta["n"]): b.payloads[0] for b in transcript.broadcasts}
+        by_pair = {}
+        for b in transcript.broadcasts:
+            qn = (b.meta["q"], b.meta["n"])
+            if qn in by_pair:
+                raise ValueError(f"second broadcast for (q, n) {qn}")
+            by_pair[qn] = b.payloads[0]
         for k in range(1, spec.K + 1):
             want = needed_values(placement, k)
             got = {qn: by_pair[qn] for qn in want if qn in by_pair}

@@ -311,5 +311,8 @@ def vandermonde(field: Gf2ExtField, m: int, n: int) -> list[list[int]]:
         )
     if n > m:
         raise ValueError(f"cannot build {n} rows from {m} columns (need n <= m)")
-    points = list(field.nonzero())[:m]
-    return [[field.pow(a, i) for a in points] for i in range(n)]
+    points = field.nonzero()[:m]
+    rows = [[1] * m] if n > 0 else []
+    while len(rows) < n:
+        rows.append([field.mul(v, a) for v, a in zip(rows[-1], points)])
+    return rows

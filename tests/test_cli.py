@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import pathlib
@@ -139,6 +140,18 @@ class TestSweep:
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _append_copy(broadcasts):
+    broadcasts.append(copy.deepcopy(broadcasts[0]))
+
+
+def _prepend_conflict(broadcasts):
+    # a copy of broadcast 0 with the lowest payload bit flipped, placed first
+    # so that the genuine copy comes last
+    dup = copy.deepcopy(broadcasts[0])
+    dup["payloads"][0]["hex"] = f"{int(dup['payloads'][0]['hex'], 16) ^ 1:x}"
+    broadcasts.insert(0, dup)
+
+
 class TestFixture:
     def test_generate_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -175,12 +188,15 @@ class TestFixture:
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
     @pytest.mark.parametrize("scheme, tamper", [
-        ("cdc-ld", lambda b: b["meta"].update(rho=b["meta"]["rho"] + 1)),
-        ("cdc", lambda b: b["payloads"][0].update(bits=b["payloads"][0]["bits"] + 1)),
-    ], ids=["cdc-ld-rho", "cdc-bits"])
+        ("cdc-ld", lambda bs: bs[0]["meta"].update(rho=bs[0]["meta"]["rho"] + 1)),
+        ("cdc", lambda bs: bs[0]["payloads"][0].update(bits=bs[0]["payloads"][0]["bits"] + 1)),
+        *[(scheme, _append_copy) for scheme in ("uncoded", "cdc", "cdc-ld")],
+        *[(scheme, _prepend_conflict) for scheme in ("uncoded", "cdc", "cdc-ld")],
+    ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
+            "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
-        tamper(doc["transcript"]["broadcasts"][0])
+        tamper(doc["transcript"]["broadcasts"])
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
@@ -210,10 +226,17 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+
+    import cdcsim
+    # the child imports the same package the tests run against, installed or not
+    src = str(pathlib.Path(cdcsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "cdcsim.cli", "run",
                            "--preset", "paper-wordcount", "--out-dir", "/tmp/cdcsim-smoke"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verification=pass" in proc.stdout

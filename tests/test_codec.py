@@ -355,17 +355,28 @@ class TestBlockwiseScaling:
         from cdcsim.gf2 import ext_field
         from oracles import gf_mul_longdiv
         rng = random.Random(55)
-        for lam in (2, 3, 4):
+        for lam in range(1, 17):
             f = ext_field(lam)
-            for _ in range(30):
-                nblocks = rng.randint(1, 12)
-                seg = BitVec(rng.getrandbits(nblocks * lam), nblocks * lam)
-                scalar = rng.randrange(1, f.order)
-                got = _scale_segment(f, scalar, seg)
-                for b in range(nblocks):
-                    sym = seg.extract(b * lam, (b + 1) * lam).value
-                    want = gf_mul_longdiv(scalar, sym, f.modulus)
-                    assert got.extract(b * lam, (b + 1) * lam).value == want
+            scalars = [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(3)]
+            for scalar in scalars:
+                for nblocks in range(1, 41):
+                    seg = BitVec(rng.getrandbits(nblocks * lam), nblocks * lam)
+                    got = _scale_segment(f, scalar, seg)
+                    assert got.nbits == seg.nbits
+                    for b in range(nblocks):
+                        sym = seg.extract(b * lam, (b + 1) * lam).value
+                        want = gf_mul_longdiv(scalar, sym, f.modulus)
+                        assert got.extract(b * lam, (b + 1) * lam).value == want, (lam, scalar)
+
+    def test_bad_input_rejected(self):
+        # a trailing partial symbol, or a scalar outside GF(8)
+        from cdcsim.codec import _scale_segment
+        from cdcsim.gf2 import ext_field
+        f = ext_field(3)
+        for scalar, seg in ((1, BitVec(0b1111, 4)), (2, BitVec(0b1111, 4)),
+                            (-1, BitVec(0b101, 3)), (8, BitVec(0b101, 3))):
+            with pytest.raises(ValueError):
+                _scale_segment(f, scalar, seg)
 
     def test_field_action_laws(self):
         # scaling is linear in the vector and multiplicative in the scalar

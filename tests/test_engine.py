@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -202,6 +203,23 @@ class TestGeneralS:
         result = run(spec, SyntheticRankWorkload(seed=2), "cdc")
         assert sum(result.bits_by_node.values()) == 12 * 8 + 4 * 8
         assert result.load_empirical == Fraction(4, 9)
+
+    @pytest.mark.parametrize("kw, scheme, digest", [
+        (dict(K=7, N=35, Q=35, r=3, s=4, T=13), "cdc",
+         "b8016a46594360ab8371c9a183d54d6f3b4153f6d6a200807e129fb685e2bc3e"),
+        (dict(K=7, N=35, Q=35, r=3, s=4, T=13), "cdc-ld",
+         "ba801cf795ba9f26cc19eba121a90ad2f2fefa165f14fae7bc82a3dd2947c5a2"),
+        (dict(K=6, N=15, Q=20, r=2, s=3, T=17), "cdc",
+         "e5880e7d24f034db06e1414d791358b31b577f4c06fc89e03b0105255cd7e6a4"),
+        (dict(K=6, N=15, Q=20, r=2, s=3, T=17), "cdc-ld",
+         "97042ef528dcd65eef6c84e89b1e3d098e17423722427eb5d3015c83da17d399"),
+    ], ids=["s4-cdc", "s4-cdc-ld", "s3-cdc", "s3-cdc-ld"])
+    def test_transcript_payloads_frozen(self, kw, scheme, digest):
+        # frozen payload bits: group sizes here need GF(2^2), GF(2^3) and
+        # GF(2^4), and T is not a multiple of lambda, so segments get padded
+        result = run(JobSpec(**kw), SyntheticRankWorkload(seed=1), scheme)
+        text = dump_json(transcript_to_json(result.transcript))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestReducePhase:

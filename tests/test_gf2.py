@@ -216,10 +216,16 @@ class TestVandermonde:
         f = ext_field(4)
         for m in (1, 3, 7):
             assert vandermonde(f, m, 1) == [[1] * m]
+            assert vandermonde(f, m, 0) == []
 
     def test_gf4_definition(self):
         f = ext_field(2)
         assert vandermonde(f, 3, 2) == [[1, 1, 1], [1, 2, 3]]
+        for degree in range(1, 6):
+            f = ext_field(degree)
+            m = f.order - 1
+            assert vandermonde(f, m, m) == [[f.pow(a, i) for a in range(1, m + 1)]
+                                            for i in range(m)]
 
     def test_all_column_submatrices_invertible_gf8(self):
         from itertools import combinations
