@@ -12,9 +12,7 @@ from .analytics import (
     tradeoff_sweep,
 )
 from .codec import (
-    CodedMessage,
     IncompleteShuffleError,
-    LdPayload,
     USymbol,
     VSet,
     build_vset,

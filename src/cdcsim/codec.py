@@ -111,16 +111,6 @@ def segment_usymbol(vset: VSet, values: Mapping[tuple[int, int], BitVec]) -> USy
     return USymbol(vset.group, vset.holders, payload, segments, pad)
 
 
-@dataclass(frozen=True)
-class CodedMessage:
-    """One component of a node's broadcast to a multicast group."""
-
-    sender: int
-    group: tuple[int, ...]
-    index: int
-    payload: BitVec
-
-
 def _own_segments(k: int, group: tuple[int, ...], placement: Placement,
                   values: Mapping[tuple[int, int], BitVec]) -> list[BitVec]:
     """Node k's segment of every holder subset of the group it belongs to,
@@ -160,8 +150,9 @@ def _scale_segment(field, scalar: int, seg: BitVec) -> BitVec:
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,
-               values: Mapping[tuple[int, int], BitVec]) -> list[CodedMessage]:
-    """Build node k's coded broadcast to one multicast group.
+               values: Mapping[tuple[int, int], BitVec]) -> list[BitVec]:
+    """Build node k's coded broadcast to one multicast group, one payload per
+    component in component order.
 
     With s=1 the single message is the XOR of k's segments.  With s>=2 the
     m segments are combined into n < m components using rows of powers of
@@ -182,7 +173,7 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
         acc = segments[0]
         for seg in segments[1:]:
             acc ^= seg
-        return [CodedMessage(k, group, 1, acc)]
+        return [acc]
 
     n_comp = comb(ell - 2, spec.r - 1)
     lam = 1
@@ -199,15 +190,14 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
         acc = BitVec.zeros(segments[0].nbits)
         for j, seg in enumerate(segments):
             acc ^= _scale_segment(field, powers[i][j], seg)
-        messages.append(CodedMessage(k, group, i + 1, acc))
+        messages.append(acc)
     return messages
 
 
 def full_message(k: int, group: Sequence[int], placement: Placement,
                  values: Mapping[tuple[int, int], BitVec]) -> BitVec:
     """All components of one broadcast concatenated into a single vector."""
-    parts = encode_cdc(k, group, placement, values)
-    return BitVec.concat_all(msg.payload for msg in parts)
+    return BitVec.concat_all(encode_cdc(k, group, placement, values))
 
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec],
@@ -263,28 +253,9 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     return recovered
 
 
-@dataclass(frozen=True)
-class LdPayload:
-    """Rank-compressed form of one node's messages to all same-size groups:
-    a basis of the spanned subspace plus one coefficient vector per message."""
-
-    node: int
-    ell: int
-    msg_len: int
-    basis: tuple[BitVec, ...]
-    coeffs: tuple[BitVec, ...]
-
-    @property
-    def rho(self) -> int:
-        return len(self.basis)
-
-    @property
-    def bit_cost(self) -> int:
-        return self.rho * self.msg_len + self.rho * len(self.coeffs)
-
-
-def ld_compress(k: int, ell: int, messages: Sequence[BitVec], spec: JobSpec) -> LdPayload:
-    """Compress a node's size-ell broadcasts down to basis plus coefficients."""
+def ld_compress(ell: int, messages: Sequence[BitVec], spec: JobSpec) -> BasisDecomposition:
+    """Compress a node's size-ell broadcasts down to a basis of their span plus
+    one coefficient vector per message."""
     expected = comb(spec.K - 1, ell - 1)
     if len(messages) != expected:
         raise ValueError(f"got {len(messages)} messages, expected C(K-1,ell-1)={expected}")
@@ -292,15 +263,12 @@ def ld_compress(k: int, ell: int, messages: Sequence[BitVec], spec: JobSpec) -> 
     if len(lengths) > 1:
         raise ValueError(f"inconsistent message lengths {sorted(lengths)}")
     msg_len = lengths.pop() if lengths else 0
-    decomp = rank_and_basis(Gf2Matrix(tuple(messages), msg_len))
-    return LdPayload(node=k, ell=ell, msg_len=msg_len,
-                     basis=decomp.basis, coeffs=decomp.coeffs)
+    return rank_and_basis(Gf2Matrix(tuple(messages), msg_len))
 
 
-def ld_decompress(p: LdPayload) -> list[BitVec]:
+def ld_decompress(d: BasisDecomposition) -> list[BitVec]:
     """Rebuild the original messages exactly from basis and coefficients."""
-    decomp = BasisDecomposition(basis=p.basis, coeffs=p.coeffs, rho=p.rho, ncols=p.msg_len)
-    return list(reconstruct(decomp).rows)
+    return list(reconstruct(d).rows)
 
 
 def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, int]]]:

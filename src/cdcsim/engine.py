@@ -16,7 +16,6 @@ from typing import Mapping
 
 from .codec import (
     IncompleteShuffleError,
-    LdPayload,
     decode_cdc_s1,
     encode_cdc,
     full_message,
@@ -25,7 +24,7 @@ from .codec import (
     ld_decompress,
     multicast_coverage,
 )
-from .gf2 import BitVec
+from .gf2 import BasisDecomposition, BitVec
 from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
 from .workloads import IntermediateStore
 
@@ -61,9 +60,6 @@ class ShuffleTranscript:
         for b in self.broadcasts:
             counts[b.sender] += b.bits
         return counts
-
-    def total_bits(self) -> int:
-        return sum(b.bits for b in self.broadcasts)
 
 
 @dataclass
@@ -104,12 +100,12 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for k in group:
-                for msg in encode_cdc(k, group, placement, store.values):
+                for index, payload in enumerate(encode_cdc(k, group, placement, store.values), 1):
                     broadcasts.append(Broadcast(
                         sender=k,
                         kind="cdc",
-                        meta={"group": list(group), "component": msg.index},
-                        payloads=(msg.payload,),
+                        meta={"group": list(group), "component": index},
+                        payloads=(payload,),
                     ))
     return ShuffleTranscript("cdc", spec, broadcasts)
 
@@ -123,15 +119,15 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
         for ell in group_sizes(spec.K, spec.r, spec.s):
             messages = [full_message(k, g, placement, store.values)
                         for g in groups_containing(spec, k, ell)]
-            payload = ld_compress(k, ell, messages, spec)
-            rho[(k, ell)] = payload.rho
+            d = ld_compress(ell, messages, spec)
+            rho[(k, ell)] = d.rho
             bc = Broadcast(
                 sender=k,
                 kind="cdc-ld",
-                meta={"ell": ell, "rho": payload.rho, "msg_len": payload.msg_len},
-                payloads=payload.basis + payload.coeffs,
+                meta={"ell": ell, "rho": d.rho, "msg_len": d.ncols},
+                payloads=d.basis + d.coeffs,
             )
-            assert bc.bits == payload.bit_cost
+            assert bc.bits == d.rho * (d.ncols + len(d.coeffs))
             broadcasts.append(bc)
     return ShuffleTranscript("cdc-ld", spec, broadcasts), rho
 
@@ -154,9 +150,9 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
                 raise ValueError(f"second broadcast for (sender, ell) {(b.sender, ell)}")
             seen.add((b.sender, ell))
             rho_b = b.meta["rho"]
-            payload = LdPayload(b.sender, ell, b.meta["msg_len"],
-                                b.payloads[:rho_b], b.payloads[rho_b:])
-            messages = ld_decompress(payload)
+            messages = ld_decompress(BasisDecomposition(
+                basis=b.payloads[:rho_b], coeffs=b.payloads[rho_b:],
+                rho=rho_b, ncols=b.meta["msg_len"]))
             for group, msg in zip(groups_containing(spec, b.sender, ell), messages):
                 received[(b.sender, group)] = msg
     else:
@@ -212,16 +208,14 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
             recovered[k] = got
     else:
         received = _received_messages(transcript, spec, placement)
-        for k in range(1, spec.K + 1):
-            recovered[k] = decode_cdc_s1(k, received, _local_values(placement, store, k),
-                                         placement)
 
-    values_by_node = {}
+    held = {}
     for k in range(1, spec.K + 1):
-        merged = _local_values(placement, store, k)
-        merged.update(recovered[k])
-        values_by_node[k] = merged
-    outputs = reduce_phase(spec, placement, values_by_node, workload)
+        held[k] = _local_values(placement, store, k)
+        if transcript.scheme != "uncoded":
+            recovered[k] = decode_cdc_s1(k, received, held[k], placement)
+        held[k].update(recovered[k])
+    outputs = reduce_phase(spec, placement, held, workload)
 
     reference = {
         q: workload.reduce(q, [store.get(q, n) for n in range(1, spec.N + 1)])
@@ -235,13 +229,12 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
     return outputs, reference, recovered, "pass" if ok else "fail"
 
 
-def run(spec: JobSpec, workload, scheme: str, verify: bool = True) -> RunResult:
+def run(spec: JobSpec, workload, scheme: str) -> RunResult:
     """Execute one full job under the given shuffle scheme.
 
     With s=1 the run decodes, reduces, and verifies against a single-machine
-    reference (unless ``verify`` is off).  With s>=2 only encoding and bit
-    accounting happen; the multicast structure is still checked to cover
-    every node's demand set.
+    reference.  With s>=2 only encoding and bit accounting happen; the
+    multicast structure is still checked to cover every node's demand set.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -263,11 +256,9 @@ def run(spec: JobSpec, workload, scheme: str, verify: bool = True) -> RunResult:
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
 
     outputs = reference = recovered = None
-    if spec.s == 1 and verify:
+    if spec.s == 1:
         outputs, reference, recovered, verification = decode_and_verify(
             spec, placement, store, transcript, workload)
-    elif spec.s == 1:
-        verification = "not-applicable"
     else:
         covered = multicast_coverage(placement)
         for k in range(1, spec.K + 1):

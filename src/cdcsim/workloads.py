@@ -57,12 +57,6 @@ class WordCountWorkload:
         blocks = tuple(tuple(symbols[i * size:(i + 1) * size]) for i in range(n_blocks))
         return cls(blocks)
 
-    @classmethod
-    def from_digit_string(cls, text: str, n_blocks: int) -> "WordCountWorkload":
-        """Build from a digit sequence, ignoring whitespace."""
-        symbols = [int(c) for c in text if not c.isspace()]
-        return cls.from_symbols(symbols, n_blocks)
-
     def build_store(self, spec: JobSpec) -> IntermediateStore:
         return wordcount_map(self, spec)
 
@@ -217,16 +211,13 @@ def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> IntermediateStore
     return IntermediateStore(spec, values)
 
 
-def coded_lintrans_map(w: LinearTransformWorkload, redundancy: str,
-                       spec: JobSpec) -> IntermediateStore:
+def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> IntermediateStore:
     """Linear transform with a parity row block: block K's values are the XOR
     of blocks 1..K-1, so the store is linearly dependent by construction.
 
-    The only supported redundancy pattern is "parity"; the matrix's own K-th
-    row block is ignored and replaced by the XOR of the first K-1 blocks.
+    The matrix's own K-th row block is ignored and replaced by the XOR of the
+    first K-1 blocks.
     """
-    if redundancy != "parity":
-        raise ValueError(f"unsupported redundancy pattern {redundancy!r} (only 'parity')")
     if spec.Q != spec.K:
         raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
     _check_lintrans_dims(w, spec)
@@ -247,10 +238,9 @@ class CodedLinearTransformWorkload:
     """Wrapper running a linear transform through the parity redundancy map."""
 
     base: LinearTransformWorkload
-    redundancy: str = "parity"
 
     def build_store(self, spec: JobSpec) -> IntermediateStore:
-        return coded_lintrans_map(self.base, self.redundancy, spec)
+        return coded_lintrans_map(self.base, spec)
 
     reduce = LinearTransformWorkload.reduce
 

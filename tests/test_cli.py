@@ -4,13 +4,26 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from cdcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VERIFY, main
+from cdcsim import analytics, engine
+from cdcsim.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_UNSUPPORTED,
+    EXIT_VERIFY,
+    build_workload,
+    fixture_to_json,
+    main,
+    replay_fixture,
+    result_to_json,
+)
+from cdcsim.placement import JobSpec
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -72,6 +85,19 @@ class TestRun:
         doc = json.loads((tmp_path / "result.json").read_text())
         assert doc["verification"] == "not-applicable"
         assert "load_analytic_alt" in doc and "notes" in doc
+
+    def test_unknown_scheme_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({
+            "K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6, "scheme": "bogus",
+            "workload": {"kind": "synthetic", "seed": 7},
+        }))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scheme") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])
@@ -207,6 +233,44 @@ class TestFixture:
         assert code == EXIT_UNSUPPORTED
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestArtifactDigests:
+    """Frozen s=1 artifacts beyond the K=4 golden fixtures: result.json plus
+    fixture JSON for every scheme, on a spec with duplicate values and one
+    with a parity-coded store."""
+
+    SPECS = {
+        "synthetic": (dict(K=6, N=30, Q=30, r=2, s=1, T=13),
+                      {"kind": "synthetic", "seed": 3, "duplicate_prob": 0.5}),
+        "coded-lintrans": (dict(K=5, N=10, Q=5, r=3, s=1, T=9),
+                           {"kind": "coded-lintrans", "seed": 2}),
+    }
+
+    @pytest.mark.parametrize("case, scheme, digest", [
+        ("synthetic", "uncoded",
+         "dd21a093c7863863dd53c61d341bfa311fcb8cbedd0e90685a66732194d015b2"),
+        ("synthetic", "cdc",
+         "e0094af9fcbad94f537e8f27791541d7e564af20ba2e66bac09b51162dd77a52"),
+        ("synthetic", "cdc-ld",
+         "a6beb6c414a8e54d3f058c9581476acc5ed9d48a469972fb0a6e5463729a96b9"),
+        ("coded-lintrans", "uncoded",
+         "d5e474dc566ed693b4cac0ea0720869b2aa66da510e1fc5f6bfa599e96694ca5"),
+        ("coded-lintrans", "cdc",
+         "c07d4e67d24a517723eda45b2684ac552cafaf5056ed3461c1a1cc4f98988403"),
+        ("coded-lintrans", "cdc-ld",
+         "d195433ff472bed7fab85bf30aaaf39a99225ef08682d6e9e6099344c1677172"),
+    ], ids=[f"{case}-{scheme}" for case in ("synthetic", "coded-lintrans")
+            for scheme in ("uncoded", "cdc", "cdc-ld")])
+    def test_result_and_fixture_frozen(self, case, scheme, digest):
+        kw, desc = self.SPECS[case]
+        spec = JobSpec(**kw)
+        result = engine.run(spec, build_workload(desc, spec), scheme)
+        fixture = fixture_to_json(result, desc)
+        text = (engine.dump_json(result_to_json(result, analytics.build_load_report(result)))
+                + engine.dump_json(fixture))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert replay_fixture(fixture) == "pass"
 
 
 class TestDeterminism:

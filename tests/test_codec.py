@@ -20,7 +20,8 @@ from cdcsim.codec import (
     multicast_coverage,
     segment_usymbol,
 )
-from cdcsim.gf2 import BitVec
+from cdcsim.engine import run_cdc_shuffle
+from cdcsim.gf2 import BasisDecomposition, BitVec
 from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import SyntheticRankWorkload, WordCountWorkload, wordcount_map
 from oracles import vset_members_bruteforce
@@ -148,12 +149,12 @@ class TestEncode:
         msgs = encode_cdc(1, (1, 2, 3), placement, store.values)
         assert len(msgs) == 1
         expected = store.get(2, 2).extract(0, 3) ^ store.get(3, 1).extract(0, 3)
-        assert msgs[0].payload == expected
+        assert msgs[0] == expected
 
     def test_paper_node1_equal_payloads(self):
         spec, placement, store = paper_setup()
-        m124 = encode_cdc(1, (1, 2, 4), placement, store.values)[0].payload
-        m134 = encode_cdc(1, (1, 3, 4), placement, store.values)[0].payload
+        m124 = encode_cdc(1, (1, 2, 4), placement, store.values)[0]
+        m134 = encode_cdc(1, (1, 3, 4), placement, store.values)[0]
         assert m124 == m134
 
     def test_zero_store_zero_messages(self):
@@ -163,7 +164,7 @@ class TestEncode:
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
-                    assert msg.payload.is_zero()
+                    assert msg.is_zero()
 
     def test_s1_equals_xor_oracle(self):
         spec = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
@@ -171,7 +172,7 @@ class TestEncode:
         store = SyntheticRankWorkload(seed=31).build_store(spec)
         for group in combinations(range(1, 6), 3):
             for k in group:
-                got = encode_cdc(k, group, placement, store.values)[0].payload
+                got = encode_cdc(k, group, placement, store.values)[0]
                 assert got == xor_oracle_message(k, group, placement, store)
 
     def test_sender_not_in_group(self):
@@ -185,8 +186,13 @@ class TestEncode:
         store = SyntheticRankWorkload(seed=12).build_store(spec)
         # group size 4: three holder subsets contain the sender, two components
         msgs = encode_cdc(1, (1, 2, 3, 4), placement, store.values)
-        assert [m.index for m in msgs] == [1, 2]
-        assert len({m.payload.nbits for m in msgs}) == 1
+        assert len(msgs) == 2
+        assert len({m.nbits for m in msgs}) == 1
+        # the transcript numbers the components 1, 2 in encoder order
+        sent = [b for b in run_cdc_shuffle(spec, placement, store).broadcasts
+                if b.sender == 1 and b.meta["group"] == [1, 2, 3, 4]]
+        assert [b.meta["component"] for b in sent] == [1, 2]
+        assert [b.payloads[0] for b in sent] == msgs
         # first component uses the all-ones row: it is the plain segment XOR
         segs = []
         for holders in combinations((1, 2, 3, 4), 2):
@@ -197,7 +203,7 @@ class TestEncode:
         acc = segs[0]
         for seg in segs[1:]:
             acc = acc ^ seg
-        assert msgs[0].payload == acc
+        assert msgs[0] == acc
 
 
 class TestDecode:
@@ -205,7 +211,7 @@ class TestDecode:
         received = {}
         for group in combinations(range(1, spec.K + 1), spec.r + 1):
             for k in group:
-                received[(k, group)] = encode_cdc(k, group, placement, store.values)[0].payload
+                received[(k, group)] = encode_cdc(k, group, placement, store.values)[0]
         return received
 
     def local_view(self, placement, store, k):
@@ -218,8 +224,8 @@ class TestDecode:
     def test_fig1_scenario(self):
         spec, placement, store = paper_setup()
         # node 2's and node 3's broadcasts to {1,2,3} carry the halves of (1,4)
-        x2 = encode_cdc(2, (1, 2, 3), placement, store.values)[0].payload
-        x3 = encode_cdc(3, (1, 2, 3), placement, store.values)[0].payload
+        x2 = encode_cdc(2, (1, 2, 3), placement, store.values)[0]
+        x3 = encode_cdc(3, (1, 2, 3), placement, store.values)[0]
         v14, v31, v22 = store.get(1, 4), store.get(3, 1), store.get(2, 2)
         assert x2 == v14.extract(0, 3) ^ v31.extract(3, 6)
         assert x3 == v14.extract(3, 6) ^ v22.extract(3, 6)
@@ -274,6 +280,11 @@ class TestDecode:
             decode_cdc_s1(1, {}, {}, placement)
 
 
+def bit_cost(d):
+    """Bits a cdc-ld broadcast spends on one decomposition: basis plus coefficients."""
+    return d.rho * (d.ncols + len(d.coeffs))
+
+
 class TestLdCompress:
     def node1_messages(self, T):
         spec, placement, store = paper_setup(T)
@@ -282,35 +293,35 @@ class TestLdCompress:
 
     def test_paper_node1_cost(self):
         spec, msgs = self.node1_messages(T=30)
-        payload = ld_compress(1, 3, msgs, spec)
-        assert payload.rho == 2
-        assert payload.bit_cost == 36      # < the 45 uncompressed bits
-        assert payload.bit_cost == payload.rho * 15 + payload.rho * 3
+        d = ld_compress(3, msgs, spec)
+        assert d.rho == 2
+        assert bit_cost(d) == 36      # < the 45 uncompressed bits
+        assert bit_cost(d) == d.rho * 15 + d.rho * 3
 
     def test_full_rank_messages_cost_overhead(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         rng = random.Random(15)
         msgs = [BitVec(rng.getrandbits(15), 15) for _ in range(3)]
-        payload = ld_compress(1, 3, msgs, spec)
-        assert payload.rho == min(3, 15) == 3
-        assert payload.bit_cost >= 3 * 15
+        d = ld_compress(3, msgs, spec)
+        assert d.rho == min(3, 15) == 3
+        assert bit_cost(d) >= 3 * 15
 
     def test_identical_messages(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         msgs = [BitVec(0x5a5a, 15)] * 3
-        payload = ld_compress(1, 3, msgs, spec)
-        assert payload.rho == 1
-        assert payload.bit_cost == 15 + 3
+        d = ld_compress(3, msgs, spec)
+        assert d.rho == 1
+        assert bit_cost(d) == 15 + 3
 
     def test_wrong_count(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         with pytest.raises(ValueError, match="expected"):
-            ld_compress(1, 3, [BitVec(0, 15)] * 2, spec)
+            ld_compress(3, [BitVec(0, 15)] * 2, spec)
 
     def test_inconsistent_lengths(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         with pytest.raises(ValueError, match="lengths"):
-            ld_compress(1, 3, [BitVec(0, 15), BitVec(0, 15), BitVec(0, 14)], spec)
+            ld_compress(3, [BitVec(0, 15), BitVec(0, 15), BitVec(0, 14)], spec)
 
 
 class TestLdRoundtrip:
@@ -318,16 +329,16 @@ class TestLdRoundtrip:
         spec, placement, store = paper_setup(T=30)
         msgs = [full_message(1, g, placement, store.values)
                 for g in groups_containing(spec, 1, 3)]
-        back = ld_decompress(ld_compress(1, 3, msgs, spec))
+        back = ld_decompress(ld_compress(3, msgs, spec))
         assert back == msgs
         assert back[1] == back[2]  # the two equal payloads survive the roundtrip
 
     def test_rank_zero_payload(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         msgs = [BitVec.zeros(15)] * 3
-        payload = ld_compress(1, 3, msgs, spec)
-        assert payload.rho == 0 and payload.bit_cost == 0
-        assert ld_decompress(payload) == msgs
+        d = ld_compress(3, msgs, spec)
+        assert d.rho == 0 and bit_cost(d) == 0
+        assert ld_decompress(d) == msgs
 
     def test_random_roundtrips(self):
         rng = random.Random(200)
@@ -337,14 +348,13 @@ class TestLdRoundtrip:
             for _ in range(20):
                 width = rng.randint(1, 40)
                 msgs = [BitVec(rng.getrandbits(width), width) for _ in range(count)]
-                assert ld_decompress(ld_compress(1, 3, msgs, spec)) == msgs
+                assert ld_decompress(ld_compress(3, msgs, spec)) == msgs
 
     def test_malformed_payload(self):
-        from cdcsim.codec import LdPayload
         from cdcsim.gf2 import MalformedDecompositionError
-        bad = LdPayload(node=1, ell=3, msg_len=8,
-                        basis=(BitVec(0b101, 8),),
-                        coeffs=(BitVec(0b11, 2), BitVec(0, 1), BitVec(1, 1)))
+        bad = BasisDecomposition(basis=(BitVec(0b101, 8),),
+                                 coeffs=(BitVec(0b11, 2), BitVec(0, 1), BitVec(1, 1)),
+                                 rho=1, ncols=8)
         with pytest.raises(MalformedDecompositionError):
             ld_decompress(bad)
 
@@ -406,8 +416,8 @@ def test_rank_never_exceeds_count_or_length():
             for k in range(1, K + 1):
                 msgs = [full_message(k, g, placement, store.values)
                         for g in groups_containing(spec, k, ell)]
-                payload = ld_compress(k, ell, msgs, spec)
-                assert payload.rho <= min(comb(K - 1, ell - 1), payload.msg_len)
+                d = ld_compress(ell, msgs, spec)
+                assert d.rho <= min(comb(K - 1, ell - 1), d.ncols)
 
 
 def test_multicast_coverage_matches_demand():

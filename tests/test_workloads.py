@@ -194,7 +194,7 @@ class TestCodedLinearTransform:
     def test_parity_block_always_cancels(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
         w = LinearTransformWorkload.random(16, 12, 6, seed=5)
-        store = coded_lintrans_map(w, "parity", spec)
+        store = coded_lintrans_map(w, spec)
         for n in range(1, 7):
             acc = store.get(4, n)
             for k in (1, 2, 3):
@@ -205,22 +205,16 @@ class TestCodedLinearTransform:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
         w = LinearTransformWorkload(tuple(BitVec(0, 8) for _ in range(16)),
                                     tuple(BitVec(i + 1, 8) for i in range(6)))
-        store = coded_lintrans_map(w, "parity", spec)
+        store = coded_lintrans_map(w, spec)
         assert all(v.is_zero() for v in store.values.values())
 
     def test_per_file_rank_deficient(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8)
         w = LinearTransformWorkload.random(32, 16, 6, seed=9)
-        store = coded_lintrans_map(w, "parity", spec)
+        store = coded_lintrans_map(w, spec)
         for n in range(1, 7):
             m = Gf2Matrix.from_rows([store.get(k, n) for k in range(1, 5)])
             assert gf2_rank(m) <= 3
-
-    def test_unsupported_pattern(self):
-        spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
-        w = LinearTransformWorkload.random(16, 8, 6, seed=1)
-        with pytest.raises(ValueError, match="redundancy"):
-            coded_lintrans_map(w, "mds", spec)
 
 
 class TestSynthetic:
