@@ -84,9 +84,6 @@ def average_rank(rho: Mapping[tuple[int, int], int], K: int) -> dict[int, Fracti
 class LoadReport:
     """Empirical bit counts next to the applicable closed form."""
 
-    spec: JobSpec
-    scheme: str
-    bits_by_node: tuple[int, ...]
     load_empirical: Fraction
     load_analytic: Fraction | None
     deviation: Fraction | None
@@ -107,7 +104,6 @@ GENERAL_S_FLAG = (
 def build_load_report(result) -> LoadReport:
     """Compare a run's measured load against its scheme's closed form."""
     spec = result.spec
-    bits = tuple(result.bits_by_node[k] for k in range(1, spec.K + 1))
     emp = result.load_empirical
     rho_avg = None
     alt = None
@@ -123,9 +119,6 @@ def build_load_report(result) -> LoadReport:
             alt = l_cdc_ld_accounting(spec.r, spec.s, spec.K, spec.Q, spec.N, spec.T, rho_avg)
             notes = GENERAL_S_FLAG
     return LoadReport(
-        spec=spec,
-        scheme=result.scheme,
-        bits_by_node=bits,
         load_empirical=emp,
         load_analytic=analytic,
         deviation=emp - analytic,
@@ -171,13 +164,18 @@ def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str
 
     Models: an int/Fraction (constant across group sizes), the string
     "full-rank" (rank equals the message count C(K-1, ell-1)), or an explicit
-    mapping from group size to value.
+    mapping from group size to value.  Mapping keys may be strings, as JSON
+    object keys are, and the mapping must cover every group size.
     """
     ells = list(group_sizes(K, r, s))
     if model == "full-rank":
         return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}, "full-rank"
     if isinstance(model, Mapping):
-        return {ell: Fraction(model[ell]) for ell in ells if ell in model}, "measured"
+        by_ell = {int(ell): Fraction(v) for ell, v in model.items()}
+        missing = [ell for ell in ells if ell not in by_ell]
+        if missing:
+            raise ValueError(f"rank map has no value for group sizes {missing} (r={r}, s={s})")
+        return {ell: by_ell[ell] for ell in ells}, "measured"
     value = Fraction(model)
     return {ell: value for ell in ells}, f"constant:{value}"
 

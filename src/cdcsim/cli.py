@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 from . import analytics, engine
@@ -174,18 +175,10 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _merge_config(args)
-        spec = _build_spec(config)
-        workload = build_workload(config.get("workload", {}), spec)
-        scheme = config.get("scheme", "cdc")
-    except (KeyError, ValueError, OSError) as exc:
-        return _fail(exc)
-
-    try:
-        result = engine.run(spec, workload, scheme)
-    except ValueError as exc:
-        return _fail(exc)
+    config = _merge_config(args)
+    spec = _build_spec(config)
+    workload = build_workload(config.get("workload", {}), spec)
+    result = engine.run(spec, workload, config.get("scheme", "cdc"))
 
     report = analytics.build_load_report(result)
     out_dir = config["out_dir"]
@@ -209,70 +202,47 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_fig2(sweep: dict, out_dir: str) -> None:
-    rows = analytics.fig2_table(sweep["K"], sweep["Q"], sweep["N"], sweep["m"], sweep["q"])
-    _write_csv(
-        os.path.join(out_dir, "fig2.csv"),
-        ["r", "msg_len_bits", "count_paper", "count_alt"],
-        [[str(row.r), analytics.fmt12(row.msg_len_bits),
-          str(row.count_paper), str(row.count_alt)] for row in rows],
-    )
-    meta = {k: sweep[k] for k in ("K", "Q", "N", "m", "q")}
-    with open(os.path.join(out_dir, "fig2.meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(meta))
-
-
-def _sweep_fig3(sweep: dict, out_dir: str) -> None:
-    rho = sweep.get("rho", 2)
-    rows = analytics.load_vs_t_sweep(sweep["K"], sweep["Q"], sweep["N"], sweep["r"],
-                                     sweep["T_values"], s=sweep.get("s", 1), rho_model=rho)
-    _write_csv(
-        os.path.join(out_dir, "fig3.csv"),
-        ["T", "L_cdc", "L_cdc_ld"],
-        [[str(row.T), analytics.fmt12(row.l_cdc), analytics.fmt12(row.l_cdc_ld)]
-         for row in rows],
-    )
-    meta = {k: sweep[k] for k in ("K", "Q", "N", "r")}
-    meta["rho_model"] = rows[0].rho_label if rows else str(rho)
-    with open(os.path.join(out_dir, "fig3.meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(meta))
-
-
-def _sweep_fig4(sweep: dict, out_dir: str) -> None:
-    rho = sweep.get("rho", "full-rank")
-    rows = analytics.tradeoff_sweep(sweep["K"], sweep["Q"], sweep["N"], sweep["T"],
-                                    sweep["r_values"], s=sweep.get("s", 1), rho_model=rho)
-    _write_csv(
-        os.path.join(out_dir, "fig4.csv"),
-        ["r", "L_uncoded", "L_cdc", "L_cdc_ld"],
-        [[str(row.r), analytics.fmt12(row.l_uncoded), analytics.fmt12(row.l_cdc),
-          analytics.fmt12(row.l_cdc_ld)] for row in rows],
-    )
-    meta = {k: sweep[k] for k in ("K", "Q", "N", "T")}
-    meta["rho_model"] = rows[0].rho_label if rows else str(rho)
-    with open(os.path.join(out_dir, "fig4.meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(meta))
+# kind -> (table from the sweep definition and rank model, CSV header, keys
+# echoed to <kind>.meta.json, default rank model or None for no rank model).
+# The CSV columns are the leading fields of each row.
+SWEEPS = {
+    "fig2": (lambda sw, rho: analytics.fig2_table(sw["K"], sw["Q"], sw["N"], sw["m"], sw["q"]),
+             ["r", "msg_len_bits", "count_paper", "count_alt"], ("K", "Q", "N", "m", "q"), None),
+    "fig3": (lambda sw, rho: analytics.load_vs_t_sweep(sw["K"], sw["Q"], sw["N"], sw["r"],
+                                                      sw["T_values"], s=sw.get("s", 1),
+                                                      rho_model=rho),
+             ["T", "L_cdc", "L_cdc_ld"], ("K", "Q", "N", "r"), 2),
+    "fig4": (lambda sw, rho: analytics.tradeoff_sweep(sw["K"], sw["Q"], sw["N"], sw["T"],
+                                                     sw["r_values"], s=sw.get("s", 1),
+                                                     rho_model=rho),
+             ["r", "L_uncoded", "L_cdc", "L_cdc_ld"], ("K", "Q", "N", "T"), "full-rank"),
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        config = _merge_config(args)
-        sweep = config.get("sweep")
-        if not sweep:
-            raise ValueError("no sweep definition (use --preset fig2/fig3/fig4 or a config file)")
-        kind = sweep.get("kind")
-        out_dir = config["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        if kind == "fig2":
-            _sweep_fig2(sweep, out_dir)
-        elif kind == "fig3":
-            _sweep_fig3(sweep, out_dir)
-        elif kind == "fig4":
-            _sweep_fig4(sweep, out_dir)
-        else:
-            raise ValueError(f"unknown sweep kind {kind!r}")
-    except (KeyError, ValueError, OSError) as exc:
-        return _fail(exc)
+    config = _merge_config(args)
+    sweep = config.get("sweep")
+    if not sweep:
+        raise ValueError("no sweep definition (use --preset fig2/fig3/fig4 or a config file)")
+    kind = sweep.get("kind")
+    if kind not in SWEEPS:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    table, header, meta_keys, default_rho = SWEEPS[kind]
+    rho = sweep.get("rho", default_rho)
+    rows = table(sweep, rho)
+    meta = {k: sweep[k] for k in meta_keys}
+    if default_rho is not None:
+        meta["rho_model"] = rows[0].rho_label if rows else str(rho)
+
+    out_dir = config["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(
+        os.path.join(out_dir, f"{kind}.csv"), header,
+        [[str(cell) if isinstance(cell, int) else analytics.fmt12(cell)
+          for cell in astuple(row)[:len(header)]] for row in rows],
+    )
+    with open(os.path.join(out_dir, f"{kind}.meta.json"), "w", encoding="utf-8") as fh:
+        fh.write(dump_json(meta))
     print(f"wrote {kind} table to {out_dir}")
     return EXIT_OK
 
@@ -288,8 +258,8 @@ def replay_fixture(doc: dict) -> str:
     """Decode a serialized transcript against its workload; returns the verdict.
 
     A transcript that cannot be decoded (missing messages, inconsistent
-    lengths, a malformed rank decomposition, duplicate broadcasts) fails
-    rather than raising.
+    lengths, a malformed rank decomposition, a wrong cdc-ld message count,
+    duplicate broadcasts) fails rather than raising.
     """
     transcript = engine.transcript_from_json(doc["transcript"])
     spec = transcript.spec
@@ -306,35 +276,23 @@ def replay_fixture(doc: dict) -> str:
 
 def cmd_fixture(args: argparse.Namespace) -> int:
     if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            verdict = replay_fixture(doc)
-        except (KeyError, ValueError, OSError) as exc:
-            return _fail(exc)
+        with open(args.input, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        verdict = replay_fixture(doc)
         print(f"fixture {args.input}: {verdict}")
         return EXIT_OK if verdict == "pass" else EXIT_VERIFY
 
-    try:
-        config = _merge_config(args)
-        if "workload" not in config:
-            config = copy.deepcopy(PRESETS["paper-wordcount"]) | {"out_dir": args.out_dir}
-        spec = _build_spec(config)
-        workload_desc = config["workload"]
-        workload = build_workload(workload_desc, spec)
-        out_dir = config["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-    except (KeyError, ValueError, OSError) as exc:
-        return _fail(exc)
-
+    config = _merge_config(args)
+    spec = _build_spec(config)
+    workload_desc = config.get("workload", {})
+    workload = build_workload(workload_desc, spec)
+    out_dir = config["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "placement.json"), "w", encoding="utf-8") as fh:
         fh.write(dump_json(placement_to_json(make_placement(spec))))
     verdicts = []
     for scheme in engine.SCHEMES:
-        try:
-            result = engine.run(spec, workload, scheme)
-        except ValueError as exc:
-            return _fail(exc)
+        result = engine.run(spec, workload, scheme)
         doc = fixture_to_json(result, workload_desc)
         path = os.path.join(out_dir, f"fixture-{scheme}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -372,7 +330,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (KeyError, ValueError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -153,7 +153,11 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
             messages = ld_decompress(BasisDecomposition(
                 basis=b.payloads[:rho_b], coeffs=b.payloads[rho_b:],
                 rho=rho_b, ncols=b.meta["msg_len"]))
-            for group, msg in zip(groups_containing(spec, b.sender, ell), messages):
+            groups = groups_containing(spec, b.sender, ell)
+            if len(messages) != len(groups):
+                raise ValueError(f"{len(messages)} messages from node {b.sender} for "
+                                 f"{len(groups)} groups of size {ell}")
+            for group, msg in zip(groups, messages):
                 received[(b.sender, group)] = msg
     else:
         raise ValueError(f"no message view for scheme {transcript.scheme}")

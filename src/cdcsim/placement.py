@@ -29,6 +29,9 @@ class JobSpec:
     T: int
 
     def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if type(value) is not int:
+                raise InvalidSpecError(f"{name}={value!r} must be an int")
         if self.K < 2:
             raise InvalidSpecError(f"K={self.K} must be at least 2")
         if not 1 <= self.r <= self.K:

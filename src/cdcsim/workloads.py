@@ -309,6 +309,9 @@ def load_gf2_sections(path: str | os.PathLike) -> dict[str, list[BitVec]]:
         if len(parts) != 4 or parts[0] != "gf2mat":
             raise ValueError(f"bad section header at line {i + 1}: {lines[i]!r}")
         name, nrows, ncols = parts[1], int(parts[2]), int(parts[3])
+        if i + 1 + nrows > len(lines):
+            raise ValueError(f"section {name!r} declares {nrows} rows, "
+                             f"file ends after {len(lines) - i - 1}")
         rows = [BitVec.from_hex(lines[i + 1 + j], ncols) for j in range(nrows)]
         sections[name] = rows
         i += 1 + nrows

@@ -207,3 +207,9 @@ class TestSweeps:
         rho, label = resolve_rho({3: Fraction(7, 4)}, 4, 2, 1)
         assert label == "measured"
         assert rho == {3: Fraction(7, 4)}
+
+    def test_measured_model_string_keys_and_gaps(self):
+        # JSON object keys are strings
+        assert resolve_rho({"3": 2}, 4, 2, 1) == ({3: Fraction(2)}, "measured")
+        with pytest.raises(ValueError, match=r"group sizes \[4\]"):
+            resolve_rho({3: 2}, 4, 2, 2)  # s=2: group sizes 3 and 4

@@ -33,6 +33,27 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _out_dir_below_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["--preset", "paper-wordcount", "--out-dir", str(tmp_path / "file" / "out")]
+
+
+def _string_field_in_config(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "K": "4", "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6,
+        "workload": {"kind": "synthetic", "seed": 7},
+    }))
+    return ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+
+
+def _truncated_gf2mat(tmp_path):
+    mats = tmp_path / "mats.txt"
+    mats.write_text("gf2mat A 3 4\n1\n2\n")  # declares 3 rows, holds 2
+    return ["--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1", "--T", "6",
+            "--workload", "lintrans", "--input", str(mats), "--out-dir", str(tmp_path / "out")]
+
+
 class TestRun:
     def test_paper_preset_cdc_ld_t30(self, tmp_path):
         code = main(["run", "--preset", "paper-wordcount", "--scheme", "cdc-ld",
@@ -99,6 +120,18 @@ class TestRun:
         assert err.startswith("error: unknown scheme") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("make_args, message", [
+        (_out_dir_below_file, "Not a directory"),
+        (_string_field_in_config, "K='4' must be an int"),
+        (_truncated_gf2mat, "section 'A'"),
+    ], ids=["out-dir-below-file", "string-K", "truncated-gf2mat"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, make_args, message):
+        code = main(["run", *make_args(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -162,6 +195,35 @@ class TestSweep:
             holds = float(row["msg_len_bits"]) < float(row["count_paper"])
             assert holds == (2 <= r <= 14)
 
+    @pytest.mark.parametrize("kind, extra, digest", [
+        ("fig2", [], "3ec3e7bdeb07166deb7a12762ec6430323e4e9cc233e825f1504c075e7b15b72"),
+        ("fig3", [], "7ace636782509922e6c5e8d535f49179e6e00e16315ed47040a6d1e3ff3fb1db"),
+        ("fig4", [], "8f65bcbf8621156467173c4c812f29b665c7b4ab7ccbabe7dff006772bf53892"),
+        ("fig3", ["--rho", "5"],
+         "6d809aaa3daac43300caa2fe4ac7266402d97de9c6112dc7e11814bf2ff850ce"),
+    ], ids=["fig2", "fig3", "fig4", "fig3-rho5"])
+    def test_artifacts_frozen(self, tmp_path, kind, extra, digest):
+        assert main(["sweep", "--preset", kind, *extra, "--out-dir", str(tmp_path)]) == EXIT_OK
+        data = (tmp_path / f"{kind}.csv").read_bytes() + (tmp_path / f"{kind}.meta.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_rank_map_from_json(self, tmp_path, capsys):
+        sweep = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "s": 1,
+                 "r_values": [3], "rho": {"4": 50}}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"sweep": sweep}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        [row] = read_csv(tmp_path / "fig4.csv")
+        assert row["L_cdc_ld"] == analytics.fmt12(
+            analytics.l_cdc_ld(3, 1, 10, 360, 2520, 64, {4: 50}))
+        assert json.loads((tmp_path / "fig4.meta.json").read_text())["rho_model"] == "measured"
+
+        # a map that leaves out a group size is a config error, not a zero load
+        cfg.write_text(json.dumps({"sweep": sweep | {"rho": {"5": 50}}}))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: rank map")
+
     def test_sweep_without_definition(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
@@ -176,6 +238,10 @@ def _prepend_conflict(broadcasts):
     dup = copy.deepcopy(broadcasts[0])
     dup["payloads"][0]["hex"] = f"{int(dup['payloads'][0]['hex'], 16) ^ 1:x}"
     broadcasts.insert(0, dup)
+
+
+def _extra_coeff_row(broadcasts):
+    broadcasts[0]["payloads"].append({"bits": broadcasts[0]["meta"]["rho"], "hex": "1"})
 
 
 class TestFixture:
@@ -218,14 +284,29 @@ class TestFixture:
         ("cdc", lambda bs: bs[0]["payloads"][0].update(bits=bs[0]["payloads"][0]["bits"] + 1)),
         *[(scheme, _append_copy) for scheme in ("uncoded", "cdc", "cdc-ld")],
         *[(scheme, _prepend_conflict) for scheme in ("uncoded", "cdc", "cdc-ld")],
+        ("cdc-ld", _extra_coeff_row),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
-            "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict"])
+            "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    def test_flags_define_the_job(self, tmp_path):
+        assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",
+                     "--T", "9", "--out-dir", str(tmp_path)]) == EXIT_OK
+        for scheme in engine.SCHEMES:
+            doc = json.loads((tmp_path / f"fixture-{scheme}.json").read_text())
+            assert doc["transcript"]["spec"]["K"] == 5
+            assert replay_fixture(doc) == "pass"
+
+    def test_no_job_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fixture", "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "missing job parameters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multi_copy_exits_4(self, tmp_path, capsys):
         code = main(["fixture", "--K", "4", "--N", "6", "--Q", "6", "--r", "2", "--s", "2",

@@ -67,6 +67,16 @@ def test_range_errors():
         JobSpec(K=4, N=6, Q=4, r=2, s=1, T=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    *[(field, "4") for field in ("K", "N", "Q", "r", "s", "T")],
+    ("K", 4.0), ("T", True), ("N", None),
+])
+def test_non_integer_field_rejected(field, bad):
+    kw = dict(K=4, N=6, Q=4, r=2, s=1, T=6) | {field: bad}
+    with pytest.raises(InvalidSpecError, match=f"{field}=.* must be an int"):
+        JobSpec(**kw)
+
+
 def test_needed_values_paper_example():
     spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
     p = make_placement(spec)

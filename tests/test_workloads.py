@@ -251,3 +251,10 @@ def test_gf2_sections_roundtrip(tmp_path):
     assert back["A"] == a and back["X"] == x
     w = lintrans_from_file(path)
     assert w.matrix == tuple(a) and w.inputs == tuple(x)
+
+
+def test_gf2_sections_truncated(tmp_path):
+    path = tmp_path / "mats.txt"
+    path.write_text("gf2mat X 1 4\n3\ngf2mat A 3 4\n1\n2\n")
+    with pytest.raises(ValueError, match="section 'A'"):
+        load_gf2_sections(path)
