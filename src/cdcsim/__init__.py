@@ -13,8 +13,6 @@ from .analytics import (
 )
 from .codec import (
     IncompleteShuffleError,
-    USymbol,
-    VSet,
     build_vset,
     decode_cdc_s1,
     encode_cdc,

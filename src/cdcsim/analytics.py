@@ -191,12 +191,22 @@ class TradeoffRow:
 
 def tradeoff_sweep(K: int, Q: int, N: int, T: int, r_values,
                    s: int = 1, rho_model="full-rank") -> list[TradeoffRow]:
-    """Load of all three schemes across computation loads r."""
+    """Load of all three schemes across computation loads r.
+
+    A row is skipped, with a warning, only when C(K, r) does not divide N;
+    any other spec error raises ``InvalidSpecError``.
+    """
     rows = []
     for r in sorted(r_values):
         try:
             JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
         except InvalidSpecError as exc:
+            # only a C(K, r) that does not divide N skips the row; comb() and %
+            # need K, N and r to be valid ints before they can tell
+            if not (all(type(v) is int for v in (K, N, r)) and 1 <= r <= K
+                    and N % comb(K, r)):
+                raise
+            JobSpec(K=K, N=N * comb(K, r), Q=Q, r=r, s=s, T=T)  # raises any other error
             warnings.warn(f"skipping r={r}: {exc}")
             continue
         rho, label = resolve_rho(rho_model, K, r, s)
@@ -220,14 +230,15 @@ class LoadVsTRow:
 
 def load_vs_t_sweep(K: int, Q: int, N: int, r: int, t_values,
                     s: int = 1, rho_model=2) -> list[LoadVsTRow]:
-    """Load of the coded schemes as the value length T grows."""
+    """Load of the coded schemes as the value length T grows; every row must
+    be a valid job, or ``InvalidSpecError`` is raised."""
     rows = []
-    base = l_cdc(r, s, K)
     for T in sorted(t_values):
+        JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
         rho, label = resolve_rho(rho_model, K, r, s)
         rows.append(LoadVsTRow(
             T=T,
-            l_cdc=base,
+            l_cdc=l_cdc(r, s, K),
             l_cdc_ld=l_cdc_ld(r, s, K, Q, N, T, rho),
             rho_label=label,
         ))

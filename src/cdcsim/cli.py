@@ -259,7 +259,8 @@ def replay_fixture(doc: dict) -> str:
 
     A transcript that cannot be decoded (missing messages, inconsistent
     lengths, a malformed rank decomposition, a wrong cdc-ld message count,
-    duplicate broadcasts) fails rather than raising.
+    duplicate broadcasts, a broadcast its sender could not have sent) fails
+    rather than raising; one whose meta lacks a field raises ``ValueError``.
     """
     transcript = engine.transcript_from_json(doc["transcript"])
     spec = transcript.spec

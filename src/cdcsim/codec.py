@@ -11,7 +11,6 @@ not decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -41,17 +40,10 @@ def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
     return [g for g in combinations(range(1, spec.K + 1), ell) if k in g]
 
 
-@dataclass(frozen=True)
-class VSet:
-    """Values known exclusively by ``holders`` and wanted by the rest of ``group``."""
-
-    group: tuple[int, ...]
-    holders: tuple[int, ...]
-    value_ids: tuple[tuple[int, int], ...]
-
-
-def build_vset(group: Sequence[int], holders: Sequence[int], placement: Placement) -> VSet:
-    """Collect the (q, n) pairs served by one (group, holders) multicast.
+def build_vset(group: Sequence[int], holders: Sequence[int],
+               placement: Placement) -> tuple[tuple[int, int], ...]:
+    """Collect the (q, n) pairs served by one (group, holders) multicast: the
+    values known exclusively by the holders and wanted by the rest of the group.
 
     A function index q qualifies when every non-holder in the group wants it
     and nobody outside the group does, i.e. its reduce batch is an s-subset
@@ -80,48 +72,33 @@ def build_vset(group: Sequence[int], holders: Sequence[int], placement: Placemen
             f"value set for group={group} holders={holders} has {len(value_ids)} "
             f"entries, expected {expected}"
         )
-    return VSet(group, holders, value_ids)
+    return value_ids
 
 
-@dataclass(frozen=True)
-class USymbol:
-    """Concatenation of a value set, split into one segment per holder.
+def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
+                    values: Mapping[tuple[int, int], BitVec]) -> tuple[BitVec, ...]:
+    """Concatenate a value set and split it into r equal segments.
 
-    Segment i belongs to the i-th smallest holder.  The payload is zero-padded
-    at the end to a multiple of r so the split is even; ``pad_bits`` records
-    how much padding the receiver must strip.
+    Segment i belongs to the i-th smallest holder.  The concatenation is
+    zero-padded at the end to a multiple of r so the split is even; a receiver
+    strips the padding by keeping len(value_ids) * T bits.
     """
-
-    group: tuple[int, ...]
-    holders: tuple[int, ...]
-    payload: BitVec
-    segments: tuple[BitVec, ...]
-    pad_bits: int
-
-
-def segment_usymbol(vset: VSet, values: Mapping[tuple[int, int], BitVec]) -> USymbol:
-    r = len(vset.holders)
-    payload = BitVec.concat_all(values[qn] for qn in vset.value_ids)
+    payload = BitVec.concat_all(values[qn] for qn in value_ids)
     pad = (-payload.nbits) % r
     padded = payload.concat(BitVec.zeros(pad)) if pad else payload
     if padded.nbits % r:
         raise AssertionError(f"padded payload of {padded.nbits} bits not divisible by r={r}")
     seg = padded.nbits // r
-    segments = tuple(padded.extract(i * seg, (i + 1) * seg) for i in range(r))
-    return USymbol(vset.group, vset.holders, payload, segments, pad)
+    return tuple(padded.extract(i * seg, (i + 1) * seg) for i in range(r))
 
 
 def _own_segments(k: int, group: tuple[int, ...], placement: Placement,
                   values: Mapping[tuple[int, int], BitVec]) -> list[BitVec]:
     """Node k's segment of every holder subset of the group it belongs to,
     in lexicographic subset order."""
-    segs = []
-    for holders in combinations(group, placement.spec.r):
-        if k not in holders:
-            continue
-        u = segment_usymbol(build_vset(group, holders, placement), values)
-        segs.append(u.segments[holders.index(k)])
-    return segs
+    r = placement.spec.r
+    return [segment_usymbol(build_vset(group, holders, placement), r, values)[holders.index(k)]
+            for holders in combinations(group, r) if k in holders]
 
 
 def _scale_segment(field, scalar: int, seg: BitVec) -> BitVec:
@@ -221,8 +198,8 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
         others = tuple(j for j in group if j != k)
         target = build_vset(group, others, placement)
         # segments this node can compute itself, per (holder subset, segment owner)
-        local_syms = {
-            holders: segment_usymbol(build_vset(group, holders, placement), local_values)
+        local_segs = {
+            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, local_values)
             for holders in combinations(group, spec.r) if k in holders
         }
         parts = []
@@ -236,16 +213,15 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
                 if i == j:
                     continue
                 holders = tuple(sorted(set(group) - {i}))
-                u = local_syms[holders]
-                payload = payload ^ u.segments[holders.index(j)]
+                payload = payload ^ local_segs[holders][holders.index(j)]
             parts.append(payload)
         if not ok:
-            missing.extend(target.value_ids)
+            missing.extend(target)
             continue
         symbol = BitVec.concat_all(parts)
         # drop the trailing zero padding the segmentation added
-        payload = symbol.extract(0, len(target.value_ids) * spec.T)
-        for idx, qn in enumerate(target.value_ids):
+        payload = symbol.extract(0, len(target) * spec.T)
+        for idx, qn in enumerate(target):
             recovered[qn] = payload.extract(idx * spec.T, (idx + 1) * spec.T)
 
     if missing:
@@ -282,7 +258,7 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, int]]]:
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for holders in combinations(group, spec.r):
-                vset = build_vset(group, holders, placement)
+                value_ids = build_vset(group, holders, placement)
                 for receiver in set(group) - set(holders):
-                    covered[receiver].update(vset.value_ids)
+                    covered[receiver].update(value_ids)
     return covered

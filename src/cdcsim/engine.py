@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .codec import (
@@ -29,6 +30,10 @@ from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement
 from .workloads import IntermediateStore
 
 SCHEMES = ("uncoded", "cdc", "cdc-ld")
+
+# the meta fields every broadcast of a scheme carries
+_META_KEYS = {"uncoded": ("q", "n"), "cdc": ("group", "component"),
+             "cdc-ld": ("ell", "rho", "msg_len")}
 
 
 class UnsupportedCombinationError(ValueError):
@@ -138,7 +143,13 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
     received: dict[tuple[int, tuple[int, ...]], BitVec] = {}
     if transcript.scheme == "cdc":
         for b in transcript.broadcasts:
-            key = (b.sender, tuple(b.meta["group"]))
+            group = tuple(b.meta["group"])
+            if b.sender not in group:
+                raise ValueError(f"node {b.sender} sent to group {group}, which it is not in")
+            if not 1 <= b.meta["component"] <= comb(len(group) - 2, spec.r - 1):
+                raise ValueError(f"component {b.meta['component']} from node {b.sender} "
+                                 f"to group {group} is outside 1..C(ell-2, r-1)")
+            key = (b.sender, group)
             if key in received:
                 raise ValueError(f"second broadcast for (sender, group) {key}")
             received[key] = b.payloads[0]
@@ -194,13 +205,22 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
                       transcript: ShuffleTranscript, workload):
     """Decode a transcript at every node, reduce, and compare to the reference.
 
-    Returns (outputs, reference, recovered, verification).
+    Returns (outputs, reference, recovered, verification).  A broadcast of
+    another kind than the transcript's scheme, or from a node that cannot
+    have sent it, raises ``ValueError``.
     """
+    for i, b in enumerate(transcript.broadcasts):
+        if b.kind != transcript.scheme:
+            raise ValueError(f"broadcast {i}: kind {b.kind!r}, expected {transcript.scheme!r}")
+        if b.sender not in placement.node_files:
+            raise ValueError(f"broadcast {i}: sender {b.sender!r} is not a node 1..{spec.K}")
     recovered: dict[int, dict[tuple[int, int], BitVec]] = {}
     if transcript.scheme == "uncoded":
         by_pair = {}
         for b in transcript.broadcasts:
             qn = (b.meta["q"], b.meta["n"])
+            if b.sender not in placement.batch_of_file.get(qn[1], ()):
+                raise ValueError(f"node {b.sender} sent {qn} but did not map file {qn[1]}")
             if qn in by_pair:
                 raise ValueError(f"second broadcast for (q, n) {qn}")
             by_pair[qn] = b.payloads[0]
@@ -315,6 +335,11 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
     spec = JobSpec(**obj["spec"])
+    keys = _META_KEYS.get(obj["scheme"], ())
+    for i, b in enumerate(obj["broadcasts"]):
+        for key in keys:
+            if key not in b["meta"]:
+                raise ValueError(f"broadcast {i}: meta has no {key!r}")
     broadcasts = [
         Broadcast(
             sender=b["sender"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 
 class UnsupportedDegreeError(ValueError):
@@ -42,17 +42,6 @@ class BitVec:
         return cls(0, nbits)
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit value {b!r} is not 0 or 1")
-            value |= b << n
-            n += 1
-        return cls(value, n)
-
-    @classmethod
     def concat_all(cls, parts: Iterable["BitVec"]) -> "BitVec":
         value = 0
         shift = 0
@@ -67,14 +56,6 @@ class BitVec:
 
     def to_hex(self) -> str:
         return f"{self.value:x}"
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.nbits:
-            raise IndexError(f"bit index {i} out of range for length {self.nbits}")
-        return (self.value >> i) & 1
-
-    def bits(self) -> Iterator[int]:
-        return ((self.value >> i) & 1 for i in range(self.nbits))
 
     def __len__(self) -> int:
         return self.nbits
@@ -94,9 +75,6 @@ class BitVec:
         width = stop - start
         return BitVec((self.value >> start) & ((1 << width) - 1), width)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 @dataclass(frozen=True)
 class Gf2Matrix:
@@ -109,16 +87,6 @@ class Gf2Matrix:
         for row in self.rows:
             if row.nbits != self.ncols:
                 raise ValueError(f"row of length {row.nbits} in matrix with {self.ncols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVec]) -> "Gf2Matrix":
-        if not rows:
-            raise ValueError("cannot infer column count from zero rows; use Gf2Matrix((), ncols)")
-        return cls(tuple(rows), rows[0].nbits)
-
-    @classmethod
-    def from_ints(cls, values: Sequence[int], ncols: int) -> "Gf2Matrix":
-        return cls(tuple(BitVec(v, ncols) for v in values), ncols)
 
     @property
     def nrows(self) -> int:
@@ -209,10 +177,6 @@ def reconstruct(b: BasisDecomposition) -> Gf2Matrix:
     return Gf2Matrix(tuple(rows), b.ncols)
 
 
-def gf2_rank(m: Gf2Matrix) -> int:
-    return rank_and_basis(m).rho
-
-
 # Low-weight irreducible polynomials, one per degree, from the standard
 # published table (each entry includes the leading term).  Fixed forever so
 # that encoded fixtures never drift.
@@ -247,10 +211,6 @@ class Gf2ExtField:
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise ValueError(f"{a} is not an element of GF(2^{self.degree})")
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)

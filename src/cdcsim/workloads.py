@@ -14,7 +14,7 @@ import io
 import os
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .gf2 import BitVec
 from .placement import JobSpec
@@ -286,15 +286,6 @@ class SyntheticRankWorkload:
 #     <hex row>          (nrows lines; row bit j, i.e. column j, is bit j of the integer)
 #
 # Blank lines between sections are allowed.
-
-def save_gf2_sections(path: str | os.PathLike, sections: Mapping[str, Sequence[BitVec]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, rows in sections.items():
-            ncols = rows[0].nbits if rows else 0
-            fh.write(f"gf2mat {name} {len(rows)} {ncols}\n")
-            for row in rows:
-                fh.write(row.to_hex() + "\n")
-
 
 def load_gf2_sections(path: str | os.PathLike) -> dict[str, list[BitVec]]:
     sections: dict[str, list[BitVec]] = {}

@@ -224,6 +224,24 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: rank map")
 
+    @pytest.mark.parametrize("sweep, message", [
+        ({"kind": "fig4", "K": 10.0}, "K=10.0 must be an int"),
+        ({"kind": "fig4", "Q": 361}, "Q=361 must be divisible"),
+        ({"kind": "fig4", "r_values": [1, 2, 11]}, "r=11 must lie in 1..K=10"),
+        ({"kind": "fig3", "K": 4, "N": 7, "Q": 4, "r": 2, "T_values": [2, 4]},
+         "N=7 must be divisible by C(K,r)=C(4,2)=6"),
+    ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N"])
+    def test_spec_error_exits_2(self, tmp_path, capsys, sweep, message):
+        base = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "r_values": [1, 2, 3]}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"sweep": base | sweep}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_sweep_without_definition(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
@@ -242,6 +260,19 @@ def _prepend_conflict(broadcasts):
 
 def _extra_coeff_row(broadcasts):
     broadcasts[0]["payloads"].append({"bits": broadcasts[0]["meta"]["rho"], "hex": "1"})
+
+
+def _all_sent_by_4(broadcasts):
+    # node 4 did not map every file it would then be sending values of
+    for b in broadcasts:
+        b["sender"] = 4
+
+
+def _resent_by_outsider(broadcasts):
+    # broadcast 0 goes to group [1, 2, 3]; node 4 is not in it
+    dup = copy.deepcopy(broadcasts[0])
+    dup["sender"] = 4
+    broadcasts.append(dup)
 
 
 class TestFixture:
@@ -285,14 +316,32 @@ class TestFixture:
         *[(scheme, _append_copy) for scheme in ("uncoded", "cdc", "cdc-ld")],
         *[(scheme, _prepend_conflict) for scheme in ("uncoded", "cdc", "cdc-ld")],
         ("cdc-ld", _extra_coeff_row),
+        ("uncoded", _all_sent_by_4),
+        ("uncoded", lambda bs: bs[0].update(sender=99)),
+        ("cdc", _resent_by_outsider),
+        ("uncoded", lambda bs: bs[0].update(kind="bogus")),
+        ("cdc", lambda bs: bs[0].update(kind="bogus")),
+        ("cdc-ld", lambda bs: bs[0].update(kind="cdc")),
+        ("cdc", lambda bs: bs[0]["meta"].update(component=7)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
-            "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row"])
+            "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
+            "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
+            "cdc-kind", "cdc-ld-kind", "cdc-component"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("scheme, field", [("uncoded", "q"), ("cdc", "group")])
+    def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field):
+        doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+        del doc["transcript"]["broadcasts"][0]["meta"][field]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: broadcast 0: meta has no {field!r}\n"
 
     def test_flags_define_the_job(self, tmp_path):
         assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",

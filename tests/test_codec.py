@@ -46,16 +46,15 @@ def paper_setup(T=6):
 class TestVSet:
     def test_paper_example(self):
         _, placement, _ = paper_setup()
-        vset = build_vset((1, 2, 3), (1, 3), placement)
-        assert vset.value_ids == ((2, 2),)
+        assert build_vset((1, 2, 3), (1, 3), placement) == ((2, 2),)
 
     def test_size_at_minimum_group(self):
         spec = JobSpec(K=5, N=20, Q=10, r=2, s=1, T=4)
         placement = make_placement(spec)
         for group in combinations(range(1, 6), 3):
             for holders in combinations(group, 2):
-                vset = build_vset(group, holders, placement)
-                assert len(vset.value_ids) == spec.eta1 * spec.eta2
+                value_ids = build_vset(group, holders, placement)
+                assert len(value_ids) == spec.eta1 * spec.eta2
 
     def test_matches_membership_oracle(self):
         for K, r, s in ((5, 2, 2), (5, 1, 1), (5, 2, 1), (5, 1, 3), (5, 2, 3), (6, 3, 3)):
@@ -64,16 +63,16 @@ class TestVSet:
             for ell in range(max(r + 1, s), min(r + s, K) + 1):
                 for group in combinations(range(1, K + 1), ell):
                     for holders in combinations(group, r):
-                        vset = build_vset(group, holders, placement)
+                        value_ids = build_vset(group, holders, placement)
                         oracle = vset_members_bruteforce(placement, group, holders)
-                        assert list(vset.value_ids) == sorted(oracle)
-                        assert len(vset.value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
+                        assert value_ids == tuple(sorted(oracle))
+                        assert len(value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
 
     def test_canonical_order(self):
         spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=4)
         placement = make_placement(spec)
-        vset = build_vset((1, 2, 3), (2, 3), placement)
-        assert list(vset.value_ids) == sorted(vset.value_ids)
+        value_ids = build_vset((1, 2, 3), (2, 3), placement)
+        assert list(value_ids) == sorted(value_ids)
 
     def test_malformed_sizes(self):
         _, placement, _ = paper_setup()
@@ -88,41 +87,43 @@ class TestVSet:
 class TestUSymbol:
     def test_paper_halves(self):
         spec, placement, store = paper_setup()
-        vset = build_vset((1, 2, 3), (1, 3), placement)
-        u = segment_usymbol(vset, store.values)
+        value_ids = build_vset((1, 2, 3), (1, 3), placement)
+        segs = segment_usymbol(value_ids, 2, store.values)
         v22 = store.get(2, 2)
-        assert u.segments[0] == v22.extract(0, 3)   # goes to node 1
-        assert u.segments[1] == v22.extract(3, 6)   # goes to node 3
-        assert u.pad_bits == 0
+        assert segs[0] == v22.extract(0, 3)   # goes to node 1
+        assert segs[1] == v22.extract(3, 6)   # goes to node 3
+        assert BitVec.concat_all(segs).nbits - len(value_ids) * spec.T == 0  # no padding
 
     def test_single_holder_single_segment(self):
         spec = JobSpec(K=3, N=3, Q=3, r=1, s=1, T=5)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=4).build_store(spec)
-        vset = build_vset((1, 2), (2,), placement)
-        u = segment_usymbol(vset, store.values)
-        assert len(u.segments) == 1
-        assert u.segments[0] == u.payload
+        value_ids = build_vset((1, 2), (2,), placement)
+        segs = segment_usymbol(value_ids, 1, store.values)
+        assert len(segs) == 1
+        assert segs[0] == BitVec.concat_all(store.values[qn] for qn in value_ids)
 
     def test_segments_partition_payload(self):
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=6)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=6).build_store(spec)
-        vset = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
-        u = segment_usymbol(vset, store.values)
-        rebuilt = BitVec.concat_all(u.segments)
-        assert rebuilt.extract(0, u.payload.nbits) == u.payload
-        assert rebuilt.nbits == u.payload.nbits + u.pad_bits
+        value_ids = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
+        segs = segment_usymbol(value_ids, 3, store.values)
+        payload = BitVec.concat_all(store.values[qn] for qn in value_ids)
+        rebuilt = BitVec.concat_all(segs)
+        assert rebuilt.extract(0, payload.nbits) == payload
+        assert rebuilt.nbits == payload.nbits + (-payload.nbits) % 3
+        assert rebuilt.value >> payload.nbits == 0  # the padding is zeros
 
     def test_padding_when_not_divisible(self):
         # eta1*eta2*T = 5 bits split across r=2 holders
         spec = JobSpec(K=3, N=3, Q=3, r=2, s=1, T=5)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=2).build_store(spec)
-        vset = build_vset((1, 2, 3), (1, 2), placement)
-        u = segment_usymbol(vset, store.values)
-        assert u.pad_bits == 1
-        assert all(seg.nbits == 3 for seg in u.segments)
+        value_ids = build_vset((1, 2, 3), (1, 2), placement)
+        segs = segment_usymbol(value_ids, 2, store.values)
+        assert BitVec.concat_all(segs).nbits - len(value_ids) * spec.T == 1
+        assert all(seg.nbits == 3 for seg in segs)
 
 
 def xor_oracle_message(k, group, placement, store):
@@ -132,8 +133,8 @@ def xor_oracle_message(k, group, placement, store):
     for holders in combinations(group, spec.r):
         if k not in holders:
             continue
-        vset = build_vset(group, holders, placement)
-        payload = BitVec.concat_all(store.values[qn] for qn in vset.value_ids)
+        value_ids = build_vset(group, holders, placement)
+        payload = BitVec.concat_all(store.values[qn] for qn in value_ids)
         pad = (-payload.nbits) % spec.r
         padded = payload.concat(BitVec.zeros(pad))
         seg_len = padded.nbits // spec.r
@@ -164,7 +165,7 @@ class TestEncode:
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
-                    assert msg.is_zero()
+                    assert msg.value == 0
 
     def test_s1_equals_xor_oracle(self):
         spec = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
@@ -198,8 +199,8 @@ class TestEncode:
         for holders in combinations((1, 2, 3, 4), 2):
             if 1 not in holders:
                 continue
-            u = segment_usymbol(build_vset((1, 2, 3, 4), holders, placement), store.values)
-            segs.append(u.segments[sorted(holders).index(1)])
+            value_ids = build_vset((1, 2, 3, 4), holders, placement)
+            segs.append(segment_usymbol(value_ids, 2, store.values)[sorted(holders).index(1)])
         acc = segs[0]
         for seg in segs[1:]:
             acc = acc ^ seg
