@@ -180,6 +180,14 @@ def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str
     return {ell: value for ell in ells}, f"constant:{value}"
 
 
+def _sorted_ints(name: str, values) -> list[int]:
+    """Sweep values in ascending order; every entry must be an int."""
+    for v in values:
+        if type(v) is not int:
+            raise InvalidSpecError(f"{name} entry {v!r} must be an int")
+    return sorted(values)
+
+
 @dataclass(frozen=True)
 class TradeoffRow:
     r: int
@@ -197,7 +205,7 @@ def tradeoff_sweep(K: int, Q: int, N: int, T: int, r_values,
     any other spec error raises ``InvalidSpecError``.
     """
     rows = []
-    for r in sorted(r_values):
+    for r in _sorted_ints("r_values", r_values):
         try:
             JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
         except InvalidSpecError as exc:
@@ -233,7 +241,7 @@ def load_vs_t_sweep(K: int, Q: int, N: int, r: int, t_values,
     """Load of the coded schemes as the value length T grows; every row must
     be a valid job, or ``InvalidSpecError`` is raised."""
     rows = []
-    for T in sorted(t_values):
+    for T in _sorted_ints("T_values", t_values):
         JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
         rho, label = resolve_rho(rho_model, K, r, s)
         rows.append(LoadVsTRow(

@@ -64,8 +64,8 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
         q for subset in combinations(group, spec.s) if receivers <= set(subset)
         for q in placement.reduce_batches[subset]
     )
-    ns = placement.file_batches[holders]
-    value_ids = tuple((q, n) for q in qs for n in sorted(ns))
+    ns = sorted(placement.file_batches[holders])
+    value_ids = tuple((q, n) for q in qs for n in ns)
     expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2
     if len(value_ids) != expected:
         raise AssertionError(
@@ -178,7 +178,7 @@ def full_message(k: int, group: Sequence[int], placement: Placement,
 
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec],
-                  local_values: Mapping[tuple[int, int], BitVec],
+                  values: Mapping[tuple[int, int], BitVec],
                   placement: Placement) -> dict[tuple[int, int], BitVec]:
     """Recover node k's missing values by XOR peeling (single-copy reduce only).
 
@@ -186,7 +186,8 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     each group containing k, every other member's message leaves exactly one
     unknown segment once k cancels the segments it can rebuild from its own
     map results; the r recovered segments reassemble the symbol holding k's
-    wanted values for that group.
+    wanted values for that group.  Only the values of files k mapped are read
+    from ``values``, so it may be the whole store or k's own part of it.
     """
     spec = placement.spec
     if spec.s != 1:
@@ -199,7 +200,7 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
         target = build_vset(group, others, placement)
         # segments this node can compute itself, per (holder subset, segment owner)
         local_segs = {
-            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, local_values)
+            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, values)
             for holders in combinations(group, spec.r) if k in holders
         }
         parts = []
@@ -209,12 +210,16 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
             if payload is None:
                 ok = False
                 break
+            acc = payload.value
             for i in others:
                 if i == j:
                     continue
                 holders = tuple(sorted(set(group) - {i}))
-                payload = payload ^ local_segs[holders][holders.index(j)]
-            parts.append(payload)
+                seg = local_segs[holders][holders.index(j)]
+                if seg.nbits != payload.nbits:
+                    raise ValueError(f"length mismatch: {payload.nbits} vs {seg.nbits}")
+                acc ^= seg.value
+            parts.append(BitVec(acc, payload.nbits))
         if not ok:
             missing.extend(target)
             continue

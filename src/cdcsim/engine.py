@@ -31,7 +31,8 @@ from .workloads import IntermediateStore
 
 SCHEMES = ("uncoded", "cdc", "cdc-ld")
 
-# the meta fields every broadcast of a scheme carries
+# the fields every serialised broadcast carries, and the meta fields of each scheme
+_BROADCAST_KEYS = ("sender", "kind", "meta", "payloads")
 _META_KEYS = {"uncoded": ("q", "n"), "cdc": ("group", "component"),
              "cdc-ld": ("ell", "rho", "msg_len")}
 
@@ -142,8 +143,14 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
     """Reassemble the (sender, group) -> payload map a decoder consumes."""
     received: dict[tuple[int, tuple[int, ...]], BitVec] = {}
     if transcript.scheme == "cdc":
+        groups = {g for ell in group_sizes(spec.K, spec.r, spec.s) for g in ksubsets(spec.K, ell)}
         for b in transcript.broadcasts:
-            group = tuple(b.meta["group"])
+            group = b.meta["group"]
+            if not (type(group) is list and all(type(j) is int for j in group)
+                    and tuple(group) in groups):
+                raise ValueError(f"group {group!r} from node {b.sender} is not a multicast "
+                                 f"group of nodes 1..{spec.K} in ascending order")
+            group = tuple(group)
             if b.sender not in group:
                 raise ValueError(f"node {b.sender} sent to group {group}, which it is not in")
             if not 1 <= b.meta["component"] <= comb(len(group) - 2, spec.r - 1):
@@ -175,28 +182,25 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
     return received
 
 
-def _local_values(placement: Placement, store: IntermediateStore,
-                  k: int) -> dict[tuple[int, int], BitVec]:
-    return {
-        (q, n): store.get(q, n)
-        for n in placement.node_files[k]
-        for q in range(1, placement.spec.Q + 1)
-    }
-
-
-def reduce_phase(spec: JobSpec, placement: Placement,
-                 values_by_node: Mapping[int, Mapping[tuple[int, int], BitVec]],
+def reduce_phase(spec: JobSpec, placement: Placement, store: IntermediateStore,
+                 recovered: Mapping[int, Mapping[tuple[int, int], BitVec]],
                  workload) -> dict[int, dict[int, object]]:
-    """Evaluate each node's reduce functions from the values it holds."""
+    """Evaluate each node's reduce functions: the values of the files a node
+    mapped come from the store, the rest from what it recovered."""
+    values = store.values
+    files = range(1, spec.N + 1)
     outputs: dict[int, dict[int, object]] = {}
     for k in range(1, spec.K + 1):
-        held = values_by_node[k]
+        own = set(placement.node_files[k])
+        got = recovered[k]
         node_out: dict[int, object] = {}
         for q in placement.node_funcs[k]:
-            missing = [(q, n) for n in range(1, spec.N + 1) if (q, n) not in held]
-            if missing:
-                raise IncompleteShuffleError(missing)
-            node_out[q] = workload.reduce(q, [held[(q, n)] for n in range(1, spec.N + 1)])
+            try:
+                held = [values[(q, n)] if n in own else got[(q, n)] for n in files]
+            except KeyError:
+                raise IncompleteShuffleError(
+                    [(q, n) for n in files if n not in own and (q, n) not in got]) from None
+            node_out[q] = workload.reduce(q, held)
         outputs[k] = node_out
     return outputs
 
@@ -231,18 +235,16 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
                 raise IncompleteShuffleError(sorted(want - set(got)))
             recovered[k] = got
     else:
+        # a node decodes from the store in place: the decoder reads only the
+        # value sets of holder subsets containing the node, i.e. files it mapped
         received = _received_messages(transcript, spec, placement)
+        for k in range(1, spec.K + 1):
+            recovered[k] = decode_cdc_s1(k, received, store.values, placement)
+    outputs = reduce_phase(spec, placement, store, recovered, workload)
 
-    held = {}
-    for k in range(1, spec.K + 1):
-        held[k] = _local_values(placement, store, k)
-        if transcript.scheme != "uncoded":
-            recovered[k] = decode_cdc_s1(k, received, held[k], placement)
-        held[k].update(recovered[k])
-    outputs = reduce_phase(spec, placement, held, workload)
-
+    values = store.values
     reference = {
-        q: workload.reduce(q, [store.get(q, n) for n in range(1, spec.N + 1)])
+        q: workload.reduce(q, [values[(q, n)] for n in range(1, spec.N + 1)])
         for q in range(1, spec.Q + 1)
     }
     ok = all(
@@ -336,19 +338,21 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
     spec = JobSpec(**obj["spec"])
     keys = _META_KEYS.get(obj["scheme"], ())
+    broadcasts = []
     for i, b in enumerate(obj["broadcasts"]):
+        for key in _BROADCAST_KEYS:
+            if key not in b:
+                raise ValueError(f"broadcast {i}: has no {key!r}")
+        meta = b["meta"]
         for key in keys:
-            if key not in b["meta"]:
+            if key not in meta:
                 raise ValueError(f"broadcast {i}: meta has no {key!r}")
-    broadcasts = [
-        Broadcast(
+        broadcasts.append(Broadcast(
             sender=b["sender"],
             kind=b["kind"],
-            meta=b["meta"],
+            meta=meta,
             payloads=tuple(_payload_from_json(p) for p in b["payloads"]),
-        )
-        for b in obj["broadcasts"]
-    ]
+        ))
     return ShuffleTranscript(obj["scheme"], spec, broadcasts)
 
 

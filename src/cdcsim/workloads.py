@@ -272,10 +272,13 @@ class SyntheticRankWorkload:
 
     def reduce(self, q: int, values: Sequence[BitVec]) -> BitVec:
         """XOR-accumulate the values of function q across all files."""
-        acc = values[0]
-        for v in values[1:]:
-            acc ^= v
-        return acc
+        nbits = values[0].nbits
+        acc = 0
+        for v in values:
+            if v.nbits != nbits:
+                raise ValueError(f"length mismatch: {nbits} vs {v.nbits}")
+            acc ^= v.value
+        return BitVec(acc, nbits)
 
 
 # --- simple hex-text matrix files -------------------------------------------

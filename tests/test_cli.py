@@ -230,7 +230,10 @@ class TestSweep:
         ({"kind": "fig4", "r_values": [1, 2, 11]}, "r=11 must lie in 1..K=10"),
         ({"kind": "fig3", "K": 4, "N": 7, "Q": 4, "r": 2, "T_values": [2, 4]},
          "N=7 must be divisible by C(K,r)=C(4,2)=6"),
-    ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N"])
+        ({"kind": "fig4", "r_values": [1, "3"]}, "r_values entry '3' must be an int"),
+        ({"kind": "fig3", "K": 4, "N": 6, "Q": 4, "r": 2, "T_values": [2, "4"]},
+         "T_values entry '4' must be an int"),
+    ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N", "fig4-mixed-r", "fig3-mixed-T"])
     def test_spec_error_exits_2(self, tmp_path, capsys, sweep, message):
         base = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "r_values": [1, 2, 3]}
         cfg = tmp_path / "sweep.json"
@@ -273,6 +276,15 @@ def _resent_by_outsider(broadcasts):
     dup = copy.deepcopy(broadcasts[0])
     dup["sender"] = 4
     broadcasts.append(dup)
+
+
+def _resent_to_group(group):
+    # a copy of broadcast 0, whose sender is node 1, addressed to another group
+    def tamper(broadcasts):
+        dup = copy.deepcopy(broadcasts[0])
+        dup["meta"]["group"] = group
+        broadcasts.append(dup)
+    return tamper
 
 
 class TestFixture:
@@ -323,10 +335,12 @@ class TestFixture:
         ("cdc", lambda bs: bs[0].update(kind="bogus")),
         ("cdc-ld", lambda bs: bs[0].update(kind="cdc")),
         ("cdc", lambda bs: bs[0]["meta"].update(component=7)),
+        ("cdc", _resent_to_group([1, 2, 99])),
+        ("cdc", _resent_to_group([3, 2, 1])),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
             "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
-            "cdc-kind", "cdc-ld-kind", "cdc-component"])
+            "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
@@ -334,14 +348,23 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("scheme, field", [("uncoded", "q"), ("cdc", "group")])
+    @pytest.mark.parametrize("scheme, field", [
+        ("uncoded", "q"), ("cdc", "group"),
+        ("uncoded", "sender"), ("cdc", "kind"), ("cdc-ld", "meta"), ("uncoded", "payloads"),
+    ])
     def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
-        del doc["transcript"]["broadcasts"][0]["meta"][field]
+        broadcast = doc["transcript"]["broadcasts"][0]
+        if field in broadcast:
+            del broadcast[field]
+            message = f"has no {field!r}"
+        else:
+            del broadcast["meta"][field]
+            message = f"meta has no {field!r}"
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: broadcast 0: meta has no {field!r}\n"
+        assert capsys.readouterr().err == f"error: broadcast 0: {message}\n"
 
     def test_flags_define_the_job(self, tmp_path):
         assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",
@@ -365,12 +388,21 @@ class TestFixture:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DICKENS = ("it was the best of times it was the worst of times it was the age of wisdom "
+           "it was the age of foolishness it was the epoch of belief it was the epoch of "
+           "incredulity it was the season of light it was the season of darkness")
+
+
 class TestArtifactDigests:
     """Frozen s=1 artifacts beyond the K=4 golden fixtures: result.json plus
-    fixture JSON for every scheme, on a spec with duplicate values and one
-    with a parity-coded store."""
+    fixture JSON for every scheme, on a spec with duplicate values, one with
+    a parity-coded store, and two with two files per batch at r=3 (a word
+    count from embedded text and a plain linear transform)."""
 
     SPECS = {
+        "wordcount": (dict(K=5, N=20, Q=10, r=3, s=1, T=8),
+                      {"kind": "wordcount", "text": DICKENS}),
+        "lintrans": (dict(K=6, N=40, Q=12, r=3, s=1, T=8), {"kind": "lintrans", "seed": 4}),
         "synthetic": (dict(K=6, N=30, Q=30, r=2, s=1, T=13),
                       {"kind": "synthetic", "seed": 3, "duplicate_prob": 0.5}),
         "coded-lintrans": (dict(K=5, N=10, Q=5, r=3, s=1, T=9),
@@ -390,7 +422,20 @@ class TestArtifactDigests:
          "c07d4e67d24a517723eda45b2684ac552cafaf5056ed3461c1a1cc4f98988403"),
         ("coded-lintrans", "cdc-ld",
          "d195433ff472bed7fab85bf30aaaf39a99225ef08682d6e9e6099344c1677172"),
-    ], ids=[f"{case}-{scheme}" for case in ("synthetic", "coded-lintrans")
+        ("wordcount", "uncoded",
+         "4dd39644455e9fef4e9b0525c3e8827b76ee2608e0ae14179cd27c4deef3ae8d"),
+        ("wordcount", "cdc",
+         "63b8151384add8c024c5c4622acc5b4d3b7a1e76993dc0c5da73003904512ace"),
+        ("wordcount", "cdc-ld",
+         "1972322f722ac3a7a00e2738d05615fe384be019dfbdd554d3039214d8a3c519"),
+        ("lintrans", "uncoded",
+         "37c14ba2a17a83df87509c933d56a81bb49380888b86aa27c1199e27705fc092"),
+        ("lintrans", "cdc",
+         "7e5facc8e02ef1358826588bf91a59ac69812c76e0da33effe4f1b8581509464"),
+        ("lintrans", "cdc-ld",
+         "20b65d62ba902523eb78b825754d7faec38a33d5884901a822b0d4e294f307d1"),
+    ], ids=[f"{case}-{scheme}"
+            for case in ("synthetic", "coded-lintrans", "wordcount", "lintrans")
             for scheme in ("uncoded", "cdc", "cdc-ld")])
     def test_result_and_fixture_frozen(self, case, scheme, digest):
         kw, desc = self.SPECS[case]

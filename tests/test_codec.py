@@ -266,6 +266,18 @@ class TestDecode:
                 cases += 1
         assert cases >= 12
 
+    def test_reads_only_own_files(self):
+        # two files per batch: decoding from the whole store gives what the
+        # node-only view gives, so the decoder reads nothing the node did not map
+        spec = JobSpec(K=6, N=40, Q=12, r=3, s=1, T=8)
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=11, duplicate_prob=0.5).build_store(spec)
+        received = self.collect_broadcasts(spec, placement, store)
+        for k in range(1, spec.K + 1):
+            recovered = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
+            assert recovered == decode_cdc_s1(k, received, store.values, placement)
+            assert set(recovered) == needed_values(placement, k)
+
     def test_missing_broadcast_reported(self):
         spec, placement, store = paper_setup()
         received = self.collect_broadcasts(spec, placement, store)

@@ -244,12 +244,10 @@ class TestReducePhase:
         placement = make_placement(spec)
         workload = paper_workload()
         store = workload.build_store(spec)
-        values_by_node = {
-            k: {(q, n): store.get(q, n) for q in range(1, 5) for n in placement.node_files[k]}
-            for k in range(1, 5)
-        }
+        # every node holds its own mapped values but received nothing
+        recovered = {k: {} for k in range(1, 5)}
         with pytest.raises(IncompleteShuffleError):
-            reduce_phase(spec, placement, values_by_node, workload)
+            reduce_phase(spec, placement, store, recovered, workload)
 
     def test_dropped_broadcast_fails_decode(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
