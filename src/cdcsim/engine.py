@@ -164,6 +164,8 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
         seen = set()
         for b in transcript.broadcasts:
             ell = b.meta["ell"]
+            if ell not in group_sizes(spec.K, spec.r, spec.s):
+                raise ValueError(f"ell {ell} from node {b.sender} is not a group size of the job")
             if (b.sender, ell) in seen:
                 raise ValueError(f"second broadcast for (sender, ell) {(b.sender, ell)}")
             seen.add((b.sender, ell))
@@ -218,6 +220,8 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
             raise ValueError(f"broadcast {i}: kind {b.kind!r}, expected {transcript.scheme!r}")
         if b.sender not in placement.node_files:
             raise ValueError(f"broadcast {i}: sender {b.sender!r} is not a node 1..{spec.K}")
+        if b.kind != "cdc-ld" and len(b.payloads) != 1:
+            raise ValueError(f"broadcast {i}: {len(b.payloads)} payloads, expected 1")
     recovered: dict[int, dict[tuple[int, int], BitVec]] = {}
     if transcript.scheme == "uncoded":
         by_pair = {}
@@ -316,6 +320,8 @@ def _payload_to_json(p: BitVec) -> dict:
 
 
 def _payload_from_json(obj: dict) -> BitVec:
+    if not (type(obj) is dict and type(obj.get("bits")) is int and type(obj.get("hex")) is str):
+        raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
     return BitVec.from_hex(obj["hex"], obj["bits"])
 
 
@@ -344,15 +350,23 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
             if key not in b:
                 raise ValueError(f"broadcast {i}: has no {key!r}")
         meta = b["meta"]
+        if type(b["sender"]) is not int:
+            raise ValueError(f"broadcast {i}: sender {b['sender']!r} is not an int")
+        if type(meta) is not dict:
+            raise ValueError(f"broadcast {i}: meta {meta!r} is not an object")
+        if type(b["payloads"]) is not list:
+            raise ValueError(f"broadcast {i}: payloads {b['payloads']!r} is not a list")
         for key in keys:
             if key not in meta:
                 raise ValueError(f"broadcast {i}: meta has no {key!r}")
-        broadcasts.append(Broadcast(
-            sender=b["sender"],
-            kind=b["kind"],
-            meta=meta,
-            payloads=tuple(_payload_from_json(p) for p in b["payloads"]),
-        ))
+            if key != "group" and type(meta[key]) is not int:
+                raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
+        try:
+            payloads = tuple(_payload_from_json(p) for p in b["payloads"])
+        except ValueError as exc:
+            raise ValueError(f"broadcast {i}: {exc}") from None
+        broadcasts.append(Broadcast(sender=b["sender"], kind=b["kind"], meta=meta,
+                                    payloads=payloads))
     return ShuffleTranscript(obj["scheme"], spec, broadcasts)
 
 

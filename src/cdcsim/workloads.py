@@ -13,7 +13,11 @@ from __future__ import annotations
 import io
 import os
 import random
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import filterfalse
 from typing import Sequence, TextIO
 
 from .gf2 import BitVec
@@ -72,11 +76,12 @@ def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> IntermediateStore:
     limit = 1 << spec.T
     values: dict[tuple[int, int], BitVec] = {}
     for n, block in enumerate(w.blocks, start=1):
-        for sym in block:
+        counts = Counter(block)
+        for sym in counts:  # first occurrences, in block order
             if not 1 <= sym <= spec.Q:
                 raise ValueError(f"symbol {sym} in block {n} outside 1..Q={spec.Q}")
         for q in range(1, spec.Q + 1):
-            count = sum(1 for sym in block if sym == q)
+            count = counts[q]
             if count >= limit:
                 raise CountOverflowError(
                     f"count {count} of symbol {q} in block {n} does not fit in T={spec.T} bits"
@@ -95,6 +100,14 @@ class IngestReport:
     symbol_of_token: dict[str, int]
 
 
+class _FirstSeenIds(dict):
+    """Token -> id, where a new token gets the next id in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = i = len(self)
+        return i
+
+
 def ingest_text(source: str | os.PathLike | TextIO, Q: int, N: int,
                 tokenizer: str = "word") -> tuple[WordCountWorkload, IngestReport]:
     """Turn a text corpus into a counting workload.
@@ -104,37 +117,45 @@ def ingest_text(source: str | os.PathLike | TextIO, Q: int, N: int,
     report.  ``tokenizer`` is "word" (whitespace-separated) or "char"
     (individual non-whitespace characters).  The kept symbols are split into
     N blocks of equal length, the last one possibly shorter.
+
+    The corpus is read once, in blocks of whole lines, so a token never spans
+    two reads; only the vocabulary is held as strings, each token occurrence
+    as the int id of its first sighting.  A text stream is read, not closed.
     """
     if Q < 1:
         raise ValueError("Q must be positive")
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     if tokenizer == "word":
-        tokens = text.split()
+        split = str.split
     elif tokenizer == "char":
-        tokens = [c for c in text if not c.isspace()]
+        split = partial(filterfalse, str.isspace)
     else:
         raise ValueError(f"unknown tokenizer {tokenizer!r} (want 'word' or 'char')")
-    if not tokens:
+    opened = (nullcontext(source) if hasattr(source, "read")
+              else open(source, "r", encoding="utf-8"))
+    id_of_token = _FirstSeenIds()
+    ids: list[int] = []
+    with opened as fh:
+        while lines := fh.readlines(1 << 16):
+            ids.extend(map(id_of_token.__getitem__, split("".join(lines))))
+    if not ids:
         raise ValueError("empty input: no tokens found")
 
-    freq: dict[str, int] = {}
-    for t in tokens:
-        freq[t] = freq.get(t, 0) + 1
-    ranked = sorted(freq, key=lambda t: (-freq[t], t))
-    symbol_of_token = {t: i + 1 for i, t in enumerate(ranked[:Q])}
+    freq = Counter(ids)
+    tokens = list(id_of_token)  # indexed by id
+    ranked = sorted(range(len(tokens)), key=lambda i: (-freq[i], tokens[i]))[:Q]
+    symbol_of_token = {tokens[i]: sym for sym, i in enumerate(ranked, start=1)}
+    symbol_of_id = [0] * len(tokens)  # 0: dropped
+    for sym, i in enumerate(ranked, start=1):
+        symbol_of_id[i] = sym
 
-    symbols = [symbol_of_token[t] for t in tokens if t in symbol_of_token]
-    dropped = len(tokens) - len(symbols)
+    symbols = [sym for sym in map(symbol_of_id.__getitem__, ids) if sym]
     report = IngestReport(
-        vocab_size=len(freq),
+        vocab_size=len(tokens),
         kept_tokens=len(symbols),
-        dropped_tokens=dropped,
+        dropped_tokens=len(ids) - len(symbols),
         symbol_of_token=symbol_of_token,
     )
+    del ids  # free the per-token ids before the blocks are built
     return WordCountWorkload.from_symbols(symbols, N), report
 
 

@@ -2,12 +2,22 @@
 
 Everything here is deliberately written the slow, obvious way (list-of-bits
 arithmetic, long division, permutation sums, direct predicate enumeration)
-so it shares no code path with the library it checks.
+so it shares no code path with the library it checks.  The word-count
+oracles are the former whole-corpus ingest and per-function rescan; they
+build the library's result types only, so results compare with ``==``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+
+from cdcsim.gf2 import BitVec
+from cdcsim.workloads import (
+    CountOverflowError,
+    IngestReport,
+    IntermediateStore,
+    WordCountWorkload,
+)
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -123,3 +133,58 @@ def vset_members_bruteforce(placement, group, holders) -> set[tuple[int, int]]:
             if holders_of_n == holders:
                 members.add((q, n))
     return members
+
+
+def naive_wordcount_map(w, spec):
+    """Word-count map that rescans each block once per function."""
+    if len(w.blocks) != spec.N:
+        raise ValueError(f"workload has {len(w.blocks)} blocks, spec expects N={spec.N}")
+    limit = 1 << spec.T
+    values = {}
+    for n, block in enumerate(w.blocks, start=1):
+        for sym in block:
+            if not 1 <= sym <= spec.Q:
+                raise ValueError(f"symbol {sym} in block {n} outside 1..Q={spec.Q}")
+        for q in range(1, spec.Q + 1):
+            count = sum(1 for sym in block if sym == q)
+            if count >= limit:
+                raise CountOverflowError(
+                    f"count {count} of symbol {q} in block {n} does not fit in T={spec.T} bits"
+                )
+            values[(q, n)] = BitVec(count, spec.T)
+    return IntermediateStore(spec, values)
+
+
+def naive_ingest_text(source, Q, N, tokenizer="word"):
+    """Text ingestion that reads the whole corpus and keeps every token."""
+    if Q < 1:
+        raise ValueError("Q must be positive")
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if tokenizer == "word":
+        tokens = text.split()
+    elif tokenizer == "char":
+        tokens = [c for c in text if not c.isspace()]
+    else:
+        raise ValueError(f"unknown tokenizer {tokenizer!r} (want 'word' or 'char')")
+    if not tokens:
+        raise ValueError("empty input: no tokens found")
+
+    freq = {}
+    for t in tokens:
+        freq[t] = freq.get(t, 0) + 1
+    ranked = sorted(freq, key=lambda t: (-freq[t], t))
+    symbol_of_token = {t: i + 1 for i, t in enumerate(ranked[:Q])}
+
+    symbols = [symbol_of_token[t] for t in tokens if t in symbol_of_token]
+    dropped = len(tokens) - len(symbols)
+    report = IngestReport(
+        vocab_size=len(freq),
+        kept_tokens=len(symbols),
+        dropped_tokens=dropped,
+        symbol_of_token=symbol_of_token,
+    )
+    return WordCountWorkload.from_symbols(symbols, N), report

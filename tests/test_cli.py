@@ -10,6 +10,8 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim import analytics, engine
 from cdcsim.cli import (
@@ -24,6 +26,7 @@ from cdcsim.cli import (
     result_to_json,
 )
 from cdcsim.placement import JobSpec
+from corpora import write_corpus
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -249,6 +252,9 @@ class TestSweep:
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
 
+DELETE = object()  # marks a field the test removes instead of setting
+
+
 def _append_copy(broadcasts):
     broadcasts.append(copy.deepcopy(broadcasts[0]))
 
@@ -337,10 +343,15 @@ class TestFixture:
         ("cdc", lambda bs: bs[0]["meta"].update(component=7)),
         ("cdc", _resent_to_group([1, 2, 99])),
         ("cdc", _resent_to_group([3, 2, 1])),
+        ("uncoded", lambda bs: bs[0].update(payloads=[])),
+        ("cdc", lambda bs: bs[0].update(payloads=[])),
+        ("cdc", lambda bs: bs[0]["payloads"].append(bs[0]["payloads"][0])),
+        ("cdc-ld", lambda bs: bs[0]["meta"].update(ell=2 ** 62)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
             "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
-            "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed"])
+            "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
+            "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "cdc-ld-ell-huge"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
@@ -348,19 +359,44 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("scheme, field", [
-        ("uncoded", "q"), ("cdc", "group"),
-        ("uncoded", "sender"), ("cdc", "kind"), ("cdc-ld", "meta"), ("uncoded", "payloads"),
-    ])
-    def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field):
+    @pytest.mark.parametrize("scheme, field_path, value, message", [
+        ("uncoded", ("meta", "q"), DELETE, "meta has no 'q'"),
+        ("cdc", ("meta", "group"), DELETE, "meta has no 'group'"),
+        ("uncoded", ("sender",), DELETE, "has no 'sender'"),
+        ("cdc", ("kind",), DELETE, "has no 'kind'"),
+        ("cdc-ld", ("meta",), DELETE, "has no 'meta'"),
+        ("uncoded", ("payloads",), DELETE, "has no 'payloads'"),
+        ("cdc", ("meta", "component"), "1", "meta component '1' is not an int"),
+        ("cdc", ("meta", "component"), 1.0, "meta component 1.0 is not an int"),
+        ("cdc-ld", ("meta", "ell"), "3", "meta ell '3' is not an int"),
+        ("cdc-ld", ("meta", "rho"), "2", "meta rho '2' is not an int"),
+        ("uncoded", ("meta", "n"), True, "meta n True is not an int"),
+        ("uncoded", ("sender",), "1", "sender '1' is not an int"),
+        ("cdc", ("meta",), [], "meta [] is not an object"),
+        ("uncoded", ("payloads",), {}, "payloads {} is not a list"),
+        ("cdc", ("payloads", 0, "bits"), "6",
+         "payload {'bits': '6', 'hex': '3'} is not an object with an int 'bits' and a str 'hex'"),
+        ("cdc", ("payloads", 0, "hex"), 5,
+         "payload {'bits': 3, 'hex': 5} is not an object with an int 'bits' and a str 'hex'"),
+        ("uncoded", ("payloads", 0), 5,
+         "payload 5 is not an object with an int 'bits' and a str 'hex'"),
+        ("cdc", ("payloads", 0, "hex"), "zz", "invalid literal for int() with base 16: 'zz'"),
+    ], ids=["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
+            "uncoded-payloads", "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
+            "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
+            "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
+            "cdc-hex-not-hex"])
+    def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field_path,
+                                                value, message):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
-        broadcast = doc["transcript"]["broadcasts"][0]
-        if field in broadcast:
-            del broadcast[field]
-            message = f"has no {field!r}"
+        *parents, last = field_path
+        node = doc["transcript"]["broadcasts"][0]
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
         else:
-            del broadcast["meta"][field]
-            message = f"meta has no {field!r}"
+            node[last] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
@@ -388,6 +424,47 @@ class TestFixture:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+GOLDEN = {scheme: json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+          for scheme in engine.SCHEMES}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestReplayFuzz:
+    """One random edit inside one broadcast of a golden fixture: replay gives
+    a verdict or raises ``ValueError`` (exit 2), and nothing else escapes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_single_edit_ends_cleanly(self, data):
+        scheme = data.draw(st.sampled_from(engine.SCHEMES), label="scheme")
+        doc = copy.deepcopy(GOLDEN[scheme])
+        broadcasts = doc["transcript"]["broadcasts"]
+        node = broadcasts[data.draw(st.integers(0, len(broadcasts) - 1), label="broadcast")]
+        while True:  # walk down to the field to edit
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))), label="key")
+            child = node[key]
+            if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+                break
+            node = child
+        if data.draw(st.booleans(), label="delete"):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES, label="value")
+        try:
+            verdict = replay_fixture(doc)
+        except ValueError:
+            return
+        assert verdict in ("pass", "fail")
+
+
 DICKENS = ("it was the best of times it was the worst of times it was the age of wisdom "
            "it was the age of foolishness it was the epoch of belief it was the epoch of "
            "incredulity it was the season of light it was the season of darkness")
@@ -407,6 +484,8 @@ class TestArtifactDigests:
                       {"kind": "synthetic", "seed": 3, "duplicate_prob": 0.5}),
         "coded-lintrans": (dict(K=5, N=10, Q=5, r=3, s=1, T=9),
                            {"kind": "coded-lintrans", "seed": 2}),
+        "wordcount-file": (dict(K=5, N=20, Q=10, r=3, s=1, T=8),
+                           {"kind": "wordcount", "input": "corpus.txt"}),
     }
 
     @pytest.mark.parametrize("case, scheme, digest", [
@@ -434,10 +513,19 @@ class TestArtifactDigests:
          "7e5facc8e02ef1358826588bf91a59ac69812c76e0da33effe4f1b8581509464"),
         ("lintrans", "cdc-ld",
          "20b65d62ba902523eb78b825754d7faec38a33d5884901a822b0d4e294f307d1"),
+        ("wordcount-file", "uncoded",
+         "9fed32575ebe1b36c7f813aaac43928d7956e327da370eced81873634101958f"),
+        ("wordcount-file", "cdc",
+         "b4984c59e26dd8354c024879643024aabd74cbde57f42469f6f1dd92ca371c80"),
+        ("wordcount-file", "cdc-ld",
+         "331c1d7847f63bd602cc235bbdc52b968e9006ca470675bfd007dc044a755e28"),
     ], ids=[f"{case}-{scheme}"
-            for case in ("synthetic", "coded-lintrans", "wordcount", "lintrans")
+            for case in ("synthetic", "coded-lintrans", "wordcount", "lintrans", "wordcount-file")
             for scheme in ("uncoded", "cdc", "cdc-ld")])
-    def test_result_and_fixture_frozen(self, case, scheme, digest):
+    def test_result_and_fixture_frozen(self, tmp_path, monkeypatch, case, scheme, digest):
+        # the fixture records the corpus path, so it is relative to a fixed name
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "corpus.txt", seed=5, tokens=4000, vocab=300)
         kw, desc = self.SPECS[case]
         spec = JobSpec(**kw)
         result = engine.run(spec, build_workload(desc, spec), scheme)

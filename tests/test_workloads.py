@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,12 +17,14 @@ from cdcsim.workloads import (
     WordCountWorkload,
     coded_lintrans_map,
     ingest_string,
+    ingest_text,
     lintrans_map,
     load_gf2_sections,
     lintrans_from_file,
     wordcount_map,
 )
-from oracles import int_to_bits, naive_dot, recount
+from corpora import write_corpus, zipf_text
+from oracles import int_to_bits, naive_dot, naive_ingest_text, naive_wordcount_map, recount
 
 PAPER_TEXT = "1212231 2111121 2312131 3112132 1131414 1141231"
 PAPER_BLOCKS = (
@@ -132,6 +136,92 @@ class TestIngest:
         assert report.vocab_size == 6
         assert report.kept_tokens == 4  # three "the" plus the runner-up
         assert sum(len(b) for b in w.blocks) == 4
+
+
+def _outcome(fn, *args, **kwargs):
+    """A function's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _edge_corpus() -> str:
+    """Words under every kind of whitespace the tokenizers split on, runs of
+    blank lines, one line longer than a 64 KiB read, and no trailing newline."""
+    words = zipf_text(3, 30_000, 150).split()
+    words[10:10] = ["\u00e9t\u00e9", "\u65e5\u672c", "na\u00efve"]
+    seps = [" ", "\t", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\x1e", "\n\n\n\n", " \t\r\n\n"]
+    head = "".join(w + seps[i % len(seps)] for i, w in enumerate(words[:3000]))
+    long_line = " ".join(words[3000:25_000])
+    assert len(long_line) > 1 << 16
+    return head + long_line + "\n\n\n" + "\t".join(words[25_000:])
+
+
+class TestStreamingIngest:
+    """Streaming ingest and the one-pass map against the former implementations."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        text = _edge_corpus()
+        path = tmp_path_factory.mktemp("corpus") / "edge.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)  # keep every \r as written
+        return text, path
+
+    @pytest.mark.parametrize("tokenizer", ["word", "char"])
+    @pytest.mark.parametrize("Q", [1, 40, 100_000])
+    def test_matches_whole_corpus_oracle(self, corpus, tokenizer, Q):
+        text, path = corpus
+        want = naive_ingest_text(path, Q, 7, tokenizer=tokenizer)
+        assert want[1].vocab_size > 1
+        assert ingest_text(path, Q, 7, tokenizer=tokenizer) == want
+        assert ingest_string(text, Q, 7, tokenizer=tokenizer) == want
+        assert naive_ingest_text(io.StringIO(text), Q, 7, tokenizer=tokenizer) == want
+        with open(path, encoding="utf-8", newline="") as fh:  # a stream that sees raw \r
+            assert ingest_text(fh, Q, 7, tokenizer=tokenizer) == want
+            assert not fh.closed
+
+    @pytest.mark.parametrize("text", ["", "\n\n\r\n", "\x85\u2028 \t"])
+    @pytest.mark.parametrize("tokenizer", ["word", "char", "sentence"])
+    def test_errors_match_oracle(self, text, tokenizer):
+        want = _outcome(naive_ingest_text, io.StringIO(text), 2, 1, tokenizer=tokenizer)
+        assert _outcome(ingest_string, text, 2, 1, tokenizer=tokenizer) == want
+        assert _outcome(ingest_string, text + "a", 0, 1, tokenizer=tokenizer) == _outcome(
+            naive_ingest_text, io.StringIO(text + "a"), 0, 1, tokenizer=tokenizer)
+
+    def test_map_matches_rescan_oracle(self):
+        # placement is irrelevant here; K=2, r=2, s=2 keeps any (N, Q) valid
+        rng = random.Random(29)
+        kinds = set()
+        for _ in range(400):
+            Q, N, T = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 4)
+            low, high = (-1, Q + 2) if rng.random() < 0.2 else (1, Q)
+            w = WordCountWorkload(tuple(
+                tuple(rng.randint(low, high) for _ in range(rng.randint(0, 12)))
+                for _ in range(N)))
+            spec = JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=T)
+            want = _outcome(naive_wordcount_map, w, spec)
+            got = _outcome(wordcount_map, w, spec)
+            if isinstance(want, tuple):
+                assert got == want
+                kinds.add(want[0])
+            else:
+                assert list(got.values.items()) == list(want.values.items())
+                kinds.add("store")
+        assert kinds == {"store", ValueError, CountOverflowError}
+
+    def test_ingest_peak_memory(self, tmp_path):
+        # a whole-corpus read that keeps every token as a string peaks near 23 MB on this corpus
+        corpus = tmp_path / "corpus.txt"
+        write_corpus(corpus, seed=12, tokens=300_000, vocab=5000)
+        tracemalloc.start()
+        try:
+            ingest_text(corpus, Q=120, N=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestLinearTransform:
