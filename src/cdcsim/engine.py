@@ -9,10 +9,10 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from json.encoder import encode_basestring_ascii as _quote
+from math import comb, inf as _INF
 from typing import Mapping
 
 from .codec import (
@@ -212,8 +212,9 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
     """Decode a transcript at every node, reduce, and compare to the reference.
 
     Returns (outputs, reference, recovered, verification).  A broadcast of
-    another kind than the transcript's scheme, or from a node that cannot
-    have sent it, raises ``ValueError``.
+    another kind than the transcript's scheme, one from a node that cannot
+    have sent it, or an uncoded payload whose length is not T raises
+    ``ValueError``.
     """
     for i, b in enumerate(transcript.broadcasts):
         if b.kind != transcript.scheme:
@@ -231,6 +232,9 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
                 raise ValueError(f"node {b.sender} sent {qn} but did not map file {qn[1]}")
             if qn in by_pair:
                 raise ValueError(f"second broadcast for (q, n) {qn}")
+            if b.payloads[0].nbits != spec.T:
+                raise ValueError(f"node {b.sender} sent {qn} as {b.payloads[0].nbits} bits, "
+                                 f"expected T = {spec.T}")
             by_pair[qn] = b.payloads[0]
         for k in range(1, spec.K + 1):
             want = needed_values(placement, k)
@@ -320,9 +324,21 @@ def _payload_to_json(p: BitVec) -> dict:
 
 
 def _payload_from_json(obj: dict) -> BitVec:
-    if not (type(obj) is dict and type(obj.get("bits")) is int and type(obj.get("hex")) is str):
-        raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
-    return BitVec.from_hex(obj["hex"], obj["bits"])
+    if type(obj) is dict:
+        bits, digits = obj.get("bits"), obj.get("hex")
+        if type(bits) is int and type(digits) is str:
+            value = int(digits, 16)
+            p = BitVec(value, bits)
+            # int(_, 16) also reads "0x3", " 3 ", "0_3", "03", "+3", "A" and
+            # non-ASCII digits.  A string it reads with exactly as many
+            # characters as the value has hex digits holds those digits alone,
+            # so it is canonical when it is ASCII and lowercase as well; this
+            # costs less than comparing with hex(value) on long payloads.
+            if not (digits.isascii() and len(digits) == ((value.bit_length() + 3) // 4 or 1)
+                    and digits.lower() == digits):
+                raise ValueError(f"payload hex {digits!r} is not written as '{value:x}'")
+            return p
+    raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
 
 
 def transcript_to_json(transcript: ShuffleTranscript) -> dict:
@@ -362,7 +378,7 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
             if key != "group" and type(meta[key]) is not int:
                 raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
         try:
-            payloads = tuple(_payload_from_json(p) for p in b["payloads"])
+            payloads = tuple([_payload_from_json(p) for p in b["payloads"]])
         except ValueError as exc:
             raise ValueError(f"broadcast {i}: {exc}") from None
         broadcasts.append(Broadcast(sender=b["sender"], kind=b["kind"], meta=meta,
@@ -370,6 +386,60 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
     return ShuffleTranscript(obj["scheme"], spec, broadcasts)
 
 
+def _key(k) -> str:
+    # json sorts the keys first, then writes a number, bool or None key as
+    # the quoted text of the value
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _render(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _render(o, nl: str) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` renders it, where
+    ``nl`` is the newline and indent of the line ``o`` starts on."""
+    # No object is two of dict, list, tuple, str, int and float, so testing
+    # containers first gives json's text.  Exact ints and strs, nearly every
+    # leaf of a transcript, are rendered in the item loop without a call.
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            (_quote(k) if type(k) is str else _key(k)) + ": "
+            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+               else _render(v, inner)) for k, v in sorted(o.items())]) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else _render(v, inner) for v in o]) + nl + "]"
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def dump_json(obj: dict) -> str:
-    """Canonical JSON rendering used for every artifact this package writes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering used for every artifact this package writes.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``:
+    sorted keys, 2-space indent, ASCII escapes and a trailing newline.  Each
+    container is joined once, so no list of every small chunk is held.  Unlike
+    ``json.dumps``, a document that contains itself raises ``RecursionError``;
+    the package never builds one.
+    """
+    return _render(obj, "\n") + "\n"

@@ -29,6 +29,8 @@ from cdcsim.placement import JobSpec
 from corpora import write_corpus
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                    "\u0665\u0666\u0667\u0668\u0669")
 
 
 def read_csv(path):
@@ -347,11 +349,14 @@ class TestFixture:
         ("cdc", lambda bs: bs[0].update(payloads=[])),
         ("cdc", lambda bs: bs[0]["payloads"].append(bs[0]["payloads"][0])),
         ("cdc-ld", lambda bs: bs[0]["meta"].update(ell=2 ** 62)),
+        ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=3)),
+        ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=600)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
             "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
             "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
-            "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "cdc-ld-ell-huge"])
+            "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "cdc-ld-ell-huge",
+            "uncoded-bits-3", "uncoded-bits-600"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
@@ -402,6 +407,27 @@ class TestFixture:
         assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: broadcast 0: {message}\n"
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: "0x" + h, lambda h: f" {h} ", lambda h: "0_" + h, lambda h: "0" + h,
+        str.upper, lambda h: "+" + h, lambda h: h.translate(ARABIC_INDIC_DIGITS),
+    ], ids=["0x", "spaces", "underscore", "leading-zero", "uppercase", "plus", "arabic-indic"])
+    def test_non_canonical_hex_names_broadcast(self, tmp_path, capsys, edit):
+        # int(_, 16) reads each edited string as the same value; 10-bit
+        # segments put letters in the hex, so str.upper has something to change
+        spec = JobSpec(K=5, N=10, Q=5, r=3, s=1, T=30)
+        desc = {"kind": "synthetic", "seed": 3}
+        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), "cdc"), desc)
+        i, payload = next((i, p) for i, b in enumerate(doc["transcript"]["broadcasts"])
+                          for p in b["payloads"] if edit(p["hex"]) != p["hex"])
+        canonical = payload["hex"]
+        payload["hex"] = edit(canonical)
+        assert int(payload["hex"], 16) == int(canonical, 16)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: broadcast {i}: payload hex {payload['hex']!r} "
+                                           f"is not written as {canonical!r}\n")
+
     def test_flags_define_the_job(self, tmp_path):
         assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",
                      "--T", "9", "--out-dir", str(tmp_path)]) == EXIT_OK
@@ -427,6 +453,11 @@ class TestFixture:
 GOLDEN = {scheme: json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
           for scheme in engine.SCHEMES}
 
+
+def total_bits(doc: dict) -> int:
+    return sum(engine.transcript_from_json(doc["transcript"]).bits_by_node().values())
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),
@@ -438,7 +469,8 @@ JSON_VALUES = st.recursive(
 
 class TestReplayFuzz:
     """One random edit inside one broadcast of a golden fixture: replay gives
-    a verdict or raises ``ValueError`` (exit 2), and nothing else escapes."""
+    a verdict or raises ``ValueError`` (exit 2), and nothing else escapes.  A
+    transcript that passes carries as many bits as the golden one."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
@@ -463,6 +495,8 @@ class TestReplayFuzz:
         except ValueError:
             return
         assert verdict in ("pass", "fail")
+        if verdict == "pass":
+            assert total_bits(doc) == total_bits(GOLDEN[scheme])
 
 
 DICKENS = ("it was the best of times it was the worst of times it was the age of wisdom "

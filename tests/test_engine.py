@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, inf, nan
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.codec import IncompleteShuffleError
 from cdcsim.engine import (
     UnsupportedCombinationError,
+    _payload_from_json,
     decode_and_verify,
     dump_json,
     reduce_phase,
@@ -280,3 +285,84 @@ class TestDeterminism:
         store = paper_workload().build_store(spec)
         _, _, _, verdict = decode_and_verify(spec, placement, store, back, paper_workload())
         assert verdict == "pass"
+
+
+# Every JSON value json.dumps takes, in the shapes it takes them: text with
+# non-ASCII characters and lone surrogates, big ints, NaN, +-inf and -0.0,
+# lists and tuples, and dicts keyed by one sortable family of key types.
+TEXT = st.text(st.characters(exclude_categories=())
+               | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+               max_size=6)
+FLOATS = st.floats() | st.sampled_from([nan, inf, -inf, -0.0])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | FLOATS | TEXT,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+        | st.dictionaries(st.integers(-2 ** 70, 2 ** 70) | FLOATS | st.booleans(),
+                          children, max_size=4)
+        | st.dictionaries(st.none(), children)),
+    max_leaves=30,
+)
+
+
+def stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestDumpJson:
+    """``dump_json`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``,
+    which is the oracle here only."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(obj=JSON_TREES)
+    def test_matches_stdlib_json(self, obj):
+        assert dump_json(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1, 2}, b"ab", BitVec(3, 2), {"x": [0, {"y": {1}}]}, {(1, 2): 0}, {1: "a", "b": 2},
+    ], ids=["set", "bytes", "bitvec", "nested-set", "tuple-key", "mixed-keys"])
+    def test_rejects_what_stdlib_json_rejects(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_json(obj)
+        with pytest.raises(TypeError):
+            dump_json(obj)
+
+    def test_dump_json_peak_memory(self):
+        # an uncoded-shaped transcript of 30 000 broadcasts, about 7.5 MB of
+        # text; json.dumps's indent encoder, which lists every chunk, peaks near 61 MB
+        rng = random.Random(30)
+        doc = {"transcript": {"scheme": "uncoded", "broadcasts": [
+            {"kind": "uncoded", "meta": {"n": rng.randint(1, 120), "q": rng.randint(1, 360)},
+             "payloads": [{"bits": 64, "hex": f"{rng.getrandbits(64):x}"}],
+             "sender": rng.randint(1, 10)}
+            for _ in range(30_000)]}}
+        tracemalloc.start()
+        try:
+            text = dump_json(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 7_000_000
+        assert peak < 32_000_000
+
+
+def _int16(text: str) -> int | None:
+    try:
+        return int(text, 16)
+    except ValueError:
+        return None
+
+
+class TestPayloadHex:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(text=st.text("0123456789abcdefABCDEFxX_ +-\t\u0663\u0669", max_size=6)
+           .filter(lambda t: _int16(t) is not None and _int16(t) >= 0))
+    def test_accepts_exactly_the_canonical_form(self, text):
+        canonical = f"{int(text, 16):x}"
+        if text == canonical:
+            assert _payload_from_json({"bits": 24, "hex": text}).to_hex() == canonical
+        else:
+            with pytest.raises(ValueError, match="is not written as"):
+                _payload_from_json({"bits": 24, "hex": text})
