@@ -34,7 +34,6 @@ from .gf2 import (
 from .placement import JobSpec, Placement, ksubsets, make_placement, needed_values
 from .workloads import (
     CodedLinearTransformWorkload,
-    IntermediateStore,
     LinearTransformWorkload,
     SyntheticRankWorkload,
     WordCountWorkload,

@@ -260,9 +260,12 @@ def replay_fixture(doc: dict) -> str:
     A transcript that cannot be decoded (missing messages, inconsistent
     lengths, a malformed rank decomposition, a wrong cdc-ld message count,
     duplicate broadcasts, a broadcast its sender could not have sent) fails
-    rather than raising; one whose meta lacks a field raises ``ValueError``.
+    rather than raising; a document with a field of the wrong type or shape,
+    or a broadcast whose meta lacks a field, raises ``ValueError``.
     """
-    transcript = engine.transcript_from_json(doc["transcript"])
+    engine.expect_json(doc, dict, "fixture document")
+    engine.expect_json(doc.get("workload"), dict, "fixture workload")
+    transcript = engine.transcript_from_json(doc.get("transcript"))
     spec = transcript.spec
     workload = build_workload(doc["workload"], spec)
     placement = make_placement(spec)

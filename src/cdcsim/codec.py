@@ -76,46 +76,50 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
 
 
 def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
-                    values: Mapping[tuple[int, int], BitVec]) -> tuple[BitVec, ...]:
-    """Concatenate a value set and split it into r equal segments.
+                    values: Mapping[tuple[int, int], int], T: int) -> tuple[int, tuple[int, ...]]:
+    """Concatenate a value set of T-bit values and split it into r equal
+    segments; returns the segment width and the segments.
 
     Segment i belongs to the i-th smallest holder.  The concatenation is
     zero-padded at the end to a multiple of r so the split is even; a receiver
     strips the padding by keeping len(value_ids) * T bits.
     """
-    payload = BitVec.concat_all(values[qn] for qn in value_ids)
-    pad = (-payload.nbits) % r
-    padded = payload.concat(BitVec.zeros(pad)) if pad else payload
-    if padded.nbits % r:
-        raise AssertionError(f"padded payload of {padded.nbits} bits not divisible by r={r}")
-    seg = padded.nbits // r
-    return tuple(padded.extract(i * seg, (i + 1) * seg) for i in range(r))
+    payload = 0
+    for i, qn in enumerate(value_ids):
+        payload |= values[qn] << i * T
+    width = -(-len(value_ids) * T // r)
+    mask = (1 << width) - 1
+    return width, tuple(payload >> i * width & mask for i in range(r))
 
 
 def _own_segments(k: int, group: tuple[int, ...], placement: Placement,
-                  values: Mapping[tuple[int, int], BitVec]) -> list[BitVec]:
-    """Node k's segment of every holder subset of the group it belongs to,
-    in lexicographic subset order."""
-    r = placement.spec.r
-    return [segment_usymbol(build_vset(group, holders, placement), r, values)[holders.index(k)]
-            for holders in combinations(group, r) if k in holders]
+                  values: Mapping[tuple[int, int], int]) -> tuple[int, list[int]]:
+    """The segment width of the group and node k's segment of every holder
+    subset of the group it belongs to, in lexicographic subset order."""
+    r, T = placement.spec.r, placement.spec.T
+    width, segments = 0, []
+    for holders in combinations(group, r):
+        if k in holders:
+            width, segs = segment_usymbol(build_vset(group, holders, placement), r, values, T)
+            segments.append(segs[holders.index(k)])
+    return width, segments
 
 
-def _scale_segment(field, scalar: int, seg: BitVec) -> BitVec:
-    """Blockwise scalar multiplication: the segment as a vector of field symbols.
+def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
+    """Blockwise scalar multiplication: the nbits-bit segment x as a vector of
+    field symbols.
 
     Bit-sliced over all lam-bit lanes at once: shift-and-add over the scalar's
     bits, multiplying every lane by x with one shift and a lane-wise reduction.
     """
     field._check(scalar)
     lam = field.degree
-    if seg.nbits % lam:
-        raise ValueError(f"segment of {seg.nbits} bits is not a whole number of "
+    if nbits % lam:
+        raise ValueError(f"segment of {nbits} bits is not a whole number of "
                          f"{lam}-bit symbols")
     # lane-wise constants: the top bit of every lane, and x^lam mod modulus
-    top = ((1 << seg.nbits) - 1) // ((1 << lam) - 1) << (lam - 1)
+    top = ((1 << nbits) - 1) // ((1 << lam) - 1) << (lam - 1)
     low = field.modulus ^ (1 << lam)
-    x = seg.value
     acc = 0
     while scalar:
         if scalar & 1:
@@ -123,11 +127,11 @@ def _scale_segment(field, scalar: int, seg: BitVec) -> BitVec:
         scalar >>= 1
         hi = x & top
         x = ((x ^ hi) << 1) ^ ((hi >> (lam - 1)) * low)
-    return BitVec(acc, seg.nbits)
+    return acc
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,
-               values: Mapping[tuple[int, int], BitVec]) -> list[BitVec]:
+               values: Mapping[tuple[int, int], int]) -> list[BitVec]:
     """Build node k's coded broadcast to one multicast group, one payload per
     component in component order.
 
@@ -141,16 +145,16 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     group = tuple(sorted(group))
     if k not in group:
         raise ValueError(f"sender {k} not in group {group}")
-    segments = _own_segments(k, group, placement, values)
+    width, segments = _own_segments(k, group, placement, values)
     ell = len(group)
     m = comb(ell - 1, spec.r - 1)
     assert len(segments) == m
 
     if spec.s == 1:
-        acc = segments[0]
-        for seg in segments[1:]:
+        acc = 0
+        for seg in segments:
             acc ^= seg
-        return [acc]
+        return [BitVec(acc, width)]
 
     n_comp = comb(ell - 2, spec.r - 1)
     lam = 1
@@ -159,27 +163,25 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     field = ext_field(lam)
     powers = vandermonde(field, m, n_comp)
 
-    pad = (-segments[0].nbits) % lam
-    if pad:
-        segments = [seg.concat(BitVec.zeros(pad)) for seg in segments]
+    width += (-width) % lam
     messages = []
     for i in range(n_comp):
-        acc = BitVec.zeros(segments[0].nbits)
+        acc = 0
         for j, seg in enumerate(segments):
-            acc ^= _scale_segment(field, powers[i][j], seg)
-        messages.append(acc)
+            acc ^= _scale_segment(field, powers[i][j], seg, width)
+        messages.append(BitVec(acc, width))
     return messages
 
 
 def full_message(k: int, group: Sequence[int], placement: Placement,
-                 values: Mapping[tuple[int, int], BitVec]) -> BitVec:
+                 values: Mapping[tuple[int, int], int]) -> BitVec:
     """All components of one broadcast concatenated into a single vector."""
     return BitVec.concat_all(encode_cdc(k, group, placement, values))
 
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec],
-                  values: Mapping[tuple[int, int], BitVec],
-                  placement: Placement) -> dict[tuple[int, int], BitVec]:
+                  values: Mapping[tuple[int, int], int],
+                  placement: Placement) -> dict[tuple[int, int], int]:
     """Recover node k's missing values by XOR peeling (single-copy reduce only).
 
     ``received`` maps (sender, group) to that sender's broadcast payload.  In
@@ -187,47 +189,45 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     unknown segment once k cancels the segments it can rebuild from its own
     map results; the r recovered segments reassemble the symbol holding k's
     wanted values for that group.  Only the values of files k mapped are read
-    from ``values``, so it may be the whole store or k's own part of it.
+    from ``values``, so it may be the whole store or k's own part of it.  A
+    payload whose length is not the group's segment width raises ``ValueError``.
     """
     spec = placement.spec
     if spec.s != 1:
         raise ValueError("peeling decoder only applies when each reduce function has one copy")
-    recovered: dict[tuple[int, int], BitVec] = {}
+    T = spec.T
+    mask = (1 << T) - 1
+    recovered: dict[tuple[int, int], int] = {}
     missing: list[tuple[int, int]] = []
 
     for group in groups_containing(spec, k, spec.r + 1):
         others = tuple(j for j in group if j != k)
         target = build_vset(group, others, placement)
-        # segments this node can compute itself, per (holder subset, segment owner)
-        local_segs = {
-            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, values)
-            for holders in combinations(group, spec.r) if k in holders
-        }
-        parts = []
-        ok = True
-        for j in others:
-            payload = received.get((j, group))
-            if payload is None:
-                ok = False
-                break
-            acc = payload.value
-            for i in others:
-                if i == j:
-                    continue
-                holders = tuple(sorted(set(group) - {i}))
-                seg = local_segs[holders][holders.index(j)]
-                if seg.nbits != payload.nbits:
-                    raise ValueError(f"length mismatch: {payload.nbits} vs {seg.nbits}")
-                acc ^= seg.value
-            parts.append(BitVec(acc, payload.nbits))
-        if not ok:
+        payloads = [received.get((j, group)) for j in others]
+        if None in payloads:
             missing.extend(target)
             continue
-        symbol = BitVec.concat_all(parts)
-        # drop the trailing zero padding the segmentation added
-        payload = symbol.extract(0, len(target) * spec.T)
+        # every value set of the group has as many values as the target
+        width = -(-len(target) * T // spec.r)
+        # segments this node can compute itself, per (holder subset, segment owner)
+        local_segs = {
+            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, values, T)[1]
+            for holders in combinations(group, spec.r) if k in holders
+        }
+        symbol = 0
+        for idx, (j, payload) in enumerate(zip(others, payloads)):
+            if payload.nbits != width:
+                raise ValueError(f"node {j} sent {payload.nbits} bits to group {group}, "
+                                 f"expected a segment of {width}")
+            acc = payload.value
+            for i in others:
+                if i != j:
+                    holders = tuple(sorted(set(group) - {i}))
+                    acc ^= local_segs[holders][holders.index(j)]
+            symbol |= acc << idx * width
+        # the trailing zero padding the segmentation added lies above the values
         for idx, qn in enumerate(target):
-            recovered[qn] = payload.extract(idx * spec.T, (idx + 1) * spec.T)
+            recovered[qn] = symbol >> idx * T & mask
 
     if missing:
         raise IncompleteShuffleError(missing)

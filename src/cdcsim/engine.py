@@ -9,7 +9,7 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
@@ -27,11 +27,13 @@ from .codec import (
 )
 from .gf2 import BasisDecomposition, BitVec
 from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
-from .workloads import IntermediateStore
+from .workloads import Store
 
 SCHEMES = ("uncoded", "cdc", "cdc-ld")
 
-# the fields every serialised broadcast carries, and the meta fields of each scheme
+# the fields of a serialised spec and of every broadcast, and the meta fields
+# of each scheme
+_SPEC_KEYS = tuple(f.name for f in fields(JobSpec))
 _BROADCAST_KEYS = ("sender", "kind", "meta", "payloads")
 _META_KEYS = {"uncoded": ("q", "n"), "cdc": ("group", "component"),
              "cdc-ld": ("ell", "rho", "msg_len")}
@@ -78,12 +80,12 @@ class RunResult:
     rho: dict[tuple[int, int], int] | None
     outputs: dict[int, dict[int, object]] | None
     reference: dict[int, object] | None
-    recovered: dict[int, dict[tuple[int, int], BitVec]] | None
+    recovered: dict[int, dict[tuple[int, int], int]] | None
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
 def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
-                        store: IntermediateStore) -> ShuffleTranscript:
+                        store: Store) -> ShuffleTranscript:
     """Ship every needed value plainly; the smallest node holding the file sends."""
     if spec.s != 1:
         raise UnsupportedCombinationError("uncoded shuffle is defined only for s=1")
@@ -95,18 +97,18 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
                 sender=sender,
                 kind="uncoded",
                 meta={"q": q, "n": n},
-                payloads=(store.get(q, n),),
+                payloads=(BitVec(store[(q, n)], spec.T),),
             ))
     return ShuffleTranscript("uncoded", spec, broadcasts)
 
 
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
-                    store: IntermediateStore) -> ShuffleTranscript:
+                    store: Store) -> ShuffleTranscript:
     broadcasts = []
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for k in group:
-                for index, payload in enumerate(encode_cdc(k, group, placement, store.values), 1):
+                for index, payload in enumerate(encode_cdc(k, group, placement, store), 1):
                     broadcasts.append(Broadcast(
                         sender=k,
                         kind="cdc",
@@ -117,13 +119,13 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
 
 
 def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
-                       store: IntermediateStore) -> tuple[ShuffleTranscript, dict]:
+                       store: Store) -> tuple[ShuffleTranscript, dict]:
     """Per node and group size, broadcast a subspace basis plus coefficients."""
     broadcasts = []
     rho: dict[tuple[int, int], int] = {}
     for k in range(1, spec.K + 1):
         for ell in group_sizes(spec.K, spec.r, spec.s):
-            messages = [full_message(k, g, placement, store.values)
+            messages = [full_message(k, g, placement, store)
                         for g in groups_containing(spec, k, ell)]
             d = ld_compress(ell, messages, spec)
             rho[(k, ell)] = d.rho
@@ -184,12 +186,11 @@ def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
     return received
 
 
-def reduce_phase(spec: JobSpec, placement: Placement, store: IntermediateStore,
-                 recovered: Mapping[int, Mapping[tuple[int, int], BitVec]],
+def reduce_phase(spec: JobSpec, placement: Placement, store: Store,
+                 recovered: Mapping[int, Mapping[tuple[int, int], int]],
                  workload) -> dict[int, dict[int, object]]:
     """Evaluate each node's reduce functions: the values of the files a node
     mapped come from the store, the rest from what it recovered."""
-    values = store.values
     files = range(1, spec.N + 1)
     outputs: dict[int, dict[int, object]] = {}
     for k in range(1, spec.K + 1):
@@ -198,16 +199,16 @@ def reduce_phase(spec: JobSpec, placement: Placement, store: IntermediateStore,
         node_out: dict[int, object] = {}
         for q in placement.node_funcs[k]:
             try:
-                held = [values[(q, n)] if n in own else got[(q, n)] for n in files]
+                held = [store[(q, n)] if n in own else got[(q, n)] for n in files]
             except KeyError:
                 raise IncompleteShuffleError(
                     [(q, n) for n in files if n not in own and (q, n) not in got]) from None
-            node_out[q] = workload.reduce(q, held)
+            node_out[q] = workload.reduce(q, held, spec.T)
         outputs[k] = node_out
     return outputs
 
 
-def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateStore,
+def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
                       transcript: ShuffleTranscript, workload):
     """Decode a transcript at every node, reduce, and compare to the reference.
 
@@ -223,7 +224,7 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
             raise ValueError(f"broadcast {i}: sender {b.sender!r} is not a node 1..{spec.K}")
         if b.kind != "cdc-ld" and len(b.payloads) != 1:
             raise ValueError(f"broadcast {i}: {len(b.payloads)} payloads, expected 1")
-    recovered: dict[int, dict[tuple[int, int], BitVec]] = {}
+    recovered: dict[int, dict[tuple[int, int], int]] = {}
     if transcript.scheme == "uncoded":
         by_pair = {}
         for b in transcript.broadcasts:
@@ -235,7 +236,7 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
             if b.payloads[0].nbits != spec.T:
                 raise ValueError(f"node {b.sender} sent {qn} as {b.payloads[0].nbits} bits, "
                                  f"expected T = {spec.T}")
-            by_pair[qn] = b.payloads[0]
+            by_pair[qn] = b.payloads[0].value
         for k in range(1, spec.K + 1):
             want = needed_values(placement, k)
             got = {qn: by_pair[qn] for qn in want if qn in by_pair}
@@ -247,12 +248,11 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: IntermediateSt
         # value sets of holder subsets containing the node, i.e. files it mapped
         received = _received_messages(transcript, spec, placement)
         for k in range(1, spec.K + 1):
-            recovered[k] = decode_cdc_s1(k, received, store.values, placement)
+            recovered[k] = decode_cdc_s1(k, received, store, placement)
     outputs = reduce_phase(spec, placement, store, recovered, workload)
 
-    values = store.values
     reference = {
-        q: workload.reduce(q, [values[(q, n)] for n in range(1, spec.N + 1)])
+        q: workload.reduce(q, [store[(q, n)] for n in range(1, spec.N + 1)], spec.T)
         for q in range(1, spec.Q + 1)
     }
     ok = all(
@@ -319,6 +319,16 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
 # --- transcript serialization (JSON metadata + hex payloads) -----------------
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def expect_json(value, kind: type, field: str):
+    """``value`` when its type is ``kind``; otherwise ``ValueError`` naming ``field``."""
+    if type(value) is not kind:
+        raise ValueError(f"{field}: expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
 def _payload_to_json(p: BitVec) -> dict:
     return {"bits": p.nbits, "hex": p.to_hex()}
 
@@ -358,10 +368,19 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
-    spec = JobSpec(**obj["spec"])
-    keys = _META_KEYS.get(obj["scheme"], ())
+    """Read a transcript back; a field of the wrong type or shape raises
+    ``ValueError`` naming the field."""
+    expect_json(obj, dict, "transcript")
+    spec = obj.get("spec")
+    if type(spec) is not dict or spec.keys() != set(_SPEC_KEYS):
+        raise ValueError(f"transcript spec: expected an object with keys "
+                         f"{', '.join(_SPEC_KEYS)}, got {spec!r}")
+    spec = JobSpec(**spec)
+    keys = _META_KEYS.get(expect_json(obj.get("scheme"), str, "transcript scheme"), ())
     broadcasts = []
-    for i, b in enumerate(obj["broadcasts"]):
+    for i, b in enumerate(expect_json(obj.get("broadcasts"), list, "transcript broadcasts")):
+        if type(b) is not dict:
+            raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
         for key in _BROADCAST_KEYS:
             if key not in b:
                 raise ValueError(f"broadcast {i}: has no {key!r}")

@@ -1,8 +1,10 @@
 """Bit-packed linear algebra over GF(2) and small binary extension fields.
 
-Vectors are immutable and backed by plain Python integers: bit position i of
-a vector is bit i of the backing value, so position 0 is the lowest-order
-bit.  Everything here is deterministic; there is no floating point anywhere.
+A vector is a plain Python integer: bit position i of the vector is bit i
+of the integer, so position 0 is the lowest-order bit.  ``BitVec`` pairs such
+an integer with its length wherever the job spec does not fix the length
+(wire payloads, rank decompositions, reduce outputs, rows read from a file).
+Everything here is deterministic; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class MalformedDecompositionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class BitVec:
-    """Immutable GF(2) vector; position i is bit i of ``value``."""
+    """A GF(2) vector with its length; position i is bit i of ``value``."""
 
     value: int
     nbits: int
@@ -36,10 +38,6 @@ class BitVec:
             raise ValueError(f"negative bit length {self.nbits}")
         if self.value < 0 or self.value >> self.nbits:
             raise ValueError(f"value 0x{self.value:x} does not fit in {self.nbits} bits")
-
-    @classmethod
-    def zeros(cls, nbits: int) -> "BitVec":
-        return cls(0, nbits)
 
     @classmethod
     def concat_all(cls, parts: Iterable["BitVec"]) -> "BitVec":
@@ -56,24 +54,6 @@ class BitVec:
 
     def to_hex(self) -> str:
         return f"{self.value:x}"
-
-    def __len__(self) -> int:
-        return self.nbits
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.nbits != other.nbits:
-            raise ValueError(f"length mismatch: {self.nbits} vs {other.nbits}")
-        return BitVec(self.value ^ other.value, self.nbits)
-
-    def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec(self.value | (other.value << self.nbits), self.nbits + other.nbits)
-
-    def extract(self, start: int, stop: int) -> "BitVec":
-        """Sub-vector covering positions start..stop-1."""
-        if not 0 <= start <= stop <= self.nbits:
-            raise ValueError(f"bad slice [{start}:{stop}] of length {self.nbits}")
-        width = stop - start
-        return BitVec((self.value >> start) & ((1 << width) - 1), width)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Three families are provided: symbol counting over a block-partitioned
 sequence, GF(2) linear transforms (plain and with a parity-coded row block),
 and a synthetic generator with tunable value duplication for rank
-experiments.  Each workload builds the full (q, n) -> value store and knows
-how to reduce a function's values, so end-to-end runs can be checked against
-a single-machine reference.
+experiments.  Each workload builds the full store, a dict from (q, n) to a
+T-bit value held as an int, and knows how to reduce a function's values, so
+end-to-end runs can be checked against a single-machine reference.
 """
 
 from __future__ import annotations
@@ -28,23 +28,19 @@ class CountOverflowError(ValueError):
     """A symbol count does not fit in T bits; never silently wrapped."""
 
 
-@dataclass(frozen=True)
-class IntermediateStore:
-    """All Q*N intermediate values, keyed by (function, file)."""
+# (q, n) -> the T-bit intermediate value of function q on file n
+Store = dict[tuple[int, int], int]
 
-    spec: JobSpec
-    values: dict[tuple[int, int], BitVec]
 
-    def __post_init__(self) -> None:
-        expected = self.spec.Q * self.spec.N
-        if len(self.values) != expected:
-            raise ValueError(f"store has {len(self.values)} entries, expected Q*N={expected}")
-        for (q, n), v in self.values.items():
-            if v.nbits != self.spec.T:
-                raise ValueError(f"value ({q},{n}) has {v.nbits} bits, expected T={self.spec.T}")
-
-    def get(self, q: int, n: int) -> BitVec:
-        return self.values[(q, n)]
+def checked_store(spec: JobSpec, values: Store) -> Store:
+    """``values`` once it holds Q*N entries, each a T-bit value."""
+    expected = spec.Q * spec.N
+    if len(values) != expected:
+        raise ValueError(f"store has {len(values)} entries, expected Q*N={expected}")
+    for (q, n), v in values.items():
+        if v < 0 or v >> spec.T:
+            raise ValueError(f"value ({q},{n}) 0x{v:x} does not fit in T={spec.T} bits")
+    return values
 
 
 @dataclass(frozen=True)
@@ -61,20 +57,20 @@ class WordCountWorkload:
         blocks = tuple(tuple(symbols[i * size:(i + 1) * size]) for i in range(n_blocks))
         return cls(blocks)
 
-    def build_store(self, spec: JobSpec) -> IntermediateStore:
+    def build_store(self, spec: JobSpec) -> Store:
         return wordcount_map(self, spec)
 
-    def reduce(self, q: int, values: Sequence[BitVec]):
+    def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """Total count of symbol q: the integer sum of per-block counts."""
-        return sum(v.value for v in values)
+        return sum(values)
 
 
-def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> IntermediateStore:
-    """Count symbol occurrences per block, encoded as T-bit vectors."""
+def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> Store:
+    """Count symbol occurrences per block, each count a T-bit value."""
     if len(w.blocks) != spec.N:
         raise ValueError(f"workload has {len(w.blocks)} blocks, spec expects N={spec.N}")
     limit = 1 << spec.T
-    values: dict[tuple[int, int], BitVec] = {}
+    values: Store = {}
     for n, block in enumerate(w.blocks, start=1):
         counts = Counter(block)
         for sym in counts:  # first occurrences, in block order
@@ -86,8 +82,8 @@ def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> IntermediateStore:
                 raise CountOverflowError(
                     f"count {count} of symbol {q} in block {n} does not fit in T={spec.T} bits"
                 )
-            values[(q, n)] = BitVec(count, spec.T)
-    return IntermediateStore(spec, values)
+            values[(q, n)] = count
+    return checked_store(spec, values)
 
 
 @dataclass(frozen=True)
@@ -191,19 +187,22 @@ class LinearTransformWorkload:
     def ncols(self) -> int:
         return self.matrix[0].nbits if self.matrix else 0
 
-    def build_store(self, spec: JobSpec) -> IntermediateStore:
+    def build_store(self, spec: JobSpec) -> Store:
         return lintrans_map(self, spec)
 
-    def reduce(self, q: int, values: Sequence[BitVec]) -> BitVec:
+    def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
         """Concatenate the per-input products of block q, in input order."""
-        return BitVec.concat_all(values)
+        acc = 0
+        for i, v in enumerate(values):
+            acc |= v << i * T
+        return BitVec(acc, len(values) * T)
 
 
-def _matvec_block(rows: Sequence[BitVec], x: BitVec) -> BitVec:
+def _matvec_block(rows: Sequence[BitVec], x: BitVec) -> int:
     value = 0
     for i, row in enumerate(rows):
         value |= ((row.value & x.value).bit_count() & 1) << i
-    return BitVec(value, len(rows))
+    return value
 
 
 def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
@@ -220,19 +219,19 @@ def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
             raise ValueError(f"input vector of length {x.nbits}, matrix has {w.ncols} columns")
 
 
-def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> IntermediateStore:
+def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Store:
     """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
     _check_lintrans_dims(w, spec)
     T = spec.T
-    values: dict[tuple[int, int], BitVec] = {}
+    values: Store = {}
     for q in range(1, spec.Q + 1):
         rows = w.matrix[(q - 1) * T:q * T]
         for n, x in enumerate(w.inputs, start=1):
             values[(q, n)] = _matvec_block(rows, x)
-    return IntermediateStore(spec, values)
+    return checked_store(spec, values)
 
 
-def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> IntermediateStore:
+def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Store:
     """Linear transform with a parity row block: block K's values are the XOR
     of blocks 1..K-1, so the store is linearly dependent by construction.
 
@@ -243,15 +242,15 @@ def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Intermediat
         raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
     _check_lintrans_dims(w, spec)
     T = spec.T
-    values: dict[tuple[int, int], BitVec] = {}
+    values: Store = {}
     for n, x in enumerate(w.inputs, start=1):
-        parity = BitVec.zeros(T)
+        parity = 0
         for q in range(1, spec.K):
             v = _matvec_block(w.matrix[(q - 1) * T:q * T], x)
             values[(q, n)] = v
             parity ^= v
         values[(spec.K, n)] = parity
-    return IntermediateStore(spec, values)
+    return checked_store(spec, values)
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ class CodedLinearTransformWorkload:
 
     base: LinearTransformWorkload
 
-    def build_store(self, spec: JobSpec) -> IntermediateStore:
+    def build_store(self, spec: JobSpec) -> Store:
         return coded_lintrans_map(self.base, spec)
 
     reduce = LinearTransformWorkload.reduce
@@ -277,10 +276,10 @@ class SyntheticRankWorkload:
         if not 0.0 <= self.duplicate_prob <= 1.0:
             raise ValueError(f"duplicate_prob {self.duplicate_prob} outside [0, 1]")
 
-    def build_store(self, spec: JobSpec) -> IntermediateStore:
+    def build_store(self, spec: JobSpec) -> Store:
         rng = random.Random(self.seed)
         pool: list[int] = []
-        values: dict[tuple[int, int], BitVec] = {}
+        values: Store = {}
         for q in range(1, spec.Q + 1):
             for n in range(1, spec.N + 1):
                 if pool and rng.random() < self.duplicate_prob:
@@ -288,18 +287,15 @@ class SyntheticRankWorkload:
                 else:
                     raw = rng.getrandbits(spec.T)
                     pool.append(raw)
-                values[(q, n)] = BitVec(raw, spec.T)
-        return IntermediateStore(spec, values)
+                values[(q, n)] = raw
+        return checked_store(spec, values)
 
-    def reduce(self, q: int, values: Sequence[BitVec]) -> BitVec:
+    def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
         """XOR-accumulate the values of function q across all files."""
-        nbits = values[0].nbits
         acc = 0
         for v in values:
-            if v.nbits != nbits:
-                raise ValueError(f"length mismatch: {nbits} vs {v.nbits}")
-            acc ^= v.value
-        return BitVec(acc, nbits)
+            acc ^= v
+        return BitVec(acc, T)
 
 
 # --- simple hex-text matrix files -------------------------------------------

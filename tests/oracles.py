@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from cdcsim.gf2 import BitVec
-from cdcsim.workloads import (
-    CountOverflowError,
-    IngestReport,
-    IntermediateStore,
-    WordCountWorkload,
-)
+from cdcsim.workloads import CountOverflowError, IngestReport, WordCountWorkload
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -151,8 +145,8 @@ def naive_wordcount_map(w, spec):
                 raise CountOverflowError(
                     f"count {count} of symbol {q} in block {n} does not fit in T={spec.T} bits"
                 )
-            values[(q, n)] = BitVec(count, spec.T)
-    return IntermediateStore(spec, values)
+            values[(q, n)] = count
+    return values
 
 
 def naive_ingest_text(source, Q, N, tokenizer="word"):

@@ -51,14 +51,14 @@ def test_criterion_1_paper_wordcount_golden():
 
     spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
     store = workload.build_store(spec)
-    assert store.get(1, 1).value == 3
-    assert store.get(1, 2).value == 5
-    assert store.get(1, 3).value == 3
-    assert store.get(2, 3).value == 2 == store.get(3, 3).value
-    assert store.get(4, 1).value == 0 == store.get(4, 2).value
+    assert store[(1, 1)] == 3
+    assert store[(1, 2)] == 5
+    assert store[(1, 3)] == 3
+    assert store[(2, 3)] == 2 == store[(3, 3)]
+    assert store[(4, 1)] == 0 == store[(4, 2)]
 
     placement = make_placement(spec)
-    messages = [full_message(1, g, placement, store.values)
+    messages = [full_message(1, g, placement, store)
                 for g in groups_containing(spec, 1, 3)]
     assert len(messages) == 3
     assert messages[1] == messages[2] and messages[0] != messages[1]
@@ -154,7 +154,7 @@ def test_criterion_3_end_to_end_randomized():
                 # compress -> decompress -> decode recovered the exact bits
                 for recovered in result.recovered.values():
                     for qn, v in recovered.items():
-                        assert v == store.get(*qn)
+                        assert v == store[qn]
         cases += 1
     assert cases >= 100
     report(3, f"{cases} randomized specs: all schemes match the reference bit-exactly")

@@ -428,6 +428,47 @@ class TestFixture:
         assert capsys.readouterr().err == (f"error: broadcast {i}: payload hex {payload['hex']!r} "
                                            f"is not written as {canonical!r}\n")
 
+    @pytest.mark.parametrize("scheme, grow", [("cdc", 1), ("cdc", 8), ("cdc-ld", 1)],
+                             ids=["cdc-bits+1", "cdc-bits+8", "cdc-ld-msg_len+1"])
+    def test_r1_wrong_length_fails_replay(self, tmp_path, scheme, grow):
+        # at r=1 a receiver rebuilds no segment of the sender's, so only the
+        # group's segment width can tell a payload of the wrong length
+        spec = JobSpec(K=5, N=10, Q=10, r=1, s=1, T=8)
+        desc = {"kind": "synthetic", "seed": 5}
+        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        b = doc["transcript"]["broadcasts"][0]
+        if scheme == "cdc":
+            b["payloads"][0]["bits"] += grow
+        else:
+            b["meta"]["msg_len"] += grow
+            for row in b["payloads"][:b["meta"]["rho"]]:
+                row["bits"] += grow
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["transcript"]["broadcasts"].__setitem__(0, 5) or d, "broadcast 0"),
+        (lambda d: d["transcript"]["spec"].update(Z=1) or d, "transcript spec"),
+        (lambda d: d["transcript"]["spec"].pop("T") and d, "transcript spec"),
+        (lambda d: d["transcript"].update(spec=list(d["transcript"]["spec"].values())) or d,
+         "transcript spec"),
+        (lambda d: d.update(transcript=[d["transcript"]]) or d, "transcript"),
+        (lambda d: [d], "fixture document"),
+        (lambda d: d["transcript"].update(broadcasts=7) or d, "transcript broadcasts"),
+        (lambda d: d.update(workload=3) or d, "fixture workload"),
+    ], ids=["broadcast-int", "spec-extra-key", "spec-no-T", "spec-list", "transcript-list",
+            "document-list", "broadcasts-int", "workload-int"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, edit, field):
+        doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-cdc-ld.json").read_text())
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(doc)))
+        assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_flags_define_the_job(self, tmp_path):
         assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",
                      "--T", "9", "--out-dir", str(tmp_path)]) == EXIT_OK
@@ -507,8 +548,9 @@ DICKENS = ("it was the best of times it was the worst of times it was the age of
 class TestArtifactDigests:
     """Frozen s=1 artifacts beyond the K=4 golden fixtures: result.json plus
     fixture JSON for every scheme, on a spec with duplicate values, one with
-    a parity-coded store, and two with two files per batch at r=3 (a word
-    count from embedded text and a plain linear transform)."""
+    a parity-coded store, two with two files per batch at r=3 (a word count
+    from embedded text and a plain linear transform), and one at r=1, where
+    each value set is one whole segment."""
 
     SPECS = {
         "wordcount": (dict(K=5, N=20, Q=10, r=3, s=1, T=8),
@@ -520,6 +562,7 @@ class TestArtifactDigests:
                            {"kind": "coded-lintrans", "seed": 2}),
         "wordcount-file": (dict(K=5, N=20, Q=10, r=3, s=1, T=8),
                            {"kind": "wordcount", "input": "corpus.txt"}),
+        "r1": (dict(K=5, N=10, Q=10, r=1, s=1, T=8), {"kind": "synthetic", "seed": 5}),
     }
 
     @pytest.mark.parametrize("case, scheme, digest", [
@@ -553,8 +596,15 @@ class TestArtifactDigests:
          "b4984c59e26dd8354c024879643024aabd74cbde57f42469f6f1dd92ca371c80"),
         ("wordcount-file", "cdc-ld",
          "331c1d7847f63bd602cc235bbdc52b968e9006ca470675bfd007dc044a755e28"),
+        ("r1", "uncoded",
+         "9eab591037b87e2cb5dca4e8afb5c06a4dcc706de69459f2f54f23ffe24bc808"),
+        ("r1", "cdc",
+         "7448dd66a35fae15b37aa4d9da8323b8363ff42b438e3437e5cdcf61084c2ac6"),
+        ("r1", "cdc-ld",
+         "186c4a497b76e98ecf00a48444c21a082d8b28dca6cb67180358e275e4833e58"),
     ], ids=[f"{case}-{scheme}"
-            for case in ("synthetic", "coded-lintrans", "wordcount", "lintrans", "wordcount-file")
+            for case in ("synthetic", "coded-lintrans", "wordcount", "lintrans", "wordcount-file",
+                         "r1")
             for scheme in ("uncoded", "cdc", "cdc-ld")])
     def test_result_and_fixture_frozen(self, tmp_path, monkeypatch, case, scheme, digest):
         # the fixture records the corpus path, so it is relative to a fixed name

@@ -88,30 +88,32 @@ class TestUSymbol:
     def test_paper_halves(self):
         spec, placement, store = paper_setup()
         value_ids = build_vset((1, 2, 3), (1, 3), placement)
-        segs = segment_usymbol(value_ids, 2, store.values)
-        v22 = store.get(2, 2)
-        assert segs[0] == v22.extract(0, 3)   # goes to node 1
-        assert segs[1] == v22.extract(3, 6)   # goes to node 3
-        assert BitVec.concat_all(segs).nbits - len(value_ids) * spec.T == 0  # no padding
+        width, segs = segment_usymbol(value_ids, 2, store, spec.T)
+        v22 = store[(2, 2)]
+        assert width == 3
+        assert segs[0] == v22 & 0b111   # goes to node 1
+        assert segs[1] == v22 >> 3      # goes to node 3
+        assert len(segs) * width - len(value_ids) * spec.T == 0  # no padding
 
     def test_single_holder_single_segment(self):
         spec = JobSpec(K=3, N=3, Q=3, r=1, s=1, T=5)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=4).build_store(spec)
         value_ids = build_vset((1, 2), (2,), placement)
-        segs = segment_usymbol(value_ids, 1, store.values)
+        width, segs = segment_usymbol(value_ids, 1, store, spec.T)
         assert len(segs) == 1
-        assert segs[0] == BitVec.concat_all(store.values[qn] for qn in value_ids)
+        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
+        assert BitVec(segs[0], width) == payload
 
     def test_segments_partition_payload(self):
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=6)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=6).build_store(spec)
         value_ids = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
-        segs = segment_usymbol(value_ids, 3, store.values)
-        payload = BitVec.concat_all(store.values[qn] for qn in value_ids)
-        rebuilt = BitVec.concat_all(segs)
-        assert rebuilt.extract(0, payload.nbits) == payload
+        width, segs = segment_usymbol(value_ids, 3, store, spec.T)
+        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
+        rebuilt = BitVec.concat_all(BitVec(seg, width) for seg in segs)
+        assert rebuilt.value & ((1 << payload.nbits) - 1) == payload.value
         assert rebuilt.nbits == payload.nbits + (-payload.nbits) % 3
         assert rebuilt.value >> payload.nbits == 0  # the padding is zeros
 
@@ -121,47 +123,45 @@ class TestUSymbol:
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=2).build_store(spec)
         value_ids = build_vset((1, 2, 3), (1, 2), placement)
-        segs = segment_usymbol(value_ids, 2, store.values)
-        assert BitVec.concat_all(segs).nbits - len(value_ids) * spec.T == 1
-        assert all(seg.nbits == 3 for seg in segs)
+        width, segs = segment_usymbol(value_ids, 2, store, spec.T)
+        assert len(segs) * width - len(value_ids) * spec.T == 1
+        assert width == 3 and all(seg >> 3 == 0 for seg in segs)
 
 
 def xor_oracle_message(k, group, placement, store):
     """Independent path: sum the sender's segments straight from the value sets."""
     spec = placement.spec
-    acc = None
+    acc = 0
     for holders in combinations(group, spec.r):
         if k not in holders:
             continue
         value_ids = build_vset(group, holders, placement)
-        payload = BitVec.concat_all(store.values[qn] for qn in value_ids)
+        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
         pad = (-payload.nbits) % spec.r
-        padded = payload.concat(BitVec.zeros(pad))
-        seg_len = padded.nbits // spec.r
+        seg_len = (payload.nbits + pad) // spec.r
         idx = sorted(holders).index(k)
-        seg = padded.extract(idx * seg_len, (idx + 1) * seg_len)
-        acc = seg if acc is None else acc ^ seg
-    return acc
+        acc ^= payload.value >> idx * seg_len & ((1 << seg_len) - 1)
+    return BitVec(acc, seg_len)
 
 
 class TestEncode:
     def test_paper_node1_first_group(self):
         spec, placement, store = paper_setup()
-        msgs = encode_cdc(1, (1, 2, 3), placement, store.values)
+        msgs = encode_cdc(1, (1, 2, 3), placement, store)
         assert len(msgs) == 1
-        expected = store.get(2, 2).extract(0, 3) ^ store.get(3, 1).extract(0, 3)
+        expected = BitVec((store[(2, 2)] & 0b111) ^ (store[(3, 1)] & 0b111), 3)
         assert msgs[0] == expected
 
     def test_paper_node1_equal_payloads(self):
         spec, placement, store = paper_setup()
-        m124 = encode_cdc(1, (1, 2, 4), placement, store.values)[0]
-        m134 = encode_cdc(1, (1, 3, 4), placement, store.values)[0]
+        m124 = encode_cdc(1, (1, 2, 4), placement, store)[0]
+        m134 = encode_cdc(1, (1, 3, 4), placement, store)[0]
         assert m124 == m134
 
     def test_zero_store_zero_messages(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
         placement = make_placement(spec)
-        zeros = {(q, n): BitVec.zeros(6) for q in range(1, 5) for n in range(1, 7)}
+        zeros = {(q, n): 0 for q in range(1, 5) for n in range(1, 7)}
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
@@ -173,20 +173,20 @@ class TestEncode:
         store = SyntheticRankWorkload(seed=31).build_store(spec)
         for group in combinations(range(1, 6), 3):
             for k in group:
-                got = encode_cdc(k, group, placement, store.values)[0]
+                got = encode_cdc(k, group, placement, store)[0]
                 assert got == xor_oracle_message(k, group, placement, store)
 
     def test_sender_not_in_group(self):
         _, placement, store = paper_setup()
         with pytest.raises(ValueError):
-            encode_cdc(4, (1, 2, 3), placement, store.values)
+            encode_cdc(4, (1, 2, 3), placement, store)
 
     def test_general_s_structure(self):
         spec = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=12).build_store(spec)
         # group size 4: three holder subsets contain the sender, two components
-        msgs = encode_cdc(1, (1, 2, 3, 4), placement, store.values)
+        msgs = encode_cdc(1, (1, 2, 3, 4), placement, store)
         assert len(msgs) == 2
         assert len({m.nbits for m in msgs}) == 1
         # the transcript numbers the components 1, 2 in encoder order
@@ -200,11 +200,12 @@ class TestEncode:
             if 1 not in holders:
                 continue
             value_ids = build_vset((1, 2, 3, 4), holders, placement)
-            segs.append(segment_usymbol(value_ids, 2, store.values)[sorted(holders).index(1)])
-        acc = segs[0]
-        for seg in segs[1:]:
-            acc = acc ^ seg
-        assert msgs[0] == acc
+            width, own = segment_usymbol(value_ids, 2, store, spec.T)
+            segs.append(own[sorted(holders).index(1)])
+        acc = 0
+        for seg in segs:
+            acc ^= seg
+        assert msgs[0] == BitVec(acc, width)
 
 
 class TestDecode:
@@ -212,12 +213,12 @@ class TestDecode:
         received = {}
         for group in combinations(range(1, spec.K + 1), spec.r + 1):
             for k in group:
-                received[(k, group)] = encode_cdc(k, group, placement, store.values)[0]
+                received[(k, group)] = encode_cdc(k, group, placement, store)[0]
         return received
 
     def local_view(self, placement, store, k):
         return {
-            (q, n): store.get(q, n)
+            (q, n): store[(q, n)]
             for n in placement.node_files[k]
             for q in range(1, placement.spec.Q + 1)
         }
@@ -225,11 +226,11 @@ class TestDecode:
     def test_fig1_scenario(self):
         spec, placement, store = paper_setup()
         # node 2's and node 3's broadcasts to {1,2,3} carry the halves of (1,4)
-        x2 = encode_cdc(2, (1, 2, 3), placement, store.values)[0]
-        x3 = encode_cdc(3, (1, 2, 3), placement, store.values)[0]
-        v14, v31, v22 = store.get(1, 4), store.get(3, 1), store.get(2, 2)
-        assert x2 == v14.extract(0, 3) ^ v31.extract(3, 6)
-        assert x3 == v14.extract(3, 6) ^ v22.extract(3, 6)
+        x2 = encode_cdc(2, (1, 2, 3), placement, store)[0]
+        x3 = encode_cdc(3, (1, 2, 3), placement, store)[0]
+        v14, v31, v22 = store[(1, 4)], store[(3, 1)], store[(2, 2)]
+        assert x2 == BitVec((v14 & 0b111) ^ (v31 >> 3), 3)
+        assert x3 == BitVec((v14 >> 3) ^ (v22 >> 3), 3)
 
         received = self.collect_broadcasts(spec, placement, store)
         recovered = decode_cdc_s1(1, received, self.local_view(placement, store, 1), placement)
@@ -244,7 +245,7 @@ class TestDecode:
             recovered = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
             assert set(recovered) == needed_values(placement, k)
             for qn, v in recovered.items():
-                assert v == store.get(*qn)
+                assert v == store[qn]
 
     def test_random_sweeps_bit_exact(self):
         rng = random.Random(77)
@@ -262,7 +263,7 @@ class TestDecode:
                     recovered = decode_cdc_s1(k, received,
                                               self.local_view(placement, store, k), placement)
                     assert set(recovered) == needed_values(placement, k)
-                    assert all(v == store.get(*qn) for qn, v in recovered.items())
+                    assert all(v == store[qn] for qn, v in recovered.items())
                 cases += 1
         assert cases >= 12
 
@@ -275,7 +276,7 @@ class TestDecode:
         received = self.collect_broadcasts(spec, placement, store)
         for k in range(1, spec.K + 1):
             recovered = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
-            assert recovered == decode_cdc_s1(k, received, store.values, placement)
+            assert recovered == decode_cdc_s1(k, received, store, placement)
             assert set(recovered) == needed_values(placement, k)
 
     def test_missing_broadcast_reported(self):
@@ -301,7 +302,7 @@ def bit_cost(d):
 class TestLdCompress:
     def node1_messages(self, T):
         spec, placement, store = paper_setup(T)
-        return spec, [full_message(1, g, placement, store.values)
+        return spec, [full_message(1, g, placement, store)
                       for g in groups_containing(spec, 1, 3)]
 
     def test_paper_node1_cost(self):
@@ -340,7 +341,7 @@ class TestLdCompress:
 class TestLdRoundtrip:
     def test_paper_node1(self):
         spec, placement, store = paper_setup(T=30)
-        msgs = [full_message(1, g, placement, store.values)
+        msgs = [full_message(1, g, placement, store)
                 for g in groups_containing(spec, 1, 3)]
         back = ld_decompress(ld_compress(3, msgs, spec))
         assert back == msgs
@@ -348,7 +349,7 @@ class TestLdRoundtrip:
 
     def test_rank_zero_payload(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
-        msgs = [BitVec.zeros(15)] * 3
+        msgs = [BitVec(0, 15)] * 3
         d = ld_compress(3, msgs, spec)
         assert d.rho == 0 and bit_cost(d) == 0
         assert ld_decompress(d) == msgs
@@ -383,23 +384,23 @@ class TestBlockwiseScaling:
             scalars = [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(3)]
             for scalar in scalars:
                 for nblocks in range(1, 41):
-                    seg = BitVec(rng.getrandbits(nblocks * lam), nblocks * lam)
-                    got = _scale_segment(f, scalar, seg)
-                    assert got.nbits == seg.nbits
+                    seg = rng.getrandbits(nblocks * lam)
+                    got = _scale_segment(f, scalar, seg, nblocks * lam)
+                    assert got >> nblocks * lam == 0
+                    mask = (1 << lam) - 1
                     for b in range(nblocks):
-                        sym = seg.extract(b * lam, (b + 1) * lam).value
+                        sym = seg >> b * lam & mask
                         want = gf_mul_longdiv(scalar, sym, f.modulus)
-                        assert got.extract(b * lam, (b + 1) * lam).value == want, (lam, scalar)
+                        assert got >> b * lam & mask == want, (lam, scalar)
 
     def test_bad_input_rejected(self):
         # a trailing partial symbol, or a scalar outside GF(8)
         from cdcsim.codec import _scale_segment
         from cdcsim.gf2 import ext_field
         f = ext_field(3)
-        for scalar, seg in ((1, BitVec(0b1111, 4)), (2, BitVec(0b1111, 4)),
-                            (-1, BitVec(0b101, 3)), (8, BitVec(0b101, 3))):
+        for scalar, seg, nbits in ((1, 0b1111, 4), (2, 0b1111, 4), (-1, 0b101, 3), (8, 0b101, 3)):
             with pytest.raises(ValueError):
-                _scale_segment(f, scalar, seg)
+                _scale_segment(f, scalar, seg, nbits)
 
     def test_field_action_laws(self):
         # scaling is linear in the vector and multiplicative in the scalar
@@ -409,12 +410,14 @@ class TestBlockwiseScaling:
         f = ext_field(3)
         for _ in range(50):
             width = 3 * rng.randint(1, 10)
-            x = BitVec(rng.getrandbits(width), width)
-            y = BitVec(rng.getrandbits(width), width)
+            x = rng.getrandbits(width)
+            y = rng.getrandbits(width)
             a = rng.randrange(f.order)
             b = rng.randrange(f.order)
-            assert _scale_segment(f, a, x ^ y) == _scale_segment(f, a, x) ^ _scale_segment(f, a, y)
-            assert _scale_segment(f, f.mul(a, b), x) == _scale_segment(f, a, _scale_segment(f, b, x))
+            assert (_scale_segment(f, a, x ^ y, width)
+                    == _scale_segment(f, a, x, width) ^ _scale_segment(f, a, y, width))
+            assert (_scale_segment(f, f.mul(a, b), x, width)
+                    == _scale_segment(f, a, _scale_segment(f, b, x, width), width))
 
 
 def test_rank_never_exceeds_count_or_length():
@@ -427,7 +430,7 @@ def test_rank_never_exceeds_count_or_length():
                                           duplicate_prob=rng.random()).build_store(spec)
             ell = r + 1
             for k in range(1, K + 1):
-                msgs = [full_message(k, g, placement, store.values)
+                msgs = [full_message(k, g, placement, store)
                         for g in groups_containing(spec, k, ell)]
                 d = ld_compress(ell, msgs, spec)
                 assert d.rho <= min(comb(K - 1, ell - 1), d.ncols)

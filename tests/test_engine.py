@@ -139,7 +139,7 @@ class TestSchemeEquivalence:
             result = run(spec, workload, scheme)
             for k, recovered in result.recovered.items():
                 for qn, v in recovered.items():
-                    assert v == store.get(*qn)
+                    assert v == store[qn]
 
 
 class TestAccounting:
@@ -241,7 +241,7 @@ class TestReducePhase:
         inputs = tuple(BitVec(rng.getrandbits(16), 16) for _ in range(6))
         result = run(spec, LinearTransformWorkload(matrix, inputs), "cdc")
         for q in range(1, 5):
-            expected = BitVec.concat_all(x.extract((q - 1) * 4, q * 4) for x in inputs)
+            expected = BitVec.concat_all(BitVec(x.value >> (q - 1) * 4 & 0xf, 4) for x in inputs)
             assert result.reference[q] == expected
 
     def test_missing_value_propagates(self):

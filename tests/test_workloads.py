@@ -44,19 +44,19 @@ def paper_spec(T=6):
 class TestWordCount:
     def test_paper_counts(self):
         store = wordcount_map(WordCountWorkload(PAPER_BLOCKS), paper_spec())
-        assert store.get(1, 1).value == 3
-        assert store.get(1, 2).value == 5
-        assert store.get(1, 3).value == 3
-        assert store.get(2, 3).value == 2
-        assert store.get(3, 3).value == 2
-        assert store.get(4, 1).value == 0
-        assert store.get(4, 2).value == 0
+        assert store[(1, 1)] == 3
+        assert store[(1, 2)] == 5
+        assert store[(1, 3)] == 3
+        assert store[(2, 3)] == 2
+        assert store[(3, 3)] == 2
+        assert store[(4, 1)] == 0
+        assert store[(4, 2)] == 0
 
     def test_empty_block_counts_zero(self):
         w = WordCountWorkload(((1, 2), (), (2,)))
         store = wordcount_map(w, JobSpec(K=3, N=3, Q=3, r=1, s=1, T=4))
         for q in (1, 2, 3):
-            assert store.get(q, 2).value == 0
+            assert store[(q, 2)] == 0
 
     def test_overflow_is_an_error(self):
         w = WordCountWorkload(((1, 1, 1, 1),),)
@@ -81,7 +81,7 @@ class TestWordCount:
             w = WordCountWorkload.from_symbols(symbols, N)
             store = wordcount_map(w, JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=8))
             for q in range(1, Q + 1):
-                total = sum(store.get(q, n).value for n in range(1, N + 1))
+                total = sum(store[(q, n)] for n in range(1, N + 1))
                 assert total == recount([list(b) for b in w.blocks], q)
 
 
@@ -103,7 +103,7 @@ class TestIngest:
         w, _ = ingest_string("x x x x x", 1, 2)
         spec = JobSpec(K=2, N=2, Q=1, r=1, s=2, T=4)
         store = wordcount_map(w, spec)
-        assert store.get(1, 1).value + store.get(1, 2).value == 5
+        assert store[(1, 1)] + store[(1, 2)] == 5
 
     def test_two_token_block_sums(self):
         text = "a b a a b a b b a a a b"
@@ -112,7 +112,7 @@ class TestIngest:
         # pad vocabulary: Q=3 > vocab, fine -- counts for symbol 3 are zero
         store = wordcount_map(w, spec)
         for n, block in enumerate(w.blocks, start=1):
-            total = sum(store.get(q, n).value for q in (1, 2, 3))
+            total = sum(store[(q, n)] for q in (1, 2, 3))
             assert total == len(block)
 
     def test_empty_input(self):
@@ -207,7 +207,7 @@ class TestStreamingIngest:
                 assert got == want
                 kinds.add(want[0])
             else:
-                assert list(got.values.items()) == list(want.values.items())
+                assert list(got.items()) == list(want.items())
                 kinds.add("store")
         assert kinds == {"store", ValueError, CountOverflowError}
 
@@ -235,7 +235,7 @@ class TestLinearTransform:
         matrix = tuple(BitVec(rng.getrandbits(8), 8) for _ in range(16))
         inputs = tuple(BitVec(0, 8) for _ in range(6))
         store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
-        assert all(v.value == 0 for v in store.values.values())
+        assert all(v == 0 for v in store.values())
 
     def test_identity_blocks_slice_input(self):
         spec = self.lt_spec()
@@ -245,7 +245,7 @@ class TestLinearTransform:
         store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
         for q in range(1, 5):
             for n, x in enumerate(inputs, start=1):
-                assert store.get(q, n) == x.extract((q - 1) * 4, q * 4)
+                assert store[(q, n)] == x.value >> (q - 1) * 4 & 0xf
 
     def test_matches_naive_dot_oracle(self):
         spec = self.lt_spec()
@@ -254,10 +254,10 @@ class TestLinearTransform:
         for q in range(1, 5):
             for n in range(1, 7):
                 x_bits = int_to_bits(w.inputs[n - 1].value, 16)
-                got = store.get(q, n)
+                got = store[(q, n)]
                 for i in range(4):
                     row_bits = int_to_bits(w.matrix[(q - 1) * 4 + i].value, 16)
-                    assert (got.value >> i) & 1 == naive_dot(row_bits, x_bits)
+                    assert (got >> i) & 1 == naive_dot(row_bits, x_bits)
 
     def test_linearity(self):
         spec = self.lt_spec()
@@ -265,12 +265,12 @@ class TestLinearTransform:
         matrix = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(16))
         xs = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(6))
         ys = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(6))
-        both = tuple(a ^ b for a, b in zip(xs, ys))
+        both = tuple(BitVec(a.value ^ b.value, 10) for a, b in zip(xs, ys))
         sa = lintrans_map(LinearTransformWorkload(matrix, xs), spec)
         sb = lintrans_map(LinearTransformWorkload(matrix, ys), spec)
         sc = lintrans_map(LinearTransformWorkload(matrix, both), spec)
-        for key in sc.values:
-            assert sc.values[key] == sa.values[key] ^ sb.values[key]
+        for key in sc:
+            assert sc[key] == sa[key] ^ sb[key]
 
     def test_dimension_mismatch(self):
         spec = self.lt_spec()
@@ -285,24 +285,24 @@ class TestCodedLinearTransform:
         w = LinearTransformWorkload.random(16, 12, 6, seed=5)
         store = coded_lintrans_map(w, spec)
         for n in range(1, 7):
-            acc = store.get(4, n)
+            acc = store[(4, n)]
             for k in (1, 2, 3):
-                acc ^= store.get(k, n)
-            assert acc.value == 0
+                acc ^= store[(k, n)]
+            assert acc == 0
 
     def test_zero_matrix(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
         w = LinearTransformWorkload(tuple(BitVec(0, 8) for _ in range(16)),
                                     tuple(BitVec(i + 1, 8) for i in range(6)))
         store = coded_lintrans_map(w, spec)
-        assert all(v.value == 0 for v in store.values.values())
+        assert all(v == 0 for v in store.values())
 
     def test_per_file_rank_deficient(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8)
         w = LinearTransformWorkload.random(32, 16, 6, seed=9)
         store = coded_lintrans_map(w, spec)
         for n in range(1, 7):
-            m = Gf2Matrix(tuple(store.get(k, n) for k in range(1, 5)), spec.T)
+            m = Gf2Matrix(tuple(BitVec(store[(k, n)], spec.T) for k in range(1, 5)), spec.T)
             assert rank_and_basis(m).rho <= 3
 
 
@@ -311,19 +311,19 @@ class TestSynthetic:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=16)
         a = SyntheticRankWorkload(seed=42).build_store(spec)
         b = SyntheticRankWorkload(seed=42).build_store(spec)
-        assert a.values == b.values
+        assert a == b
 
     def test_duplicate_prob_one_collapses(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=16)
         store = SyntheticRankWorkload(seed=1, duplicate_prob=1.0).build_store(spec)
-        distinct = {v.value for v in store.values.values()}
+        distinct = set(store.values())
         assert len(distinct) == 1
 
     def test_duplicate_prob_zero_mostly_distinct(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=64)
         store = SyntheticRankWorkload(seed=1, duplicate_prob=0.0).build_store(spec)
-        distinct = {v.value for v in store.values.values()}
-        assert len(distinct) == len(store.values)
+        distinct = set(store.values())
+        assert len(distinct) == len(store)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
