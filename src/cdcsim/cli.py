@@ -74,6 +74,7 @@ def _fr(x: Fraction | None) -> str | None:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    flags = vars(args)  # each subcommand registers only the flags it reads
     config: dict = {}
     if args.preset:
         if args.preset not in PRESETS:
@@ -83,20 +84,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         config.update(file_cfg)
-    for name in ("K", "N", "Q", "r", "s", "T"):
-        value = getattr(args, name)
-        if value is not None:
-            config[name] = value
-    if args.scheme is not None:
-        config["scheme"] = args.scheme
-    if args.workload is not None:
-        config.setdefault("workload", {})["kind"] = args.workload
-    if args.input is not None:
-        config.setdefault("workload", {})["input"] = args.input
-    if args.seed is not None:
-        config.setdefault("workload", {})["seed"] = args.seed
-    if args.rho is not None:
-        config.setdefault("sweep", {})["rho"] = args.rho
+    for name in ("K", "N", "Q", "r", "s", "T", "scheme"):
+        if flags.get(name) is not None:
+            config[name] = flags[name]
+    for key, name in (("kind", "workload"), ("input", "input"), ("seed", "seed")):
+        if flags.get(name) is not None:
+            config.setdefault("workload", {})[key] = flags[name]
+    if flags.get("rho") is not None:
+        config.setdefault("sweep", {})["rho"] = flags["rho"]
     config["out_dir"] = args.out_dir
     return config
 
@@ -110,8 +105,32 @@ def _build_spec(config: dict) -> JobSpec:
                    r=config["r"], s=config["s"], T=config["T"])
 
 
+# the keys of each workload kind and the JSON types each takes: an int is
+# never a bool, and a number is an int or a float
+_TEXT, _INT, _NUMBER = ((str,), "a string"), ((int,), "an int"), ((int, float), "a number")
+_LINTRANS_KEYS = {"kind": _TEXT, "input": _TEXT, "m": _INT, "n": _INT, "seed": _INT}
+WORKLOAD_KEYS = {
+    "wordcount": {"kind": _TEXT, "text": _TEXT, "input": _TEXT, "tokenizer": _TEXT},
+    "lintrans": _LINTRANS_KEYS,
+    "coded-lintrans": _LINTRANS_KEYS,
+    "synthetic": {"kind": _TEXT, "seed": _INT, "duplicate_prob": _NUMBER},
+}
+
+
 def build_workload(desc: dict, spec: JobSpec):
+    """The workload a descriptor names; a kind, key or value type the
+    descriptor's kind does not take raises ``ValueError`` naming the field."""
+    engine.expect_json(desc, dict, "workload")
     kind = desc.get("kind", "synthetic")
+    if type(kind) is not str or kind not in WORKLOAD_KEYS:
+        raise ValueError(f"unknown workload kind {kind!r}, expected one of {sorted(WORKLOAD_KEYS)}")
+    keys = WORKLOAD_KEYS[kind]
+    for key, value in desc.items():
+        if key not in keys:
+            raise ValueError(f"workload {key!r}: not a key of a {kind} workload, "
+                             f"which takes {', '.join(sorted(keys))}")
+        if type(value) not in keys[key][0]:
+            raise ValueError(f"workload {key}: expected {keys[key][1]}, got {value!r}")
     if kind == "wordcount":
         tokenizer = desc.get("tokenizer", "word")
         if "input" in desc:  # an explicit corpus path beats embedded text
@@ -121,7 +140,7 @@ def build_workload(desc: dict, spec: JobSpec):
         else:
             raise ValueError("wordcount workload needs 'text' or 'input'")
         return workload
-    if kind in ("lintrans", "coded-lintrans"):
+    if kind != "synthetic":
         if "input" in desc:
             base = lintrans_from_file(desc["input"])
         else:
@@ -129,10 +148,8 @@ def build_workload(desc: dict, spec: JobSpec):
             n = desc.get("n", 32)
             base = LinearTransformWorkload.random(m, n, spec.N, desc.get("seed", 0))
         return CodedLinearTransformWorkload(base) if kind == "coded-lintrans" else base
-    if kind == "synthetic":
-        return SyntheticRankWorkload(seed=desc.get("seed", 0),
-                                     duplicate_prob=desc.get("duplicate_prob", 0.0))
-    raise ValueError(f"unknown workload kind {kind!r}")
+    return SyntheticRankWorkload(seed=desc.get("seed", 0),
+                                 duplicate_prob=desc.get("duplicate_prob", 0.0))
 
 
 def _serialize_output(value) -> str:
@@ -255,13 +272,13 @@ def fixture_to_json(result: engine.RunResult, workload_desc: dict) -> dict:
 
 
 def replay_fixture(doc: dict) -> str:
-    """Decode a serialized transcript against its workload; returns the verdict.
+    """Validate and decode a serialized transcript against its workload;
+    returns the verdict: "pass", "fail", or "not-applicable" at s >= 2.
 
-    A transcript that cannot be decoded (missing messages, inconsistent
-    lengths, a malformed rank decomposition, a wrong cdc-ld message count,
-    duplicate broadcasts, a broadcast its sender could not have sent) fails
-    rather than raising; a document with a field of the wrong type or shape,
-    or a broadcast whose meta lacks a field, raises ``ValueError``.
+    A transcript that is not, one to one, the broadcasts its scheme sends
+    (see ``engine.validate_transcript``) or that does not decode fails rather
+    than raising; a document with a field of the wrong type or shape, or a
+    broadcast whose meta lacks a field, raises ``ValueError``.
     """
     engine.expect_json(doc, dict, "fixture document")
     engine.expect_json(doc.get("workload"), dict, "fixture workload")
@@ -284,7 +301,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         verdict = replay_fixture(doc)
         print(f"fixture {args.input}: {verdict}")
-        return EXIT_OK if verdict == "pass" else EXIT_VERIFY
+        return EXIT_VERIFY if verdict == "fail" else EXIT_OK
 
     config = _merge_config(args)
     spec = _build_spec(config)
@@ -303,7 +320,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
             fh.write(dump_json(doc))
         verdicts.append(result.verification)
         print(f"wrote {path} ({result.verification})")
-    return EXIT_OK if all(v == "pass" for v in verdicts) else EXIT_VERIFY
+    return EXIT_VERIFY if "fail" in verdicts else EXIT_OK
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -312,22 +329,26 @@ def make_parser() -> argparse.ArgumentParser:
         description="Deterministic simulator for coded distributed computing shuffles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("fixture", cmd_fixture)):
+    flags = {
+        "--config": dict(help="JSON config file"),
+        "--preset": dict(help=f"embedded preset, one of {sorted(PRESETS)}"),
+        "--scheme": dict(choices=engine.SCHEMES),
+        **{f"--{name}": dict(type=int) for name in ("K", "N", "Q", "r", "s", "T")},
+        "--workload": dict(choices=tuple(WORKLOAD_KEYS)),
+        "--input": dict(help="workload input file (or fixture to replay)"),
+        "--seed": dict(type=int),
+        "--rho": dict(type=int, help="constant rank model for sweeps"),
+        "--out-dir": dict(default="."),
+    }
+    # each subcommand takes only the flags it reads
+    for name, fn, names in (
+            ("run", cmd_run, flags.keys() - {"--rho"}),
+            ("sweep", cmd_sweep, {"--config", "--preset", "--rho", "--out-dir"}),
+            ("fixture", cmd_fixture, flags.keys() - {"--rho", "--scheme"})):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help=f"embedded preset, one of {sorted(PRESETS)}")
-        p.add_argument("--scheme", choices=engine.SCHEMES)
-        p.add_argument("--K", type=int)
-        p.add_argument("--N", type=int)
-        p.add_argument("--Q", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--T", type=int)
-        p.add_argument("--workload", choices=("wordcount", "lintrans", "coded-lintrans", "synthetic"))
-        p.add_argument("--input", help="workload input file (or fixture to replay)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--rho", type=int, help="constant rank model for sweeps")
-        p.add_argument("--out-dir", default=".")
+        for flag, kwargs in flags.items():
+            if flag in names:
+                p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return parser
 

@@ -92,17 +92,13 @@ def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
     return width, tuple(payload >> i * width & mask for i in range(r))
 
 
-def _own_segments(k: int, group: tuple[int, ...], placement: Placement,
-                  values: Mapping[tuple[int, int], int]) -> tuple[int, list[int]]:
-    """The segment width of the group and node k's segment of every holder
-    subset of the group it belongs to, in lexicographic subset order."""
-    r, T = placement.spec.r, placement.spec.T
-    width, segments = 0, []
-    for holders in combinations(group, r):
-        if k in holders:
-            width, segs = segment_usymbol(build_vset(group, holders, placement), r, values, T)
-            segments.append(segs[holders.index(k)])
-    return width, segments
+def segment_width(spec: JobSpec, ell: int) -> int:
+    """Bits of one coded component to a group of size ell: a value set's
+    C(r, ell-s) * eta1 * eta2 * T bits split r ways, padded at s >= 2 to whole
+    symbols of the field the encoder combines segments in."""
+    width = -(-comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2 * spec.T // spec.r)
+    lam = comb(ell - 1, spec.r - 1).bit_length() if spec.s > 1 else 1
+    return width + (-width) % lam
 
 
 def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
@@ -145,10 +141,12 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     group = tuple(sorted(group))
     if k not in group:
         raise ValueError(f"sender {k} not in group {group}")
-    width, segments = _own_segments(k, group, placement, values)
+    # k's segment of every holder subset of the group it belongs to
+    segments = [segment_usymbol(build_vset(group, holders, placement), spec.r, values, spec.T)[1]
+                [holders.index(k)] for holders in combinations(group, spec.r) if k in holders]
     ell = len(group)
+    width = segment_width(spec, ell)
     m = comb(ell - 1, spec.r - 1)
-    assert len(segments) == m
 
     if spec.s == 1:
         acc = 0
@@ -157,13 +155,9 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
         return [BitVec(acc, width)]
 
     n_comp = comb(ell - 2, spec.r - 1)
-    lam = 1
-    while (1 << lam) <= m:
-        lam += 1
-    field = ext_field(lam)
+    field = ext_field(m.bit_length())
     powers = vandermonde(field, m, n_comp)
 
-    width += (-width) % lam
     messages = []
     for i in range(n_comp):
         acc = 0
@@ -189,13 +183,14 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     unknown segment once k cancels the segments it can rebuild from its own
     map results; the r recovered segments reassemble the symbol holding k's
     wanted values for that group.  Only the values of files k mapped are read
-    from ``values``, so it may be the whole store or k's own part of it.  A
-    payload whose length is not the group's segment width raises ``ValueError``.
+    from ``values``, so it may be the whole store or k's own part of it.  Payload
+    lengths are ``engine.validate_transcript``'s to check; a recovered symbol
+    whose zero padding is not zero raises ``ValueError``.
     """
     spec = placement.spec
     if spec.s != 1:
         raise ValueError("peeling decoder only applies when each reduce function has one copy")
-    T = spec.T
+    T, width = spec.T, segment_width(spec, spec.r + 1)
     mask = (1 << T) - 1
     recovered: dict[tuple[int, int], int] = {}
     missing: list[tuple[int, int]] = []
@@ -207,8 +202,6 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
         if None in payloads:
             missing.extend(target)
             continue
-        # every value set of the group has as many values as the target
-        width = -(-len(target) * T // spec.r)
         # segments this node can compute itself, per (holder subset, segment owner)
         local_segs = {
             holders: segment_usymbol(build_vset(group, holders, placement), spec.r, values, T)[1]
@@ -216,9 +209,6 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
         }
         symbol = 0
         for idx, (j, payload) in enumerate(zip(others, payloads)):
-            if payload.nbits != width:
-                raise ValueError(f"node {j} sent {payload.nbits} bits to group {group}, "
-                                 f"expected a segment of {width}")
             acc = payload.value
             for i in others:
                 if i != j:
@@ -226,6 +216,8 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
                     acc ^= local_segs[holders][holders.index(j)]
             symbol |= acc << idx * width
         # the trailing zero padding the segmentation added lies above the values
+        if symbol >> len(target) * T:
+            raise ValueError(f"node {k}: the padding of group {group}'s symbol is not zero")
         for idx, qn in enumerate(target):
             recovered[qn] = symbol >> idx * T & mask
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 from typing import Mapping
 
 from .codec import (
     IncompleteShuffleError,
+    build_vset,
     decode_cdc_s1,
     encode_cdc,
     full_message,
@@ -24,6 +26,7 @@ from .codec import (
     ld_compress,
     ld_decompress,
     multicast_coverage,
+    segment_width,
 )
 from .gf2 import BasisDecomposition, BitVec
 from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
@@ -88,7 +91,7 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
                         store: Store) -> ShuffleTranscript:
     """Ship every needed value plainly; the smallest node holding the file sends."""
     if spec.s != 1:
-        raise UnsupportedCombinationError("uncoded shuffle is defined only for s=1")
+        raise UnsupportedCombinationError(f"uncoded shuffle is defined only for s=1, got s={spec.s}")
     broadcasts = []
     for k in range(1, spec.K + 1):
         for (q, n) in sorted(needed_values(placement, k)):
@@ -129,61 +132,94 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
                         for g in groups_containing(spec, k, ell)]
             d = ld_compress(ell, messages, spec)
             rho[(k, ell)] = d.rho
-            bc = Broadcast(
+            broadcasts.append(Broadcast(
                 sender=k,
                 kind="cdc-ld",
                 meta={"ell": ell, "rho": d.rho, "msg_len": d.ncols},
                 payloads=d.basis + d.coeffs,
-            )
-            assert bc.bits == d.rho * (d.ncols + len(d.coeffs))
-            broadcasts.append(bc)
+            ))
     return ShuffleTranscript("cdc-ld", spec, broadcasts), rho
 
 
-def _received_messages(transcript: ShuffleTranscript, spec: JobSpec,
-                       placement: Placement) -> dict[tuple[int, tuple[int, ...]], BitVec]:
-    """Reassemble the (sender, group) -> payload map a decoder consumes."""
-    received: dict[tuple[int, tuple[int, ...]], BitVec] = {}
-    if transcript.scheme == "cdc":
-        groups = {g for ell in group_sizes(spec.K, spec.r, spec.s) for g in ksubsets(spec.K, ell)}
-        for b in transcript.broadcasts:
-            group = b.meta["group"]
-            if not (type(group) is list and all(type(j) is int for j in group)
-                    and tuple(group) in groups):
-                raise ValueError(f"group {group!r} from node {b.sender} is not a multicast "
-                                 f"group of nodes 1..{spec.K} in ascending order")
-            group = tuple(group)
-            if b.sender not in group:
-                raise ValueError(f"node {b.sender} sent to group {group}, which it is not in")
-            if not 1 <= b.meta["component"] <= comb(len(group) - 2, spec.r - 1):
-                raise ValueError(f"component {b.meta['component']} from node {b.sender} "
-                                 f"to group {group} is outside 1..C(ell-2, r-1)")
-            key = (b.sender, group)
-            if key in received:
-                raise ValueError(f"second broadcast for (sender, group) {key}")
-            received[key] = b.payloads[0]
-    elif transcript.scheme == "cdc-ld":
-        seen = set()
-        for b in transcript.broadcasts:
-            ell = b.meta["ell"]
-            if ell not in group_sizes(spec.K, spec.r, spec.s):
-                raise ValueError(f"ell {ell} from node {b.sender} is not a group size of the job")
-            if (b.sender, ell) in seen:
-                raise ValueError(f"second broadcast for (sender, ell) {(b.sender, ell)}")
-            seen.add((b.sender, ell))
-            rho_b = b.meta["rho"]
-            messages = ld_decompress(BasisDecomposition(
-                basis=b.payloads[:rho_b], coeffs=b.payloads[rho_b:],
-                rho=rho_b, ncols=b.meta["msg_len"]))
-            groups = groups_containing(spec, b.sender, ell)
-            if len(messages) != len(groups):
-                raise ValueError(f"{len(messages)} messages from node {b.sender} for "
-                                 f"{len(groups)} groups of size {ell}")
-            for group, msg in zip(groups, messages):
-                received[(b.sender, group)] = msg
+def validate_transcript(spec: JobSpec, placement: Placement,
+                        transcript: ShuffleTranscript) -> dict:
+    """Check that a transcript holds, one to one, the broadcasts its scheme
+    sends for this job, and return their payloads by key.
+
+    uncoded sends one T-bit payload per needed (q, n), from a node that mapped
+    file n; cdc one ``segment_width``-bit payload per (sender, group,
+    component); cdc-ld per (sender, ell) rho basis rows of msg_len =
+    segment_width * C(ell-2, r-1) bits and C(K-1, ell-1) coefficient rows of
+    rho bits, returned as a ``BasisDecomposition``.  A bad or repeated
+    broadcast raises ``ValueError``, a missing one ``IncompleteShuffleError``.
+    """
+    scheme, K, r = transcript.scheme, spec.K, spec.r
+    sizes = group_sizes(K, r, spec.s)
+    got: dict = {}
+    if scheme == "uncoded":
+        mapped = {}  # per function, the files all its reducers mapped
+        for batch, qs in placement.reduce_batches.items():
+            mapped.update(dict.fromkeys(qs, set.intersection(
+                *[set(placement.node_files[j]) for j in batch])))
+        for i, b in enumerate(transcript.broadcasts):
+            key = q, n = b.meta["q"], b.meta["n"]
+            if (b.kind != scheme or q not in mapped or n in mapped[q]
+                    or b.sender not in placement.batch_of_file.get(n, ())):
+                raise _rejected(i, b, scheme)
+            if len(b.payloads) != 1 or b.payloads[0].nbits != spec.T or key in got:
+                raise _rejected(i, b, scheme, key, [spec.T], got)
+            got[key] = b.payloads[0]
+        if len(got) < sum(spec.N - len(files) for files in mapped.values()):
+            raise IncompleteShuffleError([qn for k in range(1, K + 1)
+                                          for qn in needed_values(placement, k) if qn not in got])
+        return got
+    if scheme == "cdc":
+        keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
+                for c in range(1, comb(ell - 2, r - 1) + 1)}
+    elif scheme == "cdc-ld":
+        keys = {(j, ell) for j in range(1, K + 1) for ell in sizes}
     else:
-        raise ValueError(f"no message view for scheme {transcript.scheme}")
-    return received
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    widths = {ell: segment_width(spec, ell) for ell in sizes}
+    for i, b in enumerate(transcript.broadcasts):
+        meta = b.meta
+        if scheme == "cdc":
+            # element types first: a list inside the group cannot be hashed
+            group = meta["group"]
+            key = ((b.sender, tuple(group), meta["component"])
+                   if type(group) is list and all(type(j) is int for j in group) else None)
+        else:
+            key = (b.sender, meta["ell"])
+        if b.kind != scheme or key not in keys:
+            raise _rejected(i, b, scheme)
+        ell = len(group) if scheme == "cdc" else key[1]
+        lengths = [widths[ell]]
+        if scheme == "cdc-ld":
+            rho, ncols = meta["rho"], widths[ell] * comb(ell - 2, r - 1)
+            if meta["msg_len"] != ncols or not 0 <= rho <= ncols:
+                raise ValueError(f"broadcast {i}: msg_len {meta['msg_len']} and rho {rho}, "
+                                 f"expected msg_len {ncols} and rho in 0..{ncols}")
+            lengths = [ncols] * rho + [rho] * comb(K - 1, ell - 1)
+        if [p.nbits for p in b.payloads] != lengths or key in got:
+            raise _rejected(i, b, scheme, key, lengths, got)
+        got[key] = b.payloads[0] if scheme == "cdc" else BasisDecomposition(
+            basis=b.payloads[:rho], coeffs=b.payloads[rho:], rho=rho, ncols=ncols)
+    if len(got) < len(keys):
+        # the value sets the sender of a missing broadcast holds a segment of
+        lost = [(j, g) for j, g, _ in keys - got.keys()] if scheme == "cdc" else [
+            (j, g) for j, ell in keys - got.keys() for g in groups_containing(spec, j, ell)]
+        raise IncompleteShuffleError([qn for j, g in lost for h in combinations(g, r)
+                                      if j in h for qn in build_vset(g, h, placement)])
+    return got
+
+
+def _rejected(i: int, b: Broadcast, scheme: str, key=None, lengths=(), got=()) -> ValueError:
+    """Why broadcast i is not one of the job's: its kind, sender or key, else
+    a repeated key, else its payload lengths."""
+    why = (f"{b.kind} {b.meta} from node {b.sender} is not one of the job's {scheme} broadcasts"
+           if key is None else f"second broadcast for {key}" if key in got
+           else f"payloads of {[p.nbits for p in b.payloads]} bits for {key}, expected {lengths}")
+    return ValueError(f"broadcast {i}: {why}")
 
 
 def reduce_phase(spec: JobSpec, placement: Placement, store: Store,
@@ -210,45 +246,33 @@ def reduce_phase(spec: JobSpec, placement: Placement, store: Store,
 
 def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
                       transcript: ShuffleTranscript, workload):
-    """Decode a transcript at every node, reduce, and compare to the reference.
+    """Validate a transcript with ``validate_transcript``, decode it at every
+    node, reduce, and compare to the reference.
 
-    Returns (outputs, reference, recovered, verification).  A broadcast of
-    another kind than the transcript's scheme, one from a node that cannot
-    have sent it, or an uncoded payload whose length is not T raises
-    ``ValueError``.
+    Returns (outputs, reference, recovered, verification).  With s >= 2 no
+    decoder exists: the multicast structure is checked to cover every node's
+    demand set and the result is (None, None, None, "not-applicable").
     """
-    for i, b in enumerate(transcript.broadcasts):
-        if b.kind != transcript.scheme:
-            raise ValueError(f"broadcast {i}: kind {b.kind!r}, expected {transcript.scheme!r}")
-        if b.sender not in placement.node_files:
-            raise ValueError(f"broadcast {i}: sender {b.sender!r} is not a node 1..{spec.K}")
-        if b.kind != "cdc-ld" and len(b.payloads) != 1:
-            raise ValueError(f"broadcast {i}: {len(b.payloads)} payloads, expected 1")
-    recovered: dict[int, dict[tuple[int, int], int]] = {}
+    got = validate_transcript(spec, placement, transcript)
+    if spec.s != 1:
+        for k, covered in multicast_coverage(placement).items():
+            if missed := needed_values(placement, k) - covered:
+                raise AssertionError(f"multicast structure misses {sorted(missed)} for node {k}")
+        return None, None, None, "not-applicable"
+
+    nodes = range(1, spec.K + 1)
     if transcript.scheme == "uncoded":
-        by_pair = {}
-        for b in transcript.broadcasts:
-            qn = (b.meta["q"], b.meta["n"])
-            if b.sender not in placement.batch_of_file.get(qn[1], ()):
-                raise ValueError(f"node {b.sender} sent {qn} but did not map file {qn[1]}")
-            if qn in by_pair:
-                raise ValueError(f"second broadcast for (q, n) {qn}")
-            if b.payloads[0].nbits != spec.T:
-                raise ValueError(f"node {b.sender} sent {qn} as {b.payloads[0].nbits} bits, "
-                                 f"expected T = {spec.T}")
-            by_pair[qn] = b.payloads[0].value
-        for k in range(1, spec.K + 1):
-            want = needed_values(placement, k)
-            got = {qn: by_pair[qn] for qn in want if qn in by_pair}
-            if len(got) != len(want):
-                raise IncompleteShuffleError(sorted(want - set(got)))
-            recovered[k] = got
+        recovered = {k: {qn: got[qn].value for qn in needed_values(placement, k)} for k in nodes}
     else:
+        # at s=1 every cdc broadcast is component 1 of its group's message
+        if transcript.scheme == "cdc":
+            received = {(j, group): p for (j, group, _), p in got.items()}
+        else:
+            received = {(j, group): msg for (j, ell), d in got.items()
+                        for group, msg in zip(groups_containing(spec, j, ell), ld_decompress(d))}
         # a node decodes from the store in place: the decoder reads only the
         # value sets of holder subsets containing the node, i.e. files it mapped
-        received = _received_messages(transcript, spec, placement)
-        for k in range(1, spec.K + 1):
-            recovered[k] = decode_cdc_s1(k, received, store, placement)
+        recovered = {k: decode_cdc_s1(k, received, store, placement) for k in nodes}
     outputs = reduce_phase(spec, placement, store, recovered, workload)
 
     reference = {
@@ -264,16 +288,11 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
 
 
 def run(spec: JobSpec, workload, scheme: str) -> RunResult:
-    """Execute one full job under the given shuffle scheme.
-
-    With s=1 the run decodes, reduces, and verifies against a single-machine
-    reference.  With s>=2 only encoding and bit accounting happen; the
-    multicast structure is still checked to cover every node's demand set.
-    """
+    """Execute one full job under the given shuffle scheme, then decode,
+    reduce and verify it with ``decode_and_verify`` (accounting and a
+    structural check only at s >= 2)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if scheme == "uncoded" and spec.s != 1:
-        raise UnsupportedCombinationError(f"uncoded scheme requires s=1, got s={spec.s}")
 
     placement = make_placement(spec)
     store = workload.build_store(spec)
@@ -288,20 +307,8 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
-
-    outputs = reference = recovered = None
-    if spec.s == 1:
-        outputs, reference, recovered, verification = decode_and_verify(
-            spec, placement, store, transcript, workload)
-    else:
-        covered = multicast_coverage(placement)
-        for k in range(1, spec.K + 1):
-            demand = needed_values(placement, k)
-            if not demand <= covered[k]:
-                raise AssertionError(
-                    f"multicast structure misses {sorted(demand - covered[k])} for node {k}"
-                )
-        verification = "not-applicable"
+    outputs, reference, recovered, verification = decode_and_verify(
+        spec, placement, store, transcript, workload)
 
     return RunResult(
         spec=spec,

@@ -137,6 +137,29 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("workload, message", [
+        ({"kind": "synthetic", "duplicate_prob": "0.5"}, "workload duplicate_prob: expected a number"),
+        ({"kind": "lintrans", "m": "24"}, "workload m: expected an int"),
+        ({"kind": "wordcount", "text": 5}, "workload text: expected a string"),
+        ({"kind": "synthetic", "seed": "1"}, "workload seed: expected an int"),
+        ({"kind": "synthetic", "seed": True}, "workload seed: expected an int"),
+        ({"kind": "synthetic", "seed": 1.5}, "workload seed: expected an int"),
+        ({"kind": "synthetic", "duplicate_porb": 0.5}, "'duplicate_porb': not a key"),
+        ({"kind": "wordcount", "text": "a b", "seed": 1}, "'seed': not a key"),
+        ({"kind": ["synthetic"]}, "unknown workload kind"),
+        ([], "workload: expected an object"),
+    ], ids=["duplicate_prob-str", "m-str", "text-int", "seed-str", "seed-bool", "seed-float",
+            "unknown-key", "key-of-another-kind", "kind-list", "workload-list"])
+    def test_bad_workload_descriptor_exits_2(self, tmp_path, capsys, workload, message):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6,
+                                   "workload": workload}))
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -168,6 +191,37 @@ class TestRun:
         assert code == EXIT_OK
         doc = json.loads((out / "result.json").read_text())
         assert doc["spec"]["T"] == 12  # flag wins over file
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads; argparse refuses the rest."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig4", "--K", "5"],
+        ["sweep", "--preset", "fig4", "--seed", "3"],
+        ["sweep", "--preset", "fig4", "--scheme", "uncoded"],
+    ], ids=["K", "seed", "scheme"])
+    def test_sweep_refuses_job_flags(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "fig4.csv").exists()
+
+    def test_run_refuses_rho(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "paper-wordcount", "--rho", "7", "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --rho 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--scheme", "uncoded"], ["--rho", "3"]],
+                             ids=["scheme", "rho"])
+    def test_fixture_refuses_scheme_and_rho(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixture", "--preset", "paper-wordcount", *flags, "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweep:
@@ -295,6 +349,26 @@ def _resent_to_group(group):
     return tamper
 
 
+def _extra_uncoded(q):
+    # node 1 mapped file 1 and reduces function 1, so no reducer lacks (1, 1);
+    # there is no function 999
+    def tamper(broadcasts):
+        broadcasts.append({"sender": 1, "kind": "uncoded", "meta": {"q": q, "n": 1},
+                           "payloads": [{"bits": 6, "hex": "1"}]})
+    return tamper
+
+
+def _s2_fixture(kw, scheme):
+    spec = JobSpec(**kw)
+    desc = {"kind": "synthetic", "seed": 2}
+    return fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+
+
+def _relabel_component(broadcasts):
+    # the first component-2 broadcast claims component 1 of its group
+    next(b for b in broadcasts if b["meta"]["component"] == 2)["meta"]["component"] = 1
+
+
 class TestFixture:
     def test_generate_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -351,12 +425,15 @@ class TestFixture:
         ("cdc-ld", lambda bs: bs[0]["meta"].update(ell=2 ** 62)),
         ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=3)),
         ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=600)),
+        ("uncoded", _extra_uncoded(1)),
+        ("uncoded", _extra_uncoded(999)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
             "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
             "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
             "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "cdc-ld-ell-huge",
-            "uncoded-bits-3", "uncoded-bits-600"])
+            "uncoded-bits-3", "uncoded-bits-600", "uncoded-extra-unneeded-1-1",
+            "uncoded-extra-q-999"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
         tamper(doc["transcript"]["broadcasts"])
@@ -448,6 +525,50 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
+    def test_padding_bit_fails_replay(self, tmp_path, scheme):
+        # one 5-bit value split in two 3-bit segments: bit 2 of node 3's
+        # segment is the zero padding of the symbol nodes 1 and 2 recover
+        spec = JobSpec(K=3, N=3, Q=3, r=2, s=1, T=5)
+        desc = {"kind": "synthetic", "seed": 2}
+        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        b = doc["transcript"]["broadcasts"][2]
+        assert b["sender"] == 3 and b["payloads"][0] == {"bits": 3, "hex": "2"}
+        b["payloads"][0]["hex"] = "6"
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    S2_SPECS = [dict(K=4, N=6, Q=6, r=2, s=2, T=8), dict(K=5, N=10, Q=10, r=2, s=2, T=7)]
+
+    @pytest.mark.parametrize("kw", S2_SPECS, ids=["K4-T8", "K5-T7"])
+    @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
+    def test_s2_honest_replay_not_applicable(self, tmp_path, capsys, kw, scheme):
+        doc = _s2_fixture(kw, scheme)
+        assert replay_fixture(doc) == "not-applicable"
+        path = tmp_path / "honest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(": not-applicable\n")
+
+    @pytest.mark.parametrize("kw", S2_SPECS, ids=["K4-T8", "K5-T7"])
+    @pytest.mark.parametrize("scheme, tamper", [
+        (scheme, tamper) for scheme in ("cdc", "cdc-ld") for tamper in (
+            lambda bs: bs[0]["payloads"][0].update(bits=bs[0]["payloads"][0]["bits"] + 1),
+            _append_copy,
+            lambda bs: bs.pop(),
+        )] + [("cdc", _relabel_component)],
+        ids=["cdc-widened", "cdc-repeated", "cdc-dropped", "cdc-ld-widened", "cdc-ld-repeated",
+             "cdc-ld-dropped", "cdc-component-relabelled"])
+    def test_s2_tampered_replay_fails(self, tmp_path, kw, scheme, tamper):
+        doc = _s2_fixture(kw, scheme)
+        tamper(doc["transcript"]["broadcasts"])
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d["transcript"]["broadcasts"].__setitem__(0, 5) or d, "broadcast 0"),
         (lambda d: d["transcript"]["spec"].update(Z=1) or d, "transcript spec"),
@@ -493,6 +614,8 @@ class TestFixture:
 
 GOLDEN = {scheme: json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
           for scheme in engine.SCHEMES}
+# the fuzz pool: the golden fixtures plus one s = 2 transcript, which has no decoder
+FUZZ_POOL = GOLDEN | {"cdc-ld-s2": _s2_fixture(dict(K=4, N=6, Q=6, r=2, s=2, T=8), "cdc-ld")}
 
 
 def total_bits(doc: dict) -> int:
@@ -509,15 +632,16 @@ JSON_VALUES = st.recursive(
 
 
 class TestReplayFuzz:
-    """One random edit inside one broadcast of a golden fixture: replay gives
-    a verdict or raises ``ValueError`` (exit 2), and nothing else escapes.  A
-    transcript that passes carries as many bits as the golden one."""
+    """One random edit inside one broadcast of a pool transcript: replay gives
+    a verdict or raises ``ValueError`` (exit 2), and nothing else escapes.  The
+    verdict is "fail", or "pass" at s = 1 and "not-applicable" at s >= 2, and a
+    transcript that does not fail carries as many bits as the untouched one."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
     def test_single_edit_ends_cleanly(self, data):
-        scheme = data.draw(st.sampled_from(engine.SCHEMES), label="scheme")
-        doc = copy.deepcopy(GOLDEN[scheme])
+        name = data.draw(st.sampled_from(sorted(FUZZ_POOL)), label="transcript")
+        doc = copy.deepcopy(FUZZ_POOL[name])
         broadcasts = doc["transcript"]["broadcasts"]
         node = broadcasts[data.draw(st.integers(0, len(broadcasts) - 1), label="broadcast")]
         while True:  # walk down to the field to edit
@@ -535,9 +659,10 @@ class TestReplayFuzz:
             verdict = replay_fixture(doc)
         except ValueError:
             return
-        assert verdict in ("pass", "fail")
-        if verdict == "pass":
-            assert total_bits(doc) == total_bits(GOLDEN[scheme])
+        s = FUZZ_POOL[name]["transcript"]["spec"]["s"]
+        assert verdict in ("fail", "pass" if s == 1 else "not-applicable")
+        if verdict != "fail":
+            assert total_bits(doc) == total_bits(FUZZ_POOL[name])
 
 
 DICKENS = ("it was the best of times it was the worst of times it was the age of wisdom "
