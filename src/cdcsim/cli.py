@@ -83,15 +83,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        config.update(file_cfg)
+        config.update(engine.expect_json(file_cfg, dict, "config file"))
     for name in ("K", "N", "Q", "r", "s", "T", "scheme"):
         if flags.get(name) is not None:
             config[name] = flags[name]
     for key, name in (("kind", "workload"), ("input", "input"), ("seed", "seed")):
         if flags.get(name) is not None:
-            config.setdefault("workload", {})[key] = flags[name]
+            workload = engine.expect_json(config.setdefault("workload", {}), dict, "workload")
+            workload[key] = flags[name]
     if flags.get("rho") is not None:
-        config.setdefault("sweep", {})["rho"] = flags["rho"]
+        engine.expect_json(config.setdefault("sweep", {}), dict, "sweep")["rho"] = flags["rho"]
     config["out_dir"] = args.out_dir
     return config
 
@@ -241,8 +242,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = config.get("sweep")
     if not sweep:
         raise ValueError("no sweep definition (use --preset fig2/fig3/fig4 or a config file)")
-    kind = sweep.get("kind")
-    if kind not in SWEEPS:
+    kind = engine.expect_json(sweep, dict, "sweep").get("kind")
+    if type(kind) is not str or kind not in SWEEPS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     table, header, meta_keys, default_rho = SWEEPS[kind]
     rho = sweep.get("rho", default_rho)

@@ -9,9 +9,10 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 from typing import Mapping
@@ -61,15 +62,53 @@ class Broadcast:
 
 
 @dataclass
+class UncodedBroadcasts(Sequence):
+    """An uncoded transcript's broadcasts as columns: per broadcast its
+    sender, kind, q, n and payload count; per payload, in broadcast order, its
+    width and value.  Indexing or iterating builds each ``Broadcast`` on demand;
+    indexing first sums the payload counts before it."""
+
+    senders: list[int]
+    kinds: list[str]
+    qs: list[int]
+    ns: list[int]
+    counts: list[int]
+    nbits: list[int]
+    values: list[int]
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    def __getitem__(self, i: int) -> Broadcast:
+        i = range(len(self.senders))[i]
+        return self._broadcast(i, sum(self.counts[:i]))
+
+    def __iter__(self):
+        return map(self._broadcast, range(len(self.senders)), accumulate(self.counts, initial=0))
+
+    def _broadcast(self, i: int, first: int) -> Broadcast:
+        """Broadcast i, whose payloads start at payload ``first``."""
+        end = first + self.counts[i]
+        return Broadcast(self.senders[i], self.kinds[i], {"q": self.qs[i], "n": self.ns[i]},
+                         tuple(map(BitVec, self.values[first:end], self.nbits[first:end])))
+
+
+@dataclass
 class ShuffleTranscript:
     scheme: str
     spec: JobSpec
-    broadcasts: list[Broadcast]
+    broadcasts: Sequence[Broadcast]  # an UncodedBroadcasts when the scheme is uncoded
 
     def bits_by_node(self) -> dict[int, int]:
         counts = {k: 0 for k in range(1, self.spec.K + 1)}
-        for b in self.broadcasts:
-            counts[b.sender] += b.bits
+        if self.scheme == "uncoded":
+            cols = self.broadcasts
+            widths = iter(cols.nbits)
+            for sender, count in zip(cols.senders, cols.counts):
+                counts[sender] += next(widths) if count == 1 else sum(islice(widths, count))
+        else:
+            for b in self.broadcasts:
+                counts[b.sender] += b.bits
         return counts
 
 
@@ -92,17 +131,20 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
     """Ship every needed value plainly; the smallest node holding the file sends."""
     if spec.s != 1:
         raise UnsupportedCombinationError(f"uncoded shuffle is defined only for s=1, got s={spec.s}")
-    broadcasts = []
+    senders, qs, ns = [], [], []
     for k in range(1, spec.K + 1):
-        for (q, n) in sorted(needed_values(placement, k)):
-            sender = placement.batch_of_file[n][0]
-            broadcasts.append(Broadcast(
-                sender=sender,
-                kind="uncoded",
-                meta={"q": q, "n": n},
-                payloads=(BitVec(store[(q, n)], spec.T),),
-            ))
-    return ShuffleTranscript("uncoded", spec, broadcasts)
+        # sorted(needed_values(placement, k)), one shared list of files per node
+        own = set(placement.node_files[k])
+        others = [n for n in range(1, spec.N + 1) if n not in own]
+        first = [placement.batch_of_file[n][0] for n in others]
+        for q in sorted(placement.node_funcs[k]):
+            senders += first
+            qs += [q] * len(others)
+            ns += others
+    m = len(ns)
+    return ShuffleTranscript("uncoded", spec, UncodedBroadcasts(
+        senders, ["uncoded"] * m, qs, ns, [1] * m, [spec.T] * m,
+        list(map(store.__getitem__, zip(qs, ns)))))
 
 
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
@@ -147,10 +189,10 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     sends for this job, and return their payloads by key.
 
     uncoded sends one T-bit payload per needed (q, n), from a node that mapped
-    file n; cdc one ``segment_width``-bit payload per (sender, group,
-    component); cdc-ld per (sender, ell) rho basis rows of msg_len =
-    segment_width * C(ell-2, r-1) bits and C(K-1, ell-1) coefficient rows of
-    rho bits, returned as a ``BasisDecomposition``.  A bad or repeated
+    file n, returned as its value; cdc one ``segment_width``-bit payload per
+    (sender, group, component); cdc-ld per (sender, ell) rho basis rows of
+    msg_len = segment_width * C(ell-2, r-1) bits and C(K-1, ell-1) coefficient
+    rows of rho bits, returned as a ``BasisDecomposition``.  A bad or repeated
     broadcast raises ``ValueError``, a missing one ``IncompleteShuffleError``.
     """
     scheme, K, r = transcript.scheme, spec.K, spec.r
@@ -161,14 +203,17 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         for batch, qs in placement.reduce_batches.items():
             mapped.update(dict.fromkeys(qs, set.intersection(
                 *[set(placement.node_files[j]) for j in batch])))
-        for i, b in enumerate(transcript.broadcasts):
-            key = q, n = b.meta["q"], b.meta["n"]
-            if (b.kind != scheme or q not in mapped or n in mapped[q]
-                    or b.sender not in placement.batch_of_file.get(n, ())):
-                raise _rejected(i, b, scheme)
-            if len(b.payloads) != 1 or b.payloads[0].nbits != spec.T or key in got:
-                raise _rejected(i, b, scheme, key, [spec.T], got)
-            got[key] = b.payloads[0]
+        cols = transcript.broadcasts
+        for i, (sender, kind, q, n, count) in enumerate(
+                zip(cols.senders, cols.kinds, cols.qs, cols.ns, cols.counts)):
+            key = q, n
+            if (kind != scheme or q not in mapped or n in mapped[q]
+                    or sender not in placement.batch_of_file.get(n, ())):
+                raise _rejected(i, cols[i], scheme)
+            # every earlier broadcast has one payload, so this one's is payload i
+            if count != 1 or cols.nbits[i] != spec.T or key in got:
+                raise _rejected(i, cols[i], scheme, key, [spec.T], got)
+            got[key] = cols.values[i]
         if len(got) < sum(spec.N - len(files) for files in mapped.values()):
             raise IncompleteShuffleError([qn for k in range(1, K + 1)
                                           for qn in needed_values(placement, k) if qn not in got])
@@ -262,7 +307,7 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
 
     nodes = range(1, spec.K + 1)
     if transcript.scheme == "uncoded":
-        recovered = {k: {qn: got[qn].value for qn in needed_values(placement, k)} for k in nodes}
+        recovered = {k: {qn: got[qn] for qn in needed_values(placement, k)} for k in nodes}
     else:
         # at s=1 every cdc broadcast is component 1 of its group's message
         if transcript.scheme == "cdc":
@@ -336,16 +381,16 @@ def expect_json(value, kind: type, field: str):
     return value
 
 
-def _payload_to_json(p: BitVec) -> dict:
-    return {"bits": p.nbits, "hex": p.to_hex()}
-
-
-def _payload_from_json(obj: dict) -> BitVec:
+def _payload_from_json(obj: dict) -> tuple[int, int]:
+    """The (bits, value) of a payload object, checked as ``BitVec`` checks them."""
     if type(obj) is dict:
         bits, digits = obj.get("bits"), obj.get("hex")
         if type(bits) is int and type(digits) is str:
             value = int(digits, 16)
-            p = BitVec(value, bits)
+            if bits < 0:
+                raise ValueError(f"negative bit length {bits}")
+            if value < 0 or value >> bits:
+                raise ValueError(f"value 0x{value:x} does not fit in {bits} bits")
             # int(_, 16) also reads "0x3", " 3 ", "0_3", "03", "+3", "A" and
             # non-ASCII digits.  A string it reads with exactly as many
             # characters as the value has hex digits holds those digits alone,
@@ -354,24 +399,28 @@ def _payload_from_json(obj: dict) -> BitVec:
             if not (digits.isascii() and len(digits) == ((value.bit_length() + 3) // 4 or 1)
                     and digits.lower() == digits):
                 raise ValueError(f"payload hex {digits!r} is not written as '{value:x}'")
-            return p
+            return bits, value
     raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
 
 
 def transcript_to_json(transcript: ShuffleTranscript) -> dict:
-    return {
-        "scheme": transcript.scheme,
-        "spec": transcript.spec.as_dict(),
-        "broadcasts": [
-            {
-                "sender": b.sender,
-                "kind": b.kind,
-                "meta": b.meta,
-                "payloads": [_payload_to_json(p) for p in b.payloads],
-            }
-            for b in transcript.broadcasts
-        ],
-    }
+    if transcript.scheme == "uncoded":
+        cols = transcript.broadcasts
+        payloads = [{"bits": bits, "hex": f"{value:x}"}
+                    for bits, value in zip(cols.nbits, cols.values)]
+        broadcasts = [
+            {"sender": sender, "kind": kind, "meta": {"q": q, "n": n},
+             "payloads": payloads[first:first + count]}
+            for sender, kind, q, n, count, first in zip(
+                cols.senders, cols.kinds, cols.qs, cols.ns, cols.counts,
+                accumulate(cols.counts, initial=0))]
+    else:
+        broadcasts = [
+            {"sender": b.sender, "kind": b.kind, "meta": b.meta,
+             "payloads": [{"bits": p.nbits, "hex": p.to_hex()} for p in b.payloads]}
+            for b in transcript.broadcasts]
+    return {"scheme": transcript.scheme, "spec": transcript.spec.as_dict(),
+            "broadcasts": broadcasts}
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
@@ -383,9 +432,11 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         raise ValueError(f"transcript spec: expected an object with keys "
                          f"{', '.join(_SPEC_KEYS)}, got {spec!r}")
     spec = JobSpec(**spec)
-    keys = _META_KEYS.get(expect_json(obj.get("scheme"), str, "transcript scheme"), ())
-    broadcasts = []
-    for i, b in enumerate(expect_json(obj.get("broadcasts"), list, "transcript broadcasts")):
+    scheme = expect_json(obj.get("scheme"), str, "transcript scheme")
+    keys = _META_KEYS.get(scheme, ())
+    raw = expect_json(obj.get("broadcasts"), list, "transcript broadcasts")
+    broadcasts, nbits, values = [], [], []
+    for i, b in enumerate(raw):
         if type(b) is not dict:
             raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
         for key in _BROADCAST_KEYS:
@@ -404,12 +455,24 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
             if key != "group" and type(meta[key]) is not int:
                 raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
         try:
-            payloads = tuple([_payload_from_json(p) for p in b["payloads"]])
+            payloads = [_payload_from_json(p) for p in b["payloads"]]
         except ValueError as exc:
             raise ValueError(f"broadcast {i}: {exc}") from None
-        broadcasts.append(Broadcast(sender=b["sender"], kind=b["kind"], meta=meta,
-                                    payloads=payloads))
-    return ShuffleTranscript(obj["scheme"], spec, broadcasts)
+        if scheme == "uncoded":
+            for bits, value in payloads:
+                nbits.append(bits)
+                values.append(value)
+        else:
+            broadcasts.append(Broadcast(sender=b["sender"], kind=b["kind"], meta=meta,
+                                        payloads=tuple([BitVec(v, bits) for bits, v in payloads])))
+    if scheme == "uncoded":
+        # one column at a time from the checked broadcasts: appending to five
+        # lists side by side left the wordcount-replay benchmark's replay 4 MB
+        # more peak RSS
+        broadcasts = UncodedBroadcasts(
+            [b["sender"] for b in raw], [b["kind"] for b in raw], [b["meta"]["q"] for b in raw],
+            [b["meta"]["n"] for b in raw], [len(b["payloads"]) for b in raw], nbits, values)
+    return ShuffleTranscript(scheme, spec, broadcasts)
 
 
 def _key(k) -> str:

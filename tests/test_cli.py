@@ -160,6 +160,21 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "fixture"])
+    @pytest.mark.parametrize("top, flags, message", [
+        ([1, 2], [], "config file: expected an object, got list"),
+        ("job", [], "config file: expected an object, got str"),
+        ({"workload": [1]}, ["--seed", "1"], "workload: expected an object, got list"),
+    ], ids=["list", "string", "workload-list-with-seed-flag"])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, command, top, flags, message):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(top))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), *flags, "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -307,6 +322,21 @@ class TestSweep:
     def test_sweep_without_definition(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sweep, message", [
+        ([1], "sweep: expected an object, got list"),
+        ("fig4", "sweep: expected an object, got str"),
+        (7, "sweep: expected an object, got int"),
+        ({"kind": ["fig4"]}, "unknown sweep kind ['fig4']"),
+    ], ids=["list", "string", "int", "kind-list"])
+    @pytest.mark.parametrize("flags", [[], ["--rho", "2"]], ids=["config", "config-and-rho"])
+    def test_malformed_sweep_exits_2(self, tmp_path, capsys, sweep, message, flags):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"sweep": sweep}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), *flags, "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 DELETE = object()  # marks a field the test removes instead of setting
 
@@ -422,6 +452,7 @@ class TestFixture:
         ("uncoded", lambda bs: bs[0].update(payloads=[])),
         ("cdc", lambda bs: bs[0].update(payloads=[])),
         ("cdc", lambda bs: bs[0]["payloads"].append(bs[0]["payloads"][0])),
+        ("uncoded", lambda bs: bs[0]["payloads"].append(bs[0]["payloads"][0])),
         ("cdc-ld", lambda bs: bs[0]["meta"].update(ell=2 ** 62)),
         ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=3)),
         ("uncoded", lambda bs: bs[0]["payloads"][0].update(bits=600)),
@@ -431,7 +462,8 @@ class TestFixture:
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
             "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
             "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
-            "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "cdc-ld-ell-huge",
+            "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "uncoded-two-payloads",
+            "cdc-ld-ell-huge",
             "uncoded-bits-3", "uncoded-bits-600", "uncoded-extra-unneeded-1-1",
             "uncoded-extra-q-999"])
     def test_undecodable_field_fails_replay(self, tmp_path, scheme, tamper):

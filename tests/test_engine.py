@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cdcsim.codec import IncompleteShuffleError
 from cdcsim.engine import (
+    SCHEMES,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
@@ -26,7 +27,7 @@ from cdcsim.engine import (
     transcript_to_json,
 )
 from cdcsim.gf2 import BitVec
-from cdcsim.placement import JobSpec, make_placement
+from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -107,6 +108,72 @@ class TestUncoded:
         spec = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)
         with pytest.raises(UnsupportedCombinationError):
             run(spec, SyntheticRankWorkload(seed=0), "uncoded")
+
+
+class TestTranscriptColumns:
+    """An uncoded transcript is held as columns; ``broadcasts`` is a view that
+    builds each ``Broadcast`` when asked."""
+
+    SPEC = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_view_length_and_bits_match_json(self, scheme):
+        result = run(self.SPEC, SyntheticRankWorkload(seed=3), scheme)
+        doc = transcript_to_json(result.transcript)
+        assert len(result.transcript.broadcasts) == len(doc["broadcasts"]) > 0
+        assert transcript_from_json(doc).bits_by_node() == result.bits_by_node
+
+    def test_view_yields_one_broadcast_per_needed_value(self):
+        # per node in turn, its needed (q, n) in order, each sent by the
+        # smallest node that mapped file n as one T-bit payload
+        spec = self.SPEC
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=3).build_store(spec)
+        view = run_uncoded_shuffle(spec, placement, store).broadcasts
+        expected = [(placement.batch_of_file[n][0], "uncoded", {"q": q, "n": n},
+                     ((spec.T, store[(q, n)]),))
+                    for k in range(1, spec.K + 1) for q, n in sorted(needed_values(placement, k))]
+        got = [(b.sender, b.kind, b.meta, tuple((p.nbits, p.value) for p in b.payloads))
+               for b in view]
+        assert got == expected
+        assert [view[i] for i in (0, 7, -1)] == [list(view)[i] for i in (0, 7, -1)]
+        with pytest.raises(IndexError):
+            view[len(view)]
+
+    def test_payload_counts_other_than_one(self):
+        # broadcast 0 loses its payload and broadcast 1 carries two: the
+        # columns keep every payload with its broadcast
+        result = run(self.SPEC, SyntheticRankWorkload(seed=3), "uncoded")
+        doc = transcript_to_json(result.transcript)
+        b0, b1, b2 = doc["broadcasts"][:3]
+        b0["payloads"] = []
+        b1["payloads"] = [b1["payloads"][0], {"bits": 3, "hex": "5"}]
+        back = transcript_from_json(doc)
+        assert dump_json(transcript_to_json(back)) == dump_json(doc)
+        assert [back.broadcasts[i].payloads for i in range(3)] == [
+            (), (BitVec(int(b1["payloads"][0]["hex"], 16), 8), BitVec(5, 3)),
+            (BitVec(int(b2["payloads"][0]["hex"], 16), 8),)]
+        assert [b.payloads for b in back.broadcasts][:3] == [back.broadcasts[i].payloads
+                                                              for i in range(3)]
+        bits = result.bits_by_node
+        bits[b0["sender"]] -= 8
+        bits[b1["sender"]] += 3
+        assert back.bits_by_node() == bits
+
+    def test_uncoded_shuffle_peak_memory(self):
+        # 30 240 broadcasts (the paper-fig4 benchmark spec): the columns peak
+        # near 1.8 MB, a Broadcast, meta dict and BitVec per broadcast near 12 MB
+        spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=1).build_store(spec)
+        tracemalloc.start()
+        try:
+            transcript = run_uncoded_shuffle(spec, placement, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.broadcasts) == 30_240
+        assert peak < 4_000_000
 
 
 class TestSchemeEquivalence:
@@ -274,9 +341,10 @@ class TestDeterminism:
         b = run(spec, workload, "cdc-ld")
         assert dump_json(transcript_to_json(a.transcript)) == dump_json(transcript_to_json(b.transcript))
 
-    def test_transcript_json_roundtrip(self):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_transcript_json_roundtrip(self, scheme):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
-        result = run(spec, paper_workload(), "cdc-ld")
+        result = run(spec, paper_workload(), scheme)
         doc = transcript_to_json(result.transcript)
         back = transcript_from_json(doc)
         assert dump_json(transcript_to_json(back)) == dump_json(doc)
@@ -362,7 +430,7 @@ class TestPayloadHex:
     def test_accepts_exactly_the_canonical_form(self, text):
         canonical = f"{int(text, 16):x}"
         if text == canonical:
-            assert _payload_from_json({"bits": 24, "hex": text}).to_hex() == canonical
+            assert _payload_from_json({"bits": 24, "hex": text}) == (24, int(canonical, 16))
         else:
             with pytest.raises(ValueError, match="is not written as"):
                 _payload_from_json({"bits": 24, "hex": text})
