@@ -9,13 +9,12 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
-from typing import Mapping
 
 from .codec import (
     IncompleteShuffleError,
@@ -29,7 +28,7 @@ from .codec import (
     multicast_coverage,
     segment_width,
 )
-from .gf2 import BasisDecomposition, BitVec
+from .gf2 import BasisDecomposition, BitVec, Gf2Matrix, rank_and_basis
 from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
 from .workloads import Store
 
@@ -48,30 +47,14 @@ class UnsupportedCombinationError(ValueError):
 
 
 @dataclass
-class Broadcast:
-    """One on-air transmission: who sent it, what it is, and its payload bits."""
-
-    sender: int
-    kind: str
-    meta: dict
-    payloads: tuple[BitVec, ...]
-
-    @property
-    def bits(self) -> int:
-        return sum(p.nbits for p in self.payloads)
-
-
-@dataclass
-class UncodedBroadcasts(Sequence):
-    """An uncoded transcript's broadcasts as columns: per broadcast its
-    sender, kind, q, n and payload count; per payload, in broadcast order, its
-    width and value.  Indexing or iterating builds each ``Broadcast`` on demand;
-    indexing first sums the payload counts before it."""
+class Broadcasts:
+    """A transcript's broadcasts as columns: per broadcast its sender, kind and
+    payload count, and a column per meta field of its scheme (``_META_KEYS``);
+    per payload, in broadcast order, its width and value."""
 
     senders: list[int]
     kinds: list[str]
-    qs: list[int]
-    ns: list[int]
+    meta: dict[str, list]
     counts: list[int]
     nbits: list[int]
     values: list[int]
@@ -79,37 +62,56 @@ class UncodedBroadcasts(Sequence):
     def __len__(self) -> int:
         return len(self.senders)
 
-    def __getitem__(self, i: int) -> Broadcast:
-        i = range(len(self.senders))[i]
-        return self._broadcast(i, sum(self.counts[:i]))
-
-    def __iter__(self):
-        return map(self._broadcast, range(len(self.senders)), accumulate(self.counts, initial=0))
-
-    def _broadcast(self, i: int, first: int) -> Broadcast:
-        """Broadcast i, whose payloads start at payload ``first``."""
-        end = first + self.counts[i]
-        return Broadcast(self.senders[i], self.kinds[i], {"q": self.qs[i], "n": self.ns[i]},
-                         tuple(map(BitVec, self.values[first:end], self.nbits[first:end])))
-
 
 @dataclass
 class ShuffleTranscript:
     scheme: str
     spec: JobSpec
-    broadcasts: Sequence[Broadcast]  # an UncodedBroadcasts when the scheme is uncoded
+    broadcasts: Broadcasts
 
     def bits_by_node(self) -> dict[int, int]:
         counts = {k: 0 for k in range(1, self.spec.K + 1)}
-        if self.scheme == "uncoded":
-            cols = self.broadcasts
-            widths = iter(cols.nbits)
-            for sender, count in zip(cols.senders, cols.counts):
-                counts[sender] += next(widths) if count == 1 else sum(islice(widths, count))
-        else:
-            for b in self.broadcasts:
-                counts[b.sender] += b.bits
+        cols = self.broadcasts
+        widths = iter(cols.nbits)
+        for sender, count in zip(cols.senders, cols.counts):
+            counts[sender] += next(widths) if count == 1 else sum(islice(widths, count))
         return counts
+
+
+@dataclass(frozen=True, eq=False)
+class NodeValues(Mapping):
+    """The values one node received, as a read-only mapping (q, n) -> value:
+    for each of its reduce functions q and each file n it did not map, in that
+    order, q-major, ``width`` little-endian bytes per value in one ``bytes``,
+    so that a finished job holds no object per value."""
+
+    funcs: tuple[int, ...]
+    files: tuple[int, ...]
+    width: int
+    data: bytes
+
+    @classmethod
+    def of(cls, placement: Placement, k: int, got: Mapping[tuple[int, int], int]) -> NodeValues:
+        """Node k's values, read from ``got``."""
+        own = set(placement.node_files[k])
+        funcs = placement.node_funcs[k]
+        files = tuple(n for n in range(1, placement.spec.N + 1) if n not in own)
+        width = (placement.spec.T + 7) // 8
+        return cls(funcs, files, width, b"".join(
+            [v.to_bytes(width, "little") for v in map(got.__getitem__, product(funcs, files))]))
+
+    def __getitem__(self, qn: tuple[int, int]) -> int:
+        q, n = qn
+        if q not in self.funcs or n not in self.files:
+            raise KeyError(qn)
+        at = (self.funcs.index(q) * len(self.files) + self.files.index(n)) * self.width
+        return int.from_bytes(self.data[at:at + self.width], "little")
+
+    def __iter__(self):
+        return product(self.funcs, self.files)
+
+    def __len__(self) -> int:
+        return len(self.funcs) * len(self.files)
 
 
 @dataclass
@@ -122,7 +124,7 @@ class RunResult:
     rho: dict[tuple[int, int], int] | None
     outputs: dict[int, dict[int, object]] | None
     reference: dict[int, object] | None
-    recovered: dict[int, dict[tuple[int, int], int]] | None
+    recovered: dict[int, NodeValues] | None
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
@@ -142,31 +144,32 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
             qs += [q] * len(others)
             ns += others
     m = len(ns)
-    return ShuffleTranscript("uncoded", spec, UncodedBroadcasts(
-        senders, ["uncoded"] * m, qs, ns, [1] * m, [spec.T] * m,
+    return ShuffleTranscript("uncoded", spec, Broadcasts(
+        senders, ["uncoded"] * m, {"q": qs, "n": ns}, [1] * m, [spec.T] * m,
         list(map(store.__getitem__, zip(qs, ns)))))
 
 
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
                     store: Store) -> ShuffleTranscript:
-    broadcasts = []
+    senders, groups, components, nbits, values = [], [], [], [], []
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for k in group:
                 for index, payload in enumerate(encode_cdc(k, group, placement, store), 1):
-                    broadcasts.append(Broadcast(
-                        sender=k,
-                        kind="cdc",
-                        meta={"group": list(group), "component": index},
-                        payloads=(payload,),
-                    ))
-    return ShuffleTranscript("cdc", spec, broadcasts)
+                    senders.append(k)
+                    groups.append(list(group))
+                    components.append(index)
+                    nbits.append(payload.nbits)
+                    values.append(payload.value)
+    m = len(senders)
+    return ShuffleTranscript("cdc", spec, Broadcasts(
+        senders, ["cdc"] * m, {"group": groups, "component": components}, [1] * m, nbits, values))
 
 
 def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
                        store: Store) -> tuple[ShuffleTranscript, dict]:
     """Per node and group size, broadcast a subspace basis plus coefficients."""
-    broadcasts = []
+    senders, ells, rhos, msg_lens, counts, nbits, values = [], [], [], [], [], [], []
     rho: dict[tuple[int, int], int] = {}
     for k in range(1, spec.K + 1):
         for ell in group_sizes(spec.K, spec.r, spec.s):
@@ -174,13 +177,17 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
                         for g in groups_containing(spec, k, ell)]
             d = ld_compress(ell, messages, spec)
             rho[(k, ell)] = d.rho
-            broadcasts.append(Broadcast(
-                sender=k,
-                kind="cdc-ld",
-                meta={"ell": ell, "rho": d.rho, "msg_len": d.ncols},
-                payloads=d.basis + d.coeffs,
-            ))
-    return ShuffleTranscript("cdc-ld", spec, broadcasts), rho
+            senders.append(k)
+            ells.append(ell)
+            rhos.append(d.rho)
+            msg_lens.append(d.ncols)
+            payloads = d.basis + d.coeffs
+            counts.append(len(payloads))
+            nbits += [p.nbits for p in payloads]
+            values += [p.value for p in payloads]
+    return ShuffleTranscript("cdc-ld", spec, Broadcasts(
+        senders, ["cdc-ld"] * len(senders), {"ell": ells, "rho": rhos, "msg_len": msg_lens},
+        counts, nbits, values)), rho
 
 
 def validate_transcript(spec: JobSpec, placement: Placement,
@@ -190,30 +197,32 @@ def validate_transcript(spec: JobSpec, placement: Placement,
 
     uncoded sends one T-bit payload per needed (q, n), from a node that mapped
     file n, returned as its value; cdc one ``segment_width``-bit payload per
-    (sender, group, component); cdc-ld per (sender, ell) rho basis rows of
-    msg_len = segment_width * C(ell-2, r-1) bits and C(K-1, ell-1) coefficient
-    rows of rho bits, returned as a ``BasisDecomposition``.  A bad or repeated
-    broadcast raises ``ValueError``, a missing one ``IncompleteShuffleError``.
+    (sender, group, component), returned as a ``BitVec``; cdc-ld per (sender,
+    ell) rho independent basis rows of msg_len = segment_width * C(ell-2, r-1)
+    bits and C(K-1, ell-1) coefficient rows of rho bits, returned as a
+    ``BasisDecomposition``.  A bad or repeated broadcast raises ``ValueError``,
+    a missing one ``IncompleteShuffleError``.
     """
     scheme, K, r = transcript.scheme, spec.K, spec.r
     sizes = group_sizes(K, r, spec.s)
+    cols = transcript.broadcasts
+    nbits, values = cols.nbits, cols.values
     got: dict = {}
     if scheme == "uncoded":
         mapped = {}  # per function, the files all its reducers mapped
         for batch, qs in placement.reduce_batches.items():
             mapped.update(dict.fromkeys(qs, set.intersection(
                 *[set(placement.node_files[j]) for j in batch])))
-        cols = transcript.broadcasts
         for i, (sender, kind, q, n, count) in enumerate(
-                zip(cols.senders, cols.kinds, cols.qs, cols.ns, cols.counts)):
+                zip(cols.senders, cols.kinds, cols.meta["q"], cols.meta["n"], cols.counts)):
             key = q, n
+            # every earlier broadcast has one payload, so this one's is payload i
             if (kind != scheme or q not in mapped or n in mapped[q]
                     or sender not in placement.batch_of_file.get(n, ())):
-                raise _rejected(i, cols[i], scheme)
-            # every earlier broadcast has one payload, so this one's is payload i
-            if count != 1 or cols.nbits[i] != spec.T or key in got:
-                raise _rejected(i, cols[i], scheme, key, [spec.T], got)
-            got[key] = cols.values[i]
+                raise _rejected(i, i, cols, scheme)
+            if count != 1 or nbits[i] != spec.T or key in got:
+                raise _rejected(i, i, cols, scheme, key, [spec.T], got)
+            got[key] = values[i]
         if len(got) < sum(spec.N - len(files) for files in mapped.values()):
             raise IncompleteShuffleError([qn for k in range(1, K + 1)
                                           for qn in needed_values(placement, k) if qn not in got])
@@ -226,29 +235,38 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     widths = {ell: segment_width(spec, ell) for ell in sizes}
-    for i, b in enumerate(transcript.broadcasts):
-        meta = b.meta
+    end = 0
+    for i, (sender, kind, count, meta) in enumerate(zip(
+            cols.senders, cols.kinds, cols.counts,
+            zip(*[cols.meta[field] for field in _META_KEYS[scheme]]))):
+        first, end = end, end + count
         if scheme == "cdc":
             # element types first: a list inside the group cannot be hashed
-            group = meta["group"]
-            key = ((b.sender, tuple(group), meta["component"])
+            group, component = meta
+            key = ((sender, tuple(group), component)
                    if type(group) is list and all(type(j) is int for j in group) else None)
         else:
-            key = (b.sender, meta["ell"])
-        if b.kind != scheme or key not in keys:
-            raise _rejected(i, b, scheme)
-        ell = len(group) if scheme == "cdc" else key[1]
+            ell, rho, msg_len = meta
+            key = (sender, ell)
+        if kind != scheme or key not in keys:
+            raise _rejected(i, first, cols, scheme)
+        ell = len(group) if scheme == "cdc" else ell
         lengths = [widths[ell]]
         if scheme == "cdc-ld":
-            rho, ncols = meta["rho"], widths[ell] * comb(ell - 2, r - 1)
-            if meta["msg_len"] != ncols or not 0 <= rho <= ncols:
-                raise ValueError(f"broadcast {i}: msg_len {meta['msg_len']} and rho {rho}, "
+            ncols = widths[ell] * comb(ell - 2, r - 1)
+            if msg_len != ncols or not 0 <= rho <= ncols:
+                raise ValueError(f"broadcast {i}: msg_len {msg_len} and rho {rho}, "
                                  f"expected msg_len {ncols} and rho in 0..{ncols}")
             lengths = [ncols] * rho + [rho] * comb(K - 1, ell - 1)
-        if [p.nbits for p in b.payloads] != lengths or key in got:
-            raise _rejected(i, b, scheme, key, lengths, got)
-        got[key] = b.payloads[0] if scheme == "cdc" else BasisDecomposition(
-            basis=b.payloads[:rho], coeffs=b.payloads[rho:], rho=rho, ncols=ncols)
+        if nbits[first:end] != lengths or key in got:
+            raise _rejected(i, first, cols, scheme, key, lengths, got)
+        rows = tuple(map(BitVec, values[first:end], lengths))
+        if scheme == "cdc":
+            got[key] = rows[0]
+        elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
+            raise ValueError(f"broadcast {i}: its {rho} basis rows have rank {rank}")
+        else:
+            got[key] = BasisDecomposition(basis=rows[:rho], coeffs=rows[rho:], rho=rho, ncols=ncols)
     if len(got) < len(keys):
         # the value sets the sender of a missing broadcast holds a segment of
         lost = [(j, g) for j, g, _ in keys - got.keys()] if scheme == "cdc" else [
@@ -258,12 +276,16 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     return got
 
 
-def _rejected(i: int, b: Broadcast, scheme: str, key=None, lengths=(), got=()) -> ValueError:
-    """Why broadcast i is not one of the job's: its kind, sender or key, else
-    a repeated key, else its payload lengths."""
-    why = (f"{b.kind} {b.meta} from node {b.sender} is not one of the job's {scheme} broadcasts"
-           if key is None else f"second broadcast for {key}" if key in got
-           else f"payloads of {[p.nbits for p in b.payloads]} bits for {key}, expected {lengths}")
+def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengths=(),
+              got=()) -> ValueError:
+    """Why broadcast i, whose payloads start at payload ``first``, is not one
+    of the job's: its kind, sender or key, else a repeated key, else its
+    payload lengths."""
+    meta = {field: column[i] for field, column in cols.meta.items()}
+    why = (f"{cols.kinds[i]} {meta} from node {cols.senders[i]} is not one of the job's "
+           f"{scheme} broadcasts" if key is None else f"second broadcast for {key}" if key in got
+           else f"payloads of {cols.nbits[first:first + cols.counts[i]]} bits for {key}, "
+           f"expected {lengths}")
     return ValueError(f"broadcast {i}: {why}")
 
 
@@ -307,7 +329,9 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
 
     nodes = range(1, spec.K + 1)
     if transcript.scheme == "uncoded":
-        recovered = {k: {qn: got[qn] for qn in needed_values(placement, k)} for k in nodes}
+        # every node hears every broadcast, and reads from them only its own
+        # needed values: no per-node copy
+        recovered = dict.fromkeys(nodes, got)
     else:
         # at s=1 every cdc broadcast is component 1 of its group's message
         if transcript.scheme == "cdc":
@@ -354,6 +378,9 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
     outputs, reference, recovered, verification = decode_and_verify(
         spec, placement, store, transcript, workload)
+    if recovered is not None:
+        for k, got in recovered.items():
+            recovered[k] = NodeValues.of(placement, k, got)
 
     return RunResult(
         spec=spec,
@@ -404,28 +431,25 @@ def _payload_from_json(obj: dict) -> tuple[int, int]:
 
 
 def transcript_to_json(transcript: ShuffleTranscript) -> dict:
-    if transcript.scheme == "uncoded":
-        cols = transcript.broadcasts
-        payloads = [{"bits": bits, "hex": f"{value:x}"}
-                    for bits, value in zip(cols.nbits, cols.values)]
-        broadcasts = [
-            {"sender": sender, "kind": kind, "meta": {"q": q, "n": n},
-             "payloads": payloads[first:first + count]}
-            for sender, kind, q, n, count, first in zip(
-                cols.senders, cols.kinds, cols.qs, cols.ns, cols.counts,
-                accumulate(cols.counts, initial=0))]
-    else:
-        broadcasts = [
-            {"sender": b.sender, "kind": b.kind, "meta": b.meta,
-             "payloads": [{"bits": p.nbits, "hex": p.to_hex()} for p in b.payloads]}
-            for b in transcript.broadcasts]
+    cols = transcript.broadcasts
+    # filled a field at a time: building each with dict(zip(...)) took the
+    # paper-fig4 uncoded transcript_to_json about 20 % longer
+    metas = [{} for _ in cols.senders]
+    for name, column in cols.meta.items():
+        for meta, value in zip(metas, column):
+            meta[name] = value
+    payloads = [{"bits": bits, "hex": f"{value:x}"} for bits, value in zip(cols.nbits, cols.values)]
+    broadcasts = [
+        {"sender": sender, "kind": kind, "meta": meta, "payloads": payloads[first:first + count]}
+        for sender, kind, meta, count, first in zip(
+            cols.senders, cols.kinds, metas, cols.counts, accumulate(cols.counts, initial=0))]
     return {"scheme": transcript.scheme, "spec": transcript.spec.as_dict(),
             "broadcasts": broadcasts}
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
-    """Read a transcript back; a field of the wrong type or shape raises
-    ``ValueError`` naming the field."""
+    """Read a transcript back; an unknown scheme, or a field of the wrong type
+    or shape, raises ``ValueError`` naming it."""
     expect_json(obj, dict, "transcript")
     spec = obj.get("spec")
     if type(spec) is not dict or spec.keys() != set(_SPEC_KEYS):
@@ -433,9 +457,11 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
                          f"{', '.join(_SPEC_KEYS)}, got {spec!r}")
     spec = JobSpec(**spec)
     scheme = expect_json(obj.get("scheme"), str, "transcript scheme")
-    keys = _META_KEYS.get(scheme, ())
+    if scheme not in _META_KEYS:
+        raise ValueError(f"transcript scheme {scheme!r}: expected one of {', '.join(SCHEMES)}")
+    keys = _META_KEYS[scheme]
     raw = expect_json(obj.get("broadcasts"), list, "transcript broadcasts")
-    broadcasts, nbits, values = [], [], []
+    nbits, values = [], []
     for i, b in enumerate(raw):
         if type(b) is not dict:
             raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
@@ -454,25 +480,23 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
                 raise ValueError(f"broadcast {i}: meta has no {key!r}")
             if key != "group" and type(meta[key]) is not int:
                 raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
+        if len(meta) != len(keys):
+            extra = next(key for key in meta if key not in keys)
+            raise ValueError(f"broadcast {i}: meta {extra!r} is not one of the {scheme} "
+                             f"meta fields {', '.join(keys)}")
         try:
-            payloads = [_payload_from_json(p) for p in b["payloads"]]
-        except ValueError as exc:
-            raise ValueError(f"broadcast {i}: {exc}") from None
-        if scheme == "uncoded":
-            for bits, value in payloads:
+            for bits, value in map(_payload_from_json, b["payloads"]):
                 nbits.append(bits)
                 values.append(value)
-        else:
-            broadcasts.append(Broadcast(sender=b["sender"], kind=b["kind"], meta=meta,
-                                        payloads=tuple([BitVec(v, bits) for bits, v in payloads])))
-    if scheme == "uncoded":
-        # one column at a time from the checked broadcasts: appending to five
-        # lists side by side left the wordcount-replay benchmark's replay 4 MB
-        # more peak RSS
-        broadcasts = UncodedBroadcasts(
-            [b["sender"] for b in raw], [b["kind"] for b in raw], [b["meta"]["q"] for b in raw],
-            [b["meta"]["n"] for b in raw], [len(b["payloads"]) for b in raw], nbits, values)
-    return ShuffleTranscript(scheme, spec, broadcasts)
+        except ValueError as exc:
+            raise ValueError(f"broadcast {i}: {exc}") from None
+    # one column at a time from the checked broadcasts: appending to five
+    # lists side by side left the wordcount-replay benchmark's replay 4 MB
+    # more peak RSS
+    return ShuffleTranscript(scheme, spec, Broadcasts(
+        [b["sender"] for b in raw], [b["kind"] for b in raw],
+        {key: [b["meta"][key] for b in raw] for key in keys},
+        [len(b["payloads"]) for b in raw], nbits, values))
 
 
 def _key(k) -> str:

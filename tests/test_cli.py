@@ -353,6 +353,16 @@ def _prepend_conflict(broadcasts):
     broadcasts.insert(0, dup)
 
 
+def _repeated_basis_row(broadcasts):
+    # basis row 0 again as a third row: rho 3 where the rows have rank 2, and
+    # every coefficient row widened to 3 bits with the same value
+    b = broadcasts[0]
+    rho = b["meta"]["rho"]
+    basis, coeffs = b["payloads"][:rho], b["payloads"][rho:]
+    b["meta"]["rho"] = rho + 1
+    b["payloads"] = basis + [dict(basis[0])] + [dict(c, bits=rho + 1) for c in coeffs]
+
+
 def _extra_coeff_row(broadcasts):
     broadcasts[0]["payloads"].append({"bits": broadcasts[0]["meta"]["rho"], "hex": "1"})
 
@@ -440,6 +450,7 @@ class TestFixture:
         *[(scheme, _append_copy) for scheme in ("uncoded", "cdc", "cdc-ld")],
         *[(scheme, _prepend_conflict) for scheme in ("uncoded", "cdc", "cdc-ld")],
         ("cdc-ld", _extra_coeff_row),
+        ("cdc-ld", _repeated_basis_row),
         ("uncoded", _all_sent_by_4),
         ("uncoded", lambda bs: bs[0].update(sender=99)),
         ("cdc", _resent_by_outsider),
@@ -460,7 +471,7 @@ class TestFixture:
         ("uncoded", _extra_uncoded(999)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
-            "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
+            "cdc-ld-dependent-row", "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
             "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
             "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "uncoded-two-payloads",
             "cdc-ld-ell-huge",
@@ -495,11 +506,16 @@ class TestFixture:
         ("uncoded", ("payloads", 0), 5,
          "payload 5 is not an object with an int 'bits' and a str 'hex'"),
         ("cdc", ("payloads", 0, "hex"), "zz", "invalid literal for int() with base 16: 'zz'"),
+        ("uncoded", ("meta", "extra"), 1, "meta 'extra' is not one of the uncoded meta fields q, n"),
+        ("cdc", ("meta", "extra"), 1,
+         "meta 'extra' is not one of the cdc meta fields group, component"),
+        ("cdc-ld", ("meta", "n"), 1,
+         "meta 'n' is not one of the cdc-ld meta fields ell, rho, msg_len"),
     ], ids=["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
             "uncoded-payloads", "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
             "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
             "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
-            "cdc-hex-not-hex"])
+            "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n"])
     def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field_path,
                                                 value, message):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
@@ -611,8 +627,10 @@ class TestFixture:
         (lambda d: [d], "fixture document"),
         (lambda d: d["transcript"].update(broadcasts=7) or d, "transcript broadcasts"),
         (lambda d: d.update(workload=3) or d, "fixture workload"),
+        (lambda d: d["transcript"].update(scheme="bogus") or d,
+         "transcript scheme 'bogus': expected one of uncoded, cdc, cdc-ld\n"),
     ], ids=["broadcast-int", "spec-extra-key", "spec-no-T", "spec-list", "transcript-list",
-            "document-list", "broadcasts-int", "workload-int"])
+            "document-list", "broadcasts-int", "workload-int", "scheme-bogus"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, edit, field):
         doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-cdc-ld.json").read_text())
         path = tmp_path / "malformed.json"

@@ -190,10 +190,12 @@ class TestEncode:
         assert len(msgs) == 2
         assert len({m.nbits for m in msgs}) == 1
         # the transcript numbers the components 1, 2 in encoder order
-        sent = [b for b in run_cdc_shuffle(spec, placement, store).broadcasts
-                if b.sender == 1 and b.meta["group"] == [1, 2, 3, 4]]
-        assert [b.meta["component"] for b in sent] == [1, 2]
-        assert [b.payloads[0] for b in sent] == msgs
+        cols = run_cdc_shuffle(spec, placement, store).broadcasts
+        assert set(cols.counts) == {1}  # so broadcast i carries payload i
+        sent = [i for i, (sender, group) in enumerate(zip(cols.senders, cols.meta["group"]))
+                if sender == 1 and group == [1, 2, 3, 4]]
+        assert [cols.meta["component"][i] for i in sent] == [1, 2]
+        assert [BitVec(cols.values[i], cols.nbits[i]) for i in sent] == msgs
         # first component uses the all-ones row: it is the plain segment XOR
         segs = []
         for holders in combinations((1, 2, 3, 4), 2):

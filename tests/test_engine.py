@@ -6,7 +6,9 @@ import hashlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, inf, nan
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from cdcsim.codec import IncompleteShuffleError
 from cdcsim.engine import (
     SCHEMES,
+    Broadcasts,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
@@ -86,10 +89,10 @@ class TestUncoded:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
         placement = make_placement(spec)
         store = paper_workload().build_store(spec)
-        transcript = run_uncoded_shuffle(spec, placement, store)
-        for b in transcript.broadcasts:
-            n = b.meta["n"]
-            assert b.sender == min(placement.batch_of_file[n])
+        cols = run_uncoded_shuffle(spec, placement, store).broadcasts
+        assert len(cols) > 0
+        for sender, n in zip(cols.senders, cols.meta["n"]):
+            assert sender == min(placement.batch_of_file[n])
 
     def test_zero_bits_at_full_replication(self):
         spec = JobSpec(K=4, N=6, Q=4, r=4, s=1, T=6)
@@ -111,8 +114,8 @@ class TestUncoded:
 
 
 class TestTranscriptColumns:
-    """An uncoded transcript is held as columns; ``broadcasts`` is a view that
-    builds each ``Broadcast`` when asked."""
+    """Every transcript is held as columns: per broadcast its sender, kind,
+    meta fields and payload count; per payload its width and value."""
 
     SPEC = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
 
@@ -129,20 +132,17 @@ class TestTranscriptColumns:
         spec = self.SPEC
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=3).build_store(spec)
-        view = run_uncoded_shuffle(spec, placement, store).broadcasts
-        expected = [(placement.batch_of_file[n][0], "uncoded", {"q": q, "n": n},
-                     ((spec.T, store[(q, n)]),))
-                    for k in range(1, spec.K + 1) for q, n in sorted(needed_values(placement, k))]
-        got = [(b.sender, b.kind, b.meta, tuple((p.nbits, p.value) for p in b.payloads))
-               for b in view]
-        assert got == expected
-        assert [view[i] for i in (0, 7, -1)] == [list(view)[i] for i in (0, 7, -1)]
-        with pytest.raises(IndexError):
-            view[len(view)]
+        needed = [qn for k in range(1, spec.K + 1) for qn in sorted(needed_values(placement, k))]
+        m = len(needed)
+        assert run_uncoded_shuffle(spec, placement, store).broadcasts == Broadcasts(
+            [placement.batch_of_file[n][0] for _, n in needed], ["uncoded"] * m,
+            {"q": [q for q, _ in needed], "n": [n for _, n in needed]}, [1] * m,
+            [spec.T] * m, [store[qn] for qn in needed])
 
     def test_payload_counts_other_than_one(self):
         # broadcast 0 loses its payload and broadcast 1 carries two: the
-        # columns keep every payload with its broadcast
+        # columns keep every payload with its broadcast, through reader,
+        # writer and bits_by_node
         result = run(self.SPEC, SyntheticRankWorkload(seed=3), "uncoded")
         doc = transcript_to_json(result.transcript)
         b0, b1, b2 = doc["broadcasts"][:3]
@@ -150,11 +150,10 @@ class TestTranscriptColumns:
         b1["payloads"] = [b1["payloads"][0], {"bits": 3, "hex": "5"}]
         back = transcript_from_json(doc)
         assert dump_json(transcript_to_json(back)) == dump_json(doc)
-        assert [back.broadcasts[i].payloads for i in range(3)] == [
-            (), (BitVec(int(b1["payloads"][0]["hex"], 16), 8), BitVec(5, 3)),
-            (BitVec(int(b2["payloads"][0]["hex"], 16), 8),)]
-        assert [b.payloads for b in back.broadcasts][:3] == [back.broadcasts[i].payloads
-                                                              for i in range(3)]
+        cols = back.broadcasts
+        assert cols.counts[:3] == [0, 2, 1]
+        assert list(zip(cols.nbits, cols.values))[:3] == [
+            (8, int(b1["payloads"][0]["hex"], 16)), (3, 5), (8, int(b2["payloads"][0]["hex"], 16))]
         bits = result.bits_by_node
         bits[b0["sender"]] -= 8
         bits[b1["sender"]] += 3
@@ -162,7 +161,7 @@ class TestTranscriptColumns:
 
     def test_uncoded_shuffle_peak_memory(self):
         # 30 240 broadcasts (the paper-fig4 benchmark spec): the columns peak
-        # near 1.8 MB, a Broadcast, meta dict and BitVec per broadcast near 12 MB
+        # near 1.8 MB, an object, meta dict and BitVec per broadcast near 12 MB
         spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=1).build_store(spec)
@@ -199,14 +198,26 @@ class TestSchemeEquivalence:
                     assert v == reference[q]
 
     def test_recovered_values_bit_exact(self):
-        spec = JobSpec(K=5, N=20, Q=5, r=2, s=1, T=16)
-        workload = SyntheticRankWorkload(seed=77, duplicate_prob=0.5)
-        store = workload.build_store(spec)
-        for scheme in ("uncoded", "cdc", "cdc-ld"):
-            result = run(spec, workload, scheme)
-            for k, recovered in result.recovered.items():
-                for qn, v in recovered.items():
-                    assert v == store[qn]
+        # Q=10 gives each node two reduce functions, so the values of a node
+        # are laid out over more than one function
+        for Q in (5, 10):
+            spec = JobSpec(K=5, N=20, Q=Q, r=2, s=1, T=16)
+            workload = SyntheticRankWorkload(seed=77, duplicate_prob=0.5)
+            store = workload.build_store(spec)
+            placement = make_placement(spec)
+            for scheme in ("uncoded", "cdc", "cdc-ld"):
+                result = run(spec, workload, scheme)
+                for k, recovered in result.recovered.items():
+                    for qn, v in recovered.items():
+                        assert v == store[qn]
+                    expected = {qn: store[qn] for qn in needed_values(placement, k)}
+                    assert recovered == expected and len(recovered) == len(expected)
+                    assert all(recovered[qn] == v for qn, v in expected.items())
+                    own = placement.node_files[k][0]
+                    for absent in ((placement.node_funcs[k][0], own), (0, 1)):
+                        assert absent not in recovered
+                        with pytest.raises(KeyError):
+                            recovered[absent]
 
 
 class TestAccounting:
@@ -215,19 +226,20 @@ class TestAccounting:
         workload = SyntheticRankWorkload(seed=3)
         for scheme in ("uncoded", "cdc", "cdc-ld"):
             result = run(spec, workload, scheme)
+            cols = result.transcript.broadcasts
+            assert sum(cols.counts) == len(cols.nbits) == len(cols.values)
             recomputed = {k: 0 for k in range(1, 6)}
-            for b in result.transcript.broadcasts:
-                recomputed[b.sender] += sum(p.nbits for p in b.payloads)
+            for sender, first, count in zip(cols.senders, accumulate(cols.counts, initial=0),
+                                            cols.counts):
+                recomputed[sender] += sum(cols.nbits[first:first + count])
             assert recomputed == result.bits_by_node
 
     def test_cdc_message_count_and_length(self):
         # s=1: each node sends C(K-1, r) messages of eta1*eta2*T/r bits
         spec = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
         result = run(spec, SyntheticRankWorkload(seed=3), "cdc")
-        per_node = {k: 0 for k in range(1, 6)}
-        for b in result.transcript.broadcasts:
-            per_node[b.sender] += 1
-        assert all(count == comb(4, 2) for count in per_node.values())
+        per_node = Counter(result.transcript.broadcasts.senders)
+        assert per_node == {k: comb(4, 2) for k in range(1, 6)}
         expected_bits = comb(4, 2) * spec.eta1 * spec.eta2 * spec.T // spec.r
         assert all(result.bits_by_node[k] == expected_bits for k in range(1, 6))
 
@@ -326,9 +338,9 @@ class TestReducePhase:
         placement = make_placement(spec)
         workload = paper_workload()
         store = workload.build_store(spec)
-        result = run(spec, workload, "cdc")
-        transcript = result.transcript
-        transcript.broadcasts.pop(0)
+        doc = transcript_to_json(run(spec, workload, "cdc").transcript)
+        doc["broadcasts"].pop(0)
+        transcript = transcript_from_json(doc)
         with pytest.raises(IncompleteShuffleError):
             decode_and_verify(spec, placement, store, transcript, workload)
 
@@ -347,7 +359,13 @@ class TestDeterminism:
         result = run(spec, paper_workload(), scheme)
         doc = transcript_to_json(result.transcript)
         back = transcript_from_json(doc)
+        assert back == result.transcript
         assert dump_json(transcript_to_json(back)) == dump_json(doc)
+        if scheme != "uncoded":
+            # a general-s transcript reads back column for column too
+            s3 = run(JobSpec(K=6, N=15, Q=20, r=2, s=3, T=17), SyntheticRankWorkload(seed=1),
+                     scheme).transcript
+            assert transcript_from_json(transcript_to_json(s3)) == s3
         # and the deserialized transcript still decodes
         placement = make_placement(spec)
         store = paper_workload().build_store(spec)
