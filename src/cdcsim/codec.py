@@ -11,7 +11,7 @@ not decoded.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -20,8 +20,10 @@ from .gf2 import (
     BitVec,
     Gf2Matrix,
     ext_field,
+    pack,
     rank_and_basis,
     reconstruct,
+    unpack,
     vandermonde,
 )
 from .placement import JobSpec, Placement, group_sizes, ksubsets
@@ -60,12 +62,12 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
         raise ValueError(f"holders {holders} must be an r={spec.r} subset of group {group}")
 
     receivers = set(group) - set(holders)
-    qs = sorted(
-        q for subset in combinations(group, spec.s) if receivers <= set(subset)
-        for q in placement.reduce_batches[subset]
-    )
+    qs = sorted(chain.from_iterable(
+        placement.reduce_batches[subset]
+        for subset in combinations(group, spec.s) if receivers <= set(subset)
+    ))
     ns = sorted(placement.file_batches[holders])
-    value_ids = tuple((q, n) for q in qs for n in ns)
+    value_ids = tuple(product(qs, ns))
     expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2
     if len(value_ids) != expected:
         raise AssertionError(
@@ -84,9 +86,7 @@ def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
     zero-padded at the end to a multiple of r so the split is even; a receiver
     strips the padding by keeping len(value_ids) * T bits.
     """
-    payload = 0
-    for i, qn in enumerate(value_ids):
-        payload |= values[qn] << i * T
+    payload = pack(list(map(values.__getitem__, value_ids)), T)
     width = -(-len(value_ids) * T // r)
     mask = (1 << width) - 1
     return width, tuple(payload >> i * width & mask for i in range(r))
@@ -191,7 +191,6 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     if spec.s != 1:
         raise ValueError("peeling decoder only applies when each reduce function has one copy")
     T, width = spec.T, segment_width(spec, spec.r + 1)
-    mask = (1 << T) - 1
     recovered: dict[tuple[int, int], int] = {}
     missing: list[tuple[int, int]] = []
 
@@ -215,11 +214,11 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
                     holders = tuple(sorted(set(group) - {i}))
                     acc ^= local_segs[holders][holders.index(j)]
             symbol |= acc << idx * width
-        # the trailing zero padding the segmentation added lies above the values
+        # the trailing zero padding the segmentation added lies above the
+        # values; check it first, since unpack raises OverflowError on it
         if symbol >> len(target) * T:
             raise ValueError(f"node {k}: the padding of group {group}'s symbol is not zero")
-        for idx, qn in enumerate(target):
-            recovered[qn] = symbol >> idx * T & mask
+        recovered.update(zip(target, unpack(symbol, len(target), T)))
 
     if missing:
         raise IncompleteShuffleError(missing)

@@ -10,8 +10,9 @@ Everything here is deterministic; there is no floating point anywhere.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class UnsupportedDegreeError(ValueError):
@@ -54,6 +55,35 @@ class BitVec:
 
     def to_hex(self) -> str:
         return f"{self.value:x}"
+
+
+# struct codes of the value widths that are whole machine words
+_WORD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def pack(values: Sequence[int], T: int) -> int:
+    """Concatenate T-bit values, value i at bits i*T; each must fit in T bits.
+
+    Linear in len(values) when T is 8, 16, 32 or 64; any other T takes one
+    shift per value, quadratic in len(values).
+    """
+    code = _WORD_CODE.get(T)
+    if code is not None:
+        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    acc = 0
+    for i, v in enumerate(values):
+        acc |= v << i * T
+    return acc
+
+
+def unpack(x: int, n: int, T: int) -> list[int]:
+    """The n T-bit values ``pack`` concatenated into x, which must be below
+    2**(n*T): for T in 8, 16, 32, 64 a wider x raises ``OverflowError``."""
+    code = _WORD_CODE.get(T)
+    if code is not None:
+        return list(struct.unpack(f"<{n}{code}", x.to_bytes(n * T // 8, "little")))
+    mask = (1 << T) - 1
+    return [x >> i * T & mask for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import filterfalse
 from typing import Sequence, TextIO
 
-from .gf2 import BitVec
+from .gf2 import BitVec, pack
 from .placement import JobSpec
 
 
@@ -192,10 +192,7 @@ class LinearTransformWorkload:
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
         """Concatenate the per-input products of block q, in input order."""
-        acc = 0
-        for i, v in enumerate(values):
-            acc |= v << i * T
-        return BitVec(acc, len(values) * T)
+        return BitVec(pack(values, T), len(values) * T)
 
 
 def _matvec_block(rows: Sequence[BitVec], x: BitVec) -> int:

@@ -588,6 +588,28 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
+    def test_every_payload_bit_flip_fails_replay_at_word_width(self, tmp_path, scheme):
+        # one 8-bit value split in three 3-bit segments leaves one padding
+        # bit; at T=8 the recovered symbol unpacks through struct, which
+        # raises OverflowError if the padding check let a set bit through
+        spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=8)
+        desc = {"kind": "synthetic", "seed": 2}
+        honest = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        path = tmp_path / "tampered.json"
+        flips = 0
+        for i, b in enumerate(honest["transcript"]["broadcasts"]):
+            for j, payload in enumerate(b["payloads"]):
+                for bit in range(payload["bits"]):
+                    doc = copy.deepcopy(honest)
+                    edited = doc["transcript"]["broadcasts"][i]["payloads"][j]
+                    edited["hex"] = f"{int(edited['hex'], 16) ^ 1 << bit:x}"
+                    assert replay_fixture(doc) == "fail", (i, j, bit)
+                    path.write_text(json.dumps(doc))
+                    assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY, (i, j, bit)
+                    flips += 1
+        assert flips >= 12  # four senders, at least one 3-bit row each
+
     S2_SPECS = [dict(K=4, N=6, Q=6, r=2, s=2, T=8), dict(K=5, N=10, Q=10, r=2, s=2, T=7)]
 
     @pytest.mark.parametrize("kw", S2_SPECS, ids=["K4-T8", "K5-T7"])

@@ -21,7 +21,7 @@ from cdcsim.codec import (
     segment_usymbol,
 )
 from cdcsim.engine import run_cdc_shuffle
-from cdcsim.gf2 import BasisDecomposition, BitVec
+from cdcsim.gf2 import BasisDecomposition, BitVec, pack, unpack
 from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import SyntheticRankWorkload, WordCountWorkload, wordcount_map
 from oracles import vset_members_bruteforce
@@ -126,6 +126,32 @@ class TestUSymbol:
         width, segs = segment_usymbol(value_ids, 2, store, spec.T)
         assert len(segs) * width - len(value_ids) * spec.T == 1
         assert width == 3 and all(seg >> 3 == 0 for seg in segs)
+
+
+
+def _pack_by_shifts(values, T):
+    acc = 0
+    for i, v in enumerate(values):
+        acc |= v << i * T
+    return acc
+
+
+def _unpack_by_shifts(x, n, T):
+    return [x >> i * T & ((1 << T) - 1) for i in range(n)]
+
+
+class TestPackUnpack:
+    # word widths take the struct path, every other width the shift loop
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 36, 800])
+    def test_matches_shift_loop(self, n):
+        rng = random.Random(n)
+        for T in range(1, 71):
+            ones = (1 << T) - 1
+            for values in ([0] * n, [ones] * n,
+                           [rng.choice((0, ones, rng.getrandbits(T))) for _ in range(n)]):
+                x = pack(values, T)
+                assert x == _pack_by_shifts(values, T)
+                assert unpack(x, n, T) == _unpack_by_shifts(x, n, T) == values
 
 
 def xor_oracle_message(k, group, placement, store):
