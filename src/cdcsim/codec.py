@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from .gf2 import (
     BasisDecomposition,
-    BitVec,
     Gf2Matrix,
     ext_field,
     pack,
@@ -101,6 +100,12 @@ def segment_width(spec: JobSpec, ell: int) -> int:
     return width + (-width) % lam
 
 
+def message_width(spec: JobSpec, ell: int) -> int:
+    """Bits of one whole coded broadcast to a group of size ell: its
+    C(ell-2, r-1) components of ``segment_width`` bits each, concatenated."""
+    return segment_width(spec, ell) * comb(ell - 2, spec.r - 1)
+
+
 def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
     """Blockwise scalar multiplication: the nbits-bit segment x as a vector of
     field symbols.
@@ -127,9 +132,9 @@ def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,
-               values: Mapping[tuple[int, int], int]) -> list[BitVec]:
-    """Build node k's coded broadcast to one multicast group, one payload per
-    component in component order.
+               values: Mapping[tuple[int, int], int]) -> list[int]:
+    """Build node k's coded broadcast to one multicast group, one
+    ``segment_width``-bit payload per component in component order.
 
     With s=1 the single message is the XOR of k's segments.  With s>=2 the
     m segments are combined into n < m components using rows of powers of
@@ -152,7 +157,7 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
         acc = 0
         for seg in segments:
             acc ^= seg
-        return [BitVec(acc, width)]
+        return [acc]
 
     n_comp = comb(ell - 2, spec.r - 1)
     field = ext_field(m.bit_length())
@@ -163,17 +168,18 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
         acc = 0
         for j, seg in enumerate(segments):
             acc ^= _scale_segment(field, powers[i][j], seg, width)
-        messages.append(BitVec(acc, width))
+        messages.append(acc)
     return messages
 
 
 def full_message(k: int, group: Sequence[int], placement: Placement,
-                 values: Mapping[tuple[int, int], int]) -> BitVec:
-    """All components of one broadcast concatenated into a single vector."""
-    return BitVec.concat_all(encode_cdc(k, group, placement, values))
+                 values: Mapping[tuple[int, int], int]) -> int:
+    """All components of one broadcast concatenated into a single
+    ``message_width``-bit vector, component i at bits i * segment_width."""
+    return pack(encode_cdc(k, group, placement, values), segment_width(placement.spec, len(group)))
 
 
-def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec],
+def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
                   values: Mapping[tuple[int, int], int],
                   placement: Placement) -> dict[tuple[int, int], int]:
     """Recover node k's missing values by XOR peeling (single-copy reduce only).
@@ -207,8 +213,7 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
             for holders in combinations(group, spec.r) if k in holders
         }
         symbol = 0
-        for idx, (j, payload) in enumerate(zip(others, payloads)):
-            acc = payload.value
+        for idx, (j, acc) in enumerate(zip(others, payloads)):
             for i in others:
                 if i != j:
                     holders = tuple(sorted(set(group) - {i}))
@@ -225,20 +230,17 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], BitVec]
     return recovered
 
 
-def ld_compress(ell: int, messages: Sequence[BitVec], spec: JobSpec) -> BasisDecomposition:
-    """Compress a node's size-ell broadcasts down to a basis of their span plus
-    one coefficient vector per message."""
+def ld_compress(ell: int, messages: Sequence[int], spec: JobSpec) -> BasisDecomposition:
+    """Compress a node's size-ell broadcasts, each ``message_width`` bits,
+    down to a basis of their span plus one coefficient vector per message; a
+    message that does not fit raises ``ValueError``."""
     expected = comb(spec.K - 1, ell - 1)
     if len(messages) != expected:
         raise ValueError(f"got {len(messages)} messages, expected C(K-1,ell-1)={expected}")
-    lengths = {m.nbits for m in messages}
-    if len(lengths) > 1:
-        raise ValueError(f"inconsistent message lengths {sorted(lengths)}")
-    msg_len = lengths.pop() if lengths else 0
-    return rank_and_basis(Gf2Matrix(tuple(messages), msg_len))
+    return rank_and_basis(Gf2Matrix(tuple(messages), message_width(spec, ell)))
 
 
-def ld_decompress(d: BasisDecomposition) -> list[BitVec]:
+def ld_decompress(d: BasisDecomposition) -> list[int]:
     """Rebuild the original messages exactly from basis and coefficients."""
     return list(reconstruct(d).rows)
 

@@ -9,6 +9,7 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -25,10 +26,11 @@ from .codec import (
     groups_containing,
     ld_compress,
     ld_decompress,
+    message_width,
     multicast_coverage,
     segment_width,
 )
-from .gf2 import BasisDecomposition, BitVec, Gf2Matrix, rank_and_basis
+from .gf2 import _WORD_CODE, BasisDecomposition, Gf2Matrix, rank_and_basis
 from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
 from .workloads import Store
 
@@ -97,8 +99,10 @@ class NodeValues(Mapping):
         funcs = placement.node_funcs[k]
         files = tuple(n for n in range(1, placement.spec.N + 1) if n not in own)
         width = (placement.spec.T + 7) // 8
-        return cls(funcs, files, width, b"".join(
-            [v.to_bytes(width, "little") for v in map(got.__getitem__, product(funcs, files))]))
+        values = list(map(got.__getitem__, product(funcs, files)))
+        code = _WORD_CODE.get(8 * width)
+        return cls(funcs, files, width, struct.pack(f"<{len(values)}{code}", *values)
+                   if code else b"".join([v.to_bytes(width, "little") for v in values]))
 
     def __getitem__(self, qn: tuple[int, int]) -> int:
         q, n = qn
@@ -153,14 +157,15 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
                     store: Store) -> ShuffleTranscript:
     senders, groups, components, nbits, values = [], [], [], [], []
     for ell in group_sizes(spec.K, spec.r, spec.s):
+        width = segment_width(spec, ell)
         for group in ksubsets(spec.K, ell):
             for k in group:
                 for index, payload in enumerate(encode_cdc(k, group, placement, store), 1):
                     senders.append(k)
                     groups.append(list(group))
                     components.append(index)
-                    nbits.append(payload.nbits)
-                    values.append(payload.value)
+                    nbits.append(width)
+                    values.append(payload)
     m = len(senders)
     return ShuffleTranscript("cdc", spec, Broadcasts(
         senders, ["cdc"] * m, {"group": groups, "component": components}, [1] * m, nbits, values))
@@ -181,10 +186,9 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
             ells.append(ell)
             rhos.append(d.rho)
             msg_lens.append(d.ncols)
-            payloads = d.basis + d.coeffs
-            counts.append(len(payloads))
-            nbits += [p.nbits for p in payloads]
-            values += [p.value for p in payloads]
+            counts.append(d.rho + len(d.coeffs))
+            nbits += [d.ncols] * d.rho + [d.rho] * len(d.coeffs)
+            values += d.basis + d.coeffs
     return ShuffleTranscript("cdc-ld", spec, Broadcasts(
         senders, ["cdc-ld"] * len(senders), {"ell": ells, "rho": rhos, "msg_len": msg_lens},
         counts, nbits, values)), rho
@@ -196,12 +200,13 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     sends for this job, and return their payloads by key.
 
     uncoded sends one T-bit payload per needed (q, n), from a node that mapped
-    file n, returned as its value; cdc one ``segment_width``-bit payload per
-    (sender, group, component), returned as a ``BitVec``; cdc-ld per (sender,
-    ell) rho independent basis rows of msg_len = segment_width * C(ell-2, r-1)
-    bits and C(K-1, ell-1) coefficient rows of rho bits, returned as a
-    ``BasisDecomposition``.  A bad or repeated broadcast raises ``ValueError``,
-    a missing one ``IncompleteShuffleError``.
+    file n; cdc one ``segment_width``-bit payload per (sender, group,
+    component), each returned as its value; cdc-ld per (sender, ell) rho
+    independent basis rows of msg_len = ``message_width`` bits and
+    C(K-1, ell-1) coefficient rows of rho bits, returned as a
+    ``BasisDecomposition``.  Every payload value must fit in its width.  A bad
+    or repeated broadcast raises ``ValueError``, a missing one
+    ``IncompleteShuffleError``.
     """
     scheme, K, r = transcript.scheme, spec.K, spec.r
     sizes = group_sizes(K, r, spec.s)
@@ -220,7 +225,7 @@ def validate_transcript(spec: JobSpec, placement: Placement,
             if (kind != scheme or q not in mapped or n in mapped[q]
                     or sender not in placement.batch_of_file.get(n, ())):
                 raise _rejected(i, i, cols, scheme)
-            if count != 1 or nbits[i] != spec.T or key in got:
+            if count != 1 or nbits[i] != spec.T or key in got or values[i] >> spec.T:
                 raise _rejected(i, i, cols, scheme, key, [spec.T], got)
             got[key] = values[i]
         if len(got) < sum(spec.N - len(files) for files in mapped.values()):
@@ -253,14 +258,15 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         ell = len(group) if scheme == "cdc" else ell
         lengths = [widths[ell]]
         if scheme == "cdc-ld":
-            ncols = widths[ell] * comb(ell - 2, r - 1)
+            ncols = message_width(spec, ell)
             if msg_len != ncols or not 0 <= rho <= ncols:
                 raise ValueError(f"broadcast {i}: msg_len {msg_len} and rho {rho}, "
                                  f"expected msg_len {ncols} and rho in 0..{ncols}")
             lengths = [ncols] * rho + [rho] * comb(K - 1, ell - 1)
-        if nbits[first:end] != lengths or key in got:
+        rows = tuple(values[first:end])
+        if (nbits[first:end] != lengths or key in got
+                or any(v >> n for v, n in zip(rows, lengths))):
             raise _rejected(i, first, cols, scheme, key, lengths, got)
-        rows = tuple(map(BitVec, values[first:end], lengths))
         if scheme == "cdc":
             got[key] = rows[0]
         elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
@@ -280,12 +286,15 @@ def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengt
               got=()) -> ValueError:
     """Why broadcast i, whose payloads start at payload ``first``, is not one
     of the job's: its kind, sender or key, else a repeated key, else its
-    payload lengths."""
+    payload lengths, else the first payload value that does not fit its length."""
     meta = {field: column[i] for field, column in cols.meta.items()}
+    bits = cols.nbits[first:first + cols.counts[i]]
     why = (f"{cols.kinds[i]} {meta} from node {cols.senders[i]} is not one of the job's "
            f"{scheme} broadcasts" if key is None else f"second broadcast for {key}" if key in got
-           else f"payloads of {cols.nbits[first:first + cols.counts[i]]} bits for {key}, "
-           f"expected {lengths}")
+           else f"payloads of {bits} bits for {key}, expected {lengths}"
+           if bits != lengths else next(
+               f"payload {j} for {key} does not fit in {n} bits"
+               for j, (v, n) in enumerate(zip(cols.values[first:], bits)) if v >> n))
     return ValueError(f"broadcast {i}: {why}")
 
 

@@ -1,9 +1,11 @@
 """Bit-packed linear algebra over GF(2) and small binary extension fields.
 
 A vector is a plain Python integer: bit position i of the vector is bit i
-of the integer, so position 0 is the lowest-order bit.  ``BitVec`` pairs such
-an integer with its length wherever the job spec does not fix the length
-(wire payloads, rank decompositions, reduce outputs, rows read from a file).
+of the integer, so position 0 is the lowest-order bit.  Where the job spec
+fixes a vector's length (coded messages, matrix rows, basis rows and
+coefficients) the length is kept beside the integers, once per matrix or
+transcript column.  ``BitVec`` pairs an integer with its length only where the
+length is data: reduce outputs and rows read from a file.
 Everything here is deterministic; there is no floating point anywhere.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class UnsupportedDegreeError(ValueError):
@@ -39,15 +41,6 @@ class BitVec:
             raise ValueError(f"negative bit length {self.nbits}")
         if self.value < 0 or self.value >> self.nbits:
             raise ValueError(f"value 0x{self.value:x} does not fit in {self.nbits} bits")
-
-    @classmethod
-    def concat_all(cls, parts: Iterable["BitVec"]) -> "BitVec":
-        value = 0
-        shift = 0
-        for p in parts:
-            value |= p.value << shift
-            shift += p.nbits
-        return cls(value, shift)
 
     @classmethod
     def from_hex(cls, digits: str, nbits: int) -> "BitVec":
@@ -88,15 +81,15 @@ def unpack(x: int, n: int, T: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """A list of equal-length rows over GF(2)."""
+    """Rows over GF(2), each an int that fits in ``ncols`` bits."""
 
-    rows: tuple[BitVec, ...]
+    rows: tuple[int, ...]
     ncols: int
 
     def __post_init__(self) -> None:
         for row in self.rows:
-            if row.nbits != self.ncols:
-                raise ValueError(f"row of length {row.nbits} in matrix with {self.ncols} columns")
+            if row < 0 or row >> self.ncols:
+                raise ValueError(f"row {row:#x} does not fit in {self.ncols} columns")
 
     @property
     def nrows(self) -> int:
@@ -108,12 +101,12 @@ class BasisDecomposition:
     """Rank factorization of a GF(2) matrix: rows == coeffs x basis.
 
     ``basis`` holds the first maximal independent subset of the original
-    rows, in the order they were encountered; ``coeffs[i]`` is the length-rho
-    combination that reproduces original row i.
+    rows, in the order they were encountered; ``coeffs[i]`` is the rho-bit
+    combination that reproduces original row i, bit j selecting ``basis[j]``.
     """
 
-    basis: tuple[BitVec, ...]
-    coeffs: tuple[BitVec, ...]
+    basis: tuple[int, ...]
+    coeffs: tuple[int, ...]
     rho: int
     ncols: int
 
@@ -127,15 +120,15 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
     the basis is a subset of the input rows and the whole procedure is
     deterministic.
     """
-    basis: list[BitVec] = []
-    coeffs: list[BitVec] = []
+    basis: list[int] = []
+    coeffs: list[int] = []
     # (pivot position, reduced row, expansion of the reduced row over basis slots)
     pivot_of: dict[int, int] = {}
     reduced_rows: list[int] = []
     expansions: list[int] = []
 
     for row in m.rows:
-        cur = row.value
+        cur = row
         exp = 0
         while cur:
             p = (cur & -cur).bit_length() - 1
@@ -155,13 +148,8 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
         else:
             coeffs.append(exp)
 
-    rho = len(basis)
-    return BasisDecomposition(
-        basis=tuple(basis),
-        coeffs=tuple(BitVec(c, rho) for c in coeffs),
-        rho=rho,
-        ncols=m.ncols,
-    )
+    return BasisDecomposition(basis=tuple(basis), coeffs=tuple(coeffs), rho=len(basis),
+                              ncols=m.ncols)
 
 
 def reconstruct(b: BasisDecomposition) -> Gf2Matrix:
@@ -169,21 +157,19 @@ def reconstruct(b: BasisDecomposition) -> Gf2Matrix:
     if len(b.basis) != b.rho:
         raise MalformedDecompositionError(f"basis has {len(b.basis)} rows but rho={b.rho}")
     for vec in b.basis:
-        if vec.nbits != b.ncols:
+        if vec < 0 or vec >> b.ncols:
             raise MalformedDecompositionError(
-                f"basis row of length {vec.nbits} in decomposition with {b.ncols} columns"
-            )
+                f"basis row {vec:#x} does not fit in {b.ncols} columns")
     rows = []
     for i, c in enumerate(b.coeffs):
-        if c.nbits != b.rho:
+        if c < 0 or c >> b.rho:
             raise MalformedDecompositionError(
-                f"coefficient vector {i} has length {c.nbits}, expected rho={b.rho}"
-            )
+                f"coefficient vector {i} ({c:#x}) does not fit in rho={b.rho} bits")
         acc = 0
         for j in range(b.rho):
-            if (c.value >> j) & 1:
-                acc ^= b.basis[j].value
-        rows.append(BitVec(acc, b.ncols))
+            if (c >> j) & 1:
+                acc ^= b.basis[j]
+        rows.append(acc)
     return Gf2Matrix(tuple(rows), b.ncols)
 
 

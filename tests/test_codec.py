@@ -19,9 +19,10 @@ from cdcsim.codec import (
     ld_decompress,
     multicast_coverage,
     segment_usymbol,
+    segment_width,
 )
 from cdcsim.engine import run_cdc_shuffle
-from cdcsim.gf2 import BasisDecomposition, BitVec, pack, unpack
+from cdcsim.gf2 import BasisDecomposition, pack, unpack
 from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import SyntheticRankWorkload, WordCountWorkload, wordcount_map
 from oracles import vset_members_bruteforce
@@ -102,8 +103,8 @@ class TestUSymbol:
         value_ids = build_vset((1, 2), (2,), placement)
         width, segs = segment_usymbol(value_ids, 1, store, spec.T)
         assert len(segs) == 1
-        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
-        assert BitVec(segs[0], width) == payload
+        payload = pack([store[qn] for qn in value_ids], spec.T)
+        assert (width, segs[0]) == (len(value_ids) * spec.T, payload)
 
     def test_segments_partition_payload(self):
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=6)
@@ -111,11 +112,11 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=6).build_store(spec)
         value_ids = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
         width, segs = segment_usymbol(value_ids, 3, store, spec.T)
-        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
-        rebuilt = BitVec.concat_all(BitVec(seg, width) for seg in segs)
-        assert rebuilt.value & ((1 << payload.nbits) - 1) == payload.value
-        assert rebuilt.nbits == payload.nbits + (-payload.nbits) % 3
-        assert rebuilt.value >> payload.nbits == 0  # the padding is zeros
+        payload, nbits = pack([store[qn] for qn in value_ids], spec.T), len(value_ids) * spec.T
+        rebuilt = pack(segs, width)
+        assert rebuilt & ((1 << nbits) - 1) == payload
+        assert len(segs) * width == nbits + (-nbits) % 3
+        assert rebuilt >> nbits == 0  # the padding is zeros
 
     def test_padding_when_not_divisible(self):
         # eta1*eta2*T = 5 bits split across r=2 holders
@@ -155,19 +156,20 @@ class TestPackUnpack:
 
 
 def xor_oracle_message(k, group, placement, store):
-    """Independent path: sum the sender's segments straight from the value sets."""
+    """Independent path: sum the sender's segments straight from the value
+    sets; returns the segment length and the sum."""
     spec = placement.spec
     acc = 0
     for holders in combinations(group, spec.r):
         if k not in holders:
             continue
         value_ids = build_vset(group, holders, placement)
-        payload = BitVec.concat_all(BitVec(store[qn], spec.T) for qn in value_ids)
-        pad = (-payload.nbits) % spec.r
-        seg_len = (payload.nbits + pad) // spec.r
+        payload = pack([store[qn] for qn in value_ids], spec.T)
+        nbits = len(value_ids) * spec.T
+        seg_len = (nbits + (-nbits) % spec.r) // spec.r
         idx = sorted(holders).index(k)
-        acc ^= payload.value >> idx * seg_len & ((1 << seg_len) - 1)
-    return BitVec(acc, seg_len)
+        acc ^= payload >> idx * seg_len & ((1 << seg_len) - 1)
+    return seg_len, acc
 
 
 class TestEncode:
@@ -175,8 +177,8 @@ class TestEncode:
         spec, placement, store = paper_setup()
         msgs = encode_cdc(1, (1, 2, 3), placement, store)
         assert len(msgs) == 1
-        expected = BitVec((store[(2, 2)] & 0b111) ^ (store[(3, 1)] & 0b111), 3)
-        assert msgs[0] == expected
+        assert segment_width(spec, 3) == 3
+        assert msgs[0] == (store[(2, 2)] & 0b111) ^ (store[(3, 1)] & 0b111)
 
     def test_paper_node1_equal_payloads(self):
         spec, placement, store = paper_setup()
@@ -191,7 +193,7 @@ class TestEncode:
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
-                    assert msg.value == 0
+                    assert msg == 0
 
     def test_s1_equals_xor_oracle(self):
         spec = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
@@ -200,7 +202,8 @@ class TestEncode:
         for group in combinations(range(1, 6), 3):
             for k in group:
                 got = encode_cdc(k, group, placement, store)[0]
-                assert got == xor_oracle_message(k, group, placement, store)
+                assert (segment_width(spec, 3), got) == xor_oracle_message(
+                    k, group, placement, store)
 
     def test_sender_not_in_group(self):
         _, placement, store = paper_setup()
@@ -214,14 +217,14 @@ class TestEncode:
         # group size 4: three holder subsets contain the sender, two components
         msgs = encode_cdc(1, (1, 2, 3, 4), placement, store)
         assert len(msgs) == 2
-        assert len({m.nbits for m in msgs}) == 1
+        assert all(m >> segment_width(spec, 4) == 0 for m in msgs)
         # the transcript numbers the components 1, 2 in encoder order
         cols = run_cdc_shuffle(spec, placement, store).broadcasts
         assert set(cols.counts) == {1}  # so broadcast i carries payload i
         sent = [i for i, (sender, group) in enumerate(zip(cols.senders, cols.meta["group"]))
                 if sender == 1 and group == [1, 2, 3, 4]]
         assert [cols.meta["component"][i] for i in sent] == [1, 2]
-        assert [BitVec(cols.values[i], cols.nbits[i]) for i in sent] == msgs
+        assert [cols.values[i] for i in sent] == msgs
         # first component uses the all-ones row: it is the plain segment XOR
         segs = []
         for holders in combinations((1, 2, 3, 4), 2):
@@ -233,7 +236,8 @@ class TestEncode:
         acc = 0
         for seg in segs:
             acc ^= seg
-        assert msgs[0] == BitVec(acc, width)
+        assert msgs[0] == acc
+        assert [cols.nbits[i] for i in sent] == [width] * 2
 
 
 class TestDecode:
@@ -257,8 +261,9 @@ class TestDecode:
         x2 = encode_cdc(2, (1, 2, 3), placement, store)[0]
         x3 = encode_cdc(3, (1, 2, 3), placement, store)[0]
         v14, v31, v22 = store[(1, 4)], store[(3, 1)], store[(2, 2)]
-        assert x2 == BitVec((v14 & 0b111) ^ (v31 >> 3), 3)
-        assert x3 == BitVec((v14 >> 3) ^ (v22 >> 3), 3)
+        assert segment_width(spec, 3) == 3
+        assert x2 == (v14 & 0b111) ^ (v31 >> 3)
+        assert x3 == (v14 >> 3) ^ (v22 >> 3)
 
         received = self.collect_broadcasts(spec, placement, store)
         recovered = decode_cdc_s1(1, received, self.local_view(placement, store, 1), placement)
@@ -343,14 +348,14 @@ class TestLdCompress:
     def test_full_rank_messages_cost_overhead(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         rng = random.Random(15)
-        msgs = [BitVec(rng.getrandbits(15), 15) for _ in range(3)]
+        msgs = [rng.getrandbits(15) for _ in range(3)]
         d = ld_compress(3, msgs, spec)
         assert d.rho == min(3, 15) == 3
         assert bit_cost(d) >= 3 * 15
 
     def test_identical_messages(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
-        msgs = [BitVec(0x5a5a, 15)] * 3
+        msgs = [0x5a5a] * 3
         d = ld_compress(3, msgs, spec)
         assert d.rho == 1
         assert bit_cost(d) == 15 + 3
@@ -358,12 +363,15 @@ class TestLdCompress:
     def test_wrong_count(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         with pytest.raises(ValueError, match="expected"):
-            ld_compress(3, [BitVec(0, 15)] * 2, spec)
+            ld_compress(3, [0] * 2, spec)
 
-    def test_inconsistent_lengths(self):
+    def test_message_too_wide(self):
+        # the spec fixes msg_len = 15 bits for ell=3
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
-        with pytest.raises(ValueError, match="lengths"):
-            ld_compress(3, [BitVec(0, 15), BitVec(0, 15), BitVec(0, 14)], spec)
+        assert ld_compress(3, [0, 0, (1 << 15) - 1], spec).ncols == 15
+        for bad in (1 << 15, -1):
+            with pytest.raises(ValueError, match="does not fit in 15"):
+                ld_compress(3, [0, 0, bad], spec)
 
 
 class TestLdRoundtrip:
@@ -377,7 +385,7 @@ class TestLdRoundtrip:
 
     def test_rank_zero_payload(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
-        msgs = [BitVec(0, 15)] * 3
+        msgs = [0] * 3
         d = ld_compress(3, msgs, spec)
         assert d.rho == 0 and bit_cost(d) == 0
         assert ld_decompress(d) == msgs
@@ -385,18 +393,19 @@ class TestLdRoundtrip:
     def test_random_roundtrips(self):
         rng = random.Random(200)
         for K in (3, 4, 5, 6):
-            spec = JobSpec(K=K, N=comb(K, 2), Q=K, r=2, s=1, T=8)
             count = comb(K - 1, 2)
             for _ in range(20):
-                width = rng.randint(1, 40)
-                msgs = [BitVec(rng.getrandbits(width), width) for _ in range(count)]
-                assert ld_decompress(ld_compress(3, msgs, spec)) == msgs
+                # one value set per message, split two ways: msg_len = ceil(T / 2)
+                spec = JobSpec(K=K, N=comb(K, 2), Q=K, r=2, s=1, T=rng.randint(1, 80))
+                width = (spec.T + 1) // 2
+                msgs = [rng.getrandbits(width) for _ in range(count)]
+                d = ld_compress(3, msgs, spec)
+                assert d.ncols == width
+                assert ld_decompress(d) == msgs
 
     def test_malformed_payload(self):
         from cdcsim.gf2 import MalformedDecompositionError
-        bad = BasisDecomposition(basis=(BitVec(0b101, 8),),
-                                 coeffs=(BitVec(0b11, 2), BitVec(0, 1), BitVec(1, 1)),
-                                 rho=1, ncols=8)
+        bad = BasisDecomposition(basis=(0b101,), coeffs=(0b11, 0, 1), rho=1, ncols=8)
         with pytest.raises(MalformedDecompositionError):
             ld_decompress(bad)
 

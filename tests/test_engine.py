@@ -8,7 +8,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, inf, nan
 
 import pytest
@@ -19,6 +19,7 @@ from cdcsim.codec import IncompleteShuffleError
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
+    NodeValues,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
@@ -28,8 +29,9 @@ from cdcsim.engine import (
     run_uncoded_shuffle,
     transcript_from_json,
     transcript_to_json,
+    validate_transcript,
 )
-from cdcsim.gf2 import BitVec
+from cdcsim.gf2 import BitVec, pack
 from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
@@ -173,6 +175,52 @@ class TestTranscriptColumns:
             tracemalloc.stop()
         assert len(transcript.broadcasts) == 30_240
         assert peak < 4_000_000
+
+
+class TestPayloadRange:
+    """``validate_transcript`` rejects an in-memory payload whose value does
+    not fit its stated width, naming the broadcast and the payload."""
+
+    SPEC = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
+
+    # payload 0 of an uncoded or cdc broadcast; a cdc-ld basis row (payload
+    # 0) and coefficient row (the last payload)
+    @pytest.mark.parametrize("scheme, payload", [
+        ("uncoded", 0), ("cdc", 0), ("cdc-ld", 0), ("cdc-ld", -1)],
+        ids=["uncoded", "cdc", "cdc-ld-basis", "cdc-ld-coeff"])
+    @pytest.mark.parametrize("bad", [lambda v, n: v | 1 << n, lambda v, n: -1],
+                             ids=["over-wide", "negative"])
+    def test_value_outside_width_names_broadcast(self, scheme, payload, bad):
+        placement = make_placement(self.SPEC)
+        transcript = run(self.SPEC, SyntheticRankWorkload(seed=3), scheme).transcript
+        cols = transcript.broadcasts
+        assert validate_transcript(self.SPEC, placement, transcript)
+        i = 3
+        first = sum(cols.counts[:i])
+        j = payload % cols.counts[i]
+        if scheme == "cdc-ld":
+            assert 0 < cols.meta["rho"][i] < cols.counts[i]  # a basis row and a coefficient row
+        n = cols.nbits[first + j]
+        cols.values[first + j] = bad(cols.values[first + j], n)
+        with pytest.raises(ValueError, match=rf"^broadcast {i}: payload {j} for .* "
+                                             rf"does not fit in {n} bits$"):
+            validate_transcript(self.SPEC, placement, transcript)
+
+
+@pytest.mark.parametrize("T", [6, 8, 16, 33, 64, 70])
+def test_node_values_bytes_match_per_value_join(T):
+    # whole-word widths pack through struct, the rest value by value
+    spec = JobSpec(K=4, N=6, Q=8, r=2, s=1, T=T)
+    placement = make_placement(spec)
+    rng = random.Random(T)
+    store = {(q, n): rng.getrandbits(T) for q in range(1, 9) for n in range(1, 7)}
+    store[(1, 6)] = (1 << T) - 1
+    width = (T + 7) // 8
+    for k in range(1, spec.K + 1):
+        values = NodeValues.of(placement, k, store)
+        assert values.data == b"".join(
+            [store[qn].to_bytes(width, "little") for qn in product(values.funcs, values.files)])
+        assert dict(values) == {qn: store[qn] for qn in needed_values(placement, k)}
 
 
 class TestSchemeEquivalence:
@@ -320,8 +368,8 @@ class TestReducePhase:
         inputs = tuple(BitVec(rng.getrandbits(16), 16) for _ in range(6))
         result = run(spec, LinearTransformWorkload(matrix, inputs), "cdc")
         for q in range(1, 5):
-            expected = BitVec.concat_all(BitVec(x.value >> (q - 1) * 4 & 0xf, 4) for x in inputs)
-            assert result.reference[q] == expected
+            expected = pack([x.value >> (q - 1) * 4 & 0xf for x in inputs], 4)
+            assert result.reference[q] == BitVec(expected, 4 * len(inputs))
 
     def test_missing_value_propagates(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)

@@ -23,19 +23,10 @@ from oracles import gf_mul_longdiv, int_to_bits, is_irreducible, naive_rank, per
 
 
 def matrix(values, ncols):
-    return Gf2Matrix(tuple(BitVec(v, ncols) for v in values), ncols)
+    return Gf2Matrix(tuple(values), ncols)
 
 
 class TestBitVec:
-    def test_concat_all_matches_pairwise(self):
-        # part i lands at bits 7i..7i+6: shift each part into place
-        rng = random.Random(5)
-        parts = [BitVec(rng.getrandbits(7), 7) for _ in range(9)]
-        value = 0
-        for i, p in enumerate(parts):
-            value |= p.value << 7 * i
-        assert BitVec.concat_all(parts) == BitVec(value, 63)
-
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
             BitVec(4, 2)
@@ -47,13 +38,21 @@ class TestBitVec:
         assert BitVec.from_hex(v.to_hex(), 16) == v
 
 
+class TestGf2Matrix:
+    def test_rows_must_fit(self):
+        assert matrix([0, 0b1111], 4).nrows == 2
+        for bad in (0b10000, -1):
+            with pytest.raises(ValueError, match="does not fit in 4 columns"):
+                matrix([0, bad], 4)
+
+
 class TestRankAndBasis:
     def test_zero_row(self):
         m = matrix([0], 8)
         d = rank_and_basis(m)
         assert d.rho == 0
         assert d.basis == ()
-        assert d.coeffs == (BitVec(0, 0),)
+        assert d.coeffs == (0,)
 
     def test_empty_matrix(self):
         d = rank_and_basis(Gf2Matrix((), 8))
@@ -70,14 +69,14 @@ class TestRankAndBasis:
                 continue
             d = rank_and_basis(matrix([u, v, u ^ v], 16))
             assert d.rho == 2
-            assert d.coeffs[2] == BitVec(0b11, 2)
-            assert d.basis == (BitVec(u, 16), BitVec(v, 16))
+            assert d.coeffs[2] == 0b11
+            assert d.basis == (u, v)
 
     def test_basis_rows_are_original_rows(self):
         rows = [0b0110, 0b0011, 0b0101, 0b1000]
         d = rank_and_basis(matrix(rows, 4))
         originals = {r for r in rows}
-        assert all(b.value in originals for b in d.basis)
+        assert all(b in originals for b in d.basis)
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
@@ -128,22 +127,30 @@ class TestRankAndBasis:
         for _ in range(30):
             values = [rng.getrandbits(12) for _ in range(10)]
             d = rank_and_basis(matrix(values, 12))
-            bits = [int_to_bits(b.value, 12) for b in d.basis]
+            bits = [int_to_bits(b, 12) for b in d.basis]
             assert naive_rank(bits) == d.rho
 
 
 class TestReconstruct:
     def test_rank_zero_gives_zero_matrix(self):
-        d = BasisDecomposition(basis=(), coeffs=(BitVec(0, 0),) * 3, rho=0, ncols=8)
+        d = BasisDecomposition(basis=(), coeffs=(0,) * 3, rho=0, ncols=8)
         m = reconstruct(d)
         assert m.nrows == 3 and m.ncols == 8
-        assert all(row.value == 0 for row in m.rows)
+        assert m.rows == (0, 0, 0)
 
     def test_malformed_coeff_length(self):
-        d = BasisDecomposition(
-            basis=(BitVec(1, 4),), coeffs=(BitVec(0, 2),), rho=1, ncols=4)
-        with pytest.raises(MalformedDecompositionError):
-            reconstruct(d)
+        # a coefficient vector must fit in rho bits
+        for coeff in (0b10, -1):
+            d = BasisDecomposition(basis=(1,), coeffs=(0, coeff), rho=1, ncols=4)
+            with pytest.raises(MalformedDecompositionError, match="coefficient vector 1"):
+                reconstruct(d)
+
+    def test_malformed_basis(self):
+        # a basis row must fit in ncols bits, and there must be rho of them
+        for basis in ((0b10000,), (-1,), (1, 2)):
+            d = BasisDecomposition(basis=basis, coeffs=(1,), rho=1, ncols=4)
+            with pytest.raises(MalformedDecompositionError):
+                reconstruct(d)
 
     def test_roundtrip_5x32(self):
         rng = random.Random(3)

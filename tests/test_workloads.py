@@ -302,7 +302,7 @@ class TestCodedLinearTransform:
         w = LinearTransformWorkload.random(32, 16, 6, seed=9)
         store = coded_lintrans_map(w, spec)
         for n in range(1, 7):
-            m = Gf2Matrix(tuple(BitVec(store[(k, n)], spec.T) for k in range(1, 5)), spec.T)
+            m = Gf2Matrix(tuple(store[(k, n)] for k in range(1, 5)), spec.T)
             assert rank_and_basis(m).rho <= 3
 
 
