@@ -36,6 +36,7 @@ from .workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
     SyntheticRankWorkload,
+    ValueTable,
     WordCountWorkload,
     coded_lintrans_map,
     ingest_text,

@@ -281,6 +281,12 @@ def replay_fixture(doc: dict) -> str:
     than raising; a document with a field of the wrong type or shape, or a
     broadcast whose meta lacks a field, raises ``ValueError``.
     """
+    return _replay(doc)[0]
+
+
+def _replay(doc: dict) -> tuple[str, str]:
+    """``replay_fixture``'s verdict and why a replay failed: the message of the
+    error that rejected it, or the first node and function with a wrong output."""
     engine.expect_json(doc, dict, "fixture document")
     engine.expect_json(doc.get("workload"), dict, "fixture workload")
     transcript = engine.transcript_from_json(doc.get("transcript"))
@@ -289,19 +295,22 @@ def replay_fixture(doc: dict) -> str:
     placement = make_placement(spec)
     store = workload.build_store(spec)
     try:
-        _outputs, _reference, _recovered, verification = engine.decode_and_verify(
+        outputs, reference, _recovered, verification = engine.decode_and_verify(
             spec, placement, store, transcript, workload)
-    except (IncompleteShuffleError, ValueError):
-        return "fail"
-    return verification
+    except (IncompleteShuffleError, ValueError) as exc:
+        return "fail", str(exc)
+    if verification != "fail":
+        return verification, ""
+    k, q = next((k, q) for k, out in outputs.items() for q, v in out.items() if v != reference[q])
+    return "fail", f"node {k}: the reduce output of function {q} differs from the reference"
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        verdict = replay_fixture(doc)
-        print(f"fixture {args.input}: {verdict}")
+        verdict, reason = _replay(doc)
+        print(f"fixture {args.input}: {verdict}" + (f": {reason}" if reason else ""))
         return EXIT_VERIFY if verdict == "fail" else EXIT_OK
 
     config = _merge_config(args)

@@ -26,6 +26,7 @@ from .gf2 import (
     vandermonde,
 )
 from .placement import JobSpec, Placement, group_sizes, ksubsets
+from .workloads import ValueTable
 
 
 class IncompleteShuffleError(RuntimeError):
@@ -77,15 +78,19 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
 
 
 def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
-                    values: Mapping[tuple[int, int], int], T: int) -> tuple[int, tuple[int, ...]]:
+                    values: ValueTable, T: int) -> tuple[int, tuple[int, ...]]:
     """Concatenate a value set of T-bit values and split it into r equal
     segments; returns the segment width and the segments.
 
-    Segment i belongs to the i-th smallest holder.  The concatenation is
-    zero-padded at the end to a multiple of r so the split is even; a receiver
-    strips the padding by keeping len(value_ids) * T bits.
+    ``value_ids`` is a value set as ``build_vset`` gives it: each of its
+    functions on one run of consecutive files, q-major, so the concatenation
+    joins one run of a row of ``values`` per function.  Segment i belongs to
+    the i-th smallest holder.  The concatenation is zero-padded at the end to
+    a multiple of r so the split is even; a receiver strips the padding by
+    keeping len(value_ids) * T bits.
     """
-    payload = pack(list(map(values.__getitem__, value_ids)), T)
+    count = value_ids[-1][1] - value_ids[0][1] + 1
+    payload = values.join([q for q, _ in value_ids[::count]], value_ids[0][1], count)
     width = -(-len(value_ids) * T // r)
     mask = (1 << width) - 1
     return width, tuple(payload >> i * width & mask for i in range(r))
@@ -132,7 +137,7 @@ def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,
-               values: Mapping[tuple[int, int], int]) -> list[int]:
+               values: ValueTable) -> list[int]:
     """Build node k's coded broadcast to one multicast group, one
     ``segment_width``-bit payload per component in component order.
 
@@ -173,14 +178,14 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
 
 
 def full_message(k: int, group: Sequence[int], placement: Placement,
-                 values: Mapping[tuple[int, int], int]) -> int:
+                 values: ValueTable) -> int:
     """All components of one broadcast concatenated into a single
     ``message_width``-bit vector, component i at bits i * segment_width."""
     return pack(encode_cdc(k, group, placement, values), segment_width(placement.spec, len(group)))
 
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
-                  values: Mapping[tuple[int, int], int],
+                  values: ValueTable,
                   placement: Placement) -> dict[tuple[int, int], int]:
     """Recover node k's missing values by XOR peeling (single-copy reduce only).
 

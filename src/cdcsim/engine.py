@@ -9,11 +9,10 @@ pass/fail comparison against a single-machine reference.
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 
@@ -30,9 +29,10 @@ from .codec import (
     multicast_coverage,
     segment_width,
 )
-from .gf2 import _WORD_CODE, BasisDecomposition, Gf2Matrix, rank_and_basis
-from .placement import JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values
-from .workloads import Store
+from .gf2 import BasisDecomposition, Gf2Matrix, rank_and_basis
+from .placement import (JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values,
+                        unmapped_files)
+from .workloads import ValueTable
 
 SCHEMES = ("uncoded", "cdc", "cdc-ld")
 
@@ -80,44 +80,6 @@ class ShuffleTranscript:
         return counts
 
 
-@dataclass(frozen=True, eq=False)
-class NodeValues(Mapping):
-    """The values one node received, as a read-only mapping (q, n) -> value:
-    for each of its reduce functions q and each file n it did not map, in that
-    order, q-major, ``width`` little-endian bytes per value in one ``bytes``,
-    so that a finished job holds no object per value."""
-
-    funcs: tuple[int, ...]
-    files: tuple[int, ...]
-    width: int
-    data: bytes
-
-    @classmethod
-    def of(cls, placement: Placement, k: int, got: Mapping[tuple[int, int], int]) -> NodeValues:
-        """Node k's values, read from ``got``."""
-        own = set(placement.node_files[k])
-        funcs = placement.node_funcs[k]
-        files = tuple(n for n in range(1, placement.spec.N + 1) if n not in own)
-        width = (placement.spec.T + 7) // 8
-        values = list(map(got.__getitem__, product(funcs, files)))
-        code = _WORD_CODE.get(8 * width)
-        return cls(funcs, files, width, struct.pack(f"<{len(values)}{code}", *values)
-                   if code else b"".join([v.to_bytes(width, "little") for v in values]))
-
-    def __getitem__(self, qn: tuple[int, int]) -> int:
-        q, n = qn
-        if q not in self.funcs or n not in self.files:
-            raise KeyError(qn)
-        at = (self.funcs.index(q) * len(self.files) + self.files.index(n)) * self.width
-        return int.from_bytes(self.data[at:at + self.width], "little")
-
-    def __iter__(self):
-        return product(self.funcs, self.files)
-
-    def __len__(self) -> int:
-        return len(self.funcs) * len(self.files)
-
-
 @dataclass
 class RunResult:
     spec: JobSpec
@@ -128,33 +90,33 @@ class RunResult:
     rho: dict[tuple[int, int], int] | None
     outputs: dict[int, dict[int, object]] | None
     reference: dict[int, object] | None
-    recovered: dict[int, NodeValues] | None
+    recovered: dict[int, ValueTable] | None
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
 def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
-                        store: Store) -> ShuffleTranscript:
+                        store: ValueTable) -> ShuffleTranscript:
     """Ship every needed value plainly; the smallest node holding the file sends."""
     if spec.s != 1:
         raise UnsupportedCombinationError(f"uncoded shuffle is defined only for s=1, got s={spec.s}")
-    senders, qs, ns = [], [], []
+    senders, qs, ns, values = [], [], [], []
     for k in range(1, spec.K + 1):
         # sorted(needed_values(placement, k)), one shared list of files per node
-        own = set(placement.node_files[k])
-        others = [n for n in range(1, spec.N + 1) if n not in own]
+        others = unmapped_files(placement, k)
         first = [placement.batch_of_file[n][0] for n in others]
+        at = [n - 1 for n in others]  # positions in a row of the store
         for q in sorted(placement.node_funcs[k]):
             senders += first
             qs += [q] * len(others)
             ns += others
+            values += map(store.row(q).__getitem__, at)
     m = len(ns)
     return ShuffleTranscript("uncoded", spec, Broadcasts(
-        senders, ["uncoded"] * m, {"q": qs, "n": ns}, [1] * m, [spec.T] * m,
-        list(map(store.__getitem__, zip(qs, ns)))))
+        senders, ["uncoded"] * m, {"q": qs, "n": ns}, [1] * m, [spec.T] * m, values))
 
 
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
-                    store: Store) -> ShuffleTranscript:
+                    store: ValueTable) -> ShuffleTranscript:
     senders, groups, components, nbits, values = [], [], [], [], []
     for ell in group_sizes(spec.K, spec.r, spec.s):
         width = segment_width(spec, ell)
@@ -172,7 +134,7 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
 
 
 def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
-                       store: Store) -> tuple[ShuffleTranscript, dict]:
+                       store: ValueTable) -> tuple[ShuffleTranscript, dict]:
     """Per node and group size, broadcast a subspace basis plus coefficients."""
     senders, ells, rhos, msg_lens, counts, nbits, values = [], [], [], [], [], [], []
     rho: dict[tuple[int, int], int] = {}
@@ -298,29 +260,32 @@ def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengt
     return ValueError(f"broadcast {i}: {why}")
 
 
-def reduce_phase(spec: JobSpec, placement: Placement, store: Store,
-                 recovered: Mapping[int, Mapping[tuple[int, int], int]],
-                 workload) -> dict[int, dict[int, object]]:
-    """Evaluate each node's reduce functions: the values of the files a node
-    mapped come from the store, the rest from what it recovered."""
-    files = range(1, spec.N + 1)
+def _received(placement: Placement, k: int, got: Mapping[tuple[int, int], int]) -> ValueTable:
+    """Node k's needed values, read from ``got``, as a table."""
+    funcs, files = placement.node_funcs[k], unmapped_files(placement, k)
+    return ValueTable(funcs, files, placement.spec.T, ([got[q, n] for n in files] for q in funcs))
+
+
+def reduce_phase(spec: JobSpec, placement: Placement, store: ValueTable,
+                 recovered: Mapping[int, ValueTable], workload) -> dict[int, dict[int, object]]:
+    """Evaluate each node's reduce functions on a function's row of the store,
+    where the files the node did not map take the values it recovered."""
     outputs: dict[int, dict[int, object]] = {}
     for k in range(1, spec.K + 1):
-        own = set(placement.node_files[k])
-        got = recovered[k]
+        funcs, others, got = placement.node_funcs[k], unmapped_files(placement, k), recovered[k]
+        if (got.funcs, got.files) != (funcs, others):
+            raise IncompleteShuffleError([(q, n) for q in funcs for n in others if (q, n) not in got])
         node_out: dict[int, object] = {}
-        for q in placement.node_funcs[k]:
-            try:
-                held = [store[(q, n)] if n in own else got[(q, n)] for n in files]
-            except KeyError:
-                raise IncompleteShuffleError(
-                    [(q, n) for n in files if n not in own and (q, n) not in got]) from None
+        for q in funcs:
+            held = store.row(q)
+            for n, v in zip(others, got.row(q)):
+                held[n - 1] = v
             node_out[q] = workload.reduce(q, held, spec.T)
         outputs[k] = node_out
     return outputs
 
 
-def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
+def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
                       transcript: ShuffleTranscript, workload):
     """Validate a transcript with ``validate_transcript``, decode it at every
     node, reduce, and compare to the reference.
@@ -338,9 +303,8 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
 
     nodes = range(1, spec.K + 1)
     if transcript.scheme == "uncoded":
-        # every node hears every broadcast, and reads from them only its own
-        # needed values: no per-node copy
-        recovered = dict.fromkeys(nodes, got)
+        # every node hears every broadcast, and reads from them its own needed values
+        recovered = {k: _received(placement, k, got) for k in nodes}
     else:
         # at s=1 every cdc broadcast is component 1 of its group's message
         if transcript.scheme == "cdc":
@@ -350,18 +314,12 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: Store,
                         for group, msg in zip(groups_containing(spec, j, ell), ld_decompress(d))}
         # a node decodes from the store in place: the decoder reads only the
         # value sets of holder subsets containing the node, i.e. files it mapped
-        recovered = {k: decode_cdc_s1(k, received, store, placement) for k in nodes}
+        recovered = {k: _received(placement, k, decode_cdc_s1(k, received, store, placement))
+                     for k in nodes}
     outputs = reduce_phase(spec, placement, store, recovered, workload)
 
-    reference = {
-        q: workload.reduce(q, [store[(q, n)] for n in range(1, spec.N + 1)], spec.T)
-        for q in range(1, spec.Q + 1)
-    }
-    ok = all(
-        outputs[k][q] == reference[q]
-        for k in range(1, spec.K + 1)
-        for q in placement.node_funcs[k]
-    )
+    reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
+    ok = all(outputs[k][q] == reference[q] for k in nodes for q in placement.node_funcs[k])
     return outputs, reference, recovered, "pass" if ok else "fail"
 
 
@@ -385,24 +343,9 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
-    outputs, reference, recovered, verification = decode_and_verify(
-        spec, placement, store, transcript, workload)
-    if recovered is not None:
-        for k, got in recovered.items():
-            recovered[k] = NodeValues.of(placement, k, got)
-
-    return RunResult(
-        spec=spec,
-        scheme=scheme,
-        transcript=transcript,
-        bits_by_node=bits,
-        load_empirical=load,
-        rho=rho,
-        outputs=outputs,
-        reference=reference,
-        recovered=recovered,
-        verification=verification,
-    )
+    # decode_and_verify returns the last four fields in order
+    return RunResult(spec, scheme, transcript, bits, load, rho,
+                     *decode_and_verify(spec, placement, store, transcript, workload))
 
 
 # --- transcript serialization (JSON metadata + hex payloads) -----------------

@@ -113,17 +113,17 @@ def make_placement(spec: JobSpec) -> Placement:
     return Placement(spec, file_batches, reduce_batches, node_files, node_funcs, batch_of_file)
 
 
-def needed_values(placement: Placement, k: int) -> set[tuple[int, int]]:
-    """(q, n) pairs node k must receive: its reduce inputs from files it did not map."""
+def unmapped_files(placement: Placement, k: int) -> tuple[int, ...]:
+    """The files node k did not map, in order."""
     if k not in placement.node_files:
         raise KeyError(f"unknown node id {k}")
-    local = set(placement.node_files[k])
-    return {
-        (q, n)
-        for q in placement.node_funcs[k]
-        for n in range(1, placement.spec.N + 1)
-        if n not in local
-    }
+    own = set(placement.node_files[k])
+    return tuple(n for n in range(1, placement.spec.N + 1) if n not in own)
+
+
+def needed_values(placement: Placement, k: int) -> set[tuple[int, int]]:
+    """(q, n) pairs node k must receive: its reduce inputs from files it did not map."""
+    return {(q, n) for n in unmapped_files(placement, k) for q in placement.node_funcs[k]}
 
 
 def placement_to_json(placement: Placement) -> dict:

@@ -3,9 +3,9 @@
 Three families are provided: symbol counting over a block-partitioned
 sequence, GF(2) linear transforms (plain and with a parity-coded row block),
 and a synthetic generator with tunable value duplication for rank
-experiments.  Each workload builds the full store, a dict from (q, n) to a
-T-bit value held as an int, and knows how to reduce a function's values, so
-end-to-end runs can be checked against a single-machine reference.
+experiments.  Each workload builds the full store, a ``ValueTable`` over
+functions 1..Q and files 1..N, and knows how to reduce a function's values,
+so end-to-end runs can be checked against a single-machine reference.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ import io
 import os
 import random
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
-from itertools import filterfalse
+from functools import partial, reduce
+from itertools import filterfalse, product
+from operator import xor
 from typing import Sequence, TextIO
 
-from .gf2 import BitVec, pack
+from .gf2 import BitVec, pack, unpack
 from .placement import JobSpec
 
 
@@ -28,19 +30,71 @@ class CountOverflowError(ValueError):
     """A symbol count does not fit in T bits; never silently wrapped."""
 
 
-# (q, n) -> the T-bit intermediate value of function q on file n
-Store = dict[tuple[int, int], int]
+class ValueTable(Mapping):
+    """The T-bit values v(q, n) of each function q in ``funcs`` on each file n
+    in ``files``, as a read-only mapping (q, n) -> value, packed from ``rows``
+    (per function, its values on ``files``).  A short row, or a value that
+    does not fit in T bits, raises ``ValueError`` naming the row or the (q, n).
 
+    Values are held q-major, ceil(T/8) little-endian bytes each, in one
+    ``bytes``, so a table holds no object per value.  ``files`` is increasing.
+    A job's store is the table over functions 1..Q and files 1..N; a node's
+    received values are the table over its reduce functions and the files it
+    did not map.
+    """
 
-def checked_store(spec: JobSpec, values: Store) -> Store:
-    """``values`` once it holds Q*N entries, each a T-bit value."""
-    expected = spec.Q * spec.N
-    if len(values) != expected:
-        raise ValueError(f"store has {len(values)} entries, expected Q*N={expected}")
-    for (q, n), v in values.items():
-        if v < 0 or v >> spec.T:
-            raise ValueError(f"value ({q},{n}) 0x{v:x} does not fit in T={spec.T} bits")
-    return values
+    __slots__ = ("funcs", "files", "T", "width", "data", "_row_at", "_col_at")
+
+    def __init__(self, funcs: Iterable[int], files: Iterable[int], T: int,
+                 rows: Iterable[Sequence[int]]):
+        self.funcs, self.files, self.T = tuple(funcs), tuple(files), T
+        self.width = width = (T + 7) // 8
+        self._row_at = {q: i for i, q in enumerate(self.funcs)}
+        self._col_at = {n: j for j, n in enumerate(self.files)}
+        chunks = []
+        for q, row in zip(self.funcs, rows, strict=True):
+            if len(row) != len(self.files):
+                raise ValueError(f"row {q} has {len(row)} values, expected {len(self.files)}")
+            if row and (min(row) < 0 or max(row) >> T):
+                v, n = next((v, n) for v, n in zip(row, self.files) if v < 0 or v >> T)
+                raise ValueError(f"value ({q},{n}) 0x{v:x} does not fit in T={T} bits")
+            chunks.append(pack(row, 8 * width).to_bytes(len(row) * width, "little"))
+        self.data = b"".join(chunks)
+
+    @classmethod
+    def full(cls, spec: JobSpec, rows: Iterable[Sequence[int]]) -> ValueTable:
+        """A job's store: ``rows`` gives functions 1..Q on files 1..N."""
+        return cls(range(1, spec.Q + 1), range(1, spec.N + 1), spec.T, rows)
+
+    def row(self, q: int) -> list[int]:
+        """Function q's values on ``files``, in order."""
+        size = len(self.files) * self.width
+        at = self._row_at[q] * size
+        return unpack(int.from_bytes(self.data[at:at + size], "little"),
+                      len(self.files), 8 * self.width)
+
+    def join(self, qs: Sequence[int], n: int, count: int) -> int:
+        """The values of files n..n+count-1 for each function in ``qs``, in
+        that order, concatenated as ``pack`` concatenates T-bit values."""
+        j = self._col_at.get(n)
+        if j is None or self._col_at.get(n + count - 1) != j + count - 1:
+            raise KeyError(n)
+        stride, at, size = len(self.files) * self.width, j * self.width, count * self.width
+        joined = int.from_bytes(b"".join([self.data[i * stride + at:i * stride + at + size]
+                                          for i in map(self._row_at.__getitem__, qs)]), "little")
+        # whole bytes per value: a T that is not a multiple of 8 closes the gaps
+        return joined if self.T % 8 == 0 else pack(
+            unpack(joined, len(qs) * count, 8 * self.width), self.T)
+
+    def __getitem__(self, qn: tuple[int, int]) -> int:
+        q, n = qn
+        return self.join((q,), n, 1)
+
+    def __iter__(self):
+        return product(self.funcs, self.files)
+
+    def __len__(self) -> int:
+        return len(self.funcs) * len(self.files)
 
 
 @dataclass(frozen=True)
@@ -57,7 +111,7 @@ class WordCountWorkload:
         blocks = tuple(tuple(symbols[i * size:(i + 1) * size]) for i in range(n_blocks))
         return cls(blocks)
 
-    def build_store(self, spec: JobSpec) -> Store:
+    def build_store(self, spec: JobSpec) -> ValueTable:
         return wordcount_map(self, spec)
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> int:
@@ -65,25 +119,22 @@ class WordCountWorkload:
         return sum(values)
 
 
-def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> Store:
+def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> ValueTable:
     """Count symbol occurrences per block, each count a T-bit value."""
     if len(w.blocks) != spec.N:
         raise ValueError(f"workload has {len(w.blocks)} blocks, spec expects N={spec.N}")
-    limit = 1 << spec.T
-    values: Store = {}
+    columns = []
     for n, block in enumerate(w.blocks, start=1):
         counts = Counter(block)
         for sym in counts:  # first occurrences, in block order
             if not 1 <= sym <= spec.Q:
                 raise ValueError(f"symbol {sym} in block {n} outside 1..Q={spec.Q}")
-        for q in range(1, spec.Q + 1):
-            count = counts[q]
-            if count >= limit:
-                raise CountOverflowError(
-                    f"count {count} of symbol {q} in block {n} does not fit in T={spec.T} bits"
-                )
-            values[(q, n)] = count
-    return checked_store(spec, values)
+        if counts and max(counts.values()) >> spec.T:
+            q = min(q for q, count in counts.items() if count >> spec.T)
+            raise CountOverflowError(
+                f"count {counts[q]} of symbol {q} in block {n} does not fit in T={spec.T} bits")
+        columns.append([counts.get(q, 0) for q in range(1, spec.Q + 1)])
+    return ValueTable.full(spec, zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -187,7 +238,7 @@ class LinearTransformWorkload:
     def ncols(self) -> int:
         return self.matrix[0].nbits if self.matrix else 0
 
-    def build_store(self, spec: JobSpec) -> Store:
+    def build_store(self, spec: JobSpec) -> ValueTable:
         return lintrans_map(self, spec)
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
@@ -216,19 +267,14 @@ def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
             raise ValueError(f"input vector of length {x.nbits}, matrix has {w.ncols} columns")
 
 
-def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Store:
+def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
     _check_lintrans_dims(w, spec)
-    T = spec.T
-    values: Store = {}
-    for q in range(1, spec.Q + 1):
-        rows = w.matrix[(q - 1) * T:q * T]
-        for n, x in enumerate(w.inputs, start=1):
-            values[(q, n)] = _matvec_block(rows, x)
-    return checked_store(spec, values)
+    return ValueTable.full(spec, ([_matvec_block(w.matrix[(q - 1) * spec.T:q * spec.T], x)
+                                   for x in w.inputs] for q in range(1, spec.Q + 1)))
 
 
-def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Store:
+def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     """Linear transform with a parity row block: block K's values are the XOR
     of blocks 1..K-1, so the store is linearly dependent by construction.
 
@@ -238,16 +284,9 @@ def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> Store:
     if spec.Q != spec.K:
         raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
     _check_lintrans_dims(w, spec)
-    T = spec.T
-    values: Store = {}
-    for n, x in enumerate(w.inputs, start=1):
-        parity = 0
-        for q in range(1, spec.K):
-            v = _matvec_block(w.matrix[(q - 1) * T:q * T], x)
-            values[(q, n)] = v
-            parity ^= v
-        values[(spec.K, n)] = parity
-    return checked_store(spec, values)
+    rows = [[_matvec_block(w.matrix[(q - 1) * spec.T:q * spec.T], x) for x in w.inputs]
+            for q in range(1, spec.K)]
+    return ValueTable.full(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
 
 
 @dataclass(frozen=True)
@@ -256,7 +295,7 @@ class CodedLinearTransformWorkload:
 
     base: LinearTransformWorkload
 
-    def build_store(self, spec: JobSpec) -> Store:
+    def build_store(self, spec: JobSpec) -> ValueTable:
         return coded_lintrans_map(self.base, spec)
 
     reduce = LinearTransformWorkload.reduce
@@ -273,19 +312,18 @@ class SyntheticRankWorkload:
         if not 0.0 <= self.duplicate_prob <= 1.0:
             raise ValueError(f"duplicate_prob {self.duplicate_prob} outside [0, 1]")
 
-    def build_store(self, spec: JobSpec) -> Store:
+    def build_store(self, spec: JobSpec) -> ValueTable:
         rng = random.Random(self.seed)
         pool: list[int] = []
-        values: Store = {}
-        for q in range(1, spec.Q + 1):
-            for n in range(1, spec.N + 1):
-                if pool and rng.random() < self.duplicate_prob:
-                    raw = rng.choice(pool)
-                else:
-                    raw = rng.getrandbits(spec.T)
-                    pool.append(raw)
-                values[(q, n)] = raw
-        return checked_store(spec, values)
+
+        def draw() -> int:
+            if pool and rng.random() < self.duplicate_prob:
+                return rng.choice(pool)
+            pool.append(rng.getrandbits(spec.T))
+            return pool[-1]
+
+        # drawn q-major, the order that fixes each seed's values, a row at a time
+        return ValueTable.full(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
         """XOR-accumulate the values of function q across all files."""
@@ -317,6 +355,9 @@ def load_gf2_sections(path: str | os.PathLike) -> dict[str, list[BitVec]]:
         if len(parts) != 4 or parts[0] != "gf2mat":
             raise ValueError(f"bad section header at line {i + 1}: {lines[i]!r}")
         name, nrows, ncols = parts[1], int(parts[2]), int(parts[3])
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"section {name!r} at line {i + 1} declares a negative size: "
+                             f"{nrows} rows, {ncols} columns")
         if i + 1 + nrows > len(lines):
             raise ValueError(f"section {name!r} declares {nrows} rows, "
                              f"file ends after {len(lines) - i - 1}")

@@ -59,6 +59,15 @@ def _truncated_gf2mat(tmp_path):
             "--workload", "lintrans", "--input", str(mats), "--out-dir", str(tmp_path / "out")]
 
 
+def _negative_gf2mat(header):
+    def make_args(tmp_path):
+        mats = tmp_path / "mats.txt"
+        mats.write_text(f"gf2mat X 1 4\n3\n\n{header}\n1\n")
+        return ["--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1", "--T", "6",
+                "--workload", "lintrans", "--input", str(mats), "--out-dir", str(tmp_path / "out")]
+    return make_args
+
+
 class TestRun:
     def test_paper_preset_cdc_ld_t30(self, tmp_path):
         code = main(["run", "--preset", "paper-wordcount", "--scheme", "cdc-ld",
@@ -129,7 +138,11 @@ class TestRun:
         (_out_dir_below_file, "Not a directory"),
         (_string_field_in_config, "K='4' must be an int"),
         (_truncated_gf2mat, "section 'A'"),
-    ], ids=["out-dir-below-file", "string-K", "truncated-gf2mat"])
+        # a negative row count once left the reader on the same line forever
+        (_negative_gf2mat("gf2mat A -1 4"), "section 'A' at line 4 declares a negative size"),
+        (_negative_gf2mat("gf2mat A 1 -4"), "section 'A' at line 4 declares a negative size"),
+    ], ids=["out-dir-below-file", "string-K", "truncated-gf2mat", "negative-rows-gf2mat",
+            "negative-cols-gf2mat"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, make_args, message):
         code = main(["run", *make_args(tmp_path)])
         assert code == EXIT_CONFIG
@@ -444,6 +457,23 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda bs: bs[0]["payloads"][0].update(hex="2"),  # was "3": one bit flipped
+         "node 2: the reduce output of function 2 differs from the reference"),
+        (lambda bs: bs.extend([copy.deepcopy(bs[0]), copy.deepcopy(bs[0])]),
+         "broadcast 12: second broadcast for (1, (1, 2, 3), 1)"),
+    ], ids=["flipped-bit", "broadcast-0-appended-twice"])
+    def test_failed_replay_prints_reason(self, tmp_path, capsys, tamper, reason):
+        doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-cdc.json").read_text())
+        assert doc["transcript"]["broadcasts"][0]["payloads"][0]["hex"] == "3"
+        tamper(doc["transcript"]["broadcasts"])
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr().out == f"fixture {path}: fail: {reason}\n"
+
     @pytest.mark.parametrize("scheme, tamper", [
         ("cdc-ld", lambda bs: bs[0]["meta"].update(rho=bs[0]["meta"]["rho"] + 1)),
         ("cdc", lambda bs: bs[0]["payloads"][0].update(bits=bs[0]["payloads"][0]["bits"] + 1)),
@@ -574,7 +604,7 @@ class TestFixture:
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
     @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
-    def test_padding_bit_fails_replay(self, tmp_path, scheme):
+    def test_padding_bit_fails_replay(self, tmp_path, capsys, scheme):
         # one 5-bit value split in two 3-bit segments: bit 2 of node 3's
         # segment is the zero padding of the symbol nodes 1 and 2 recover
         spec = JobSpec(K=3, N=3, Q=3, r=2, s=1, T=5)
@@ -587,6 +617,8 @@ class TestFixture:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr().out.endswith(
+            ": fail: node 1: the padding of group (1, 2, 3)'s symbol is not zero\n")
 
     @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
     def test_every_payload_bit_flip_fails_replay_at_word_width(self, tmp_path, scheme):

@@ -24,7 +24,7 @@ from cdcsim.codec import (
 from cdcsim.engine import run_cdc_shuffle
 from cdcsim.gf2 import BasisDecomposition, pack, unpack
 from cdcsim.placement import JobSpec, make_placement, needed_values
-from cdcsim.workloads import SyntheticRankWorkload, WordCountWorkload, wordcount_map
+from cdcsim.workloads import SyntheticRankWorkload, ValueTable, WordCountWorkload, wordcount_map
 from oracles import vset_members_bruteforce
 
 PAPER_BLOCKS = (
@@ -128,6 +128,24 @@ class TestUSymbol:
         assert len(segs) * width - len(value_ids) * spec.T == 1
         assert width == 3 and all(seg >> 3 == 0 for seg in segs)
 
+    @pytest.mark.parametrize("T", [6, 24, 64])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_table_read_matches_pack(self, T, s):
+        # T=6 joins through pack, T=24 (no struct code) and T=64 as byte
+        # slices; at s=2 a value set's functions come from two reduce batches
+        spec = JobSpec(K=4, N=12, Q=12, r=2, s=s, T=T)
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=T).build_store(spec)
+        cases = 0
+        for ell in range(spec.r + 1, min(spec.r + s, spec.K) + 1):
+            for group in combinations(range(1, 5), ell):
+                for holders in combinations(group, spec.r):
+                    value_ids = build_vset(group, holders, placement)
+                    width, segs = segment_usymbol(value_ids, spec.r, store, T)
+                    assert pack(segs, width) == pack([store[qn] for qn in value_ids], T)
+                    cases += 1
+        assert cases == (12 if s == 1 else 12 + 6)
+
 
 
 def _pack_by_shifts(values, T):
@@ -189,7 +207,7 @@ class TestEncode:
     def test_zero_store_zero_messages(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
         placement = make_placement(spec)
-        zeros = {(q, n): 0 for q in range(1, 5) for n in range(1, 7)}
+        zeros = ValueTable.full(spec, [[0] * 6 for _ in range(4)])
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
@@ -249,11 +267,10 @@ class TestDecode:
         return received
 
     def local_view(self, placement, store, k):
-        return {
-            (q, n): store[(q, n)]
-            for n in placement.node_files[k]
-            for q in range(1, placement.spec.Q + 1)
-        }
+        # the table of the files node k mapped, and no others
+        files = placement.node_files[k]
+        return ValueTable(store.funcs, files, store.T,
+                          [[store[q, n] for n in files] for q in store.funcs])
 
     def test_fig1_scenario(self):
         spec, placement, store = paper_setup()

@@ -19,7 +19,6 @@ from cdcsim.codec import IncompleteShuffleError
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
-    NodeValues,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
@@ -37,6 +36,7 @@ from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
     SyntheticRankWorkload,
+    ValueTable,
     WordCountWorkload,
 )
 from oracles import recount
@@ -209,18 +209,36 @@ class TestPayloadRange:
 
 @pytest.mark.parametrize("T", [6, 8, 16, 33, 64, 70])
 def test_node_values_bytes_match_per_value_join(T):
-    # whole-word widths pack through struct, the rest value by value
+    # whole-word widths pack through struct, the rest value by value; the
+    # store and every node's received values are the same table
     spec = JobSpec(K=4, N=6, Q=8, r=2, s=1, T=T)
     placement = make_placement(spec)
     rng = random.Random(T)
-    store = {(q, n): rng.getrandbits(T) for q in range(1, 9) for n in range(1, 7)}
-    store[(1, 6)] = (1 << T) - 1
+    rows = [[rng.getrandbits(T) for _ in range(6)] for _ in range(8)]
+    rows[0][5] = (1 << T) - 1
+    store = ValueTable.full(spec, rows)
     width = (T + 7) // 8
+    assert store.data == b"".join([v.to_bytes(width, "little") for row in rows for v in row])
+    assert list(store) == list(product(range(1, 9), range(1, 7)))  # q-major
+    for q in range(1, 9):
+        assert store.row(q) == rows[q - 1] == [store[q, n] for n in range(1, 7)]
     for k in range(1, spec.K + 1):
-        values = NodeValues.of(placement, k, store)
+        funcs = placement.node_funcs[k]
+        files = tuple(n for n in range(1, 7) if n not in placement.node_files[k])
+        values = ValueTable(funcs, files, T, [[store[q, n] for n in files] for q in funcs])
         assert values.data == b"".join(
-            [store[qn].to_bytes(width, "little") for qn in product(values.funcs, values.files)])
+            [store[qn].to_bytes(width, "little") for qn in product(funcs, files)])
         assert dict(values) == {qn: store[qn] for qn in needed_values(placement, k)}
+        assert all(values.row(q) == [values[q, n] for n in files] for q in funcs)
+    # a value outside T bits or a short row is named
+    for bad, name in (((1 << T), r"\(2,3\)"), (-1, r"\(2,3\)"), (None, "row 2")):
+        broken = [list(row) for row in rows]
+        if bad is None:
+            broken[1].pop()
+        else:
+            broken[1][2] = bad
+        with pytest.raises(ValueError, match=name):
+            ValueTable.full(spec, broken)
 
 
 class TestSchemeEquivalence:
@@ -377,7 +395,8 @@ class TestReducePhase:
         workload = paper_workload()
         store = workload.build_store(spec)
         # every node holds its own mapped values but received nothing
-        recovered = {k: {} for k in range(1, 5)}
+        recovered = {k: ValueTable(placement.node_funcs[k], (), spec.T,
+                                   [[] for _ in placement.node_funcs[k]]) for k in range(1, 5)}
         with pytest.raises(IncompleteShuffleError):
             reduce_phase(spec, placement, store, recovered, workload)
 
