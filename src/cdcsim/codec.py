@@ -43,18 +43,25 @@ def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
 
 
 def build_vset(group: Sequence[int], holders: Sequence[int],
-               placement: Placement) -> tuple[tuple[int, int], ...]:
-    """Collect the (q, n) pairs served by one (group, holders) multicast: the
-    values known exclusively by the holders and wanted by the rest of the group.
+               placement: Placement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The value set of one (group, holders) multicast: the values known
+    exclusively by the holders and wanted by the rest of the group, as the
+    rectangle (qs, ns) of its sorted functions and its consecutive files.
 
     A function index q qualifies when every non-holder in the group wants it
     and nobody outside the group does, i.e. its reduce batch is an s-subset
     of the group containing every receiver; a file index n qualifies when it
-    is held by exactly the holder subset.  Pairs come out sorted by q then n.
+    is held by exactly the holder subset.  The set's (q, n) pairs are
+    ``product(qs, ns)``, sorted by q then n.  Each value set is built once per
+    placement and kept in ``placement.vsets``; a repeat call returns the
+    same object.
     """
+    key = tuple(sorted(group)), tuple(sorted(holders))
+    vset = placement.vsets.get(key)
+    if vset is not None:
+        return vset
     spec = placement.spec
-    group = tuple(sorted(group))
-    holders = tuple(sorted(holders))
+    group, holders = key
     ell = len(group)
     if ell not in group_sizes(spec.K, spec.r, spec.s):
         raise ValueError(f"group size {ell} invalid for r={spec.r}, s={spec.s}, K={spec.K}")
@@ -62,38 +69,44 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
         raise ValueError(f"holders {holders} must be an r={spec.r} subset of group {group}")
 
     receivers = set(group) - set(holders)
-    qs = sorted(chain.from_iterable(
+    qs = tuple(sorted(chain.from_iterable(
         placement.reduce_batches[subset]
         for subset in combinations(group, spec.s) if receivers <= set(subset)
-    ))
-    ns = sorted(placement.file_batches[holders])
-    value_ids = tuple(product(qs, ns))
+    )))
+    ns = placement.file_batches[holders]
     expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2
-    if len(value_ids) != expected:
+    if len(qs) * len(ns) != expected:
         raise AssertionError(
-            f"value set for group={group} holders={holders} has {len(value_ids)} "
+            f"value set for group={group} holders={holders} has {len(qs) * len(ns)} "
             f"entries, expected {expected}"
         )
-    return value_ids
+    placement.vsets[key] = vset = qs, ns
+    return vset
 
 
-def segment_usymbol(value_ids: Sequence[tuple[int, int]], r: int,
+def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]], r: int,
                     values: ValueTable, T: int) -> tuple[int, tuple[int, ...]]:
     """Concatenate a value set of T-bit values and split it into r equal
     segments; returns the segment width and the segments.
 
-    ``value_ids`` is a value set as ``build_vset`` gives it: each of its
-    functions on one run of consecutive files, q-major, so the concatenation
-    joins one run of a row of ``values`` per function.  Segment i belongs to
-    the i-th smallest holder.  The concatenation is zero-padded at the end to
-    a multiple of r so the split is even; a receiver strips the padding by
-    keeping len(value_ids) * T bits.
+    ``vset`` is a value set as ``build_vset`` gives it: each of its functions
+    on one run of consecutive files, q-major, so the concatenation joins one
+    run of a row of ``values`` per function.  Segment i belongs to the i-th
+    smallest holder.  The concatenation is zero-padded at the end to a
+    multiple of r so the split is even; a receiver strips the padding by
+    keeping len(qs) * len(ns) * T bits.  The result is kept in
+    ``values.segments``, so each value set is segmented once per table.
     """
-    count = value_ids[-1][1] - value_ids[0][1] + 1
-    payload = values.join([q for q, _ in value_ids[::count]], value_ids[0][1], count)
-    width = -(-len(value_ids) * T // r)
-    mask = (1 << width) - 1
-    return width, tuple(payload >> i * width & mask for i in range(r))
+    key = vset, r, T
+    segmented = values.segments.get(key)
+    if segmented is None:
+        qs, ns = vset
+        payload = values.join(qs, ns[0], len(ns))
+        width = -(-len(qs) * len(ns) * T // r)
+        mask = (1 << width) - 1
+        parts = tuple(payload >> i * width & mask for i in range(r))
+        values.segments[key] = segmented = width, parts
+    return segmented
 
 
 def segment_width(spec: JobSpec, ell: int) -> int:
@@ -207,10 +220,10 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
 
     for group in groups_containing(spec, k, spec.r + 1):
         others = tuple(j for j in group if j != k)
-        target = build_vset(group, others, placement)
+        qs, ns = build_vset(group, others, placement)
         payloads = [received.get((j, group)) for j in others]
         if None in payloads:
-            missing.extend(target)
+            missing.extend(product(qs, ns))
             continue
         # segments this node can compute itself, per (holder subset, segment owner)
         local_segs = {
@@ -226,9 +239,10 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
             symbol |= acc << idx * width
         # the trailing zero padding the segmentation added lies above the
         # values; check it first, since unpack raises OverflowError on it
-        if symbol >> len(target) * T:
+        count = len(qs) * len(ns)
+        if symbol >> count * T:
             raise ValueError(f"node {k}: the padding of group {group}'s symbol is not zero")
-        recovered.update(zip(target, unpack(symbol, len(target), T)))
+        recovered.update(zip(product(qs, ns), unpack(symbol, count, T)))
 
     if missing:
         raise IncompleteShuffleError(missing)
@@ -261,7 +275,7 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, int]]]:
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for holders in combinations(group, spec.r):
-                value_ids = build_vset(group, holders, placement)
+                pairs = list(product(*build_vset(group, holders, placement)))
                 for receiver in set(group) - set(holders):
-                    covered[receiver].update(value_ids)
+                    covered[receiver].update(pairs)
     return covered

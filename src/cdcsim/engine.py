@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 
@@ -240,7 +240,7 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         lost = [(j, g) for j, g, _ in keys - got.keys()] if scheme == "cdc" else [
             (j, g) for j, ell in keys - got.keys() for g in groups_containing(spec, j, ell)]
         raise IncompleteShuffleError([qn for j, g in lost for h in combinations(g, r)
-                                      if j in h for qn in build_vset(g, h, placement)])
+                                      if j in h for qn in product(*build_vset(g, h, placement))])
     return got
 
 

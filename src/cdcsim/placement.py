@@ -7,7 +7,7 @@ indices are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -77,7 +77,11 @@ def group_sizes(K: int, r: int, s: int) -> range:
 
 @dataclass(frozen=True)
 class Placement:
-    """Batch maps and the per-node file / function sets they induce."""
+    """Batch maps and the per-node file / function sets they induce.
+
+    ``vsets`` holds each multicast value set ``codec.build_vset`` has built
+    for this placement, by sorted (group, holders); it fills on first use.
+    """
 
     spec: JobSpec
     file_batches: dict[tuple[int, ...], tuple[int, ...]]
@@ -85,6 +89,7 @@ class Placement:
     node_files: dict[int, tuple[int, ...]]
     node_funcs: dict[int, tuple[int, ...]]
     batch_of_file: dict[int, tuple[int, ...]]
+    vsets: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def make_placement(spec: JobSpec) -> Placement:

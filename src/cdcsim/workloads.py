@@ -40,15 +40,17 @@ class ValueTable(Mapping):
     ``bytes``, so a table holds no object per value.  ``files`` is increasing.
     A job's store is the table over functions 1..Q and files 1..N; a node's
     received values are the table over its reduce functions and the files it
-    did not map.
+    did not map.  ``segments`` is ``codec.segment_usymbol``'s memo of the
+    value sets it segmented from this table, kept as long as the table.
     """
 
-    __slots__ = ("funcs", "files", "T", "width", "data", "_row_at", "_col_at")
+    __slots__ = ("funcs", "files", "T", "width", "data", "segments", "_row_at", "_col_at")
 
     def __init__(self, funcs: Iterable[int], files: Iterable[int], T: int,
                  rows: Iterable[Sequence[int]]):
         self.funcs, self.files, self.T = tuple(funcs), tuple(files), T
         self.width = width = (T + 7) // 8
+        self.segments: dict = {}
         self._row_at = {q: i for i, q in enumerate(self.funcs)}
         self._col_at = {n: j for j, n in enumerate(self.files)}
         chunks = []
@@ -315,12 +317,17 @@ class SyntheticRankWorkload:
     def build_store(self, spec: JobSpec) -> ValueTable:
         rng = random.Random(self.seed)
         pool: list[int] = []
+        # at duplicate_prob 0 no draw is ever chosen again: the pool only has
+        # to be non-empty, which gates the rng.random() call of each draw
+        keep = self.duplicate_prob > 0
 
         def draw() -> int:
             if pool and rng.random() < self.duplicate_prob:
                 return rng.choice(pool)
-            pool.append(rng.getrandbits(spec.T))
-            return pool[-1]
+            value = rng.getrandbits(spec.T)
+            if keep or not pool:
+                pool.append(value)
+            return value
 
         # drawn q-major, the order that fixes each seed's values, a row at a time
         return ValueTable.full(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -47,14 +47,14 @@ def paper_setup(T=6):
 class TestVSet:
     def test_paper_example(self):
         _, placement, _ = paper_setup()
-        assert build_vset((1, 2, 3), (1, 3), placement) == ((2, 2),)
+        assert list(product(*build_vset((1, 2, 3), (1, 3), placement))) == [(2, 2)]
 
     def test_size_at_minimum_group(self):
         spec = JobSpec(K=5, N=20, Q=10, r=2, s=1, T=4)
         placement = make_placement(spec)
         for group in combinations(range(1, 6), 3):
             for holders in combinations(group, 2):
-                value_ids = build_vset(group, holders, placement)
+                value_ids = list(product(*build_vset(group, holders, placement)))
                 assert len(value_ids) == spec.eta1 * spec.eta2
 
     def test_matches_membership_oracle(self):
@@ -64,7 +64,11 @@ class TestVSet:
             for ell in range(max(r + 1, s), min(r + s, K) + 1):
                 for group in combinations(range(1, K + 1), ell):
                     for holders in combinations(group, r):
-                        value_ids = build_vset(group, holders, placement)
+                        qs, ns = build_vset(group, holders, placement)
+                        # sorted functions on one run of consecutive files
+                        assert list(qs) == sorted(set(qs))
+                        assert list(ns) == list(range(ns[0], ns[0] + len(ns)))
+                        value_ids = tuple(product(qs, ns))
                         oracle = vset_members_bruteforce(placement, group, holders)
                         assert value_ids == tuple(sorted(oracle))
                         assert len(value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
@@ -72,8 +76,8 @@ class TestVSet:
     def test_canonical_order(self):
         spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=4)
         placement = make_placement(spec)
-        value_ids = build_vset((1, 2, 3), (2, 3), placement)
-        assert list(value_ids) == sorted(value_ids)
+        value_ids = list(product(*build_vset((1, 2, 3), (2, 3), placement)))
+        assert value_ids == sorted(value_ids)
 
     def test_malformed_sizes(self):
         _, placement, _ = paper_setup()
@@ -85,11 +89,64 @@ class TestVSet:
             build_vset((1, 2, 3), (1, 4), placement)  # holders outside group
 
 
+class TestVSetCache:
+    def test_repeat_call_returns_the_same_object(self):
+        spec = JobSpec(K=5, N=20, Q=10, r=2, s=1, T=4)
+        placement = make_placement(spec)
+        first = build_vset((1, 2, 3), (1, 3), placement)
+        assert build_vset((1, 2, 3), (1, 3), placement) is first
+        assert build_vset((3, 1, 2), (3, 1), placement) is first
+        assert build_vset([2, 3, 1], [1, 3], placement) is first
+        # the cache belongs to the placement: another one builds its own set
+        other = build_vset((1, 2, 3), (1, 3), make_placement(spec))
+        assert other == first and other is not first
+
+    def test_invalid_arguments_raise_every_call_and_are_not_cached(self):
+        _, placement, _ = paper_setup()
+        for group, holders in (((1, 2), (1, 2)), ((1, 2, 3), (1,)), ((1, 2, 3), (1, 4))):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    build_vset(group, holders, placement)
+        assert placement.vsets == {}
+
+
+class TestSegmentMemo:
+    def test_segments_are_kept_per_table(self):
+        # two stores on one placement: the memo lives on the store
+        spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=16)
+        placement = make_placement(spec)
+        a = SyntheticRankWorkload(seed=1).build_store(spec)
+        b = SyntheticRankWorkload(seed=2).build_store(spec)
+        for group in combinations(range(1, 5), 3):
+            for holders in combinations(group, 2):
+                vset = build_vset(group, holders, placement)
+                seg_a = segment_usymbol(vset, 2, a, spec.T)
+                assert segment_usymbol(vset, 2, b, spec.T) != seg_a
+                assert segment_usymbol(vset, 2, a, spec.T) is seg_a
+                # r is part of the key
+                assert segment_usymbol(vset, 1, a, spec.T) != seg_a
+
+    @pytest.mark.parametrize("T", [6, 24, 64])
+    def test_memoised_segments_match_a_fresh_table(self, T):
+        spec = JobSpec(K=4, N=12, Q=12, r=2, s=1, T=T)
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=T).build_store(spec)
+        vsets = [build_vset(group, holders, placement)
+                 for group in combinations(range(1, 5), 3) for holders in combinations(group, 2)]
+        first = [segment_usymbol(vset, spec.r, store, T) for vset in vsets]
+        assert len(store.segments) == len(vsets)
+        fresh = ValueTable(store.funcs, store.files, T, map(store.row, store.funcs))
+        for vset, segmented in zip(vsets, first):
+            assert segment_usymbol(vset, spec.r, store, T) is segmented
+            assert segment_usymbol(vset, spec.r, fresh, T) == segmented
+
+
 class TestUSymbol:
     def test_paper_halves(self):
         spec, placement, store = paper_setup()
-        value_ids = build_vset((1, 2, 3), (1, 3), placement)
-        width, segs = segment_usymbol(value_ids, 2, store, spec.T)
+        vset = build_vset((1, 2, 3), (1, 3), placement)
+        value_ids = list(product(*vset))
+        width, segs = segment_usymbol(vset, 2, store, spec.T)
         v22 = store[(2, 2)]
         assert width == 3
         assert segs[0] == v22 & 0b111   # goes to node 1
@@ -100,8 +157,9 @@ class TestUSymbol:
         spec = JobSpec(K=3, N=3, Q=3, r=1, s=1, T=5)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=4).build_store(spec)
-        value_ids = build_vset((1, 2), (2,), placement)
-        width, segs = segment_usymbol(value_ids, 1, store, spec.T)
+        vset = build_vset((1, 2), (2,), placement)
+        value_ids = list(product(*vset))
+        width, segs = segment_usymbol(vset, 1, store, spec.T)
         assert len(segs) == 1
         payload = pack([store[qn] for qn in value_ids], spec.T)
         assert (width, segs[0]) == (len(value_ids) * spec.T, payload)
@@ -110,8 +168,9 @@ class TestUSymbol:
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=6)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=6).build_store(spec)
-        value_ids = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
-        width, segs = segment_usymbol(value_ids, 3, store, spec.T)
+        vset = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
+        value_ids = list(product(*vset))
+        width, segs = segment_usymbol(vset, 3, store, spec.T)
         payload, nbits = pack([store[qn] for qn in value_ids], spec.T), len(value_ids) * spec.T
         rebuilt = pack(segs, width)
         assert rebuilt & ((1 << nbits) - 1) == payload
@@ -123,8 +182,9 @@ class TestUSymbol:
         spec = JobSpec(K=3, N=3, Q=3, r=2, s=1, T=5)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=2).build_store(spec)
-        value_ids = build_vset((1, 2, 3), (1, 2), placement)
-        width, segs = segment_usymbol(value_ids, 2, store, spec.T)
+        vset = build_vset((1, 2, 3), (1, 2), placement)
+        value_ids = list(product(*vset))
+        width, segs = segment_usymbol(vset, 2, store, spec.T)
         assert len(segs) * width - len(value_ids) * spec.T == 1
         assert width == 3 and all(seg >> 3 == 0 for seg in segs)
 
@@ -140,9 +200,9 @@ class TestUSymbol:
         for ell in range(spec.r + 1, min(spec.r + s, spec.K) + 1):
             for group in combinations(range(1, 5), ell):
                 for holders in combinations(group, spec.r):
-                    value_ids = build_vset(group, holders, placement)
-                    width, segs = segment_usymbol(value_ids, spec.r, store, T)
-                    assert pack(segs, width) == pack([store[qn] for qn in value_ids], T)
+                    vset = build_vset(group, holders, placement)
+                    width, segs = segment_usymbol(vset, spec.r, store, T)
+                    assert pack(segs, width) == pack([store[qn] for qn in product(*vset)], T)
                     cases += 1
         assert cases == (12 if s == 1 else 12 + 6)
 
@@ -181,7 +241,7 @@ def xor_oracle_message(k, group, placement, store):
     for holders in combinations(group, spec.r):
         if k not in holders:
             continue
-        value_ids = build_vset(group, holders, placement)
+        value_ids = list(product(*build_vset(group, holders, placement)))
         payload = pack([store[qn] for qn in value_ids], spec.T)
         nbits = len(value_ids) * spec.T
         seg_len = (nbits + (-nbits) % spec.r) // spec.r
@@ -248,8 +308,8 @@ class TestEncode:
         for holders in combinations((1, 2, 3, 4), 2):
             if 1 not in holders:
                 continue
-            value_ids = build_vset((1, 2, 3, 4), holders, placement)
-            width, own = segment_usymbol(value_ids, 2, store, spec.T)
+            vset = build_vset((1, 2, 3, 4), holders, placement)
+            width, own = segment_usymbol(vset, 2, store, spec.T)
             segs.append(own[sorted(holders).index(1)])
         acc = 0
         for seg in segs:

@@ -332,6 +332,25 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticRankWorkload(seed=0, duplicate_prob=1.5)
 
+    @pytest.mark.parametrize("duplicate_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("T", [6, 64])
+    def test_bytes_match_per_value_loop(self, T, duplicate_prob):
+        # the reference pools every draw; at duplicate_prob 0 the generator
+        # keeps only the first, which must leave every value the same
+        for seed in (0, 1, 7):
+            for spec in (JobSpec(K=4, N=6, Q=4, r=2, s=1, T=T),
+                         JobSpec(K=5, N=20, Q=15, r=2, s=1, T=T)):
+                rng, pool, data = random.Random(seed), [], b""
+                for _ in range(spec.Q * spec.N):
+                    if pool and rng.random() < duplicate_prob:
+                        value = rng.choice(pool)
+                    else:
+                        value = rng.getrandbits(T)
+                        pool.append(value)
+                    data += value.to_bytes((T + 7) // 8, "little")
+                store = SyntheticRankWorkload(seed, duplicate_prob).build_store(spec)
+                assert store.data == data
+
 
 def write_gf2_sections(path, sections):
     with open(path, "w", encoding="utf-8") as fh:
