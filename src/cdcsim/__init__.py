@@ -23,7 +23,6 @@ from .codec import (
 from .engine import RunResult, ShuffleTranscript, run, run_uncoded_shuffle
 from .gf2 import (
     BasisDecomposition,
-    BitVec,
     Gf2ExtField,
     Gf2Matrix,
     ext_field,

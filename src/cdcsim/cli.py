@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import analytics, engine
 from .codec import IncompleteShuffleError
 from .engine import UnsupportedCombinationError, dump_json
-from .gf2 import BitVec
 from .placement import JobSpec, make_placement, placement_to_json
 from .workloads import (
     CodedLinearTransformWorkload,
@@ -147,19 +146,17 @@ def build_workload(desc: dict, spec: JobSpec):
         else:
             m = desc.get("m", spec.Q * spec.T)
             n = desc.get("n", 32)
+            for key, value in (("m", m), ("n", n)):
+                if value < 0:
+                    raise ValueError(f"workload {key}: expected a non-negative int, got {value}")
             base = LinearTransformWorkload.random(m, n, spec.N, desc.get("seed", 0))
         return CodedLinearTransformWorkload(base) if kind == "coded-lintrans" else base
     return SyntheticRankWorkload(seed=desc.get("seed", 0),
                                  duplicate_prob=desc.get("duplicate_prob", 0.0))
 
 
-def _serialize_output(value) -> str:
-    if isinstance(value, BitVec):
-        return f"{value.nbits}:{value.to_hex()}"
-    return str(value)
-
-
-def result_to_json(result: engine.RunResult, report: analytics.LoadReport) -> dict:
+def result_to_json(result: engine.RunResult, report: analytics.LoadReport, workload) -> dict:
+    """The ``result.json`` document of a run; ``workload`` writes its outputs."""
     doc = {
         "spec": result.spec.as_dict(),
         "scheme": result.scheme,
@@ -179,7 +176,7 @@ def result_to_json(result: engine.RunResult, report: analytics.LoadReport) -> di
         doc["rho_avg"] = {str(ell): _fr(v) for ell, v in sorted(report.rho_by_ell.items())}
     if result.outputs is not None:
         doc["outputs"] = {
-            str(k): {str(q): _serialize_output(v) for q, v in sorted(out.items())}
+            str(k): {str(q): workload.output_text(v, result.spec) for q, v in sorted(out.items())}
             for k, out in sorted(result.outputs.items())
         }
     return doc
@@ -210,7 +207,7 @@ def cmd_run(args: argparse.Namespace) -> int:
           analytics.fmt12(report.deviation)]],
     )
     with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(result_to_json(result, report)))
+        fh.write(dump_json(result_to_json(result, report, workload)))
 
     total = sum(result.bits_by_node.values())
     print(f"scheme={result.scheme} bits={total} load={report.load_empirical} "

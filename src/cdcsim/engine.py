@@ -88,8 +88,8 @@ class RunResult:
     bits_by_node: dict[int, int]
     load_empirical: Fraction
     rho: dict[tuple[int, int], int] | None
-    outputs: dict[int, dict[int, object]] | None
-    reference: dict[int, object] | None
+    outputs: dict[int, dict[int, int]] | None
+    reference: dict[int, int] | None
     recovered: dict[int, ValueTable] | None
     verification: str  # "pass" | "fail" | "not-applicable"
 
@@ -267,15 +267,15 @@ def _received(placement: Placement, k: int, got: Mapping[tuple[int, int], int]) 
 
 
 def reduce_phase(spec: JobSpec, placement: Placement, store: ValueTable,
-                 recovered: Mapping[int, ValueTable], workload) -> dict[int, dict[int, object]]:
+                 recovered: Mapping[int, ValueTable], workload) -> dict[int, dict[int, int]]:
     """Evaluate each node's reduce functions on a function's row of the store,
     where the files the node did not map take the values it recovered."""
-    outputs: dict[int, dict[int, object]] = {}
+    outputs: dict[int, dict[int, int]] = {}
     for k in range(1, spec.K + 1):
         funcs, others, got = placement.node_funcs[k], unmapped_files(placement, k), recovered[k]
         if (got.funcs, got.files) != (funcs, others):
             raise IncompleteShuffleError([(q, n) for q in funcs for n in others if (q, n) not in got])
-        node_out: dict[int, object] = {}
+        node_out: dict[int, int] = {}
         for q in funcs:
             held = store.row(q)
             for n, v in zip(others, got.row(q)):
@@ -361,7 +361,8 @@ def expect_json(value, kind: type, field: str):
 
 
 def _payload_from_json(obj: dict) -> tuple[int, int]:
-    """The (bits, value) of a payload object, checked as ``BitVec`` checks them."""
+    """The (bits, value) of a payload object: a non-negative width and a value
+    that fits in it."""
     if type(obj) is dict:
         bits, digits = obj.get("bits"), obj.get("hex")
         if type(bits) is int and type(digits) is str:

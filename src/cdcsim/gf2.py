@@ -1,11 +1,9 @@
 """Bit-packed linear algebra over GF(2) and small binary extension fields.
 
 A vector is a plain Python integer: bit position i of the vector is bit i
-of the integer, so position 0 is the lowest-order bit.  Where the job spec
-fixes a vector's length (coded messages, matrix rows, basis rows and
-coefficients) the length is kept beside the integers, once per matrix or
-transcript column.  ``BitVec`` pairs an integer with its length only where the
-length is data: reduce outputs and rows read from a file.
+of the integer, so position 0 is the lowest-order bit.  A vector's length is
+kept beside the integers, once per matrix or transcript column, or follows
+from the job spec.
 Everything here is deterministic; there is no floating point anywhere.
 """
 
@@ -27,27 +25,6 @@ class FieldSizeError(ValueError):
 
 class MalformedDecompositionError(ValueError):
     """Coefficient vectors of a basis decomposition do not match its rank."""
-
-
-@dataclass(frozen=True, slots=True)
-class BitVec:
-    """A GF(2) vector with its length; position i is bit i of ``value``."""
-
-    value: int
-    nbits: int
-
-    def __post_init__(self) -> None:
-        if self.nbits < 0:
-            raise ValueError(f"negative bit length {self.nbits}")
-        if self.value < 0 or self.value >> self.nbits:
-            raise ValueError(f"value 0x{self.value:x} does not fit in {self.nbits} bits")
-
-    @classmethod
-    def from_hex(cls, digits: str, nbits: int) -> "BitVec":
-        return cls(int(digits, 16), nbits)
-
-    def to_hex(self) -> str:
-        return f"{self.value:x}"
 
 
 # struct codes of the value widths that are whole machine words

@@ -4,8 +4,9 @@ Three families are provided: symbol counting over a block-partitioned
 sequence, GF(2) linear transforms (plain and with a parity-coded row block),
 and a synthetic generator with tunable value duplication for rank
 experiments.  Each workload builds the full store, a ``ValueTable`` over
-functions 1..Q and files 1..N, and knows how to reduce a function's values,
-so end-to-end runs can be checked against a single-machine reference.
+functions 1..Q and files 1..N, knows how to reduce a function's values to an
+int, so end-to-end runs can be checked against a single-machine reference,
+and writes that int as the output text of ``result.json``.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from __future__ import annotations
 import io
 import os
 import random
+import string
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import filterfalse, product
+from itertools import filterfalse, islice, product
 from operator import xor
 from typing import Sequence, TextIO
 
-from .gf2 import BitVec, pack, unpack
+from .gf2 import Gf2Matrix, pack, unpack
 from .placement import JobSpec
 
 
@@ -120,6 +122,10 @@ class WordCountWorkload:
         """Total count of symbol q: the integer sum of per-block counts."""
         return sum(values)
 
+    def output_text(self, value: int, spec: JobSpec) -> str:
+        """A count, in decimal."""
+        return str(value)
+
 
 def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> ValueTable:
     """Count symbol occurrences per block, each count a T-bit value."""
@@ -215,65 +221,63 @@ def ingest_string(text: str, Q: int, N: int, tokenizer: str = "word"):
 
 @dataclass(frozen=True)
 class LinearTransformWorkload:
-    """GF(2) matrix rows plus input vectors; values are row-block products.
+    """A GF(2) matrix A and input vectors X, one per row; values are
+    row-block products.
 
-    The matrix is split into Q equal row blocks and function q applies block
-    q, so each intermediate value is the T = nrows/Q bit product of one block
-    with one input vector.  Bit i of a value is the product of block row i.
+    A is split into Q equal row blocks and function q applies block q, so
+    each intermediate value is the T = nrows/Q bit product of one block with
+    one input vector.  Bit i of a value is the product of block row i.
     """
 
-    matrix: tuple[BitVec, ...]
-    inputs: tuple[BitVec, ...]
+    matrix: Gf2Matrix
+    inputs: Gf2Matrix
 
     @classmethod
     def random(cls, nrows: int, ncols: int, n_inputs: int, seed: int) -> "LinearTransformWorkload":
         rng = random.Random(seed)
-        matrix = tuple(BitVec(rng.getrandbits(ncols), ncols) for _ in range(nrows))
-        inputs = tuple(BitVec(rng.getrandbits(ncols), ncols) for _ in range(n_inputs))
+        matrix = Gf2Matrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
+        inputs = Gf2Matrix(tuple(rng.getrandbits(ncols) for _ in range(n_inputs)), ncols)
         return cls(matrix, inputs)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def ncols(self) -> int:
-        return self.matrix[0].nbits if self.matrix else 0
 
     def build_store(self, spec: JobSpec) -> ValueTable:
         return lintrans_map(self, spec)
 
-    def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
+    def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """Concatenate the per-input products of block q, in input order."""
-        return BitVec(pack(values, T), len(values) * T)
+        return pack(values, T)
+
+    def output_text(self, value: int, spec: JobSpec) -> str:
+        """The N*T-bit concatenation, as ``nbits:hex``."""
+        return f"{spec.N * spec.T}:{value:x}"
 
 
-def _matvec_block(rows: Sequence[BitVec], x: BitVec) -> int:
+def _matvec_block(rows: Sequence[int], x: int) -> int:
     value = 0
     for i, row in enumerate(rows):
-        value |= ((row.value & x.value).bit_count() & 1) << i
+        value |= ((row & x).bit_count() & 1) << i
     return value
 
 
 def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
     if spec.Q % spec.K:
         raise ValueError(f"Q={spec.Q} must be a multiple of K={spec.K} for linear transforms")
-    if w.nrows == 0 or w.nrows % spec.Q:
-        raise ValueError(f"matrix with {w.nrows} rows cannot split into Q={spec.Q} equal blocks")
-    if w.nrows // spec.Q != spec.T:
-        raise ValueError(f"block height {w.nrows}/{spec.Q}={w.nrows // spec.Q} != T={spec.T}")
-    if len(w.inputs) != spec.N:
-        raise ValueError(f"{len(w.inputs)} input vectors, spec expects N={spec.N}")
-    for x in w.inputs:
-        if x.nbits != w.ncols:
-            raise ValueError(f"input vector of length {x.nbits}, matrix has {w.ncols} columns")
+    nrows = w.matrix.nrows
+    if nrows == 0 or nrows % spec.Q:
+        raise ValueError(f"matrix with {nrows} rows cannot split into Q={spec.Q} equal blocks")
+    if nrows // spec.Q != spec.T:
+        raise ValueError(f"block height {nrows}/{spec.Q}={nrows // spec.Q} != T={spec.T}")
+    if w.inputs.nrows != spec.N:
+        raise ValueError(f"{w.inputs.nrows} input vectors, spec expects N={spec.N}")
+    if w.inputs.ncols != w.matrix.ncols:
+        raise ValueError(f"input vectors of length {w.inputs.ncols}, "
+                         f"matrix has {w.matrix.ncols} columns")
 
 
 def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
     _check_lintrans_dims(w, spec)
-    return ValueTable.full(spec, ([_matvec_block(w.matrix[(q - 1) * spec.T:q * spec.T], x)
-                                   for x in w.inputs] for q in range(1, spec.Q + 1)))
+    return ValueTable.full(spec, ([_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
+                                   for x in w.inputs.rows] for q in range(1, spec.Q + 1)))
 
 
 def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
@@ -286,8 +290,8 @@ def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     if spec.Q != spec.K:
         raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
     _check_lintrans_dims(w, spec)
-    rows = [[_matvec_block(w.matrix[(q - 1) * spec.T:q * spec.T], x) for x in w.inputs]
-            for q in range(1, spec.K)]
+    rows = [[_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
+             for x in w.inputs.rows] for q in range(1, spec.K)]
     return ValueTable.full(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
 
 
@@ -301,6 +305,7 @@ class CodedLinearTransformWorkload:
         return coded_lintrans_map(self.base, spec)
 
     reduce = LinearTransformWorkload.reduce
+    output_text = LinearTransformWorkload.output_text
 
 
 @dataclass(frozen=True)
@@ -332,12 +337,13 @@ class SyntheticRankWorkload:
         # drawn q-major, the order that fixes each seed's values, a row at a time
         return ValueTable.full(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))
 
-    def reduce(self, q: int, values: Sequence[int], T: int) -> BitVec:
+    def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """XOR-accumulate the values of function q across all files."""
-        acc = 0
-        for v in values:
-            acc ^= v
-        return BitVec(acc, T)
+        return reduce(xor, values, 0)
+
+    def output_text(self, value: int, spec: JobSpec) -> str:
+        """The T-bit XOR, as ``nbits:hex``."""
+        return f"{spec.T}:{value:x}"
 
 
 # --- simple hex-text matrix files -------------------------------------------
@@ -347,30 +353,45 @@ class SyntheticRankWorkload:
 #     gf2mat <name> <nrows> <ncols>
 #     <hex row>          (nrows lines; row bit j, i.e. column j, is bit j of the integer)
 #
-# Blank lines between sections are allowed.
+# Rows are ASCII hex digits only; blank lines between sections are allowed.
 
-def load_gf2_sections(path: str | os.PathLike) -> dict[str, list[BitVec]]:
-    sections: dict[str, list[BitVec]] = {}
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
+def load_gf2_sections(path: str | os.PathLike) -> dict[str, Gf2Matrix]:
+    """The named sections of a matrix file, one ``Gf2Matrix`` each.  A bad
+    header or row, a repeated name or a short file raises ``ValueError``."""
+    sections: dict[str, Gf2Matrix] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i]:
-            i += 1
-            continue
-        parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "gf2mat":
-            raise ValueError(f"bad section header at line {i + 1}: {lines[i]!r}")
-        name, nrows, ncols = parts[1], int(parts[2]), int(parts[3])
-        if nrows < 0 or ncols < 0:
-            raise ValueError(f"section {name!r} at line {i + 1} declares a negative size: "
-                             f"{nrows} rows, {ncols} columns")
-        if i + 1 + nrows > len(lines):
-            raise ValueError(f"section {name!r} declares {nrows} rows, "
-                             f"file ends after {len(lines) - i - 1}")
-        rows = [BitVec.from_hex(lines[i + 1 + j], ncols) for j in range(nrows)]
-        sections[name] = rows
-        i += 1 + nrows
+        lines = enumerate((ln.strip() for ln in fh), start=1)
+        for i, header in lines:
+            if not header:
+                continue
+            parts = header.split()
+            if len(parts) != 4 or parts[0] != "gf2mat":
+                raise ValueError(f"bad section header at line {i}: {header!r}")
+            name, at = parts[1], f"section {parts[1]!r} at line {i}"
+            if name in sections:
+                raise ValueError(f"{at} repeats the name of an earlier section")
+            if not all(c.isascii() and c.removeprefix("-").isdecimal() for c in parts[2:]):
+                raise ValueError(f"{at}: counts {parts[2]!r} and {parts[3]!r} are not ints")
+            nrows, ncols = int(parts[2]), int(parts[3])
+            if nrows < 0 or ncols < 0:
+                raise ValueError(f"{at} declares a negative size: {nrows} rows, {ncols} columns")
+            block = list(islice(lines, nrows))
+            if len(block) < nrows:
+                raise ValueError(f"section {name!r} declares {nrows} rows, "
+                                 f"file ends after {len(block)}")
+            rows = []
+            for line, digits in block:
+                if not digits or not _HEX_DIGITS.issuperset(digits):
+                    raise ValueError(f"section {name!r} at line {line}: "
+                                     f"row {digits!r} is not hex digits")
+                if (row := int(digits, 16)) >> ncols:
+                    raise ValueError(f"section {name!r} at line {line}: "
+                                     f"row {digits} is wider than {ncols} columns")
+                rows.append(row)
+            sections[name] = Gf2Matrix(tuple(rows), ncols)
     return sections
 
 
@@ -379,4 +400,4 @@ def lintrans_from_file(path: str | os.PathLike) -> LinearTransformWorkload:
     sections = load_gf2_sections(path)
     if "A" not in sections or "X" not in sections:
         raise ValueError(f"{path}: need sections 'A' and 'X'")
-    return LinearTransformWorkload(tuple(sections["A"]), tuple(sections["X"]))
+    return LinearTransformWorkload(sections["A"], sections["X"])

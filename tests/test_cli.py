@@ -52,17 +52,10 @@ def _string_field_in_config(tmp_path):
     return ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
 
 
-def _truncated_gf2mat(tmp_path):
-    mats = tmp_path / "mats.txt"
-    mats.write_text("gf2mat A 3 4\n1\n2\n")  # declares 3 rows, holds 2
-    return ["--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1", "--T", "6",
-            "--workload", "lintrans", "--input", str(mats), "--out-dir", str(tmp_path / "out")]
-
-
-def _negative_gf2mat(header):
+def _gf2mat_file(text):
     def make_args(tmp_path):
         mats = tmp_path / "mats.txt"
-        mats.write_text(f"gf2mat X 1 4\n3\n\n{header}\n1\n")
+        mats.write_text(text)
         return ["--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1", "--T", "6",
                 "--workload", "lintrans", "--input", str(mats), "--out-dir", str(tmp_path / "out")]
     return make_args
@@ -137,12 +130,26 @@ class TestRun:
     @pytest.mark.parametrize("make_args, message", [
         (_out_dir_below_file, "Not a directory"),
         (_string_field_in_config, "K='4' must be an int"),
-        (_truncated_gf2mat, "section 'A'"),
+        (_gf2mat_file("gf2mat A 3 4\n1\n2\n"), "section 'A'"),  # declares 3 rows, holds 2
         # a negative row count once left the reader on the same line forever
-        (_negative_gf2mat("gf2mat A -1 4"), "section 'A' at line 4 declares a negative size"),
-        (_negative_gf2mat("gf2mat A 1 -4"), "section 'A' at line 4 declares a negative size"),
+        (_gf2mat_file("gf2mat X 1 4\n3\n\ngf2mat A -1 4\n1\n"),
+         "section 'A' at line 4 declares a negative size"),
+        (_gf2mat_file("gf2mat X 1 4\n3\n\ngf2mat A 1 -4\n1\n"),
+         "section 'A' at line 4 declares a negative size"),
+        # a later section of the same name must not replace the first
+        (_gf2mat_file("gf2mat A 1 4\n1\n\ngf2mat A 1 4\n2\n"),
+         "section 'A' at line 4 repeats the name of an earlier section"),
+        # int(_, 16) alone would read "1_0" as 0x10 and "0x3" as 3
+        (_gf2mat_file("gf2mat X 1 4\n3\ngf2mat A 2 4\n1\n1_0\n"),
+         "section 'A' at line 5: row '1_0' is not hex digits"),
+        (_gf2mat_file("gf2mat A 1 4\n0x3\n"), "section 'A' at line 2: row '0x3' is not hex digits"),
+        (_gf2mat_file("gf2mat A 1 4\n-3\n"), "section 'A' at line 2: row '-3' is not hex digits"),
+        (_gf2mat_file("gf2mat A 2 4\nf\n1f\n"),
+         "section 'A' at line 3: row 1f is wider than 4 columns"),
+        (_gf2mat_file("gf2mat A x 4\n"), "section 'A' at line 1: counts 'x' and '4' are not ints"),
     ], ids=["out-dir-below-file", "string-K", "truncated-gf2mat", "negative-rows-gf2mat",
-            "negative-cols-gf2mat"])
+            "negative-cols-gf2mat", "repeated-section-gf2mat", "underscore-row-gf2mat",
+            "0x-row-gf2mat", "minus-row-gf2mat", "wide-row-gf2mat", "non-int-count-gf2mat"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, make_args, message):
         code = main(["run", *make_args(tmp_path)])
         assert code == EXIT_CONFIG
@@ -161,8 +168,12 @@ class TestRun:
         ({"kind": "wordcount", "text": "a b", "seed": 1}, "'seed': not a key"),
         ({"kind": ["synthetic"]}, "unknown workload kind"),
         ([], "workload: expected an object"),
+        # named by field, not by what getrandbits or the block-size check would say
+        ({"kind": "lintrans", "n": -1}, "workload n: expected a non-negative int, got -1"),
+        ({"kind": "coded-lintrans", "m": -5}, "workload m: expected a non-negative int, got -5"),
     ], ids=["duplicate_prob-str", "m-str", "text-int", "seed-str", "seed-bool", "seed-float",
-            "unknown-key", "key-of-another-kind", "kind-list", "workload-list"])
+            "unknown-key", "key-of-another-kind", "kind-list", "workload-list", "n-negative",
+            "m-negative"])
     def test_bad_workload_descriptor_exits_2(self, tmp_path, capsys, workload, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6,
@@ -206,6 +217,22 @@ class TestRun:
         assert code == EXIT_OK
         doc = json.loads((out / "result.json").read_text())
         assert doc["b_k"]["1"] == 36  # same run as the embedded-text preset
+
+    @pytest.mark.parametrize("scheme", ["uncoded", "cdc", "cdc-ld"])
+    def test_lintrans_file_matches_seed_descriptor(self, tmp_path, scheme):
+        # the frozen lintrans spec of TestArtifactDigests, its matrices read from a file
+        job = ["--K", "6", "--N", "40", "--Q", "12", "--r", "3", "--s", "1", "--T", "8",
+               "--scheme", scheme, "--workload", "lintrans"]
+        w = build_workload({"kind": "lintrans", "seed": 4}, JobSpec(6, 40, 12, 3, 1, 8))
+        mats = tmp_path / "mats.txt"
+        mats.write_text("".join(f"gf2mat {name} {m.nrows} {m.ncols}\n" + "".join(
+            f"{row:x}\n" for row in m.rows) for name, m in (("A", w.matrix), ("X", w.inputs))))
+        seeded, from_file = tmp_path / "seeded", tmp_path / "file"
+        assert main(["run", *job, "--seed", "4", "--out-dir", str(seeded)]) == EXIT_OK
+        assert main(["run", *job, "--input", str(mats), "--out-dir", str(from_file)]) == EXIT_OK
+        text = (from_file / "result.json").read_text()
+        assert text == (seeded / "result.json").read_text()
+        assert '"1": "320:' in text  # each output is N*T = 320 bits
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "job.json"
@@ -841,9 +868,11 @@ class TestArtifactDigests:
         write_corpus(tmp_path / "corpus.txt", seed=5, tokens=4000, vocab=300)
         kw, desc = self.SPECS[case]
         spec = JobSpec(**kw)
-        result = engine.run(spec, build_workload(desc, spec), scheme)
+        workload = build_workload(desc, spec)
+        result = engine.run(spec, workload, scheme)
         fixture = fixture_to_json(result, desc)
-        text = (engine.dump_json(result_to_json(result, analytics.build_load_report(result)))
+        text = (engine.dump_json(result_to_json(result, analytics.build_load_report(result),
+                                                workload))
                 + engine.dump_json(fixture))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert replay_fixture(fixture) == "pass"

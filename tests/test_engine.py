@@ -30,7 +30,7 @@ from cdcsim.engine import (
     transcript_to_json,
     validate_transcript,
 )
-from cdcsim.gf2 import BitVec, pack
+from cdcsim.gf2 import Gf2Matrix, pack
 from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
@@ -163,7 +163,7 @@ class TestTranscriptColumns:
 
     def test_uncoded_shuffle_peak_memory(self):
         # 30 240 broadcasts (the paper-fig4 benchmark spec): the columns peak
-        # near 1.8 MB, an object, meta dict and BitVec per broadcast near 12 MB
+        # near 1.8 MB, an object, meta dict and payload object per broadcast near 12 MB
         spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
         placement = make_placement(spec)
         store = SyntheticRankWorkload(seed=1).build_store(spec)
@@ -381,13 +381,15 @@ class TestReducePhase:
 
     def test_identity_transform_reproduces_inputs(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
-        matrix = tuple(BitVec(1 << i, 16) for i in range(16))
+        matrix = Gf2Matrix(tuple(1 << i for i in range(16)), 16)
         rng = random.Random(31)
-        inputs = tuple(BitVec(rng.getrandbits(16), 16) for _ in range(6))
-        result = run(spec, LinearTransformWorkload(matrix, inputs), "cdc")
+        inputs = Gf2Matrix(tuple(rng.getrandbits(16) for _ in range(6)), 16)
+        workload = LinearTransformWorkload(matrix, inputs)
+        result = run(spec, workload, "cdc")
         for q in range(1, 5):
-            expected = pack([x.value >> (q - 1) * 4 & 0xf for x in inputs], 4)
-            assert result.reference[q] == BitVec(expected, 4 * len(inputs))
+            expected = pack([x >> (q - 1) * 4 & 0xf for x in inputs.rows], 4)
+            assert result.reference[q] == expected
+            assert workload.output_text(result.reference[q], spec) == f"{4 * 6}:{expected:x}"
 
     def test_missing_value_propagates(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
@@ -474,8 +476,8 @@ class TestDumpJson:
         assert dump_json(obj) == stdlib_json(obj)
 
     @pytest.mark.parametrize("obj", [
-        {1, 2}, b"ab", BitVec(3, 2), {"x": [0, {"y": {1}}]}, {(1, 2): 0}, {1: "a", "b": 2},
-    ], ids=["set", "bytes", "bitvec", "nested-set", "tuple-key", "mixed-keys"])
+        {1, 2}, b"ab", Gf2Matrix((3,), 2), {"x": [0, {"y": {1}}]}, {(1, 2): 0}, {1: "a", "b": 2},
+    ], ids=["set", "bytes", "dataclass", "nested-set", "tuple-key", "mixed-keys"])
     def test_rejects_what_stdlib_json_rejects(self, obj):
         with pytest.raises(TypeError):
             stdlib_json(obj)

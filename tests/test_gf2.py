@@ -9,7 +9,6 @@ import pytest
 from cdcsim.gf2 import (
     IRREDUCIBLE_POLY,
     BasisDecomposition,
-    BitVec,
     FieldSizeError,
     Gf2Matrix,
     MalformedDecompositionError,
@@ -24,18 +23,6 @@ from oracles import gf_mul_longdiv, int_to_bits, is_irreducible, naive_rank, per
 
 def matrix(values, ncols):
     return Gf2Matrix(tuple(values), ncols)
-
-
-class TestBitVec:
-    def test_value_must_fit(self):
-        with pytest.raises(ValueError):
-            BitVec(4, 2)
-        with pytest.raises(ValueError):
-            BitVec(-1, 4)
-
-    def test_hex_roundtrip(self):
-        v = BitVec(0xdead, 16)
-        assert BitVec.from_hex(v.to_hex(), 16) == v
 
 
 class TestGf2Matrix:

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from cdcsim.gf2 import BitVec, Gf2Matrix, rank_and_basis
+from cdcsim.gf2 import Gf2Matrix, rank_and_basis
 from cdcsim.placement import JobSpec
 from cdcsim.workloads import (
     CountOverflowError,
@@ -235,20 +235,20 @@ class TestLinearTransform:
     def test_zero_input_maps_to_zero(self):
         spec = self.lt_spec()
         rng = random.Random(2)
-        matrix = tuple(BitVec(rng.getrandbits(8), 8) for _ in range(16))
-        inputs = tuple(BitVec(0, 8) for _ in range(6))
+        matrix = Gf2Matrix(tuple(rng.getrandbits(8) for _ in range(16)), 8)
+        inputs = Gf2Matrix((0,) * 6, 8)
         store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
         assert all(v == 0 for v in store.values())
 
     def test_identity_blocks_slice_input(self):
         spec = self.lt_spec()
-        matrix = tuple(BitVec(1 << i, 16) for i in range(16))
+        matrix = Gf2Matrix(tuple(1 << i for i in range(16)), 16)
         rng = random.Random(3)
-        inputs = tuple(BitVec(rng.getrandbits(16), 16) for _ in range(6))
+        inputs = Gf2Matrix(tuple(rng.getrandbits(16) for _ in range(6)), 16)
         store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
         for q in range(1, 5):
-            for n, x in enumerate(inputs, start=1):
-                assert store[(q, n)] == x.value >> (q - 1) * 4 & 0xf
+            for n, x in enumerate(inputs.rows, start=1):
+                assert store[(q, n)] == x >> (q - 1) * 4 & 0xf
 
     def test_matches_naive_dot_oracle(self):
         spec = self.lt_spec()
@@ -256,19 +256,19 @@ class TestLinearTransform:
         store = lintrans_map(w, spec)
         for q in range(1, 5):
             for n in range(1, 7):
-                x_bits = int_to_bits(w.inputs[n - 1].value, 16)
+                x_bits = int_to_bits(w.inputs.rows[n - 1], 16)
                 got = store[(q, n)]
                 for i in range(4):
-                    row_bits = int_to_bits(w.matrix[(q - 1) * 4 + i].value, 16)
+                    row_bits = int_to_bits(w.matrix.rows[(q - 1) * 4 + i], 16)
                     assert (got >> i) & 1 == naive_dot(row_bits, x_bits)
 
     def test_linearity(self):
         spec = self.lt_spec()
         rng = random.Random(23)
-        matrix = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(16))
-        xs = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(6))
-        ys = tuple(BitVec(rng.getrandbits(10), 10) for _ in range(6))
-        both = tuple(BitVec(a.value ^ b.value, 10) for a, b in zip(xs, ys))
+        matrix = Gf2Matrix(tuple(rng.getrandbits(10) for _ in range(16)), 10)
+        xs = Gf2Matrix(tuple(rng.getrandbits(10) for _ in range(6)), 10)
+        ys = Gf2Matrix(tuple(rng.getrandbits(10) for _ in range(6)), 10)
+        both = Gf2Matrix(tuple(a ^ b for a, b in zip(xs.rows, ys.rows)), 10)
         sa = lintrans_map(LinearTransformWorkload(matrix, xs), spec)
         sb = lintrans_map(LinearTransformWorkload(matrix, ys), spec)
         sc = lintrans_map(LinearTransformWorkload(matrix, both), spec)
@@ -279,6 +279,12 @@ class TestLinearTransform:
         spec = self.lt_spec()
         w = LinearTransformWorkload.random(20, 8, 6, seed=1)  # 20 rows not divisible into 4 blocks of T=4
         with pytest.raises(ValueError):
+            lintrans_map(w, spec)
+
+    def test_input_width_mismatch(self):
+        spec = self.lt_spec()
+        w = LinearTransformWorkload(Gf2Matrix((0,) * 16, 8), Gf2Matrix((0,) * 6, 9))
+        with pytest.raises(ValueError, match="input vectors of length 9, matrix has 8 columns"):
             lintrans_map(w, spec)
 
 
@@ -295,8 +301,8 @@ class TestCodedLinearTransform:
 
     def test_zero_matrix(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
-        w = LinearTransformWorkload(tuple(BitVec(0, 8) for _ in range(16)),
-                                    tuple(BitVec(i + 1, 8) for i in range(6)))
+        w = LinearTransformWorkload(Gf2Matrix((0,) * 16, 8),
+                                    Gf2Matrix(tuple(i + 1 for i in range(6)), 8))
         store = coded_lintrans_map(w, spec)
         assert all(v == 0 for v in store.values())
 
@@ -354,22 +360,22 @@ class TestSynthetic:
 
 def write_gf2_sections(path, sections):
     with open(path, "w", encoding="utf-8") as fh:
-        for name, rows in sections.items():
-            fh.write(f"gf2mat {name} {len(rows)} {rows[0].nbits}\n")
-            for row in rows:
-                fh.write(row.to_hex() + "\n")
+        for name, m in sections.items():
+            fh.write(f"gf2mat {name} {m.nrows} {m.ncols}\n")
+            for row in m.rows:
+                fh.write(f"{row:x}\n")
 
 
 def test_gf2_sections_roundtrip(tmp_path):
     rng = random.Random(8)
-    a = [BitVec(rng.getrandbits(12), 12) for _ in range(5)]
-    x = [BitVec(rng.getrandbits(12), 12) for _ in range(3)]
+    a = Gf2Matrix(tuple(rng.getrandbits(12) for _ in range(5)), 12)
+    x = Gf2Matrix(tuple(rng.getrandbits(12) for _ in range(3)), 12)
     path = tmp_path / "mats.txt"
     write_gf2_sections(path, {"A": a, "X": x})
     back = load_gf2_sections(path)
-    assert back["A"] == a and back["X"] == x
+    assert back == {"A": a, "X": x}
     w = lintrans_from_file(path)
-    assert w.matrix == tuple(a) and w.inputs == tuple(x)
+    assert w.matrix == a and w.inputs == x
 
 
 def test_gf2_sections_truncated(tmp_path):
