@@ -142,6 +142,9 @@ def build_workload(desc: dict, spec: JobSpec):
         return workload
     if kind != "synthetic":
         if "input" in desc:
+            if shaped := [key for key in desc if key in ("m", "n", "seed")]:
+                raise ValueError(f"workload {shaped[0]}: not taken with 'input', "
+                                 "whose file gives the matrix and the inputs")
             base = lintrans_from_file(desc["input"])
         else:
             m = desc.get("m", spec.Q * spec.T)
@@ -276,7 +279,8 @@ def replay_fixture(doc: dict) -> str:
     A transcript that is not, one to one, the broadcasts its scheme sends
     (see ``engine.validate_transcript``) or that does not decode fails rather
     than raising; a document with a field of the wrong type or shape, or a
-    broadcast whose meta lacks a field, raises ``ValueError``.
+    broadcast whose meta lacks a field, raises ``ValueError``, and an uncoded
+    transcript at s >= 2 ``UnsupportedCombinationError``, as ``run`` does.
     """
     return _replay(doc)[0]
 
@@ -292,7 +296,7 @@ def _replay(doc: dict) -> tuple[str, str]:
     placement = make_placement(spec)
     store = workload.build_store(spec)
     try:
-        outputs, reference, _recovered, verification = engine.decode_and_verify(
+        outputs, reference, verification = engine.decode_and_verify(
             spec, placement, store, transcript, workload)
     except (IncompleteShuffleError, ValueError) as exc:
         return "fail", str(exc)

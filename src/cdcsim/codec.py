@@ -206,8 +206,8 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
     each group containing k, every other member's message leaves exactly one
     unknown segment once k cancels the segments it can rebuild from its own
     map results; the r recovered segments reassemble the symbol holding k's
-    wanted values for that group.  Only the values of files k mapped are read
-    from ``values``, so it may be the whole store or k's own part of it.  Payload
+    wanted values for that group.  ``values`` is the job's store, read in
+    place: only the values of files k mapped are read from it.  Payload
     lengths are ``engine.validate_transcript``'s to check; a recovered symbol
     whose zero padding is not zero raises ``ValueError``.
     """

@@ -3,13 +3,13 @@
 The network model is a zero-latency lossless broadcast: every payload a node
 sends is visible to all others and the only cost tracked is its exact bit
 length.  A run produces a transcript of every broadcast, per-node bit
-counters, and (for single-copy reduce) decoded values, reduce outputs, and a
-pass/fail comparison against a single-machine reference.
+counters, and (for single-copy reduce) reduce outputs, one node at a time from
+the values it decoded, and a pass/fail comparison against a single-machine reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
@@ -71,6 +71,11 @@ class ShuffleTranscript:
     spec: JobSpec
     broadcasts: Broadcasts
 
+    def __post_init__(self) -> None:
+        if self.scheme == "uncoded" and self.spec.s != 1:
+            raise UnsupportedCombinationError(
+                f"uncoded shuffle is defined only for s=1, got s={self.spec.s}")
+
     def bits_by_node(self) -> dict[int, int]:
         counts = {k: 0 for k in range(1, self.spec.K + 1)}
         cols = self.broadcasts
@@ -90,15 +95,12 @@ class RunResult:
     rho: dict[tuple[int, int], int] | None
     outputs: dict[int, dict[int, int]] | None
     reference: dict[int, int] | None
-    recovered: dict[int, ValueTable] | None
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
 def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
                         store: ValueTable) -> ShuffleTranscript:
     """Ship every needed value plainly; the smallest node holding the file sends."""
-    if spec.s != 1:
-        raise UnsupportedCombinationError(f"uncoded shuffle is defined only for s=1, got s={spec.s}")
     senders, qs, ns, values = [], [], [], []
     for k in range(1, spec.K + 1):
         # sorted(needed_values(placement, k)), one shared list of files per node
@@ -161,8 +163,8 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     """Check that a transcript holds, one to one, the broadcasts its scheme
     sends for this job, and return their payloads by key.
 
-    uncoded sends one T-bit payload per needed (q, n), from a node that mapped
-    file n; cdc one ``segment_width``-bit payload per (sender, group,
+    uncoded (s=1 only) sends one T-bit payload per needed (q, n), from a node
+    that mapped file n; cdc one ``segment_width``-bit payload per (sender, group,
     component), each returned as its value; cdc-ld per (sender, ell) rho
     independent basis rows of msg_len = ``message_width`` bits and
     C(K-1, ell-1) coefficient rows of rho bits, returned as a
@@ -176,21 +178,19 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     nbits, values = cols.nbits, cols.values
     got: dict = {}
     if scheme == "uncoded":
-        mapped = {}  # per function, the files all its reducers mapped
-        for batch, qs in placement.reduce_batches.items():
-            mapped.update(dict.fromkeys(qs, set.intersection(
-                *[set(placement.node_files[j]) for j in batch])))
+        reducer = {q: k for k, qs in placement.node_funcs.items() for q in qs}  # q's only one
         for i, (sender, kind, q, n, count) in enumerate(
                 zip(cols.senders, cols.kinds, cols.meta["q"], cols.meta["n"], cols.counts)):
             key = q, n
+            mappers = placement.batch_of_file.get(n, ())
             # every earlier broadcast has one payload, so this one's is payload i
-            if (kind != scheme or q not in mapped or n in mapped[q]
-                    or sender not in placement.batch_of_file.get(n, ())):
+            if (kind != scheme or q not in reducer or reducer[q] in mappers
+                    or sender not in mappers):
                 raise _rejected(i, i, cols, scheme)
             if count != 1 or nbits[i] != spec.T or key in got or values[i] >> spec.T:
                 raise _rejected(i, i, cols, scheme, key, [spec.T], got)
             got[key] = values[i]
-        if len(got) < sum(spec.N - len(files) for files in mapped.values()):
+        if len(got) < sum(spec.N - len(placement.node_files[k]) for k in reducer.values()):
             raise IncompleteShuffleError([qn for k in range(1, K + 1)
                                           for qn in needed_values(placement, k) if qn not in got])
         return got
@@ -260,67 +260,67 @@ def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengt
     return ValueError(f"broadcast {i}: {why}")
 
 
-def _received(placement: Placement, k: int, got: Mapping[tuple[int, int], int]) -> ValueTable:
-    """Node k's needed values, read from ``got``, as a table."""
-    funcs, files = placement.node_funcs[k], unmapped_files(placement, k)
-    return ValueTable(funcs, files, placement.spec.T, ([got[q, n] for n in files] for q in funcs))
+def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme: str,
+                 got: Mapping) -> Callable[[int], Mapping[tuple[int, int], int]]:
+    """A function from node k to a (q, n) -> value mapping holding each value
+    node k needs, decoded from ``got``, the payloads by key that
+    ``validate_transcript`` returned for an s=1 transcript.  A coded node
+    decodes its own values with ``decode_cdc_s1`` on each call."""
+    if scheme == "uncoded":
+        # every node hears every broadcast, and reads from them its own needed values
+        return lambda k: got
+    # at s=1 every cdc broadcast is component 1 of its group's message
+    if scheme == "cdc":
+        received = {(j, group): p for (j, group, _), p in got.items()}
+    else:
+        received = {(j, group): msg for (j, ell), d in got.items()
+                    for group, msg in zip(groups_containing(spec, j, ell), ld_decompress(d))}
+    return lambda k: decode_cdc_s1(k, received, store, placement)
 
 
-def reduce_phase(spec: JobSpec, placement: Placement, store: ValueTable,
-                 recovered: Mapping[int, ValueTable], workload) -> dict[int, dict[int, int]]:
-    """Evaluate each node's reduce functions on a function's row of the store,
-    where the files the node did not map take the values it recovered."""
-    outputs: dict[int, dict[int, int]] = {}
-    for k in range(1, spec.K + 1):
-        funcs, others, got = placement.node_funcs[k], unmapped_files(placement, k), recovered[k]
-        if (got.funcs, got.files) != (funcs, others):
-            raise IncompleteShuffleError([(q, n) for q in funcs for n in others if (q, n) not in got])
-        node_out: dict[int, int] = {}
-        for q in funcs:
-            held = store.row(q)
-            for n, v in zip(others, got.row(q)):
-                held[n - 1] = v
-            node_out[q] = workload.reduce(q, held, spec.T)
-        outputs[k] = node_out
+def reduce_phase(spec: JobSpec, placement: Placement, store: ValueTable, k: int,
+                 got: Mapping[tuple[int, int], int], workload) -> dict[int, int]:
+    """Node k's reduce outputs: each of its functions evaluated on the
+    function's row of the store, with ``got[q, n]`` laid over each file n the
+    node did not map.  A value ``got`` lacks raises ``IncompleteShuffleError``
+    naming every (q, n) node k lacks."""
+    funcs, others = placement.node_funcs[k], unmapped_files(placement, k)
+    outputs: dict[int, int] = {}
+    for q in funcs:
+        held = store.row(q)
+        try:
+            for n in others:
+                held[n - 1] = got[q, n]
+        except KeyError:
+            raise IncompleteShuffleError(
+                [qn for qn in product(funcs, others) if qn not in got]) from None
+        outputs[q] = workload.reduce(q, held, spec.T)
     return outputs
 
 
 def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
                       transcript: ShuffleTranscript, workload):
-    """Validate a transcript with ``validate_transcript``, decode it at every
-    node, reduce, and compare to the reference.
+    """Validate a transcript with ``validate_transcript``, then one node at a
+    time decode its values (``node_decoder``) and reduce (``reduce_phase``),
+    and compare every output to the reference.
 
-    Returns (outputs, reference, recovered, verification).  With s >= 2 no
-    decoder exists: the multicast structure is checked to cover every node's
-    demand set and the result is (None, None, None, "not-applicable").
+    Returns (outputs, reference, verification).  With s >= 2 no decoder
+    exists: the multicast structure is checked to cover every node's demand
+    set and the result is (None, None, "not-applicable").
     """
     got = validate_transcript(spec, placement, transcript)
     if spec.s != 1:
         for k, covered in multicast_coverage(placement).items():
             if missed := needed_values(placement, k) - covered:
                 raise AssertionError(f"multicast structure misses {sorted(missed)} for node {k}")
-        return None, None, None, "not-applicable"
+        return None, None, "not-applicable"
 
-    nodes = range(1, spec.K + 1)
-    if transcript.scheme == "uncoded":
-        # every node hears every broadcast, and reads from them its own needed values
-        recovered = {k: _received(placement, k, got) for k in nodes}
-    else:
-        # at s=1 every cdc broadcast is component 1 of its group's message
-        if transcript.scheme == "cdc":
-            received = {(j, group): p for (j, group, _), p in got.items()}
-        else:
-            received = {(j, group): msg for (j, ell), d in got.items()
-                        for group, msg in zip(groups_containing(spec, j, ell), ld_decompress(d))}
-        # a node decodes from the store in place: the decoder reads only the
-        # value sets of holder subsets containing the node, i.e. files it mapped
-        recovered = {k: _received(placement, k, decode_cdc_s1(k, received, store, placement))
-                     for k in nodes}
-    outputs = reduce_phase(spec, placement, store, recovered, workload)
-
+    values_of = node_decoder(spec, placement, store, transcript.scheme, got)
+    outputs = {k: reduce_phase(spec, placement, store, k, values_of(k), workload)
+               for k in range(1, spec.K + 1)}
     reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
-    ok = all(outputs[k][q] == reference[q] for k in nodes for q in placement.node_funcs[k])
-    return outputs, reference, recovered, "pass" if ok else "fail"
+    ok = all(v == reference[q] for out in outputs.values() for q, v in out.items())
+    return outputs, reference, "pass" if ok else "fail"
 
 
 def run(spec: JobSpec, workload, scheme: str) -> RunResult:
@@ -343,7 +343,7 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
-    # decode_and_verify returns the last four fields in order
+    # decode_and_verify returns the last three fields in order
     return RunResult(spec, scheme, transcript, bits, load, rho,
                      *decode_and_verify(spec, placement, store, transcript, workload))
 

@@ -3,8 +3,8 @@
 Three families are provided: symbol counting over a block-partitioned
 sequence, GF(2) linear transforms (plain and with a parity-coded row block),
 and a synthetic generator with tunable value duplication for rank
-experiments.  Each workload builds the full store, a ``ValueTable`` over
-functions 1..Q and files 1..N, knows how to reduce a function's values to an
+experiments.  Each workload builds the job's store, the one ``ValueTable``
+(functions 1..Q on files 1..N), knows how to reduce a function's values to an
 int, so end-to-end runs can be checked against a single-machine reference,
 and writes that int as the output text of ``result.json``.
 """
@@ -33,72 +33,66 @@ class CountOverflowError(ValueError):
 
 
 class ValueTable(Mapping):
-    """The T-bit values v(q, n) of each function q in ``funcs`` on each file n
-    in ``files``, as a read-only mapping (q, n) -> value, packed from ``rows``
-    (per function, its values on ``files``).  A short row, or a value that
-    does not fit in T bits, raises ``ValueError`` naming the row or the (q, n).
+    """A job's store: the T-bit value v(q, n) of each function q in 1..Q on
+    each file n in 1..N, as a read-only mapping (q, n) -> value, packed from
+    ``rows`` (per function, in order, its values on files 1..N).  A missing or
+    extra row raises ``ValueError``, and so does a short row or a value that
+    does not fit in T bits, naming the row or the (q, n).
 
     Values are held q-major, ceil(T/8) little-endian bytes each, in one
-    ``bytes``, so a table holds no object per value.  ``files`` is increasing.
-    A job's store is the table over functions 1..Q and files 1..N; a node's
-    received values are the table over its reduce functions and the files it
-    did not map.  ``segments`` is ``codec.segment_usymbol``'s memo of the
+    ``bytes``, so a table holds no object per value, and a value is found by
+    index arithmetic.  ``segments`` is ``codec.segment_usymbol``'s memo of the
     value sets it segmented from this table, kept as long as the table.
     """
 
-    __slots__ = ("funcs", "files", "T", "width", "data", "segments", "_row_at", "_col_at")
+    __slots__ = ("spec", "width", "data", "segments")
 
-    def __init__(self, funcs: Iterable[int], files: Iterable[int], T: int,
-                 rows: Iterable[Sequence[int]]):
-        self.funcs, self.files, self.T = tuple(funcs), tuple(files), T
+    def __init__(self, spec: JobSpec, rows: Iterable[Sequence[int]]):
+        self.spec, T, N = spec, spec.T, spec.N
         self.width = width = (T + 7) // 8
         self.segments: dict = {}
-        self._row_at = {q: i for i, q in enumerate(self.funcs)}
-        self._col_at = {n: j for j, n in enumerate(self.files)}
         chunks = []
-        for q, row in zip(self.funcs, rows, strict=True):
-            if len(row) != len(self.files):
-                raise ValueError(f"row {q} has {len(row)} values, expected {len(self.files)}")
-            if row and (min(row) < 0 or max(row) >> T):
-                v, n = next((v, n) for v, n in zip(row, self.files) if v < 0 or v >> T)
+        for q, row in zip(range(1, spec.Q + 1), rows, strict=True):
+            if len(row) != N:
+                raise ValueError(f"row {q} has {len(row)} values, expected {N}")
+            if min(row) < 0 or max(row) >> T:
+                v, n = next((v, n) for n, v in enumerate(row, 1) if v < 0 or v >> T)
                 raise ValueError(f"value ({q},{n}) 0x{v:x} does not fit in T={T} bits")
-            chunks.append(pack(row, 8 * width).to_bytes(len(row) * width, "little"))
+            chunks.append(pack(row, 8 * width).to_bytes(N * width, "little"))
         self.data = b"".join(chunks)
 
-    @classmethod
-    def full(cls, spec: JobSpec, rows: Iterable[Sequence[int]]) -> ValueTable:
-        """A job's store: ``rows`` gives functions 1..Q on files 1..N."""
-        return cls(range(1, spec.Q + 1), range(1, spec.N + 1), spec.T, rows)
-
     def row(self, q: int) -> list[int]:
-        """Function q's values on ``files``, in order."""
-        size = len(self.files) * self.width
-        at = self._row_at[q] * size
-        return unpack(int.from_bytes(self.data[at:at + size], "little"),
-                      len(self.files), 8 * self.width)
+        """Function q's values on files 1..N, in order."""
+        if q not in range(1, self.spec.Q + 1):
+            raise KeyError(q)
+        size = self.spec.N * self.width
+        return unpack(int.from_bytes(self.data[(q - 1) * size:q * size], "little"),
+                      self.spec.N, 8 * self.width)
 
     def join(self, qs: Sequence[int], n: int, count: int) -> int:
         """The values of files n..n+count-1 for each function in ``qs``, in
         that order, concatenated as ``pack`` concatenates T-bit values."""
-        j = self._col_at.get(n)
-        if j is None or self._col_at.get(n + count - 1) != j + count - 1:
+        spec = self.spec
+        if count < 1 or n not in range(1, spec.N + 2 - count):
             raise KeyError(n)
-        stride, at, size = len(self.files) * self.width, j * self.width, count * self.width
-        joined = int.from_bytes(b"".join([self.data[i * stride + at:i * stride + at + size]
-                                          for i in map(self._row_at.__getitem__, qs)]), "little")
+        if qs and (min(qs) < 1 or max(qs) > spec.Q):
+            raise KeyError(next(q for q in qs if not 0 < q <= spec.Q))
+        stride, at, size = spec.N * self.width, (n - 1) * self.width, count * self.width
+        joined = int.from_bytes(b"".join([
+            self.data[(q - 1) * stride + at:(q - 1) * stride + at + size] for q in qs]), "little")
         # whole bytes per value: a T that is not a multiple of 8 closes the gaps
-        return joined if self.T % 8 == 0 else pack(
-            unpack(joined, len(qs) * count, 8 * self.width), self.T)
+        return joined if spec.T % 8 == 0 else pack(
+            unpack(joined, len(qs) * count, 8 * self.width), spec.T)
 
     def __getitem__(self, qn: tuple[int, int]) -> int:
         q, n = qn
         return self.join((q,), n, 1)
 
     def __iter__(self):
-        return product(self.funcs, self.files)
+        return product(range(1, self.spec.Q + 1), range(1, self.spec.N + 1))
 
     def __len__(self) -> int:
-        return len(self.funcs) * len(self.files)
+        return self.spec.Q * self.spec.N
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> ValueTable:
             raise CountOverflowError(
                 f"count {counts[q]} of symbol {q} in block {n} does not fit in T={spec.T} bits")
         columns.append([counts.get(q, 0) for q in range(1, spec.Q + 1)])
-    return ValueTable.full(spec, zip(*columns))
+    return ValueTable(spec, zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,7 @@ def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
 def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
     _check_lintrans_dims(w, spec)
-    return ValueTable.full(spec, ([_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
+    return ValueTable(spec, ([_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
                                    for x in w.inputs.rows] for q in range(1, spec.Q + 1)))
 
 
@@ -292,7 +286,7 @@ def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
     _check_lintrans_dims(w, spec)
     rows = [[_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
              for x in w.inputs.rows] for q in range(1, spec.K)]
-    return ValueTable.full(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
+    return ValueTable(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ class SyntheticRankWorkload:
             return value
 
         # drawn q-major, the order that fixes each seed's values, a row at a time
-        return ValueTable.full(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))
+        return ValueTable(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """XOR-accumulate the values of function q across all files."""

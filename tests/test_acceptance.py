@@ -27,9 +27,9 @@ from cdcsim.analytics import (
 )
 from cdcsim.cli import main
 from cdcsim.codec import full_message, groups_containing, ld_compress
-from cdcsim.engine import run, run_cdc_ld_shuffle
+from cdcsim.engine import node_decoder, run, run_cdc_ld_shuffle, validate_transcript
 from cdcsim.gf2 import Gf2Matrix, ext_field, rank_and_basis, reconstruct
-from cdcsim.placement import JobSpec, make_placement
+from cdcsim.placement import JobSpec, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -151,9 +151,15 @@ def test_criterion_3_end_to_end_randomized():
                 for q, v in out.items():
                     assert v == reference[q]
             if scheme == "cdc-ld":
-                # compress -> decompress -> decode recovered the exact bits
-                for recovered in result.recovered.values():
-                    for qn, v in recovered.items():
+                # compress -> decompress -> decode recovered the exact bits,
+                # read from the node-by-node decoding the run verified with
+                placement = make_placement(spec)
+                values_of = node_decoder(spec, placement, store, scheme,
+                                         validate_transcript(spec, placement, result.transcript))
+                for k in range(1, spec.K + 1):
+                    values = values_of(k)
+                    assert values.keys() == needed_values(placement, k)
+                    for qn, v in values.items():
                         assert v == store[qn]
         cases += 1
     assert cases >= 100

@@ -25,7 +25,7 @@ from cdcsim.cli import (
     replay_fixture,
     result_to_json,
 )
-from cdcsim.placement import JobSpec
+from cdcsim.placement import JobSpec, make_placement
 from corpora import write_corpus
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
@@ -171,9 +171,15 @@ class TestRun:
         # named by field, not by what getrandbits or the block-size check would say
         ({"kind": "lintrans", "n": -1}, "workload n: expected a non-negative int, got -1"),
         ({"kind": "coded-lintrans", "m": -5}, "workload m: expected a non-negative int, got -5"),
+        # the input file gives the matrix and the inputs; nothing else may shape them
+        ({"kind": "lintrans", "input": "m.txt", "m": -5, "seed": 9},
+         "workload m: not taken with 'input'"),
+        ({"kind": "lintrans", "input": "m.txt", "n": 4}, "workload n: not taken with 'input'"),
+        ({"kind": "coded-lintrans", "seed": 9, "input": "m.txt"},
+         "workload seed: not taken with 'input'"),
     ], ids=["duplicate_prob-str", "m-str", "text-int", "seed-str", "seed-bool", "seed-float",
             "unknown-key", "key-of-another-kind", "kind-list", "workload-list", "n-negative",
-            "m-negative"])
+            "m-negative", "input-with-m", "input-with-n", "coded-input-with-seed"])
     def test_bad_workload_descriptor_exits_2(self, tmp_path, capsys, workload, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6,
@@ -741,6 +747,29 @@ class TestFixture:
         assert code == EXIT_UNSUPPORTED
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_uncoded_multi_copy_replay_exits_4(self, tmp_path, capsys):
+        # no run writes an uncoded transcript at s=2, so build one by hand:
+        # each value a reducer of q lacks, sent once by a node that mapped it
+        spec = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)
+        desc = {"kind": "synthetic", "seed": 1}
+        placement = make_placement(spec)
+        store = build_workload(desc, spec).build_store(spec)
+        broadcasts = [
+            {"sender": placement.batch_of_file[n][0], "kind": "uncoded", "meta": {"q": q, "n": n},
+             "payloads": [{"bits": 8, "hex": f"{store[q, n]:x}"}]}
+            for batch, qs in placement.reduce_batches.items() for q in qs for n in range(1, 7)
+            if not all(n in placement.node_files[j] for j in batch)]
+        doc = {"workload": desc, "transcript": {"scheme": "uncoded", "spec": spec.as_dict(),
+                                                "broadcasts": broadcasts}}
+        with pytest.raises(engine.UnsupportedCombinationError):
+            replay_fixture(doc)
+        path = tmp_path / "uncoded-s2.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: uncoded shuffle is defined only for s=1, got s=2\n"
 
 
 GOLDEN = {scheme: json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())

@@ -135,7 +135,7 @@ class TestSegmentMemo:
                  for group in combinations(range(1, 5), 3) for holders in combinations(group, 2)]
         first = [segment_usymbol(vset, spec.r, store, T) for vset in vsets]
         assert len(store.segments) == len(vsets)
-        fresh = ValueTable(store.funcs, store.files, T, map(store.row, store.funcs))
+        fresh = ValueTable(spec, map(store.row, range(1, spec.Q + 1)))
         for vset, segmented in zip(vsets, first):
             assert segment_usymbol(vset, spec.r, store, T) is segmented
             assert segment_usymbol(vset, spec.r, fresh, T) == segmented
@@ -267,7 +267,7 @@ class TestEncode:
     def test_zero_store_zero_messages(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
         placement = make_placement(spec)
-        zeros = ValueTable.full(spec, [[0] * 6 for _ in range(4)])
+        zeros = ValueTable(spec, [[0] * 6 for _ in range(4)])
         for group in combinations(range(1, 5), 3):
             for k in group:
                 for msg in encode_cdc(k, group, placement, zeros):
@@ -327,10 +327,12 @@ class TestDecode:
         return received
 
     def local_view(self, placement, store, k):
-        # the table of the files node k mapped, and no others
-        files = placement.node_files[k]
-        return ValueTable(store.funcs, files, store.T,
-                          [[store[q, n] for n in files] for q in store.funcs])
+        # the store with every bit of each value of a file node k did not map
+        # flipped: decoding from it is right only if it reads the node's own files
+        spec, own = placement.spec, set(placement.node_files[k])
+        flip = (1 << spec.T) - 1
+        return ValueTable(spec, [[v if n in own else v ^ flip for n, v in enumerate(store.row(q), 1)]
+                                 for q in range(1, spec.Q + 1)])
 
     def test_fig1_scenario(self):
         spec, placement, store = paper_setup()

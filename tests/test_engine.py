@@ -23,6 +23,7 @@ from cdcsim.engine import (
     _payload_from_json,
     decode_and_verify,
     dump_json,
+    node_decoder,
     reduce_phase,
     run,
     run_uncoded_shuffle,
@@ -210,27 +211,43 @@ class TestPayloadRange:
 @pytest.mark.parametrize("T", [6, 8, 16, 33, 64, 70])
 def test_node_values_bytes_match_per_value_join(T):
     # whole-word widths pack through struct, the rest value by value; the
-    # store and every node's received values are the same table
+    # values a node needs, read from the store a file batch at a time, are
+    # the concatenation of the single values
     spec = JobSpec(K=4, N=6, Q=8, r=2, s=1, T=T)
     placement = make_placement(spec)
     rng = random.Random(T)
     rows = [[rng.getrandbits(T) for _ in range(6)] for _ in range(8)]
     rows[0][5] = (1 << T) - 1
-    store = ValueTable.full(spec, rows)
+    store = ValueTable(spec, rows)
     width = (T + 7) // 8
     assert store.data == b"".join([v.to_bytes(width, "little") for row in rows for v in row])
     assert list(store) == list(product(range(1, 9), range(1, 7)))  # q-major
+    assert len(store) == 48 and dict(store) == {(q, n): rows[q - 1][n - 1] for q, n in store}
     for q in range(1, 9):
         assert store.row(q) == rows[q - 1] == [store[q, n] for n in range(1, 7)]
     for k in range(1, spec.K + 1):
         funcs = placement.node_funcs[k]
-        files = tuple(n for n in range(1, 7) if n not in placement.node_files[k])
-        values = ValueTable(funcs, files, T, [[store[q, n] for n in files] for q in funcs])
-        assert values.data == b"".join(
-            [store[qn].to_bytes(width, "little") for qn in product(funcs, files)])
-        assert dict(values) == {qn: store[qn] for qn in needed_values(placement, k)}
-        assert all(values.row(q) == [values[q, n] for n in files] for q in funcs)
-    # a value outside T bits or a short row is named
+        batches = [ns for holders, ns in placement.file_batches.items() if k not in holders]
+        assert {(q, n) for ns in batches for q in funcs for n in ns} == needed_values(placement, k)
+        for ns in batches:
+            assert store.join(funcs, ns[0], len(ns)) == pack(
+                [store[q, n] for q in funcs for n in ns], T)
+        assert store.join(funcs[::-1], 1, 6) == pack(
+            [store[q, n] for q in funcs[::-1] for n in range(1, 7)], T)
+    # a key outside functions 1..8 and files 1..6 is not in the table
+    for qs, n, count in (((1,), 0, 1), ((1,), 6, 2), ((1,), 7, 1), ((1,), 1, 0),
+                         ((0,), 1, 1), ((9,), 1, 1), ((1, 9), 2, 3)):
+        with pytest.raises(KeyError):
+            store.join(qs, n, count)
+    for absent in ((0, 1), (9, 1), (1, 0), (1, 7)):
+        assert absent not in store
+        with pytest.raises(KeyError):
+            store[absent]
+    for q in (0, 9):
+        with pytest.raises(KeyError):
+            store.row(q)
+    # a value outside T bits or a short row is named, and a missing or extra
+    # row is refused
     for bad, name in (((1 << T), r"\(2,3\)"), (-1, r"\(2,3\)"), (None, "row 2")):
         broken = [list(row) for row in rows]
         if bad is None:
@@ -238,7 +255,10 @@ def test_node_values_bytes_match_per_value_join(T):
         else:
             broken[1][2] = bad
         with pytest.raises(ValueError, match=name):
-            ValueTable.full(spec, broken)
+            ValueTable(spec, broken)
+    for count in (7, 9):
+        with pytest.raises(ValueError):
+            ValueTable(spec, (rows * 2)[:count])
 
 
 class TestSchemeEquivalence:
@@ -265,7 +285,8 @@ class TestSchemeEquivalence:
 
     def test_recovered_values_bit_exact(self):
         # Q=10 gives each node two reduce functions, so the values of a node
-        # are laid out over more than one function
+        # are laid out over more than one function; the values are read from
+        # the node-by-node decoding that decode_and_verify reduces from
         for Q in (5, 10):
             spec = JobSpec(K=5, N=20, Q=Q, r=2, s=1, T=16)
             workload = SyntheticRankWorkload(seed=77, duplicate_prob=0.5)
@@ -273,12 +294,20 @@ class TestSchemeEquivalence:
             placement = make_placement(spec)
             for scheme in ("uncoded", "cdc", "cdc-ld"):
                 result = run(spec, workload, scheme)
-                for k, recovered in result.recovered.items():
+                got = validate_transcript(spec, placement, result.transcript)
+                values_of = node_decoder(spec, placement, store, scheme, got)
+                for k in range(1, spec.K + 1):
+                    recovered = values_of(k)
                     for qn, v in recovered.items():
                         assert v == store[qn]
                     expected = {qn: store[qn] for qn in needed_values(placement, k)}
-                    assert recovered == expected and len(recovered) == len(expected)
                     assert all(recovered[qn] == v for qn, v in expected.items())
+                    if scheme == "uncoded":
+                        # every node reads its values from the one set of broadcasts
+                        assert recovered is got
+                    else:
+                        # a coded node decodes its own needed values and no others
+                        assert recovered == expected and len(recovered) == len(expected)
                     own = placement.node_files[k][0]
                     for absent in ((placement.node_funcs[k][0], own), (0, 1)):
                         assert absent not in recovered
@@ -396,11 +425,21 @@ class TestReducePhase:
         placement = make_placement(spec)
         workload = paper_workload()
         store = workload.build_store(spec)
-        # every node holds its own mapped values but received nothing
-        recovered = {k: ValueTable(placement.node_funcs[k], (), spec.T,
-                                   [[] for _ in placement.node_funcs[k]]) for k in range(1, 5)}
-        with pytest.raises(IncompleteShuffleError):
-            reduce_phase(spec, placement, store, recovered, workload)
+        for k in range(1, 5):
+            needed = needed_values(placement, k)
+            outputs = {q: workload.reduce(q, store.row(q), spec.T)
+                       for q in placement.node_funcs[k]}
+            assert reduce_phase(spec, placement, store, k, dict(store), workload) == outputs
+            # the node holds its own mapped values but received nothing, or
+            # all but one value: the error names exactly what it lacks
+            with pytest.raises(IncompleteShuffleError) as err:
+                reduce_phase(spec, placement, store, k, {}, workload)
+            assert err.value.missing == sorted(needed)
+            lost = max(needed)
+            got = {qn: store[qn] for qn in needed - {lost}}
+            with pytest.raises(IncompleteShuffleError) as err:
+                reduce_phase(spec, placement, store, k, got, workload)
+            assert err.value.missing == [lost]
 
     def test_dropped_broadcast_fails_decode(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
@@ -438,7 +477,7 @@ class TestDeterminism:
         # and the deserialized transcript still decodes
         placement = make_placement(spec)
         store = paper_workload().build_store(spec)
-        _, _, _, verdict = decode_and_verify(spec, placement, store, back, paper_workload())
+        _, _, verdict = decode_and_verify(spec, placement, store, back, paper_workload())
         assert verdict == "pass"
 
 
