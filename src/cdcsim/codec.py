@@ -32,9 +32,36 @@ from .workloads import ValueTable
 class IncompleteShuffleError(RuntimeError):
     """Decoding could not recover every needed value."""
 
-    def __init__(self, missing: Sequence[tuple[int, int]]):
+    def __init__(self, missing: Sequence[tuple[int, int]], node: int | None = None):
         self.missing = sorted(set(missing))
-        super().__init__(f"unrecoverable intermediate values: {self.missing}")
+        where = "" if node is None else f"node {node}: "
+        super().__init__(f"{where}unrecoverable intermediate values: {self.missing}")
+
+
+def own_columns(k: int, placement: Placement, values: ValueTable, table: list) -> list:
+    """Copy into node k's ``table`` the columns of the files k mapped, read
+    from the store ``values``, and return the table.
+
+    A node's table holds the values of its functions (at s=1 one run of
+    consecutive functions) on files 1..N, q-major: the value of its i-th
+    function on file n at index i*N + n-1.  Only the store's values on files
+    k mapped are read.
+    """
+    funcs, N = placement.node_funcs[k], placement.spec.N
+    full = values.rows(funcs[0], len(funcs))
+    for n in placement.node_files[k]:
+        table[n - 1::N] = full[n - 1::N]
+    return table
+
+
+def require_complete(k: int, placement: Placement, table: list) -> list:
+    """Node k's table, if it holds every value; a ``None`` left in it raises
+    ``IncompleteShuffleError`` naming node k and each (q, n) it lacks."""
+    if None in table:
+        funcs, N = placement.node_funcs[k], placement.spec.N
+        raise IncompleteShuffleError([(funcs[i // N], i % N + 1)
+                                      for i, v in enumerate(table) if v is None], k)
+    return table
 
 
 def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
@@ -198,55 +225,60 @@ def full_message(k: int, group: Sequence[int], placement: Placement,
 
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
-                  values: ValueTable,
-                  placement: Placement) -> dict[tuple[int, int], int]:
-    """Recover node k's missing values by XOR peeling (single-copy reduce only).
+                  values: ValueTable, placement: Placement) -> list[int]:
+    """Recover node k's missing values by XOR peeling (single-copy reduce
+    only) and return node k's table (``own_columns``).
 
     ``received`` maps (sender, group) to that sender's broadcast payload.  In
     each group containing k, every other member's message leaves exactly one
     unknown segment once k cancels the segments it can rebuild from its own
     map results; the r recovered segments reassemble the symbol holding k's
-    wanted values for that group.  ``values`` is the job's store, read in
-    place: only the values of files k mapped are read from it.  Payload
-    lengths are ``engine.validate_transcript``'s to check; a recovered symbol
-    whose zero padding is not zero raises ``ValueError``.
+    wanted values for that group: its functions on the group's file batch.
+    ``values`` is the job's store, read in place: only the values of files k
+    mapped are read from it.  Payload lengths are
+    ``engine.validate_transcript``'s to check; a recovered symbol whose zero
+    padding is not zero raises ``ValueError``, and a value no payload
+    recovers ``IncompleteShuffleError`` (``require_complete``).
     """
     spec = placement.spec
     if spec.s != 1:
         raise ValueError("peeling decoder only applies when each reduce function has one copy")
-    T, width = spec.T, segment_width(spec, spec.r + 1)
-    recovered: dict[tuple[int, int], int] = {}
-    missing: list[tuple[int, int]] = []
+    T, N, width = spec.T, spec.N, segment_width(spec, spec.r + 1)
+    table = own_columns(k, placement, values, [None] * (len(placement.node_funcs[k]) * N))
 
     for group in groups_containing(spec, k, spec.r + 1):
         others = tuple(j for j in group if j != k)
+        # at s=1 qs are all of node k's functions, so file n of the symbol
+        # fills the column table[n-1::N]
         qs, ns = build_vset(group, others, placement)
         payloads = [received.get((j, group)) for j in others]
         if None in payloads:
-            missing.extend(product(qs, ns))
             continue
-        # segments this node can compute itself, per (holder subset, segment owner)
-        local_segs = {
-            holders: segment_usymbol(build_vset(group, holders, placement), spec.r, values, T)[1]
-            for holders in combinations(group, spec.r) if k in holders
-        }
+        # the segments this node can compute itself: those of each holder
+        # subset containing k, the group without one other member i
+        local_segs = []
+        for i in others:
+            holders = tuple(h for h in group if h != i)
+            segs = segment_usymbol(build_vset(group, holders, placement), spec.r, values, T)[1]
+            local_segs.append((i, holders, segs))
         symbol = 0
         for idx, (j, acc) in enumerate(zip(others, payloads)):
-            for i in others:
+            # j's message is its segment of every holder subset it is in
+            for i, holders, segs in local_segs:
                 if i != j:
-                    holders = tuple(sorted(set(group) - {i}))
-                    acc ^= local_segs[holders][holders.index(j)]
+                    acc ^= segs[holders.index(j)]
             symbol |= acc << idx * width
         # the trailing zero padding the segmentation added lies above the
         # values; check it first, since unpack raises OverflowError on it
-        count = len(qs) * len(ns)
+        m = len(ns)
+        count = len(qs) * m
         if symbol >> count * T:
             raise ValueError(f"node {k}: the padding of group {group}'s symbol is not zero")
-        recovered.update(zip(product(qs, ns), unpack(symbol, count, T)))
+        vals = unpack(symbol, count, T)
+        for j, n in enumerate(ns):
+            table[n - 1::N] = vals[j::m]
 
-    if missing:
-        raise IncompleteShuffleError(missing)
-    return recovered
+    return require_complete(k, placement, table)
 
 
 def ld_compress(ell: int, messages: Sequence[int], spec: JobSpec) -> BasisDecomposition:

@@ -9,7 +9,7 @@ the values it decoded, and a pass/fail comparison against a single-machine refer
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
@@ -27,6 +27,8 @@ from .codec import (
     ld_decompress,
     message_width,
     multicast_coverage,
+    own_columns,
+    require_complete,
     segment_width,
 )
 from .gf2 import BasisDecomposition, Gf2Matrix, rank_and_basis
@@ -159,16 +161,17 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
 
 
 def validate_transcript(spec: JobSpec, placement: Placement,
-                        transcript: ShuffleTranscript) -> dict:
+                        transcript: ShuffleTranscript) -> list | dict:
     """Check that a transcript holds, one to one, the broadcasts its scheme
-    sends for this job, and return their payloads by key.
+    sends for this job, and return their payloads.
 
     uncoded (s=1 only) sends one T-bit payload per needed (q, n), from a node
-    that mapped file n; cdc one ``segment_width``-bit payload per (sender, group,
-    component), each returned as its value; cdc-ld per (sender, ell) rho
-    independent basis rows of msg_len = ``message_width`` bits and
-    C(K-1, ell-1) coefficient rows of rho bits, returned as a
-    ``BasisDecomposition``.  Every payload value must fit in its width.  A bad
+    that mapped file n, returned as a list of Q*N slots: the value of (q, n)
+    at index (q-1)*N + n-1, ``None`` where nothing was sent.  cdc sends one
+    ``segment_width``-bit payload per (sender, group, component), returned
+    by that key as its value; cdc-ld per (sender, ell) rho independent basis
+    rows of msg_len = ``message_width`` bits and C(K-1, ell-1) coefficient
+    rows of rho bits, returned by (sender, ell) as a ``BasisDecomposition``.  Every payload value must fit in its width.  A bad
     or repeated broadcast raises ``ValueError``, a missing one
     ``IncompleteShuffleError``.
     """
@@ -176,24 +179,30 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     sizes = group_sizes(K, r, spec.s)
     cols = transcript.broadcasts
     nbits, values = cols.nbits, cols.values
-    got: dict = {}
     if scheme == "uncoded":
+        N = spec.N
         reducer = {q: k for k, qs in placement.node_funcs.items() for q in qs}  # q's only one
+        slots: list = [None] * (spec.Q * N)
         for i, (sender, kind, q, n, count) in enumerate(
                 zip(cols.senders, cols.kinds, cols.meta["q"], cols.meta["n"], cols.counts)):
-            key = q, n
             mappers = placement.batch_of_file.get(n, ())
             # every earlier broadcast has one payload, so this one's is payload i
             if (kind != scheme or q not in reducer or reducer[q] in mappers
                     or sender not in mappers):
                 raise _rejected(i, i, cols, scheme)
-            if count != 1 or nbits[i] != spec.T or key in got or values[i] >> spec.T:
-                raise _rejected(i, i, cols, scheme, key, [spec.T], got)
-            got[key] = values[i]
-        if len(got) < sum(spec.N - len(placement.node_files[k]) for k in reducer.values()):
-            raise IncompleteShuffleError([qn for k in range(1, K + 1)
-                                          for qn in needed_values(placement, k) if qn not in got])
-        return got
+            at = (q - 1) * N + n - 1
+            if count != 1 or nbits[i] != spec.T or slots[at] is not None or values[i] >> spec.T:
+                key = q, n
+                raise _rejected(i, i, cols, scheme, key, [spec.T],
+                                () if slots[at] is None else (key,))
+            slots[at] = values[i]
+        # each broadcast filled one slot
+        if len(cols.senders) < sum(N - len(placement.node_files[k]) for k in reducer.values()):
+            raise IncompleteShuffleError([(q, n) for k in range(1, K + 1)
+                                          for q, n in needed_values(placement, k)
+                                          if slots[(q - 1) * N + n - 1] is None])
+        return slots
+    got: dict = {}
     if scheme == "cdc":
         keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
                 for c in range(1, comb(ell - 2, r - 1) + 1)}
@@ -261,14 +270,18 @@ def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengt
 
 
 def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme: str,
-                 got: Mapping) -> Callable[[int], Mapping[tuple[int, int], int]]:
-    """A function from node k to a (q, n) -> value mapping holding each value
-    node k needs, decoded from ``got``, the payloads by key that
-    ``validate_transcript`` returned for an s=1 transcript.  A coded node
-    decodes its own values with ``decode_cdc_s1`` on each call."""
+                 got) -> Callable[[int], list[int]]:
+    """A function from node k to node k's table (``codec.own_columns``):
+    its functions' values on every file, the values it needs decoded from
+    ``got``, what ``validate_transcript`` returned for an s=1 transcript.  A
+    coded node decodes its own values with ``decode_cdc_s1`` on each call."""
     if scheme == "uncoded":
-        # every node hears every broadcast, and reads from them its own needed values
-        return lambda k: got
+        # every node hears every broadcast, and reads its functions' slots
+        def table_of(k: int) -> list[int]:
+            funcs, N = placement.node_funcs[k], spec.N
+            return own_columns(k, placement, store,
+                               got[(funcs[0] - 1) * N:funcs[-1] * N])
+        return table_of
     # at s=1 every cdc broadcast is component 1 of its group's message
     if scheme == "cdc":
         received = {(j, group): p for (j, group, _), p in got.items()}
@@ -278,30 +291,22 @@ def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme:
     return lambda k: decode_cdc_s1(k, received, store, placement)
 
 
-def reduce_phase(spec: JobSpec, placement: Placement, store: ValueTable, k: int,
-                 got: Mapping[tuple[int, int], int], workload) -> dict[int, int]:
+def reduce_phase(spec: JobSpec, placement: Placement, k: int, table: list[int],
+                 workload) -> dict[int, int]:
     """Node k's reduce outputs: each of its functions evaluated on the
-    function's row of the store, with ``got[q, n]`` laid over each file n the
-    node did not map.  A value ``got`` lacks raises ``IncompleteShuffleError``
-    naming every (q, n) node k lacks."""
-    funcs, others = placement.node_funcs[k], unmapped_files(placement, k)
-    outputs: dict[int, int] = {}
-    for q in funcs:
-        held = store.row(q)
-        try:
-            for n in others:
-                held[n - 1] = got[q, n]
-        except KeyError:
-            raise IncompleteShuffleError(
-                [qn for qn in product(funcs, others) if qn not in got]) from None
-        outputs[q] = workload.reduce(q, held, spec.T)
-    return outputs
+    function's row of node k's table (``codec.own_columns``).  A value the
+    table lacks (``None``) raises ``IncompleteShuffleError`` naming node k
+    and every (q, n) it lacks."""
+    N = spec.N
+    require_complete(k, placement, table)
+    return {q: workload.reduce(q, table[i * N:(i + 1) * N], spec.T)
+            for i, q in enumerate(placement.node_funcs[k])}
 
 
 def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
                       transcript: ShuffleTranscript, workload):
     """Validate a transcript with ``validate_transcript``, then one node at a
-    time decode its values (``node_decoder``) and reduce (``reduce_phase``),
+    time decode its table (``node_decoder``) and reduce (``reduce_phase``),
     and compare every output to the reference.
 
     Returns (outputs, reference, verification).  With s >= 2 no decoder
@@ -315,8 +320,8 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
                 raise AssertionError(f"multicast structure misses {sorted(missed)} for node {k}")
         return None, None, "not-applicable"
 
-    values_of = node_decoder(spec, placement, store, transcript.scheme, got)
-    outputs = {k: reduce_phase(spec, placement, store, k, values_of(k), workload)
+    table_of = node_decoder(spec, placement, store, transcript.scheme, got)
+    outputs = {k: reduce_phase(spec, placement, k, table_of(k), workload)
                for k in range(1, spec.K + 1)}
     reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
     ok = all(v == reference[q] for out in outputs.values() for q, v in out.items())

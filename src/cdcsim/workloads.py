@@ -63,11 +63,16 @@ class ValueTable(Mapping):
 
     def row(self, q: int) -> list[int]:
         """Function q's values on files 1..N, in order."""
-        if q not in range(1, self.spec.Q + 1):
+        return self.rows(q, 1)
+
+    def rows(self, q: int, count: int) -> list[int]:
+        """The rows of functions q..q+count-1 concatenated: function q+i's
+        value on file n at index i*N + n-1."""
+        if count < 1 or q not in range(1, self.spec.Q + 2 - count):
             raise KeyError(q)
         size = self.spec.N * self.width
-        return unpack(int.from_bytes(self.data[(q - 1) * size:q * size], "little"),
-                      self.spec.N, 8 * self.width)
+        return unpack(int.from_bytes(self.data[(q - 1) * size:(q - 1 + count) * size], "little"),
+                      count * self.spec.N, 8 * self.width)
 
     def join(self, qs: Sequence[int], n: int, count: int) -> int:
         """The values of files n..n+count-1 for each function in ``qs``, in
@@ -314,22 +319,40 @@ class SyntheticRankWorkload:
             raise ValueError(f"duplicate_prob {self.duplicate_prob} outside [0, 1]")
 
     def build_store(self, spec: JobSpec) -> ValueTable:
+        """Draw values q-major, the order that fixes each seed's values: the
+        first fresh, then each a duplicate of an earlier fresh value with
+        probability ``duplicate_prob`` (one ``rng.random()``), else fresh
+        (one ``getrandbits(T)``).  A duplicate's index is drawn as
+        ``rng.choice`` draws it, so the values are those ``choice`` gives."""
         rng = random.Random(self.seed)
-        pool: list[int] = []
-        # at duplicate_prob 0 no draw is ever chosen again: the pool only has
-        # to be non-empty, which gates the rng.random() call of each draw
-        keep = self.duplicate_prob > 0
+        rand, bits = rng.random, rng.getrandbits
+        p, T, N = self.duplicate_prob, spec.T, spec.N
+        # the first value has nothing to duplicate, so it draws no rng.random()
+        pool = [bits(T)]
+        # at duplicate_prob 0 no value is chosen again: the pool keeps the first
+        keep = p > 0
 
-        def draw() -> int:
-            if pool and rng.random() < self.duplicate_prob:
-                return rng.choice(pool)
-            value = rng.getrandbits(spec.T)
-            if keep or not pool:
-                pool.append(value)
-            return value
+        def rows():
+            row = pool[:]
+            for _ in range(spec.Q):
+                for _ in range(N - len(row)):
+                    if rand() < p:
+                        # Random._randbelow_with_getrandbits(len(pool))
+                        n = len(pool)
+                        k = n.bit_length()
+                        i = bits(k)
+                        while i >= n:
+                            i = bits(k)
+                        row.append(pool[i])
+                    else:
+                        value = bits(T)
+                        row.append(value)
+                        if keep:
+                            pool.append(value)
+                yield row
+                row = []
 
-        # drawn q-major, the order that fixes each seed's values, a row at a time
-        return ValueTable(spec, ([draw() for _ in range(spec.N)] for _ in range(spec.Q)))
+        return ValueTable(spec, rows())
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """XOR-accumulate the values of function q across all files."""

@@ -29,7 +29,7 @@ from cdcsim.cli import main
 from cdcsim.codec import full_message, groups_containing, ld_compress
 from cdcsim.engine import node_decoder, run, run_cdc_ld_shuffle, validate_transcript
 from cdcsim.gf2 import Gf2Matrix, ext_field, rank_and_basis, reconstruct
-from cdcsim.placement import JobSpec, make_placement, needed_values
+from cdcsim.placement import JobSpec, make_placement
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -154,13 +154,13 @@ def test_criterion_3_end_to_end_randomized():
                 # compress -> decompress -> decode recovered the exact bits,
                 # read from the node-by-node decoding the run verified with
                 placement = make_placement(spec)
-                values_of = node_decoder(spec, placement, store, scheme,
-                                         validate_transcript(spec, placement, result.transcript))
+                table_of = node_decoder(spec, placement, store, scheme,
+                                        validate_transcript(spec, placement, result.transcript))
                 for k in range(1, spec.K + 1):
-                    values = values_of(k)
-                    assert values.keys() == needed_values(placement, k)
-                    for qn, v in values.items():
-                        assert v == store[qn]
+                    # node k's functions on every file, its needed values
+                    # among them, each bit for bit
+                    assert table_of(k) == [store[q, n] for q in placement.node_funcs[k]
+                                           for n in range(1, spec.N + 1)]
         cases += 1
     assert cases >= 100
     report(3, f"{cases} randomized specs: all schemes match the reference bit-exactly")

@@ -507,6 +507,23 @@ class TestFixture:
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
         assert capsys.readouterr().out == f"fixture {path}: fail: {reason}\n"
 
+    @pytest.mark.parametrize("tamper, reason", [
+        (_append_copy, "broadcast 12: second broadcast for (1, 4)"),
+        (_prepend_conflict, "broadcast 1: second broadcast for (1, 4)"),
+    ], ids=["uncoded-dup", "uncoded-conflict"])
+    def test_repeated_uncoded_value_prints_reason(self, tmp_path, capsys, tamper, reason):
+        # the second broadcast of a value is rejected, whichever payload came first
+        doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-uncoded.json").read_text())
+        broadcasts = doc["transcript"]["broadcasts"]
+        assert len(broadcasts) == 12 and broadcasts[0]["meta"] == {"q": 1, "n": 4}
+        tamper(broadcasts)
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr().out == f"fixture {path}: fail: {reason}\n"
+
     @pytest.mark.parametrize("scheme, tamper", [
         ("cdc-ld", lambda bs: bs[0]["meta"].update(rho=bs[0]["meta"]["rho"] + 1)),
         ("cdc", lambda bs: bs[0]["payloads"][0].update(bits=bs[0]["payloads"][0]["bits"] + 1)),

@@ -334,6 +334,12 @@ class TestDecode:
         return ValueTable(spec, [[v if n in own else v ^ flip for n, v in enumerate(store.row(q), 1)]
                                  for q in range(1, spec.Q + 1)])
 
+    def node_values(self, placement, store, k):
+        # node k's table as the store holds it: its functions' values on
+        # every file, q-major, read one value at a time
+        return [store[q, n] for q in placement.node_funcs[k]
+                for n in range(1, placement.spec.N + 1)]
+
     def test_fig1_scenario(self):
         spec, placement, store = paper_setup()
         # node 2's and node 3's broadcasts to {1,2,3} carry the halves of (1,4)
@@ -345,8 +351,10 @@ class TestDecode:
         assert x3 == (v14 >> 3) ^ (v22 >> 3)
 
         received = self.collect_broadcasts(spec, placement, store)
-        recovered = decode_cdc_s1(1, received, self.local_view(placement, store, 1), placement)
-        assert recovered[(1, 4)] == v14
+        table = decode_cdc_s1(1, received, self.local_view(placement, store, 1), placement)
+        assert placement.node_funcs[1] == (1,)
+        assert table[4 - 1] == v14
+        assert table == self.node_values(placement, store, 1)
 
     def test_single_group_when_r_is_k_minus_1(self):
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=6)
@@ -354,10 +362,8 @@ class TestDecode:
         store = SyntheticRankWorkload(seed=3).build_store(spec)
         received = self.collect_broadcasts(spec, placement, store)
         for k in range(1, 5):
-            recovered = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
-            assert set(recovered) == needed_values(placement, k)
-            for qn, v in recovered.items():
-                assert v == store[qn]
+            table = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
+            assert table == self.node_values(placement, store, k)
 
     def test_random_sweeps_bit_exact(self):
         rng = random.Random(77)
@@ -372,10 +378,9 @@ class TestDecode:
                                               ).build_store(spec)
                 received = self.collect_broadcasts(spec, placement, store)
                 for k in range(1, K + 1):
-                    recovered = decode_cdc_s1(k, received,
-                                              self.local_view(placement, store, k), placement)
-                    assert set(recovered) == needed_values(placement, k)
-                    assert all(v == store[qn] for qn, v in recovered.items())
+                    table = decode_cdc_s1(k, received,
+                                          self.local_view(placement, store, k), placement)
+                    assert table == self.node_values(placement, store, k)
                 cases += 1
         assert cases >= 12
 
@@ -387,9 +392,9 @@ class TestDecode:
         store = SyntheticRankWorkload(seed=11, duplicate_prob=0.5).build_store(spec)
         received = self.collect_broadcasts(spec, placement, store)
         for k in range(1, spec.K + 1):
-            recovered = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
-            assert recovered == decode_cdc_s1(k, received, store, placement)
-            assert set(recovered) == needed_values(placement, k)
+            table = decode_cdc_s1(k, received, self.local_view(placement, store, k), placement)
+            assert table == decode_cdc_s1(k, received, store, placement)
+            assert table == self.node_values(placement, store, k)
 
     def test_missing_broadcast_reported(self):
         spec, placement, store = paper_setup()
@@ -397,7 +402,11 @@ class TestDecode:
         del received[(2, (1, 2, 3))]
         with pytest.raises(IncompleteShuffleError) as err:
             decode_cdc_s1(1, received, self.local_view(placement, store, 1), placement)
-        assert (1, 4) in err.value.missing
+        # exactly the values node 2's broadcast to {1, 2, 3} carried for node 1
+        lost = sorted(product(*build_vset((1, 2, 3), (2, 3), placement)))
+        assert (1, 4) in lost
+        assert err.value.missing == lost
+        assert str(err.value) == f"node 1: unrecoverable intermediate values: {lost}"
 
     def test_rejects_multi_copy_reduce(self):
         spec = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)

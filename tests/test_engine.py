@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim.codec import IncompleteShuffleError
+from cdcsim.codec import IncompleteShuffleError, own_columns
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
@@ -292,27 +292,27 @@ class TestSchemeEquivalence:
             workload = SyntheticRankWorkload(seed=77, duplicate_prob=0.5)
             store = workload.build_store(spec)
             placement = make_placement(spec)
+            needed = {qn for k in range(1, spec.K + 1) for qn in needed_values(placement, k)}
             for scheme in ("uncoded", "cdc", "cdc-ld"):
                 result = run(spec, workload, scheme)
                 got = validate_transcript(spec, placement, result.transcript)
-                values_of = node_decoder(spec, placement, store, scheme, got)
+                if scheme == "uncoded":
+                    # one slot per (q, n), filled exactly where some node needs the value
+                    assert len(got) == spec.Q * spec.N
+                    for (q, n), v in zip(product(range(1, Q + 1), range(1, spec.N + 1)), got):
+                        assert v == (store[q, n] if (q, n) in needed else None)
                 for k in range(1, spec.K + 1):
-                    recovered = values_of(k)
-                    for qn, v in recovered.items():
-                        assert v == store[qn]
-                    expected = {qn: store[qn] for qn in needed_values(placement, k)}
-                    assert all(recovered[qn] == v for qn, v in expected.items())
-                    if scheme == "uncoded":
-                        # every node reads its values from the one set of broadcasts
-                        assert recovered is got
-                    else:
-                        # a coded node decodes its own needed values and no others
-                        assert recovered == expected and len(recovered) == len(expected)
-                    own = placement.node_files[k][0]
-                    for absent in ((placement.node_funcs[k][0], own), (0, 1)):
-                        assert absent not in recovered
-                        with pytest.raises(KeyError):
-                            recovered[absent]
+                    # node k's functions on every file, q-major, each value bit for bit:
+                    # the needed ones decoded, the rest its own map results, read
+                    # from a store whose values on every other file are flipped
+                    own = set(placement.node_files[k])
+                    local = ValueTable(spec, [[v if n in own else v ^ 0xffff
+                                               for n, v in enumerate(store.row(q), 1)]
+                                              for q in range(1, Q + 1)])
+                    funcs = placement.node_funcs[k]
+                    assert len(funcs) == Q // spec.K
+                    assert node_decoder(spec, placement, local, scheme, got)(k) == [
+                        store[q, n] for q in funcs for n in range(1, spec.N + 1)]
 
 
 class TestAccounting:
@@ -427,19 +427,25 @@ class TestReducePhase:
         store = workload.build_store(spec)
         for k in range(1, 5):
             needed = needed_values(placement, k)
-            outputs = {q: workload.reduce(q, store.row(q), spec.T)
-                       for q in placement.node_funcs[k]}
-            assert reduce_phase(spec, placement, store, k, dict(store), workload) == outputs
+            funcs = placement.node_funcs[k]
+            outputs = {q: workload.reduce(q, store.row(q), spec.T) for q in funcs}
+            full = [store[q, n] for q in funcs for n in range(1, spec.N + 1)]
+            assert reduce_phase(spec, placement, k, full, workload) == outputs
             # the node holds its own mapped values but received nothing, or
-            # all but one value: the error names exactly what it lacks
+            # all but one value: the error names the node and exactly what it lacks
+            own = own_columns(k, placement, store, [None] * len(full))
             with pytest.raises(IncompleteShuffleError) as err:
-                reduce_phase(spec, placement, store, k, {}, workload)
+                reduce_phase(spec, placement, k, own, workload)
             assert err.value.missing == sorted(needed)
+            assert str(err.value) == (f"node {k}: unrecoverable intermediate values: "
+                                      f"{sorted(needed)}")
             lost = max(needed)
-            got = {qn: store[qn] for qn in needed - {lost}}
+            table = list(full)
+            table[funcs.index(lost[0]) * spec.N + lost[1] - 1] = None
             with pytest.raises(IncompleteShuffleError) as err:
-                reduce_phase(spec, placement, store, k, got, workload)
+                reduce_phase(spec, placement, k, table, workload)
             assert err.value.missing == [lost]
+            assert str(err.value) == f"node {k}: unrecoverable intermediate values: {[lost]}"
 
     def test_dropped_broadcast_fails_decode(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
@@ -449,8 +455,11 @@ class TestReducePhase:
         doc = transcript_to_json(run(spec, workload, "cdc").transcript)
         doc["broadcasts"].pop(0)
         transcript = transcript_from_json(doc)
-        with pytest.raises(IncompleteShuffleError):
+        with pytest.raises(IncompleteShuffleError) as err:
             decode_and_verify(spec, placement, store, transcript, workload)
+        # the validator names what every node lacks, under no one node
+        assert err.value.missing
+        assert str(err.value) == f"unrecoverable intermediate values: {err.value.missing}"
 
 
 class TestDeterminism:
