@@ -11,12 +11,13 @@ not decoded.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
 from typing import Mapping, Sequence
 
 from .gf2 import (
     BasisDecomposition,
+    BlockCombiner,
     Gf2Matrix,
     ext_field,
     pack,
@@ -151,29 +152,20 @@ def message_width(spec: JobSpec, ell: int) -> int:
     return segment_width(spec, ell) * comb(ell - 2, spec.r - 1)
 
 
-def _scale_segment(field, scalar: int, x: int, nbits: int) -> int:
-    """Blockwise scalar multiplication: the nbits-bit segment x as a vector of
-    field symbols.
-
-    Bit-sliced over all lam-bit lanes at once: shift-and-add over the scalar's
-    bits, multiplying every lane by x with one shift and a lane-wise reduction.
-    """
-    field._check(scalar)
-    lam = field.degree
-    if nbits % lam:
-        raise ValueError(f"segment of {nbits} bits is not a whole number of "
-                         f"{lam}-bit symbols")
-    # lane-wise constants: the top bit of every lane, and x^lam mod modulus
-    top = ((1 << nbits) - 1) // ((1 << lam) - 1) << (lam - 1)
-    low = field.modulus ^ (1 << lam)
-    acc = 0
-    while scalar:
-        if scalar & 1:
-            acc ^= x
-        scalar >>= 1
-        hi = x & top
-        x = ((x ^ hi) << 1) ^ ((hi >> (lam - 1)) * low)
-    return acc
+def combiner(placement: Placement, ell: int) -> BlockCombiner:
+    """The s >= 2 encoder's combination for groups of size ell: the
+    C(ell-2, r-1) x C(ell-1, r-1) ``vandermonde`` rows over GF(2^lam), lam
+    the bit length of C(ell-1, r-1), applied to ``segment_width``-bit
+    segments.  Built once per placement and kept in
+    ``placement.combiners``."""
+    found = placement.combiners.get(ell)
+    if found is None:
+        spec = placement.spec
+        m = comb(ell - 1, spec.r - 1)
+        field = ext_field(m.bit_length())
+        rows = vandermonde(field, m, comb(ell - 2, spec.r - 1))
+        placement.combiners[ell] = found = BlockCombiner(field, rows, segment_width(spec, ell))
+    return found
 
 
 def encode_cdc(k: int, group: Sequence[int], placement: Placement,
@@ -183,9 +175,9 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
 
     With s=1 the single message is the XOR of k's segments.  With s>=2 the
     m segments are combined into n < m components using rows of powers of
-    distinct nonzero points from GF(2^lam), applied blockwise with lam the
-    smallest degree giving more than m nonzero elements; segments are padded
-    to a multiple of lam first.
+    distinct nonzero points from GF(2^lam), applied blockwise
+    (``combiner``) with lam the smallest degree giving at least m nonzero
+    elements; segments are padded to a multiple of lam first.
     """
     spec = placement.spec
     group = tuple(sorted(group))
@@ -194,27 +186,12 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     # k's segment of every holder subset of the group it belongs to
     segments = [segment_usymbol(build_vset(group, holders, placement), spec.r, values, spec.T)[1]
                 [holders.index(k)] for holders in combinations(group, spec.r) if k in holders]
-    ell = len(group)
-    width = segment_width(spec, ell)
-    m = comb(ell - 1, spec.r - 1)
-
     if spec.s == 1:
         acc = 0
         for seg in segments:
             acc ^= seg
         return [acc]
-
-    n_comp = comb(ell - 2, spec.r - 1)
-    field = ext_field(m.bit_length())
-    powers = vandermonde(field, m, n_comp)
-
-    messages = []
-    for i in range(n_comp):
-        acc = 0
-        for j, seg in enumerate(segments):
-            acc ^= _scale_segment(field, powers[i][j], seg, width)
-        messages.append(acc)
-    return messages
+    return combiner(placement, len(group)).combine(segments)
 
 
 def full_message(k: int, group: Sequence[int], placement: Placement,
@@ -296,18 +273,25 @@ def ld_decompress(d: BasisDecomposition) -> list[int]:
     return list(reconstruct(d).rows)
 
 
-def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, int]]]:
-    """Per node, the (q, n) pairs served to it by some multicast value set.
+def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, tuple[int, ...]]]]:
+    """Per node, the (q, holders) pairs served to it by some multicast value
+    set: function q on the file batch of the holder subset ``holders``.
 
-    Used as a structural check when no decoder runs: compare against each
-    node's demand set.
+    A value set's files are exactly its holders' batch (checked here), so the
+    (q, n) pairs a node is served are q with each file of that batch.  Used as
+    a structural check when no decoder runs: compare against each node's
+    demand set at the same granularity.
     """
     spec = placement.spec
-    covered: dict[int, set[tuple[int, int]]] = {k: set() for k in range(1, spec.K + 1)}
+    covered: dict[int, set[tuple[int, tuple[int, ...]]]] = {k: set() for k in range(1, spec.K + 1)}
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for holders in combinations(group, spec.r):
-                pairs = list(product(*build_vset(group, holders, placement)))
+                qs, ns = build_vset(group, holders, placement)
+                if ns != placement.file_batches[holders]:
+                    raise AssertionError(f"value set for group={group} holders={holders} has "
+                                         f"files {ns}, not its holders' batch")
+                pairs = [(q, holders) for q in qs]
                 for receiver in set(group) - set(holders):
                     covered[receiver].update(pairs)
     return covered

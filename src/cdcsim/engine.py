@@ -315,9 +315,14 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
     """
     got = validate_transcript(spec, placement, transcript)
     if spec.s != 1:
+        # demand and coverage per (function, file batch); a miss is named by
+        # its (q, n) pairs
+        batches = placement.file_batches
         for k, covered in multicast_coverage(placement).items():
-            if missed := needed_values(placement, k) - covered:
-                raise AssertionError(f"multicast structure misses {sorted(missed)} for node {k}")
+            needed = {(q, b) for b in batches if k not in b for q in placement.node_funcs[k]}
+            if missed := needed - covered:
+                pairs = sorted((q, n) for q, b in missed for n in batches[b])
+                raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"
 
     table_of = node_decoder(spec, placement, store, transcript.scheme, got)

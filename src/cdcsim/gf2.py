@@ -249,3 +249,48 @@ def vandermonde(field: Gf2ExtField, m: int, n: int) -> list[list[int]]:
     while len(rows) < n:
         rows.append([field.mul(v, a) for v, a in zip(rows[-1], points)])
     return rows
+
+
+class BlockCombiner:
+    """A fixed n x m matrix ``rows`` over GF(2^lam), applied blockwise: each of
+    m ``nbits``-bit vectors is a run of nbits/lam lam-bit symbols, symbol b at
+    bits b*lam, and output i is sum_j rows[i][j] * vector j, symbol by symbol.
+
+    Bit-sliced over all lanes at once: ``combine`` multiplies each vector by
+    alpha^0 .. alpha^(lam-1) in turn, every lane with one shift and a
+    lane-wise reduction, and XORs each shifted copy into every output whose
+    scalar for that vector has the bit set (``targets[j][b]``).
+    """
+
+    def __init__(self, field: Gf2ExtField, rows: Sequence[Sequence[int]], nbits: int) -> None:
+        lam = field.degree
+        if nbits % lam:
+            raise ValueError(f"vectors of {nbits} bits are not a whole number of "
+                             f"{lam}-bit symbols")
+        for row in rows:
+            for a in row:
+                field._check(a)
+        self.field, self.rows, self.nbits = field, rows, nbits
+        # lane-wise constants: the top bit of every lane, and x^lam mod modulus
+        self.top = ((1 << nbits) - 1) // ((1 << lam) - 1) << (lam - 1)
+        self.low = field.modulus ^ (1 << lam)
+        # per vector j and bit b, up to the highest bit any scalar of column j
+        # has set: the outputs whose scalar for vector j has bit b set
+        self.targets = tuple(
+            tuple(tuple(i for i, row in enumerate(rows) if row[j] >> b & 1)
+                  for b in range(max(row[j] for row in rows).bit_length()))
+            for j in range(len(rows[0]) if rows else 0))
+
+    def combine(self, vectors: Sequence[int]) -> list[int]:
+        """The n outputs for m vectors of ``nbits`` bits each, in row order;
+        a vector count other than m raises ``ValueError``."""
+        acc = [0] * len(self.rows)
+        top, low, shift = self.top, self.low, self.field.degree - 1
+        for x, by_bit in zip(vectors, self.targets, strict=True):
+            for b, outputs in enumerate(by_bit):
+                if b:
+                    hi = x & top
+                    x = ((x ^ hi) << 1) ^ ((hi >> shift) * low)
+                for i in outputs:
+                    acc[i] ^= x
+        return acc

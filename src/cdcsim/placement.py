@@ -80,7 +80,9 @@ class Placement:
     """Batch maps and the per-node file / function sets they induce.
 
     ``vsets`` holds each multicast value set ``codec.build_vset`` has built
-    for this placement, by sorted (group, holders); it fills on first use.
+    for this placement, by sorted (group, holders), and ``combiners`` the
+    s >= 2 encoder's ``codec.combiner`` per group size; both fill on first
+    use.
     """
 
     spec: JobSpec
@@ -90,6 +92,7 @@ class Placement:
     node_funcs: dict[int, tuple[int, ...]]
     batch_of_file: dict[int, tuple[int, ...]]
     vsets: dict = field(default_factory=dict, compare=False, repr=False)
+    combiners: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def make_placement(spec: JobSpec) -> Placement:

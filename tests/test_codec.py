@@ -11,6 +11,7 @@ import pytest
 from cdcsim.codec import (
     IncompleteShuffleError,
     build_vset,
+    combiner,
     decode_cdc_s1,
     encode_cdc,
     full_message,
@@ -21,11 +22,12 @@ from cdcsim.codec import (
     segment_usymbol,
     segment_width,
 )
-from cdcsim.engine import run_cdc_shuffle
-from cdcsim.gf2 import BasisDecomposition, pack, unpack
-from cdcsim.placement import JobSpec, make_placement, needed_values
+from cdcsim.engine import run, run_cdc_shuffle
+from cdcsim.gf2 import (IRREDUCIBLE_POLY, BasisDecomposition, BlockCombiner, Gf2ExtField,
+                        ext_field, pack, unpack)
+from cdcsim.placement import JobSpec, group_sizes, make_placement, needed_values
 from cdcsim.workloads import SyntheticRankWorkload, ValueTable, WordCountWorkload, wordcount_map
-from oracles import vset_members_bruteforce
+from oracles import gf_mul_longdiv, vset_members_bruteforce
 
 PAPER_BLOCKS = (
     (1, 2, 1, 2, 2, 3, 1),
@@ -498,11 +500,13 @@ class TestLdRoundtrip:
             ld_decompress(bad)
 
 
+def scale(field, scalar, seg, nbits):
+    """One scalar times one segment, blockwise, through a 1 x 1 combiner."""
+    return BlockCombiner(field, [[scalar]], nbits).combine([seg])[0]
+
+
 class TestBlockwiseScaling:
     def test_matches_long_division_oracle(self):
-        from cdcsim.codec import _scale_segment
-        from cdcsim.gf2 import ext_field
-        from oracles import gf_mul_longdiv
         rng = random.Random(55)
         for lam in range(1, 17):
             f = ext_field(lam)
@@ -510,7 +514,7 @@ class TestBlockwiseScaling:
             for scalar in scalars:
                 for nblocks in range(1, 41):
                     seg = rng.getrandbits(nblocks * lam)
-                    got = _scale_segment(f, scalar, seg, nblocks * lam)
+                    got = scale(f, scalar, seg, nblocks * lam)
                     assert got >> nblocks * lam == 0
                     mask = (1 << lam) - 1
                     for b in range(nblocks):
@@ -518,19 +522,39 @@ class TestBlockwiseScaling:
                         want = gf_mul_longdiv(scalar, sym, f.modulus)
                         assert got >> b * lam & mask == want, (lam, scalar)
 
+    def test_matrix_matches_long_division_oracle(self):
+        # output i is the symbol-wise sum over j of rows[i][j] * vector j
+        rng = random.Random(57)
+        for lam in (1, 2, 3, 4, 8, 16):
+            f = ext_field(lam)
+            mask = (1 << lam) - 1
+            for _ in range(10):
+                n, m, nblocks = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 12)
+                rows = [[rng.randrange(f.order) for _ in range(m)] for _ in range(n)]
+                vectors = [rng.getrandbits(nblocks * lam) for _ in range(m)]
+                got = BlockCombiner(f, rows, nblocks * lam).combine(vectors)
+                assert len(got) == n
+                for i, out in enumerate(got):
+                    want = 0
+                    for b in range(nblocks):
+                        sym = 0
+                        for a, x in zip(rows[i], vectors):
+                            sym ^= gf_mul_longdiv(a, x >> b * lam & mask, f.modulus)
+                        want |= sym << b * lam
+                    assert out == want, (lam, rows, i)
+
     def test_bad_input_rejected(self):
         # a trailing partial symbol, or a scalar outside GF(8)
-        from cdcsim.codec import _scale_segment
-        from cdcsim.gf2 import ext_field
         f = ext_field(3)
         for scalar, seg, nbits in ((1, 0b1111, 4), (2, 0b1111, 4), (-1, 0b101, 3), (8, 0b101, 3)):
             with pytest.raises(ValueError):
-                _scale_segment(f, scalar, seg, nbits)
+                scale(f, scalar, seg, nbits)
+        # a vector count other than the row length
+        with pytest.raises(ValueError):
+            BlockCombiner(f, [[1, 2]], 3).combine([0b101])
 
     def test_field_action_laws(self):
         # scaling is linear in the vector and multiplicative in the scalar
-        from cdcsim.codec import _scale_segment
-        from cdcsim.gf2 import ext_field
         rng = random.Random(56)
         f = ext_field(3)
         for _ in range(50):
@@ -539,10 +563,100 @@ class TestBlockwiseScaling:
             y = rng.getrandbits(width)
             a = rng.randrange(f.order)
             b = rng.randrange(f.order)
-            assert (_scale_segment(f, a, x ^ y, width)
-                    == _scale_segment(f, a, x, width) ^ _scale_segment(f, a, y, width))
-            assert (_scale_segment(f, f.mul(a, b), x, width)
-                    == _scale_segment(f, a, _scale_segment(f, b, x, width), width))
+            assert (scale(f, a, x ^ y, width)
+                    == scale(f, a, x, width) ^ scale(f, a, y, width))
+            assert (scale(f, f.mul(a, b), x, width)
+                    == scale(f, a, scale(f, b, x, width), width))
+
+
+def encode_oracle(k, group, placement, store):
+    """Independent path for one s >= 2 broadcast: the sender's segments from
+    a direct evaluation of value-set membership, then component i as the sum
+    of a_j^i * segment j one lam-bit symbol at a time, a_j = j, with long
+    division for every product and power."""
+    spec = placement.spec
+    wanters = {q: {j for j in range(1, spec.K + 1) if q in placement.node_funcs[j]}
+               for q in range(1, spec.Q + 1)}
+    holders_of = {n: {j for j in range(1, spec.K + 1) if n in placement.node_files[j]}
+                  for n in range(1, spec.N + 1)}
+    segments = []
+    for holders in combinations(group, spec.r):
+        if k not in holders:
+            continue
+        receivers = set(group) - set(holders)
+        members = [(q, n) for q in range(1, spec.Q + 1) if receivers <= wanters[q] <= set(group)
+                   for n in range(1, spec.N + 1) if holders_of[n] == set(holders)]
+        nbits = len(members) * spec.T
+        seg_len = -(-nbits // spec.r)
+        payload = sum(store[qn] << i * spec.T for i, qn in enumerate(members))
+        segments.append(payload >> holders.index(k) * seg_len & ((1 << seg_len) - 1))
+    m = len(segments)
+    lam = next(d for d in range(1, 17) if (1 << d) - 1 >= m)
+    modulus = IRREDUCIBLE_POLY[lam]
+    nsym = -(-seg_len // lam)
+    mask = (1 << lam) - 1
+    components = []
+    for i in range(comb(len(group) - 2, spec.r - 1)):
+        powers = []
+        for a in range(1, m + 1):
+            p = 1
+            for _ in range(i):
+                p = gf_mul_longdiv(p, a, modulus)
+            powers.append(p)
+        out = 0
+        for b in range(nsym):
+            sym = 0
+            for p, seg in zip(powers, segments):
+                sym ^= gf_mul_longdiv(p, seg >> b * lam & mask, modulus)
+            out |= sym << b * lam
+        components.append(out)
+    return lam, nsym * lam, components
+
+
+class TestGeneralSEncoder:
+    @pytest.mark.parametrize("kw, lams", [
+        (dict(K=7, N=35, Q=35, r=3, s=4, T=13), {2, 3, 4}),
+        (dict(K=6, N=15, Q=20, r=2, s=3, T=17), {2, 3}),
+    ], ids=["s4", "s3"])
+    def test_every_component_matches_oracle(self, kw, lams):
+        # T is not a multiple of lambda here, so segments get padded
+        spec = JobSpec(**kw)
+        placement = make_placement(spec)
+        store = SyntheticRankWorkload(seed=3).build_store(spec)
+        seen = set()
+        for ell in group_sizes(spec.K, spec.r, spec.s):
+            for group in combinations(range(1, spec.K + 1), ell):
+                for k in group:
+                    lam, width, want = encode_oracle(k, group, placement, store)
+                    seen.add(lam)
+                    assert width == segment_width(spec, ell)
+                    assert encode_cdc(k, group, placement, store) == want, (group, k)
+        assert seen == lams
+
+    def test_combiner_built_once_per_job(self, monkeypatch):
+        # each job builds its own Vandermonde rows once per group size:
+        # sum over ell of (components - 1) * segments multiplications
+        calls = []
+        mul = Gf2ExtField.mul
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(Gf2ExtField, "mul", counted)
+        spec = JobSpec(K=8, N=56, Q=56, r=3, s=3, T=64)
+        bound = sum((comb(ell - 2, 2) - 1) * comb(ell - 1, 2) for ell in group_sizes(8, 3, 3))
+        assert bound == 62
+        for scheme in ("cdc", "cdc-ld", "cdc"):
+            calls.clear()
+            run(spec, SyntheticRankWorkload(seed=1), scheme)
+            assert 0 < len(calls) <= bound, scheme
+        placement = make_placement(spec)
+        calls.clear()
+        first = [combiner(placement, ell) for ell in group_sizes(8, 3, 3)]
+        assert len(calls) == bound
+        assert all(combiner(placement, ell) is c for ell, c in zip(group_sizes(8, 3, 3), first))
+        assert len(calls) == bound
 
 
 def test_rank_never_exceeds_count_or_length():
@@ -564,8 +678,12 @@ def test_rank_never_exceeds_count_or_length():
 def test_multicast_coverage_matches_demand():
     for spec in (JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8),
                  JobSpec(K=5, N=10, Q=10, r=2, s=2, T=4),
-                 JobSpec(K=5, N=10, Q=10, r=3, s=2, T=4)):
+                 JobSpec(K=5, N=10, Q=10, r=3, s=2, T=4),
+                 JobSpec(K=5, N=20, Q=20, r=2, s=3, T=4)):
         placement = make_placement(spec)
         covered = multicast_coverage(placement)
         for k in range(1, spec.K + 1):
-            assert needed_values(placement, k) <= covered[k]
+            # each (q, holders) pair is q on every file of the holders' batch
+            pairs = {(q, n) for q, holders in covered[k] for n in placement.file_batches[holders]}
+            assert len(pairs) == len(covered[k]) * spec.eta1
+            assert needed_values(placement, k) == pairs

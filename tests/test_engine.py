@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim.codec import IncompleteShuffleError, own_columns
+from cdcsim.codec import IncompleteShuffleError, build_vset, own_columns
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
@@ -399,6 +399,25 @@ class TestGeneralS:
         result = run(JobSpec(**kw), SyntheticRankWorkload(seed=1), scheme)
         text = dump_json(transcript_to_json(result.transcript))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_coverage_miss_names_node_and_pairs(self):
+        # a value set that lost a function leaves its one receiver without
+        # that function on the holders' files, and no other set serves them
+        spec = JobSpec(K=5, N=20, Q=10, r=2, s=2, T=4)
+        workload = SyntheticRankWorkload(seed=4)
+        transcript = run(spec, workload, "cdc").transcript
+        placement = make_placement(spec)
+        qs, ns = build_vset((1, 2, 3), (1, 2), placement)
+        assert len(qs) > 1 and len(ns) == spec.eta1 == 2
+        placement.vsets[(1, 2, 3), (1, 2)] = qs[:-1], ns
+        with pytest.raises(AssertionError) as err:
+            decode_and_verify(spec, placement, workload.build_store(spec), transcript, workload)
+        assert str(err.value) == (f"multicast structure misses {[(qs[-1], n) for n in ns]} "
+                                  f"for node 3")
+        # files other than the holders' batch are refused outright
+        placement.vsets[(1, 2, 3), (1, 2)] = qs, ns[:-1]
+        with pytest.raises(AssertionError, match=r"holders=\(1, 2\) has files"):
+            decode_and_verify(spec, placement, workload.build_store(spec), transcript, workload)
 
 
 class TestReducePhase:
