@@ -37,10 +37,7 @@ from .workloads import (
     SyntheticRankWorkload,
     ValueTable,
     WordCountWorkload,
-    coded_lintrans_map,
     ingest_text,
-    lintrans_map,
-    wordcount_map,
 )
 
 __version__ = "0.1.0"

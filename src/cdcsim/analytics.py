@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Mapping
 
 from .placement import InvalidSpecError, JobSpec, group_sizes
@@ -159,25 +159,37 @@ def fig2_table(K: int, Q: int, N: int, m: int, q: int) -> list[Fig2Row]:
     return rows
 
 
-def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str]:
-    """Expand a rank model into per-group-size values plus a label.
+def rank_label(model) -> str:
+    """The label of a rank model (see ``resolve_rho``), which its sweep rows
+    and meta file carry; a model of any other form raises ``ValueError``."""
+    if model == "full-rank":
+        return model
+    is_map = isinstance(model, Mapping)
+    for v in model.values() if is_map else (model,):
+        if not (type(v) in (int, Fraction) or type(v) is float and isfinite(v)):
+            raise ValueError(f"rank model {model!r}: {v!r} is not a number; a model is a "
+                             "number, 'full-rank' or a map from group size to a number")
+    return "measured" if is_map else f"constant:{Fraction(model)}"
 
-    Models: an int/Fraction (constant across group sizes), the string
-    "full-rank" (rank equals the message count C(K-1, ell-1)), or an explicit
-    mapping from group size to value.  Mapping keys may be strings, as JSON
-    object keys are, and the mapping must cover every group size.
+
+def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str]:
+    """Expand a rank model into per-group-size values plus its label.
+
+    Models: an int, Fraction or finite float (constant across group sizes),
+    the string "full-rank" (rank equals the message count C(K-1, ell-1)), or
+    a mapping from group size to such a number, whose keys may be strings, as
+    JSON object keys are, and which must cover every group size.
     """
+    label = rank_label(model)
     ells = list(group_sizes(K, r, s))
     if model == "full-rank":
-        return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}, "full-rank"
+        return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}, label
     if isinstance(model, Mapping):
         by_ell = {int(ell): Fraction(v) for ell, v in model.items()}
-        missing = [ell for ell in ells if ell not in by_ell]
-        if missing:
+        if missing := [ell for ell in ells if ell not in by_ell]:
             raise ValueError(f"rank map has no value for group sizes {missing} (r={r}, s={s})")
-        return {ell: by_ell[ell] for ell in ells}, "measured"
-    value = Fraction(model)
-    return {ell: value for ell in ells}, f"constant:{value}"
+        return {ell: by_ell[ell] for ell in ells}, label
+    return dict.fromkeys(ells, Fraction(model)), label
 
 
 def _sorted_ints(name: str, values) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import io
 import json
 import os
 import sys
@@ -25,7 +26,6 @@ from .workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
     SyntheticRankWorkload,
-    ingest_string,
     ingest_text,
     lintrans_from_file,
 )
@@ -82,8 +82,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        config.update(engine.expect_json(file_cfg, dict, "config file"))
-    for name in ("K", "N", "Q", "r", "s", "T", "scheme"):
+        engine.expect_json(file_cfg, dict, "config file")
+        check_keys("config", "job", file_cfg, dict.fromkeys(CONFIG_KEYS))
+        config.update(file_cfg)
+    for name in (*JOB_KEYS, "scheme"):
         if flags.get(name) is not None:
             config[name] = flags[name]
     for key, name in (("kind", "workload"), ("input", "input"), ("seed", "seed")):
@@ -92,22 +94,26 @@ def _merge_config(args: argparse.Namespace) -> dict:
             workload[key] = flags[name]
     if flags.get("rho") is not None:
         engine.expect_json(config.setdefault("sweep", {}), dict, "sweep")["rho"] = flags["rho"]
-    config["out_dir"] = args.out_dir
+    config["out_dir"] = "." if args.out_dir is None else args.out_dir
     return config
 
 
+# the keys of a config file: the job spec, its scheme, and what it runs
+JOB_KEYS = ("K", "N", "Q", "r", "s", "T")
+CONFIG_KEYS = (*JOB_KEYS, "scheme", "workload", "sweep")
+
+
 def _build_spec(config: dict) -> JobSpec:
-    missing = [name for name in ("K", "N", "Q", "r", "s", "T") if name not in config]
-    if missing:
+    if missing := [name for name in JOB_KEYS if name not in config]:
         raise ValueError(f"missing job parameters: {', '.join(missing)} "
                          "(provide via flags, --config, or --preset)")
-    return JobSpec(K=config["K"], N=config["N"], Q=config["Q"],
-                   r=config["r"], s=config["s"], T=config["T"])
+    return JobSpec(**{name: config[name] for name in JOB_KEYS})
 
 
 # the keys of each workload kind and the JSON types each takes: an int is
 # never a bool, and a number is an int or a float
 _TEXT, _INT, _NUMBER = ((str,), "a string"), ((int,), "an int"), ((int, float), "a number")
+_LIST, _RANK = ((list,), "a list"), ((int, float, str, dict), "a number, a string or an object")
 _LINTRANS_KEYS = {"kind": _TEXT, "input": _TEXT, "m": _INT, "n": _INT, "seed": _INT}
 WORKLOAD_KEYS = {
     "wordcount": {"kind": _TEXT, "text": _TEXT, "input": _TEXT, "tokenizer": _TEXT},
@@ -115,6 +121,29 @@ WORKLOAD_KEYS = {
     "coded-lintrans": _LINTRANS_KEYS,
     "synthetic": {"kind": _TEXT, "seed": _INT, "duplicate_prob": _NUMBER},
 }
+# the same for each sweep kind, every key but kind, s and rho required; a
+# fig3/fig4 spec field may be any number, so JobSpec names one that is no int
+_SPEC_NUMBERS = dict.fromkeys(("K", "N", "Q", "s"), _NUMBER)
+SWEEP_KEYS = {
+    "fig2": {"kind": _TEXT, "K": _INT, "N": _INT, "Q": _INT, "m": _INT, "q": _INT},
+    "fig3": {"kind": _TEXT, **_SPEC_NUMBERS, "r": _NUMBER, "T_values": _LIST, "rho": _RANK},
+    "fig4": {"kind": _TEXT, **_SPEC_NUMBERS, "T": _NUMBER, "r_values": _LIST, "rho": _RANK},
+}
+
+
+def check_keys(what: str, kind: str, desc: dict, keys: dict, required=()) -> None:
+    """Refuse a ``kind`` ``what`` (a config, workload or sweep) that lacks a
+    key of ``required``, or holds a key ``keys`` does not list or a value of a
+    JSON type its key does not take (``None``: any type), with a
+    ``ValueError`` naming the field."""
+    for key in {**desc, **dict.fromkeys(required)}:  # the given keys first
+        if key not in desc:
+            raise ValueError(f"{what} {key}: missing from a {kind} {what}")
+        if key not in keys:
+            raise ValueError(f"{what} {key!r}: not a key of a {kind} {what}, "
+                             f"which takes {', '.join(sorted(keys))}")
+        if keys[key] and type(desc[key]) not in keys[key][0]:
+            raise ValueError(f"{what} {key}: expected {keys[key][1]}, got {desc[key]!r}")
 
 
 def build_workload(desc: dict, spec: JobSpec):
@@ -124,22 +153,14 @@ def build_workload(desc: dict, spec: JobSpec):
     kind = desc.get("kind", "synthetic")
     if type(kind) is not str or kind not in WORKLOAD_KEYS:
         raise ValueError(f"unknown workload kind {kind!r}, expected one of {sorted(WORKLOAD_KEYS)}")
-    keys = WORKLOAD_KEYS[kind]
-    for key, value in desc.items():
-        if key not in keys:
-            raise ValueError(f"workload {key!r}: not a key of a {kind} workload, "
-                             f"which takes {', '.join(sorted(keys))}")
-        if type(value) not in keys[key][0]:
-            raise ValueError(f"workload {key}: expected {keys[key][1]}, got {value!r}")
+    check_keys("workload", kind, desc, WORKLOAD_KEYS[kind])
     if kind == "wordcount":
         tokenizer = desc.get("tokenizer", "word")
         if "input" in desc:  # an explicit corpus path beats embedded text
-            workload, _report = ingest_text(desc["input"], spec.Q, spec.N, tokenizer=tokenizer)
-        elif "text" in desc:
-            workload, _report = ingest_string(desc["text"], spec.Q, spec.N, tokenizer=tokenizer)
-        else:
-            raise ValueError("wordcount workload needs 'text' or 'input'")
-        return workload
+            return ingest_text(desc["input"], spec.Q, spec.N, tokenizer=tokenizer)
+        if "text" in desc:
+            return ingest_text(io.StringIO(desc["text"]), spec.Q, spec.N, tokenizer=tokenizer)
+        raise ValueError("wordcount workload needs 'text' or 'input'")
     if kind != "synthetic":
         if "input" in desc:
             if shaped := [key for key in desc if key in ("m", "n", "seed")]:
@@ -215,9 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     total = sum(result.bits_by_node.values())
     print(f"scheme={result.scheme} bits={total} load={report.load_empirical} "
           f"verification={result.verification}")
-    if result.verification == "fail":
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_VERIFY if result.verification == "fail" else EXIT_OK
 
 
 # kind -> (table from the sweep definition and rank model, CSV header, keys
@@ -245,12 +264,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kind = engine.expect_json(sweep, dict, "sweep").get("kind")
     if type(kind) is not str or kind not in SWEEPS:
         raise ValueError(f"unknown sweep kind {kind!r}")
+    keys = SWEEP_KEYS[kind]
+    check_keys("sweep", kind, sweep, keys, [k for k in keys if k not in ("kind", "s", "rho")])
     table, header, meta_keys, default_rho = SWEEPS[kind]
     rho = sweep.get("rho", default_rho)
-    rows = table(sweep, rho)
     meta = {k: sweep[k] for k in meta_keys}
     if default_rho is not None:
-        meta["rho_model"] = rows[0].rho_label if rows else str(rho)
+        meta["rho_model"] = analytics.rank_label(rho)
+    rows = table(sweep, rho)
 
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -308,9 +329,13 @@ def _replay(doc: dict) -> tuple[str, str]:
 
 def cmd_fixture(args: argparse.Namespace) -> int:
     if args.input:
+        for name in ("preset", "config", *JOB_KEYS, "workload", "seed", "out_dir"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')}: not taken with --input, which "
+                                 "names a fixture to replay; a file-input workload's fixtures "
+                                 "are written through --config")
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        verdict, reason = _replay(doc)
+            verdict, reason = _replay(json.load(fh))
         print(f"fixture {args.input}: {verdict}" + (f": {reason}" if reason else ""))
         return EXIT_VERIFY if verdict == "fail" else EXIT_OK
 
@@ -344,12 +369,12 @@ def make_parser() -> argparse.ArgumentParser:
         "--config": dict(help="JSON config file"),
         "--preset": dict(help=f"embedded preset, one of {sorted(PRESETS)}"),
         "--scheme": dict(choices=engine.SCHEMES),
-        **{f"--{name}": dict(type=int) for name in ("K", "N", "Q", "r", "s", "T")},
+        **{f"--{name}": dict(type=int) for name in JOB_KEYS},
         "--workload": dict(choices=tuple(WORKLOAD_KEYS)),
         "--input": dict(help="workload input file (or fixture to replay)"),
         "--seed": dict(type=int),
         "--rho": dict(type=int, help="constant rank model for sweeps"),
-        "--out-dir": dict(default="."),
+        "--out-dir": dict(),
     }
     # each subcommand takes only the flags it reads
     for name, fn, names in (

@@ -36,7 +36,11 @@ from .placement import (JobSpec, Placement, group_sizes, ksubsets, make_placemen
                         unmapped_files)
 from .workloads import ValueTable
 
-SCHEMES = ("uncoded", "cdc", "cdc-ld")
+# scheme -> the name of its shuffle, looked up when a job runs, so that a
+# wrapper installed on the module attribute (perfbench's tracer) is the one run
+_SHUFFLES = {"uncoded": "run_uncoded_shuffle", "cdc": "run_cdc_shuffle",
+             "cdc-ld": "run_cdc_ld_shuffle"}
+SCHEMES = tuple(_SHUFFLES)
 
 # the fields of a serialised spec and of every broadcast, and the meta fields
 # of each scheme
@@ -85,6 +89,14 @@ class ShuffleTranscript:
         for sender, count in zip(cols.senders, cols.counts):
             counts[sender] += next(widths) if count == 1 else sum(islice(widths, count))
         return counts
+
+    def ranks(self) -> dict[tuple[int, int], int] | None:
+        """A cdc-ld transcript's rank per (sender, ell), read from its meta;
+        ``None`` for a scheme that sends no ranks."""
+        if self.scheme != "cdc-ld":
+            return None
+        meta = self.broadcasts.meta
+        return dict(zip(zip(self.broadcasts.senders, meta["ell"]), meta["rho"]))
 
 
 @dataclass
@@ -138,16 +150,14 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
 
 
 def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
-                       store: ValueTable) -> tuple[ShuffleTranscript, dict]:
+                       store: ValueTable) -> ShuffleTranscript:
     """Per node and group size, broadcast a subspace basis plus coefficients."""
     senders, ells, rhos, msg_lens, counts, nbits, values = [], [], [], [], [], [], []
-    rho: dict[tuple[int, int], int] = {}
     for k in range(1, spec.K + 1):
         for ell in group_sizes(spec.K, spec.r, spec.s):
             messages = [full_message(k, g, placement, store)
                         for g in groups_containing(spec, k, ell)]
             d = ld_compress(ell, messages, spec)
-            rho[(k, ell)] = d.rho
             senders.append(k)
             ells.append(ell)
             rhos.append(d.rho)
@@ -157,7 +167,7 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
             values += d.basis + d.coeffs
     return ShuffleTranscript("cdc-ld", spec, Broadcasts(
         senders, ["cdc-ld"] * len(senders), {"ell": ells, "rho": rhos, "msg_len": msg_lens},
-        counts, nbits, values)), rho
+        counts, nbits, values))
 
 
 def validate_transcript(spec: JobSpec, placement: Placement,
@@ -243,7 +253,7 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
             raise ValueError(f"broadcast {i}: its {rho} basis rows have rank {rank}")
         else:
-            got[key] = BasisDecomposition(basis=rows[:rho], coeffs=rows[rho:], rho=rho, ncols=ncols)
+            got[key] = BasisDecomposition(basis=rows[:rho], coeffs=rows[rho:], ncols=ncols)
     if len(got) < len(keys):
         # the value sets the sender of a missing broadcast holds a segment of
         lost = [(j, g) for j, g, _ in keys - got.keys()] if scheme == "cdc" else [
@@ -342,19 +352,11 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
     placement = make_placement(spec)
     store = workload.build_store(spec)
-
-    rho = None
-    if scheme == "uncoded":
-        transcript = run_uncoded_shuffle(spec, placement, store)
-    elif scheme == "cdc":
-        transcript = run_cdc_shuffle(spec, placement, store)
-    else:
-        transcript, rho = run_cdc_ld_shuffle(spec, placement, store)
-
+    transcript = globals()[_SHUFFLES[scheme]](spec, placement, store)
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
     # decode_and_verify returns the last three fields in order
-    return RunResult(spec, scheme, transcript, bits, load, rho,
+    return RunResult(spec, scheme, transcript, bits, load, transcript.ranks(),
                      *decode_and_verify(spec, placement, store, transcript, workload))
 
 

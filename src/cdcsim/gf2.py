@@ -84,8 +84,12 @@ class BasisDecomposition:
 
     basis: tuple[int, ...]
     coeffs: tuple[int, ...]
-    rho: int
     ncols: int
+
+    @property
+    def rho(self) -> int:
+        """The rank: the number of basis rows."""
+        return len(self.basis)
 
 
 def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
@@ -125,14 +129,11 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
         else:
             coeffs.append(exp)
 
-    return BasisDecomposition(basis=tuple(basis), coeffs=tuple(coeffs), rho=len(basis),
-                              ncols=m.ncols)
+    return BasisDecomposition(basis=tuple(basis), coeffs=tuple(coeffs), ncols=m.ncols)
 
 
 def reconstruct(b: BasisDecomposition) -> Gf2Matrix:
     """Rebuild the original matrix from a basis decomposition, bit for bit."""
-    if len(b.basis) != b.rho:
-        raise MalformedDecompositionError(f"basis has {len(b.basis)} rows but rho={b.rho}")
     for vec in b.basis:
         if vec < 0 or vec >> b.ncols:
             raise MalformedDecompositionError(

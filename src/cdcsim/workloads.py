@@ -11,7 +11,6 @@ and writes that int as the output text of ``result.json``.
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import string
@@ -115,7 +114,21 @@ class WordCountWorkload:
         return cls(blocks)
 
     def build_store(self, spec: JobSpec) -> ValueTable:
-        return wordcount_map(self, spec)
+        """Count symbol occurrences per block, each count a T-bit value."""
+        if len(self.blocks) != spec.N:
+            raise ValueError(f"workload has {len(self.blocks)} blocks, spec expects N={spec.N}")
+        columns = []
+        for n, block in enumerate(self.blocks, start=1):
+            counts = Counter(block)
+            for sym in counts:  # first occurrences, in block order
+                if not 1 <= sym <= spec.Q:
+                    raise ValueError(f"symbol {sym} in block {n} outside 1..Q={spec.Q}")
+            if counts and max(counts.values()) >> spec.T:
+                q = min(q for q, count in counts.items() if count >> spec.T)
+                raise CountOverflowError(
+                    f"count {counts[q]} of symbol {q} in block {n} does not fit in T={spec.T} bits")
+            columns.append([counts.get(q, 0) for q in range(1, spec.Q + 1)])
+        return ValueTable(spec, zip(*columns))
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """Total count of symbol q: the integer sum of per-block counts."""
@@ -124,34 +137,6 @@ class WordCountWorkload:
     def output_text(self, value: int, spec: JobSpec) -> str:
         """A count, in decimal."""
         return str(value)
-
-
-def wordcount_map(w: WordCountWorkload, spec: JobSpec) -> ValueTable:
-    """Count symbol occurrences per block, each count a T-bit value."""
-    if len(w.blocks) != spec.N:
-        raise ValueError(f"workload has {len(w.blocks)} blocks, spec expects N={spec.N}")
-    columns = []
-    for n, block in enumerate(w.blocks, start=1):
-        counts = Counter(block)
-        for sym in counts:  # first occurrences, in block order
-            if not 1 <= sym <= spec.Q:
-                raise ValueError(f"symbol {sym} in block {n} outside 1..Q={spec.Q}")
-        if counts and max(counts.values()) >> spec.T:
-            q = min(q for q, count in counts.items() if count >> spec.T)
-            raise CountOverflowError(
-                f"count {counts[q]} of symbol {q} in block {n} does not fit in T={spec.T} bits")
-        columns.append([counts.get(q, 0) for q in range(1, spec.Q + 1)])
-    return ValueTable(spec, zip(*columns))
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """What text ingestion kept and what it dropped."""
-
-    vocab_size: int
-    kept_tokens: int
-    dropped_tokens: int
-    symbol_of_token: dict[str, int]
 
 
 class _FirstSeenIds(dict):
@@ -163,14 +148,14 @@ class _FirstSeenIds(dict):
 
 
 def ingest_text(source: str | os.PathLike | TextIO, Q: int, N: int,
-                tokenizer: str = "word") -> tuple[WordCountWorkload, IngestReport]:
+                tokenizer: str = "word") -> WordCountWorkload:
     """Turn a text corpus into a counting workload.
 
     Tokens are ranked by frequency (ties broken lexicographically) and the
-    top Q become symbols 1..Q; everything else is dropped and tallied in the
-    report.  ``tokenizer`` is "word" (whitespace-separated) or "char"
-    (individual non-whitespace characters).  The kept symbols are split into
-    N blocks of equal length, the last one possibly shorter.
+    top Q become symbols 1..Q; everything else is dropped.  ``tokenizer`` is
+    "word" (whitespace-separated) or "char" (individual non-whitespace
+    characters).  The kept symbols are split into N blocks of equal length,
+    the last one possibly shorter.
 
     The corpus is read once, in blocks of whole lines, so a token never spans
     two reads; only the vocabulary is held as strings, each token occurrence
@@ -197,25 +182,13 @@ def ingest_text(source: str | os.PathLike | TextIO, Q: int, N: int,
     freq = Counter(ids)
     tokens = list(id_of_token)  # indexed by id
     ranked = sorted(range(len(tokens)), key=lambda i: (-freq[i], tokens[i]))[:Q]
-    symbol_of_token = {tokens[i]: sym for sym, i in enumerate(ranked, start=1)}
     symbol_of_id = [0] * len(tokens)  # 0: dropped
     for sym, i in enumerate(ranked, start=1):
         symbol_of_id[i] = sym
 
     symbols = [sym for sym in map(symbol_of_id.__getitem__, ids) if sym]
-    report = IngestReport(
-        vocab_size=len(tokens),
-        kept_tokens=len(symbols),
-        dropped_tokens=len(ids) - len(symbols),
-        symbol_of_token=symbol_of_token,
-    )
     del ids  # free the per-token ids before the blocks are built
-    return WordCountWorkload.from_symbols(symbols, N), report
-
-
-def ingest_string(text: str, Q: int, N: int, tokenizer: str = "word"):
-    """Convenience wrapper: ingest from an in-memory string."""
-    return ingest_text(io.StringIO(text), Q, N, tokenizer=tokenizer)
+    return WordCountWorkload.from_symbols(symbols, N)
 
 
 @dataclass(frozen=True)
@@ -239,7 +212,27 @@ class LinearTransformWorkload:
         return cls(matrix, inputs)
 
     def build_store(self, spec: JobSpec) -> ValueTable:
-        return lintrans_map(self, spec)
+        """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
+        return ValueTable(spec, self._block_products(spec, spec.Q))
+
+    def _block_products(self, spec: JobSpec, count: int):
+        """The rows of functions 1..count, one at a time: block q of the matrix
+        times each input vector.  A matrix or input shape that does not fit
+        the spec raises ``ValueError``."""
+        if spec.Q % spec.K:
+            raise ValueError(f"Q={spec.Q} must be a multiple of K={spec.K} for linear transforms")
+        nrows = self.matrix.nrows
+        if nrows == 0 or nrows % spec.Q:
+            raise ValueError(f"matrix with {nrows} rows cannot split into Q={spec.Q} equal blocks")
+        if nrows // spec.Q != spec.T:
+            raise ValueError(f"block height {nrows}/{spec.Q}={nrows // spec.Q} != T={spec.T}")
+        if self.inputs.nrows != spec.N:
+            raise ValueError(f"{self.inputs.nrows} input vectors, spec expects N={spec.N}")
+        if self.inputs.ncols != self.matrix.ncols:
+            raise ValueError(f"input vectors of length {self.inputs.ncols}, "
+                             f"matrix has {self.matrix.ncols} columns")
+        return ([_matvec_block(self.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
+                 for x in self.inputs.rows] for q in range(1, count + 1))
 
     def reduce(self, q: int, values: Sequence[int], T: int) -> int:
         """Concatenate the per-input products of block q, in input order."""
@@ -257,43 +250,6 @@ def _matvec_block(rows: Sequence[int], x: int) -> int:
     return value
 
 
-def _check_lintrans_dims(w: LinearTransformWorkload, spec: JobSpec) -> None:
-    if spec.Q % spec.K:
-        raise ValueError(f"Q={spec.Q} must be a multiple of K={spec.K} for linear transforms")
-    nrows = w.matrix.nrows
-    if nrows == 0 or nrows % spec.Q:
-        raise ValueError(f"matrix with {nrows} rows cannot split into Q={spec.Q} equal blocks")
-    if nrows // spec.Q != spec.T:
-        raise ValueError(f"block height {nrows}/{spec.Q}={nrows // spec.Q} != T={spec.T}")
-    if w.inputs.nrows != spec.N:
-        raise ValueError(f"{w.inputs.nrows} input vectors, spec expects N={spec.N}")
-    if w.inputs.ncols != w.matrix.ncols:
-        raise ValueError(f"input vectors of length {w.inputs.ncols}, "
-                         f"matrix has {w.matrix.ncols} columns")
-
-
-def lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
-    """value(q, n) = block q of the matrix times input vector n, over GF(2)."""
-    _check_lintrans_dims(w, spec)
-    return ValueTable(spec, ([_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
-                                   for x in w.inputs.rows] for q in range(1, spec.Q + 1)))
-
-
-def coded_lintrans_map(w: LinearTransformWorkload, spec: JobSpec) -> ValueTable:
-    """Linear transform with a parity row block: block K's values are the XOR
-    of blocks 1..K-1, so the store is linearly dependent by construction.
-
-    The matrix's own K-th row block is ignored and replaced by the XOR of the
-    first K-1 blocks.
-    """
-    if spec.Q != spec.K:
-        raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
-    _check_lintrans_dims(w, spec)
-    rows = [[_matvec_block(w.matrix.rows[(q - 1) * spec.T:q * spec.T], x)
-             for x in w.inputs.rows] for q in range(1, spec.K)]
-    return ValueTable(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
-
-
 @dataclass(frozen=True)
 class CodedLinearTransformWorkload:
     """Wrapper running a linear transform through the parity redundancy map."""
@@ -301,7 +257,13 @@ class CodedLinearTransformWorkload:
     base: LinearTransformWorkload
 
     def build_store(self, spec: JobSpec) -> ValueTable:
-        return coded_lintrans_map(self.base, spec)
+        """Linear transform with a parity row block: block K's values are the
+        XOR of blocks 1..K-1, so the store is linearly dependent by
+        construction.  The matrix's own K-th row block is ignored."""
+        if spec.Q != spec.K:
+            raise ValueError(f"parity coding requires Q == K, got Q={spec.Q}, K={spec.K}")
+        rows = list(self.base._block_products(spec, spec.K - 1))
+        return ValueTable(spec, rows + [[reduce(xor, column) for column in zip(*rows)]])
 
     reduce = LinearTransformWorkload.reduce
     output_text = LinearTransformWorkload.output_text

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from cdcsim.workloads import CountOverflowError, IngestReport, WordCountWorkload
+from cdcsim.workloads import CountOverflowError, WordCountWorkload
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -174,11 +174,4 @@ def naive_ingest_text(source, Q, N, tokenizer="word"):
     symbol_of_token = {t: i + 1 for i, t in enumerate(ranked[:Q])}
 
     symbols = [symbol_of_token[t] for t in tokens if t in symbol_of_token]
-    dropped = len(tokens) - len(symbols)
-    report = IngestReport(
-        vocab_size=len(freq),
-        kept_tokens=len(symbols),
-        dropped_tokens=dropped,
-        symbol_of_token=symbol_of_token,
-    )
-    return WordCountWorkload.from_symbols(symbols, N), report
+    return WordCountWorkload.from_symbols(symbols, N)

@@ -7,6 +7,7 @@ one pass line per criterion.
 
 from __future__ import annotations
 
+import io
 import random
 import time
 from fractions import Fraction
@@ -35,7 +36,7 @@ from cdcsim.workloads import (
     LinearTransformWorkload,
     SyntheticRankWorkload,
     WordCountWorkload,
-    ingest_string,
+    ingest_text,
 )
 from oracles import int_to_bits, naive_rank
 
@@ -47,7 +48,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def test_criterion_1_paper_wordcount_golden():
-    workload, _ = ingest_string(PAPER_TEXT, 4, 6, tokenizer="char")
+    workload = ingest_text(io.StringIO(PAPER_TEXT), 4, 6, tokenizer="char")
 
     spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
     store = workload.build_store(spec)
@@ -192,9 +193,9 @@ def test_criterion_5_fig4_reproduction():
     # with the measured rank, at the sweep's own parameters
     spec = JobSpec(K=10, N=2520, Q=360, r=5, s=1, T=64)
     store = SyntheticRankWorkload(seed=4).build_store(spec)
-    transcript, rho = run_cdc_ld_shuffle(spec, make_placement(spec), store)
+    transcript = run_cdc_ld_shuffle(spec, make_placement(spec), store)
     load = Fraction(sum(transcript.bits_by_node().values()), spec.Q * spec.N * spec.T)
-    rho_avg = average_rank(rho, 10)
+    rho_avg = average_rank(transcript.ranks(), 10)
     assert load == l_cdc_ld(5, 1, 10, 360, 2520, 64, rho_avg)
     report(5, "uncoded/cdc columns exact for r=1..9; measured-rank run matches closed form")
 

@@ -195,7 +195,14 @@ class TestRun:
         ([1, 2], [], "config file: expected an object, got list"),
         ("job", [], "config file: expected an object, got str"),
         ({"workload": [1]}, ["--seed", "1"], "workload: expected an object, got list"),
-    ], ids=["list", "string", "workload-list-with-seed-flag"])
+        # once ran cdc: a misspelt key is named, not dropped
+        ({"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 8, "schem": "uncoded"}, [],
+         "config 'schem': not a key of a job config, which takes K, N, Q, T, r, s, scheme, "
+         "sweep, workload"),
+        ({"sweep": {"kind": "fig2"}, "out_dir": "x"}, [],
+         "config 'out_dir': not a key of a job config, which takes K, N, Q, T, r, s, scheme, "
+         "sweep, workload"),
+    ], ids=["list", "string", "workload-list-with-seed-flag", "unknown-key", "out_dir-key"])
     def test_config_not_an_object_exits_2(self, tmp_path, capsys, command, top, flags, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(top))
@@ -285,6 +292,13 @@ class TestFlags:
         assert not list(tmp_path.iterdir())
 
 
+FIG2 = {"kind": "fig2", "K": 16, "Q": 16, "N": 128, "m": 2048, "q": 2}
+FIG3 = {"kind": "fig3", "K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T_values": [2, 4]}
+FIG4 = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "s": 1, "r_values": [3]}
+RANK_TYPES = "a number, a string or an object"
+BOTH = ("config", "config-and-rho")
+
+
 class TestSweep:
     def test_fig4(self, tmp_path):
         from cdcsim.analytics import fmt12
@@ -356,8 +370,9 @@ class TestSweep:
     ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N", "fig4-mixed-r", "fig3-mixed-T"])
     def test_spec_error_exits_2(self, tmp_path, capsys, sweep, message):
         base = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "r_values": [1, 2, 3]}
+        # a fig3 case is whole: fig4's T and r_values are not keys of a fig3 sweep
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"sweep": base | sweep}))
+        cfg.write_text(json.dumps({"sweep": sweep if sweep["kind"] == "fig3" else base | sweep}))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -365,16 +380,57 @@ class TestSweep:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep, label", [
+        (FIG3, "constant:2"), (FIG4 | {"rho": {"4": 3}}, "measured"), (FIG4, "full-rank"),
+    ], ids=["fig3-default", "fig4-map", "fig4-default"])
+    def test_empty_sweep_writes_the_model_label(self, tmp_path, sweep, label):
+        # the label depends on the rank model alone, not on whether a row exists
+        cfg, kind = tmp_path / "sweep.json", sweep["kind"]
+        key = "T_values" if kind == "fig3" else "r_values"
+        for values, out in ((sweep[key], "rows"), ([], "empty")):
+            cfg.write_text(json.dumps({"sweep": sweep | {key: values}}))
+            assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / out)]) == EXIT_OK
+            meta = json.loads((tmp_path / out / f"{kind}.meta.json").read_text())
+            assert meta["rho_model"] == label
+        assert read_csv(tmp_path / "rows" / f"{kind}.csv")
+        assert read_csv(tmp_path / "empty" / f"{kind}.csv") == []
+
     def test_sweep_without_definition(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("sweep, message", [
-        ([1], "sweep: expected an object, got list"),
-        ("fig4", "sweep: expected an object, got str"),
-        (7, "sweep: expected an object, got int"),
-        ({"kind": ["fig4"]}, "unknown sweep kind ['fig4']"),
-    ], ids=["list", "string", "int", "kind-list"])
-    @pytest.mark.parametrize("flags", [[], ["--rho", "2"]], ids=["config", "config-and-rho"])
+    @pytest.mark.parametrize("sweep, flags, message", [
+        pytest.param(sweep, {"config": [], "config-and-rho": ["--rho", "2"]}[variant], message,
+                     id=f"{variant}-{case}")
+        for case, sweep, message, variants in [
+            ("list", [1], "sweep: expected an object, got list", BOTH),
+            ("string", "fig4", "sweep: expected an object, got str", BOTH),
+            ("int", 7, "sweep: expected an object, got int", BOTH),
+            ("kind-list", {"kind": ["fig4"]}, "unknown sweep kind ['fig4']", BOTH),
+            # each case below once ended in a traceback, printed a bare key or
+            # ran; --rho replaces a sweep's rank model, so a bad model, and a
+            # fig2 sweep that lacks a key, are tried without it
+            ("fig2-float-m", FIG2 | {"m": 2048.0}, "sweep m: expected an int, got 2048.0", BOTH),
+            ("fig2-float-q", FIG2 | {"q": 2.0}, "sweep q: expected an int, got 2.0", BOTH),
+            ("fig2-float-K", FIG2 | {"K": 16.5}, "sweep K: expected an int, got 16.5", BOTH),
+            ("fig2-str-m", FIG2 | {"m": "2048"}, "sweep m: expected an int, got '2048'", BOTH),
+            ("fig2-no-m", {k: v for k, v in FIG2.items() if k != "m"},
+             "sweep m: missing from a fig2 sweep", ("config",)),
+            ("fig2-rho", FIG2 | {"rho": 2},
+             "sweep 'rho': not a key of a fig2 sweep, which takes K, N, Q, kind, m, q", BOTH),
+            *[(f"{kind}-rho-{name}", base | {"rho": rho}, message, ("config",))
+              for kind, base in (("fig3", FIG3), ("fig4", FIG4))
+              for name, rho, message in (
+                  ("null", None, f"sweep rho: expected {RANK_TYPES}, got None"),
+                  ("list", [2], f"sweep rho: expected {RANK_TYPES}, got [2]"),
+                  ("bool", True, f"sweep rho: expected {RANK_TYPES}, got True"),
+                  ("map-null", {"4": None}, "rank model {'4': None}: None is not a number; "
+                   "a model is a number, 'full-rank' or a map from group size to a number"))],
+            ("fig4-int-r_values", FIG4 | {"r_values": 3},
+             "sweep r_values: expected a list, got 3", BOTH),
+            ("fig4-unknown-key", FIG4 | {"typo": 3}, "sweep 'typo': not a key of a fig4 sweep, "
+             "which takes K, N, Q, T, kind, r_values, rho, s", BOTH),
+        ]
+        for variant in variants])
     def test_malformed_sweep_exits_2(self, tmp_path, capsys, sweep, message, flags):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"sweep": sweep}))
@@ -464,6 +520,34 @@ class TestFixture:
             fa = (a / f"fixture-{scheme}.json").read_bytes()
             fb = (b / f"fixture-{scheme}.json").read_bytes()
             assert fa == fb
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--input", "FIXTURE", "--K", "5", "--seed", "3", "--out-dir", "/nonexistent"], "--K"),
+        # the write form with a corpus: --input names a fixture, so the job
+        # flags are refused before the corpus is read as one
+        (["--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1", "--T", "8",
+          "--workload", "wordcount", "--input", "CORPUS"], "--K"),
+        (["--input", "FIXTURE", "--preset", "paper-wordcount"], "--preset"),
+        (["--config", "job.json", "--input", "FIXTURE"], "--config"),
+        (["--input", "FIXTURE", "--workload", "synthetic"], "--workload"),
+        (["--input", "FIXTURE", "--seed", "3"], "--seed"),
+        (["--input", "FIXTURE", "--out-dir", "OUT"], "--out-dir"),
+    ], ids=["K-seed-out-dir", "write-form-with-corpus", "preset", "config", "workload", "seed",
+            "out-dir"])
+    def test_replay_refuses_job_flags(self, tmp_path, capsys, flags, named):
+        fixtures, corpus = tmp_path / "fx", tmp_path / "corpus.txt"
+        assert main(["fixture", "--preset", "paper-wordcount", "--out-dir", str(fixtures)]) == EXIT_OK
+        corpus.write_text("a b a c\n", encoding="utf-8")
+        paths = {"FIXTURE": str(fixtures / "fixture-cdc.json"), "CORPUS": str(corpus),
+                 "OUT": str(tmp_path / "out")}
+        capsys.readouterr()
+        assert main(["fixture", *[paths.get(flag, flag) for flag in flags]]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {named}: not taken with --input, which names a fixture "
+                                "to replay; a file-input workload's fixtures are written "
+                                "through --config\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "fx"]
 
     def test_replay_passes(self, tmp_path):
         assert main(["fixture", "--preset", "paper-wordcount", "--out-dir", str(tmp_path)]) == EXIT_OK

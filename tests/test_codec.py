@@ -26,7 +26,7 @@ from cdcsim.engine import run, run_cdc_shuffle
 from cdcsim.gf2 import (IRREDUCIBLE_POLY, BasisDecomposition, BlockCombiner, Gf2ExtField,
                         ext_field, pack, unpack)
 from cdcsim.placement import JobSpec, group_sizes, make_placement, needed_values
-from cdcsim.workloads import SyntheticRankWorkload, ValueTable, WordCountWorkload, wordcount_map
+from cdcsim.workloads import SyntheticRankWorkload, ValueTable, WordCountWorkload
 from oracles import gf_mul_longdiv, vset_members_bruteforce
 
 PAPER_BLOCKS = (
@@ -42,7 +42,7 @@ PAPER_BLOCKS = (
 def paper_setup(T=6):
     spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=T)
     placement = make_placement(spec)
-    store = wordcount_map(WordCountWorkload(PAPER_BLOCKS), spec)
+    store = WordCountWorkload(PAPER_BLOCKS).build_store(spec)
     return spec, placement, store
 
 
@@ -495,7 +495,7 @@ class TestLdRoundtrip:
 
     def test_malformed_payload(self):
         from cdcsim.gf2 import MalformedDecompositionError
-        bad = BasisDecomposition(basis=(0b101,), coeffs=(0b11, 0, 1), rho=1, ncols=8)
+        bad = BasisDecomposition(basis=(0b101,), coeffs=(0b11, 0, 1), ncols=8)
         with pytest.raises(MalformedDecompositionError):
             ld_decompress(bad)
 

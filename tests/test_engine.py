@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim.codec import IncompleteShuffleError, build_vset, own_columns
+from cdcsim.codec import (IncompleteShuffleError, build_vset, full_message, groups_containing,
+                          ld_compress, own_columns)
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
@@ -26,13 +27,15 @@ from cdcsim.engine import (
     node_decoder,
     reduce_phase,
     run,
+    run_cdc_ld_shuffle,
+    run_cdc_shuffle,
     run_uncoded_shuffle,
     transcript_from_json,
     transcript_to_json,
     validate_transcript,
 )
 from cdcsim.gf2 import Gf2Matrix, pack
-from cdcsim.placement import JobSpec, make_placement, needed_values
+from cdcsim.placement import JobSpec, group_sizes, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -80,6 +83,23 @@ class TestPaperRun:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         result = run(spec, paper_workload(), "cdc-ld")
         assert result.rho == {(1, 3): 2, (2, 3): 3, (3, 3): 2, (4, 3): 0}
+
+    @pytest.mark.parametrize("spec, workload", [
+        (JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30), paper_workload()),
+        (JobSpec(K=5, N=10, Q=10, r=2, s=2, T=8), SyntheticRankWorkload(5, duplicate_prob=0.9)),
+    ], ids=["s1-paper", "s2-duplicates"])
+    def test_ranks_are_read_from_the_transcript(self, spec, workload):
+        placement, store = make_placement(spec), workload.build_store(spec)
+        want = {(k, ell): ld_compress(ell, [full_message(k, g, placement, store)
+                                            for g in groups_containing(spec, k, ell)], spec).rho
+                for k in range(1, spec.K + 1) for ell in group_sizes(spec.K, spec.r, spec.s)}
+        assert len(set(want.values())) > 1  # the ranks tell the nodes apart
+        assert run_cdc_ld_shuffle(spec, placement, store).ranks() == want
+        assert run(spec, workload, "cdc-ld").rho == want
+        s1 = JobSpec(spec.K, spec.N, spec.Q, spec.r, 1, spec.T)
+        assert run_uncoded_shuffle(s1, make_placement(s1), workload.build_store(s1)).ranks() is None
+        assert run_cdc_shuffle(spec, placement, store).ranks() is None
+        assert run(spec, workload, "cdc").rho is None
 
 
 class TestUncoded:

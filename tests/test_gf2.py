@@ -120,7 +120,7 @@ class TestRankAndBasis:
 
 class TestReconstruct:
     def test_rank_zero_gives_zero_matrix(self):
-        d = BasisDecomposition(basis=(), coeffs=(0,) * 3, rho=0, ncols=8)
+        d = BasisDecomposition(basis=(), coeffs=(0,) * 3, ncols=8)
         m = reconstruct(d)
         assert m.nrows == 3 and m.ncols == 8
         assert m.rows == (0, 0, 0)
@@ -128,14 +128,14 @@ class TestReconstruct:
     def test_malformed_coeff_length(self):
         # a coefficient vector must fit in rho bits
         for coeff in (0b10, -1):
-            d = BasisDecomposition(basis=(1,), coeffs=(0, coeff), rho=1, ncols=4)
+            d = BasisDecomposition(basis=(1,), coeffs=(0, coeff), ncols=4)
             with pytest.raises(MalformedDecompositionError, match="coefficient vector 1"):
                 reconstruct(d)
 
     def test_malformed_basis(self):
-        # a basis row must fit in ncols bits, and there must be rho of them
-        for basis in ((0b10000,), (-1,), (1, 2)):
-            d = BasisDecomposition(basis=basis, coeffs=(1,), rho=1, ncols=4)
+        # a basis row must fit in ncols bits
+        for basis in ((0b10000,), (-1,)):
+            d = BasisDecomposition(basis=basis, coeffs=(1,), ncols=4)
             with pytest.raises(MalformedDecompositionError):
                 reconstruct(d)
 

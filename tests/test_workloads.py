@@ -12,17 +12,14 @@ import pytest
 from cdcsim.gf2 import Gf2Matrix, rank_and_basis
 from cdcsim.placement import JobSpec
 from cdcsim.workloads import (
+    CodedLinearTransformWorkload,
     CountOverflowError,
     LinearTransformWorkload,
     SyntheticRankWorkload,
     WordCountWorkload,
-    coded_lintrans_map,
-    ingest_string,
     ingest_text,
-    lintrans_map,
     load_gf2_sections,
     lintrans_from_file,
-    wordcount_map,
 )
 from corpora import write_corpus, zipf_text
 from oracles import int_to_bits, naive_dot, naive_ingest_text, naive_wordcount_map, recount
@@ -44,7 +41,7 @@ def paper_spec(T=6):
 
 class TestWordCount:
     def test_paper_counts(self):
-        store = wordcount_map(WordCountWorkload(PAPER_BLOCKS), paper_spec())
+        store = WordCountWorkload(PAPER_BLOCKS).build_store(paper_spec())
         assert store[(1, 1)] == 3
         assert store[(1, 2)] == 5
         assert store[(1, 3)] == 3
@@ -55,23 +52,23 @@ class TestWordCount:
 
     def test_empty_block_counts_zero(self):
         w = WordCountWorkload(((1, 2), (), (2,)))
-        store = wordcount_map(w, JobSpec(K=3, N=3, Q=3, r=1, s=1, T=4))
+        store = w.build_store(JobSpec(K=3, N=3, Q=3, r=1, s=1, T=4))
         for q in (1, 2, 3):
             assert store[(q, 2)] == 0
 
     def test_overflow_is_an_error(self):
         w = WordCountWorkload(((1, 1, 1, 1),),)
         with pytest.raises(CountOverflowError):
-            wordcount_map(w, JobSpec(K=2, N=1, Q=2, r=2, s=1, T=2))
+            w.build_store(JobSpec(K=2, N=1, Q=2, r=2, s=1, T=2))
 
     def test_bad_symbol(self):
         w = WordCountWorkload(((1, 9),),)
         with pytest.raises(ValueError, match="symbol"):
-            wordcount_map(w, JobSpec(K=2, N=1, Q=2, r=2, s=1, T=4))
+            w.build_store(JobSpec(K=2, N=1, Q=2, r=2, s=1, T=4))
 
     def test_block_count_mismatch(self):
         with pytest.raises(ValueError, match="blocks"):
-            wordcount_map(WordCountWorkload(PAPER_BLOCKS), JobSpec(K=4, N=12, Q=4, r=2, s=1, T=6))
+            WordCountWorkload(PAPER_BLOCKS).build_store(JobSpec(K=4, N=12, Q=4, r=2, s=1, T=6))
 
     def test_conservation_random_texts(self):
         # placement is irrelevant here; K=2, r=2, s=2 keeps any (N, Q) valid
@@ -80,63 +77,64 @@ class TestWordCount:
             Q, N = rng.randint(1, 5), rng.randint(1, 6)
             symbols = [rng.randint(1, Q) for _ in range(rng.randint(1, 60))]
             w = WordCountWorkload.from_symbols(symbols, N)
-            store = wordcount_map(w, JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=8))
+            store = w.build_store(JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=8))
             for q in range(1, Q + 1):
                 total = sum(store[(q, n)] for n in range(1, N + 1))
                 assert total == recount([list(b) for b in w.blocks], q)
 
 
+def _ingest_string(text, Q, N, tokenizer="word"):
+    """``ingest_text`` over an in-memory text."""
+    return ingest_text(io.StringIO(text), Q, N, tokenizer=tokenizer)
+
+
 class TestIngest:
     def test_paper_digit_sequence(self):
-        w, report = ingest_string(PAPER_TEXT, 4, 6, tokenizer="char")
+        # the digits keep their own numbers ("1" is the most frequent), and
+        # every digit is kept
+        w = _ingest_string(PAPER_TEXT, 4, 6, tokenizer="char")
         assert w.blocks == PAPER_BLOCKS
-        assert report.dropped_tokens == 0
-        assert report.symbol_of_token == {"1": 1, "2": 2, "3": 3, "4": 4}
+        assert sum(map(len, w.blocks)) == len(PAPER_TEXT.replace(" ", "")) == 42
 
     def test_frequency_rank_with_ties(self):
-        # equal counts break lexicographically
-        w, report = ingest_string("b a b a c", 2, 1)
-        assert report.symbol_of_token == {"a": 1, "b": 2}
-        assert report.dropped_tokens == 1
+        # equal counts break lexicographically: a is 1, b is 2, c is dropped
+        w = _ingest_string("b a b a c", 2, 1)
         assert w.blocks == ((2, 1, 2, 1),)
 
     def test_single_token_conservation(self):
-        w, _ = ingest_string("x x x x x", 1, 2)
+        w = _ingest_string("x x x x x", 1, 2)
         spec = JobSpec(K=2, N=2, Q=1, r=1, s=2, T=4)
-        store = wordcount_map(w, spec)
+        store = w.build_store(spec)
         assert store[(1, 1)] + store[(1, 2)] == 5
 
     def test_two_token_block_sums(self):
         text = "a b a a b a b b a a a b"
-        w, _ = ingest_string(text, 2, 3)
+        w = _ingest_string(text, 2, 3)
         spec = JobSpec(K=3, N=3, Q=3, r=1, s=1, T=5)
         # pad vocabulary: Q=3 > vocab, fine -- counts for symbol 3 are zero
-        store = wordcount_map(w, spec)
+        store = w.build_store(spec)
         for n, block in enumerate(w.blocks, start=1):
             total = sum(store[(q, n)] for q in (1, 2, 3))
             assert total == len(block)
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
-            ingest_string("   ", 2, 2)
+            _ingest_string("   ", 2, 2)
 
     def test_bad_q(self):
         with pytest.raises(ValueError):
-            ingest_string("a b", 0, 1)
+            _ingest_string("a b", 0, 1)
 
     def test_bad_tokenizer(self):
         with pytest.raises(ValueError, match="tokenizer"):
-            ingest_string("a b", 1, 1, tokenizer="sentence")
+            _ingest_string("a b", 1, 1, tokenizer="sentence")
 
     def test_ingest_from_path(self, tmp_path):
-        from cdcsim.workloads import ingest_text
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat on the mat the end", encoding="utf-8")
-        w, report = ingest_text(corpus, Q=2, N=2)
-        assert report.symbol_of_token["the"] == 1
-        assert report.vocab_size == 6
-        assert report.kept_tokens == 4  # three "the" plus the runner-up
-        assert sum(len(b) for b in w.blocks) == 4
+        w = ingest_text(corpus, Q=2, N=2)
+        # three "the" are 1, and the runner-up "cat" (first of five ties) is 2
+        assert w.blocks == ((1, 2), (1, 1))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -175,9 +173,12 @@ class TestStreamingIngest:
     def test_matches_whole_corpus_oracle(self, corpus, tokenizer, Q):
         text, path = corpus
         want = naive_ingest_text(path, Q, 7, tokenizer=tokenizer)
-        assert want[1].vocab_size > 1
+        vocab = set(text.split() if tokenizer == "word" else "".join(text.split()))
+        assert len(vocab) > 1
+        # the kept symbols are 1..min(Q, vocabulary), each at least once
+        assert set().union(*want.blocks) == set(range(1, min(Q, len(vocab)) + 1))
         assert ingest_text(path, Q, 7, tokenizer=tokenizer) == want
-        assert ingest_string(text, Q, 7, tokenizer=tokenizer) == want
+        assert _ingest_string(text, Q, 7, tokenizer=tokenizer) == want
         assert naive_ingest_text(io.StringIO(text), Q, 7, tokenizer=tokenizer) == want
         with open(path, encoding="utf-8", newline="") as fh:  # a stream that sees raw \r
             assert ingest_text(fh, Q, 7, tokenizer=tokenizer) == want
@@ -187,8 +188,8 @@ class TestStreamingIngest:
     @pytest.mark.parametrize("tokenizer", ["word", "char", "sentence"])
     def test_errors_match_oracle(self, text, tokenizer):
         want = _outcome(naive_ingest_text, io.StringIO(text), 2, 1, tokenizer=tokenizer)
-        assert _outcome(ingest_string, text, 2, 1, tokenizer=tokenizer) == want
-        assert _outcome(ingest_string, text + "a", 0, 1, tokenizer=tokenizer) == _outcome(
+        assert _outcome(_ingest_string, text, 2, 1, tokenizer=tokenizer) == want
+        assert _outcome(_ingest_string, text + "a", 0, 1, tokenizer=tokenizer) == _outcome(
             naive_ingest_text, io.StringIO(text + "a"), 0, 1, tokenizer=tokenizer)
 
     def test_map_matches_rescan_oracle(self):
@@ -203,7 +204,7 @@ class TestStreamingIngest:
                 for _ in range(N)))
             spec = JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=T)
             want = _outcome(naive_wordcount_map, w, spec)
-            got = _outcome(wordcount_map, w, spec)
+            got = _outcome(w.build_store, spec)
             if isinstance(want, tuple):
                 assert got == want
                 kinds.add(want[0])
@@ -237,7 +238,7 @@ class TestLinearTransform:
         rng = random.Random(2)
         matrix = Gf2Matrix(tuple(rng.getrandbits(8) for _ in range(16)), 8)
         inputs = Gf2Matrix((0,) * 6, 8)
-        store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
+        store = LinearTransformWorkload(matrix, inputs).build_store(spec)
         assert all(v == 0 for v in store.values())
 
     def test_identity_blocks_slice_input(self):
@@ -245,7 +246,7 @@ class TestLinearTransform:
         matrix = Gf2Matrix(tuple(1 << i for i in range(16)), 16)
         rng = random.Random(3)
         inputs = Gf2Matrix(tuple(rng.getrandbits(16) for _ in range(6)), 16)
-        store = lintrans_map(LinearTransformWorkload(matrix, inputs), spec)
+        store = LinearTransformWorkload(matrix, inputs).build_store(spec)
         for q in range(1, 5):
             for n, x in enumerate(inputs.rows, start=1):
                 assert store[(q, n)] == x >> (q - 1) * 4 & 0xf
@@ -253,7 +254,7 @@ class TestLinearTransform:
     def test_matches_naive_dot_oracle(self):
         spec = self.lt_spec()
         w = LinearTransformWorkload.random(16, 16, 6, seed=17)
-        store = lintrans_map(w, spec)
+        store = w.build_store(spec)
         for q in range(1, 5):
             for n in range(1, 7):
                 x_bits = int_to_bits(w.inputs.rows[n - 1], 16)
@@ -269,9 +270,9 @@ class TestLinearTransform:
         xs = Gf2Matrix(tuple(rng.getrandbits(10) for _ in range(6)), 10)
         ys = Gf2Matrix(tuple(rng.getrandbits(10) for _ in range(6)), 10)
         both = Gf2Matrix(tuple(a ^ b for a, b in zip(xs.rows, ys.rows)), 10)
-        sa = lintrans_map(LinearTransformWorkload(matrix, xs), spec)
-        sb = lintrans_map(LinearTransformWorkload(matrix, ys), spec)
-        sc = lintrans_map(LinearTransformWorkload(matrix, both), spec)
+        sa = LinearTransformWorkload(matrix, xs).build_store(spec)
+        sb = LinearTransformWorkload(matrix, ys).build_store(spec)
+        sc = LinearTransformWorkload(matrix, both).build_store(spec)
         for key in sc:
             assert sc[key] == sa[key] ^ sb[key]
 
@@ -279,20 +280,20 @@ class TestLinearTransform:
         spec = self.lt_spec()
         w = LinearTransformWorkload.random(20, 8, 6, seed=1)  # 20 rows not divisible into 4 blocks of T=4
         with pytest.raises(ValueError):
-            lintrans_map(w, spec)
+            w.build_store(spec)
 
     def test_input_width_mismatch(self):
         spec = self.lt_spec()
         w = LinearTransformWorkload(Gf2Matrix((0,) * 16, 8), Gf2Matrix((0,) * 6, 9))
         with pytest.raises(ValueError, match="input vectors of length 9, matrix has 8 columns"):
-            lintrans_map(w, spec)
+            w.build_store(spec)
 
 
 class TestCodedLinearTransform:
     def test_parity_block_always_cancels(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
         w = LinearTransformWorkload.random(16, 12, 6, seed=5)
-        store = coded_lintrans_map(w, spec)
+        store = CodedLinearTransformWorkload(w).build_store(spec)
         for n in range(1, 7):
             acc = store[(4, n)]
             for k in (1, 2, 3):
@@ -303,13 +304,13 @@ class TestCodedLinearTransform:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=4)
         w = LinearTransformWorkload(Gf2Matrix((0,) * 16, 8),
                                     Gf2Matrix(tuple(i + 1 for i in range(6)), 8))
-        store = coded_lintrans_map(w, spec)
+        store = CodedLinearTransformWorkload(w).build_store(spec)
         assert all(v == 0 for v in store.values())
 
     def test_per_file_rank_deficient(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8)
         w = LinearTransformWorkload.random(32, 16, 6, seed=9)
-        store = coded_lintrans_map(w, spec)
+        store = CodedLinearTransformWorkload(w).build_store(spec)
         for n in range(1, 7):
             m = Gf2Matrix(tuple(store[(k, n)] for k in range(1, 5)), spec.T)
             assert rank_and_basis(m).rho <= 3
