@@ -2,7 +2,7 @@
 
 All loads are exact rationals; floats only appear when rows are rendered to
 CSV.  The rank-compressed scheme's load depends on the measured or assumed
-per-group-size average rank, so sweep rows carry an explicit rank model.
+per-group-size average rank, so each sweep takes an explicit rank model.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ def average_rank(rho: Mapping[tuple[int, int], int], K: int) -> dict[int, Fracti
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Empirical bit counts next to the applicable closed form."""
+    """A run's closed-form load, and its measured load's deviation from it."""
 
-    load_empirical: Fraction
     load_analytic: Fraction | None
     deviation: Fraction | None
     rho_by_ell: dict[int, Fraction] | None = None
@@ -103,23 +102,22 @@ GENERAL_S_FLAG = (
 
 def build_load_report(result) -> LoadReport:
     """Compare a run's measured load against its scheme's closed form."""
-    spec = result.spec
+    spec, scheme = result.transcript.spec, result.transcript.scheme
     emp = result.load_empirical
     rho_avg = None
     alt = None
     notes = ""
-    if result.scheme == "uncoded":
+    if scheme == "uncoded":
         analytic = l_uncoded(spec.r, spec.K)
-    elif result.scheme == "cdc":
+    elif scheme == "cdc":
         analytic = l_cdc(spec.r, spec.s, spec.K)
     else:
-        rho_avg = average_rank(result.rho, spec.K)
+        rho_avg = average_rank(result.transcript.ranks(), spec.K)
         analytic = l_cdc_ld(spec.r, spec.s, spec.K, spec.Q, spec.N, spec.T, rho_avg)
         if spec.s >= 2:
             alt = l_cdc_ld_accounting(spec.r, spec.s, spec.K, spec.Q, spec.N, spec.T, rho_avg)
             notes = GENERAL_S_FLAG
     return LoadReport(
-        load_empirical=emp,
         load_analytic=analytic,
         deviation=emp - analytic,
         rho_by_ell=rho_avg,
@@ -160,11 +158,15 @@ def fig2_table(K: int, Q: int, N: int, m: int, q: int) -> list[Fig2Row]:
 
 
 def rank_label(model) -> str:
-    """The label of a rank model (see ``resolve_rho``), which its sweep rows
-    and meta file carry; a model of any other form raises ``ValueError``."""
+    """The label of a rank model (see ``resolve_rho``), which its sweep's meta
+    file carries; a model of any other form raises ``ValueError``."""
     if model == "full-rank":
         return model
     is_map = isinstance(model, Mapping)
+    for ell in model if is_map else ():
+        if not (type(ell) is int or type(ell) is str and ell.isascii()
+                and ell.removeprefix("-").isdecimal()):
+            raise ValueError(f"rank model {model!r}: key {ell!r} is not a group size")
     for v in model.values() if is_map else (model,):
         if not (type(v) in (int, Fraction) or type(v) is float and isfinite(v)):
             raise ValueError(f"rank model {model!r}: {v!r} is not a number; a model is a "
@@ -172,24 +174,24 @@ def rank_label(model) -> str:
     return "measured" if is_map else f"constant:{Fraction(model)}"
 
 
-def resolve_rho(model, K: int, r: int, s: int) -> tuple[dict[int, Fraction], str]:
-    """Expand a rank model into per-group-size values plus its label.
+def resolve_rho(model, K: int, r: int, s: int) -> dict[int, Fraction]:
+    """Expand a rank model into per-group-size values.
 
     Models: an int, Fraction or finite float (constant across group sizes),
     the string "full-rank" (rank equals the message count C(K-1, ell-1)), or
     a mapping from group size to such a number, whose keys may be strings, as
     JSON object keys are, and which must cover every group size.
     """
-    label = rank_label(model)
+    rank_label(model)  # refuses a model of any other form
     ells = list(group_sizes(K, r, s))
     if model == "full-rank":
-        return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}, label
+        return {ell: Fraction(comb(K - 1, ell - 1)) for ell in ells}
     if isinstance(model, Mapping):
         by_ell = {int(ell): Fraction(v) for ell, v in model.items()}
         if missing := [ell for ell in ells if ell not in by_ell]:
             raise ValueError(f"rank map has no value for group sizes {missing} (r={r}, s={s})")
-        return {ell: by_ell[ell] for ell in ells}, label
-    return dict.fromkeys(ells, Fraction(model)), label
+        return {ell: by_ell[ell] for ell in ells}
+    return dict.fromkeys(ells, Fraction(model))
 
 
 def _sorted_ints(name: str, values) -> list[int]:
@@ -206,7 +208,6 @@ class TradeoffRow:
     l_uncoded: Fraction
     l_cdc: Fraction
     l_cdc_ld: Fraction
-    rho_label: str
 
 
 def tradeoff_sweep(K: int, Q: int, N: int, T: int, r_values,
@@ -214,28 +215,29 @@ def tradeoff_sweep(K: int, Q: int, N: int, T: int, r_values,
     """Load of all three schemes across computation loads r.
 
     A row is skipped, with a warning, only when C(K, r) does not divide N;
-    any other spec error raises ``InvalidSpecError``.
+    any other spec error, or a rank model of no known form, raises
+    ``ValueError`` even when ``r_values`` is empty.
     """
+    r_values = _sorted_ints("r_values", r_values)
+    JobSpec(K=K, N=N, Q=Q, r=K, s=s, T=T)  # every field a row shares: C(K, K) divides N
+    rank_label(rho_model)
     rows = []
-    for r in _sorted_ints("r_values", r_values):
+    for r in r_values:
         try:
             JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
         except InvalidSpecError as exc:
-            # only a C(K, r) that does not divide N skips the row; comb() and %
-            # need K, N and r to be valid ints before they can tell
-            if not (all(type(v) is int for v in (K, N, r)) and 1 <= r <= K
-                    and N % comb(K, r)):
+            # with the shared fields valid, an r in 1..K fails only when
+            # C(K, r) does not divide N, which skips the row
+            if not 1 <= r <= K:
                 raise
-            JobSpec(K=K, N=N * comb(K, r), Q=Q, r=r, s=s, T=T)  # raises any other error
             warnings.warn(f"skipping r={r}: {exc}")
             continue
-        rho, label = resolve_rho(rho_model, K, r, s)
+        rho = resolve_rho(rho_model, K, r, s)
         rows.append(TradeoffRow(
             r=r,
             l_uncoded=l_uncoded(r, K),
             l_cdc=l_cdc(r, s, K),
             l_cdc_ld=l_cdc_ld(r, s, K, Q, N, T, rho),
-            rho_label=label,
         ))
     return rows
 
@@ -245,22 +247,23 @@ class LoadVsTRow:
     T: int
     l_cdc: Fraction
     l_cdc_ld: Fraction
-    rho_label: str
 
 
 def load_vs_t_sweep(K: int, Q: int, N: int, r: int, t_values,
                     s: int = 1, rho_model=2) -> list[LoadVsTRow]:
     """Load of the coded schemes as the value length T grows; every row must
-    be a valid job, or ``InvalidSpecError`` is raised."""
+    be a valid job, or ``InvalidSpecError`` is raised, and the fields the rows
+    share and the rank model are checked even when ``t_values`` is empty."""
+    t_values = _sorted_ints("T_values", t_values)
+    JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=1)  # every field a row shares
+    rho = resolve_rho(rho_model, K, r, s)
     rows = []
-    for T in _sorted_ints("T_values", t_values):
+    for T in t_values:
         JobSpec(K=K, N=N, Q=Q, r=r, s=s, T=T)
-        rho, label = resolve_rho(rho_model, K, r, s)
         rows.append(LoadVsTRow(
             T=T,
             l_cdc=l_cdc(r, s, K),
             l_cdc_ld=l_cdc_ld(r, s, K, Q, N, T, rho),
-            rho_label=label,
         ))
     return rows
 

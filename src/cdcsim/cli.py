@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import analytics, engine
 from .codec import IncompleteShuffleError
 from .engine import UnsupportedCombinationError, dump_json
-from .placement import JobSpec, make_placement, placement_to_json
+from .placement import SPEC_KEYS, JobSpec, make_placement, placement_to_json
 from .workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -49,13 +49,13 @@ PRESETS: dict[str, dict] = {
     "fig3": {
         "sweep": {
             "kind": "fig3", "K": 4, "N": 6, "Q": 4, "r": 2, "s": 1,
-            "T_values": list(range(2, 41, 2)), "rho": 2,
+            "T_values": list(range(2, 41, 2)),
         },
     },
     "fig4": {
         "sweep": {
             "kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "s": 1,
-            "r_values": list(range(1, 10)), "rho": "full-rank",
+            "r_values": list(range(1, 10)),
         },
     },
 }
@@ -85,7 +85,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         engine.expect_json(file_cfg, dict, "config file")
         check_keys("config", "job", file_cfg, dict.fromkeys(CONFIG_KEYS))
         config.update(file_cfg)
-    for name in (*JOB_KEYS, "scheme"):
+    for name in (*SPEC_KEYS, "scheme"):
         if flags.get(name) is not None:
             config[name] = flags[name]
     for key, name in (("kind", "workload"), ("input", "input"), ("seed", "seed")):
@@ -99,36 +99,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 # the keys of a config file: the job spec, its scheme, and what it runs
-JOB_KEYS = ("K", "N", "Q", "r", "s", "T")
-CONFIG_KEYS = (*JOB_KEYS, "scheme", "workload", "sweep")
+CONFIG_KEYS = (*SPEC_KEYS, "scheme", "workload", "sweep")
 
 
 def _build_spec(config: dict) -> JobSpec:
-    if missing := [name for name in JOB_KEYS if name not in config]:
+    if missing := [name for name in SPEC_KEYS if name not in config]:
         raise ValueError(f"missing job parameters: {', '.join(missing)} "
                          "(provide via flags, --config, or --preset)")
-    return JobSpec(**{name: config[name] for name in JOB_KEYS})
+    return JobSpec(**{name: config[name] for name in SPEC_KEYS})
 
 
 # the keys of each workload kind and the JSON types each takes: an int is
 # never a bool, and a number is an int or a float
 _TEXT, _INT, _NUMBER = ((str,), "a string"), ((int,), "an int"), ((int, float), "a number")
 _LIST, _RANK = ((list,), "a list"), ((int, float, str, dict), "a number, a string or an object")
-_LINTRANS_KEYS = {"kind": _TEXT, "input": _TEXT, "m": _INT, "n": _INT, "seed": _INT}
+_LINTRANS_KEYS = {"kind": _TEXT, "input": _TEXT, "n": _INT, "seed": _INT}
 WORKLOAD_KEYS = {
     "wordcount": {"kind": _TEXT, "text": _TEXT, "input": _TEXT, "tokenizer": _TEXT},
     "lintrans": _LINTRANS_KEYS,
     "coded-lintrans": _LINTRANS_KEYS,
     "synthetic": {"kind": _TEXT, "seed": _INT, "duplicate_prob": _NUMBER},
 }
-# the same for each sweep kind, every key but kind, s and rho required; a
-# fig3/fig4 spec field may be any number, so JobSpec names one that is no int
+# a fig3/fig4 spec field may be any number, so JobSpec names one that is no int
 _SPEC_NUMBERS = dict.fromkeys(("K", "N", "Q", "s"), _NUMBER)
-SWEEP_KEYS = {
-    "fig2": {"kind": _TEXT, "K": _INT, "N": _INT, "Q": _INT, "m": _INT, "q": _INT},
-    "fig3": {"kind": _TEXT, **_SPEC_NUMBERS, "r": _NUMBER, "T_values": _LIST, "rho": _RANK},
-    "fig4": {"kind": _TEXT, **_SPEC_NUMBERS, "T": _NUMBER, "r_values": _LIST, "rho": _RANK},
-}
 
 
 def check_keys(what: str, kind: str, desc: dict, keys: dict, required=()) -> None:
@@ -163,17 +156,15 @@ def build_workload(desc: dict, spec: JobSpec):
         raise ValueError("wordcount workload needs 'text' or 'input'")
     if kind != "synthetic":
         if "input" in desc:
-            if shaped := [key for key in desc if key in ("m", "n", "seed")]:
+            if shaped := [key for key in desc if key in ("n", "seed")]:
                 raise ValueError(f"workload {shaped[0]}: not taken with 'input', "
                                  "whose file gives the matrix and the inputs")
             base = lintrans_from_file(desc["input"])
         else:
-            m = desc.get("m", spec.Q * spec.T)
-            n = desc.get("n", 32)
-            for key, value in (("m", m), ("n", n)):
-                if value < 0:
-                    raise ValueError(f"workload {key}: expected a non-negative int, got {value}")
-            base = LinearTransformWorkload.random(m, n, spec.N, desc.get("seed", 0))
+            if (n := desc.get("n", 32)) < 0:
+                raise ValueError(f"workload n: expected a non-negative int, got {n}")
+            # Q row blocks of T rows: the one matrix height the store accepts
+            base = LinearTransformWorkload.random(spec.Q * spec.T, n, spec.N, desc.get("seed", 0))
         return CodedLinearTransformWorkload(base) if kind == "coded-lintrans" else base
     return SyntheticRankWorkload(seed=desc.get("seed", 0),
                                  duplicate_prob=desc.get("duplicate_prob", 0.0))
@@ -181,11 +172,12 @@ def build_workload(desc: dict, spec: JobSpec):
 
 def result_to_json(result: engine.RunResult, report: analytics.LoadReport, workload) -> dict:
     """The ``result.json`` document of a run; ``workload`` writes its outputs."""
+    spec, rho = result.transcript.spec, result.transcript.ranks()
     doc = {
-        "spec": result.spec.as_dict(),
-        "scheme": result.scheme,
+        "spec": spec.as_dict(),
+        "scheme": result.transcript.scheme,
         "b_k": {str(k): v for k, v in sorted(result.bits_by_node.items())},
-        "load_empirical": _fr(report.load_empirical),
+        "load_empirical": _fr(result.load_empirical),
         "load_analytic": _fr(report.load_analytic),
         "deviation": _fr(report.deviation),
         "verification": result.verification,
@@ -195,12 +187,12 @@ def result_to_json(result: engine.RunResult, report: analytics.LoadReport, workl
         doc["deviation_alt"] = _fr(report.deviation_alt)
     if report.notes:
         doc["notes"] = report.notes
-    if result.rho is not None:
-        doc["rho"] = {f"{k}:{ell}": v for (k, ell), v in sorted(result.rho.items())}
+    if rho is not None:
+        doc["rho"] = {f"{k}:{ell}": v for (k, ell), v in sorted(rho.items())}
         doc["rho_avg"] = {str(ell): _fr(v) for ell, v in sorted(report.rho_by_ell.items())}
     if result.outputs is not None:
         doc["outputs"] = {
-            str(k): {str(q): workload.output_text(v, result.spec) for q, v in sorted(out.items())}
+            str(k): {str(q): workload.output_text(v, spec) for q, v in sorted(out.items())}
             for k, out in sorted(result.outputs.items())
         }
     return doc
@@ -217,7 +209,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     spec = _build_spec(config)
     workload = build_workload(config.get("workload", {}), spec)
-    result = engine.run(spec, workload, config.get("scheme", "cdc"))
+    scheme = config.get("scheme", "cdc")
+    result = engine.run(spec, workload, scheme)
 
     report = analytics.build_load_report(result)
     out_dir = config["out_dir"]
@@ -225,8 +218,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_csv(
         os.path.join(out_dir, "loads.csv"),
         ["scheme", "r", "s", "L_empirical", "L_analytic", "deviation"],
-        [[result.scheme, str(spec.r), str(spec.s),
-          analytics.fmt12(report.load_empirical),
+        [[scheme, str(spec.r), str(spec.s),
+          analytics.fmt12(result.load_empirical),
           analytics.fmt12(report.load_analytic),
           analytics.fmt12(report.deviation)]],
     )
@@ -234,25 +227,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write(dump_json(result_to_json(result, report, workload)))
 
     total = sum(result.bits_by_node.values())
-    print(f"scheme={result.scheme} bits={total} load={report.load_empirical} "
+    print(f"scheme={scheme} bits={total} load={result.load_empirical} "
           f"verification={result.verification}")
     return EXIT_VERIFY if result.verification == "fail" else EXIT_OK
 
 
-# kind -> (table from the sweep definition and rank model, CSV header, keys
-# echoed to <kind>.meta.json, default rank model or None for no rank model).
-# The CSV columns are the leading fields of each row.
+# kind -> (the keys of its definition and the JSON types each takes, every key
+# but kind, s and rho required; table from the definition and rank model; CSV
+# header, one column per row field; default rank model or None for no rank
+# model).  Its required keys that are not lists are echoed to <kind>.meta.json.
 SWEEPS = {
-    "fig2": (lambda sw, rho: analytics.fig2_table(sw["K"], sw["Q"], sw["N"], sw["m"], sw["q"]),
-             ["r", "msg_len_bits", "count_paper", "count_alt"], ("K", "Q", "N", "m", "q"), None),
-    "fig3": (lambda sw, rho: analytics.load_vs_t_sweep(sw["K"], sw["Q"], sw["N"], sw["r"],
+    "fig2": ({"kind": _TEXT, "K": _INT, "N": _INT, "Q": _INT, "m": _INT, "q": _INT},
+             lambda sw, rho: analytics.fig2_table(sw["K"], sw["Q"], sw["N"], sw["m"], sw["q"]),
+             ["r", "msg_len_bits", "count_paper", "count_alt"], None),
+    "fig3": ({"kind": _TEXT, **_SPEC_NUMBERS, "r": _NUMBER, "T_values": _LIST, "rho": _RANK},
+             lambda sw, rho: analytics.load_vs_t_sweep(sw["K"], sw["Q"], sw["N"], sw["r"],
                                                       sw["T_values"], s=sw.get("s", 1),
                                                       rho_model=rho),
-             ["T", "L_cdc", "L_cdc_ld"], ("K", "Q", "N", "r"), 2),
-    "fig4": (lambda sw, rho: analytics.tradeoff_sweep(sw["K"], sw["Q"], sw["N"], sw["T"],
+             ["T", "L_cdc", "L_cdc_ld"], 2),
+    "fig4": ({"kind": _TEXT, **_SPEC_NUMBERS, "T": _NUMBER, "r_values": _LIST, "rho": _RANK},
+             lambda sw, rho: analytics.tradeoff_sweep(sw["K"], sw["Q"], sw["N"], sw["T"],
                                                      sw["r_values"], s=sw.get("s", 1),
                                                      rho_model=rho),
-             ["r", "L_uncoded", "L_cdc", "L_cdc_ld"], ("K", "Q", "N", "T"), "full-rank"),
+             ["r", "L_uncoded", "L_cdc", "L_cdc_ld"], "full-rank"),
 }
 
 
@@ -264,11 +261,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kind = engine.expect_json(sweep, dict, "sweep").get("kind")
     if type(kind) is not str or kind not in SWEEPS:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    keys = SWEEP_KEYS[kind]
-    check_keys("sweep", kind, sweep, keys, [k for k in keys if k not in ("kind", "s", "rho")])
-    table, header, meta_keys, default_rho = SWEEPS[kind]
+    keys, table, header, default_rho = SWEEPS[kind]
+    required = [k for k in keys if k not in ("kind", "s", "rho")]
+    check_keys("sweep", kind, sweep, keys, required)
     rho = sweep.get("rho", default_rho)
-    meta = {k: sweep[k] for k in meta_keys}
+    meta = {k: sweep[k] for k in required if keys[k] is not _LIST}
     if default_rho is not None:
         meta["rho_model"] = analytics.rank_label(rho)
     rows = table(sweep, rho)
@@ -278,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_csv(
         os.path.join(out_dir, f"{kind}.csv"), header,
         [[str(cell) if isinstance(cell, int) else analytics.fmt12(cell)
-          for cell in astuple(row)[:len(header)]] for row in rows],
+          for cell in astuple(row)] for row in rows],
     )
     with open(os.path.join(out_dir, f"{kind}.meta.json"), "w", encoding="utf-8") as fh:
         fh.write(dump_json(meta))
@@ -329,7 +326,7 @@ def _replay(doc: dict) -> tuple[str, str]:
 
 def cmd_fixture(args: argparse.Namespace) -> int:
     if args.input:
-        for name in ("preset", "config", *JOB_KEYS, "workload", "seed", "out_dir"):
+        for name in ("preset", "config", *SPEC_KEYS, "workload", "seed", "out_dir"):
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name.replace('_', '-')}: not taken with --input, which "
                                  "names a fixture to replay; a file-input workload's fixtures "
@@ -369,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--config": dict(help="JSON config file"),
         "--preset": dict(help=f"embedded preset, one of {sorted(PRESETS)}"),
         "--scheme": dict(choices=engine.SCHEMES),
-        **{f"--{name}": dict(type=int) for name in JOB_KEYS},
+        **{f"--{name}": dict(type=int) for name in SPEC_KEYS},
         "--workload": dict(choices=tuple(WORKLOAD_KEYS)),
         "--input": dict(help="workload input file (or fixture to replay)"),
         "--seed": dict(type=int),

@@ -10,7 +10,7 @@ the values it decoded, and a pass/fail comparison against a single-machine refer
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
 from json.encoder import encode_basestring_ascii as _quote
@@ -32,22 +32,15 @@ from .codec import (
     segment_width,
 )
 from .gf2 import BasisDecomposition, Gf2Matrix, rank_and_basis
-from .placement import (JobSpec, Placement, group_sizes, ksubsets, make_placement, needed_values,
-                        unmapped_files)
+from .placement import (SPEC_KEYS, JobSpec, Placement, group_sizes, ksubsets, make_placement,
+                        needed_values, unmapped_files)
 from .workloads import ValueTable
 
-# scheme -> the name of its shuffle, looked up when a job runs, so that a
-# wrapper installed on the module attribute (perfbench's tracer) is the one run
-_SHUFFLES = {"uncoded": "run_uncoded_shuffle", "cdc": "run_cdc_shuffle",
-             "cdc-ld": "run_cdc_ld_shuffle"}
-SCHEMES = tuple(_SHUFFLES)
-
-# the fields of a serialised spec and of every broadcast, and the meta fields
-# of each scheme
-_SPEC_KEYS = tuple(f.name for f in fields(JobSpec))
+# the fields of every serialised broadcast, and the meta fields of each scheme
 _BROADCAST_KEYS = ("sender", "kind", "meta", "payloads")
 _META_KEYS = {"uncoded": ("q", "n"), "cdc": ("group", "component"),
              "cdc-ld": ("ell", "rho", "msg_len")}
+SCHEMES = tuple(_META_KEYS)
 
 
 class UnsupportedCombinationError(ValueError):
@@ -56,12 +49,11 @@ class UnsupportedCombinationError(ValueError):
 
 @dataclass
 class Broadcasts:
-    """A transcript's broadcasts as columns: per broadcast its sender, kind and
+    """A transcript's broadcasts as columns: per broadcast its sender and
     payload count, and a column per meta field of its scheme (``_META_KEYS``);
     per payload, in broadcast order, its width and value."""
 
     senders: list[int]
-    kinds: list[str]
     meta: dict[str, list]
     counts: list[int]
     nbits: list[int]
@@ -101,12 +93,12 @@ class ShuffleTranscript:
 
 @dataclass
 class RunResult:
-    spec: JobSpec
-    scheme: str
+    """A run's transcript, the bits and load measured from it, and the
+    outputs, reference and verdict of ``decode_and_verify``."""
+
     transcript: ShuffleTranscript
     bits_by_node: dict[int, int]
     load_empirical: Fraction
-    rho: dict[tuple[int, int], int] | None
     outputs: dict[int, dict[int, int]] | None
     reference: dict[int, int] | None
     verification: str  # "pass" | "fail" | "not-applicable"
@@ -128,7 +120,7 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
             values += map(store.row(q).__getitem__, at)
     m = len(ns)
     return ShuffleTranscript("uncoded", spec, Broadcasts(
-        senders, ["uncoded"] * m, {"q": qs, "n": ns}, [1] * m, [spec.T] * m, values))
+        senders, {"q": qs, "n": ns}, [1] * m, [spec.T] * m, values))
 
 
 def run_cdc_shuffle(spec: JobSpec, placement: Placement,
@@ -144,9 +136,8 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
                     components.append(index)
                     nbits.append(width)
                     values.append(payload)
-    m = len(senders)
     return ShuffleTranscript("cdc", spec, Broadcasts(
-        senders, ["cdc"] * m, {"group": groups, "component": components}, [1] * m, nbits, values))
+        senders, {"group": groups, "component": components}, [1] * len(senders), nbits, values))
 
 
 def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
@@ -166,8 +157,7 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
             nbits += [d.ncols] * d.rho + [d.rho] * len(d.coeffs)
             values += d.basis + d.coeffs
     return ShuffleTranscript("cdc-ld", spec, Broadcasts(
-        senders, ["cdc-ld"] * len(senders), {"ell": ells, "rho": rhos, "msg_len": msg_lens},
-        counts, nbits, values))
+        senders, {"ell": ells, "rho": rhos, "msg_len": msg_lens}, counts, nbits, values))
 
 
 def validate_transcript(spec: JobSpec, placement: Placement,
@@ -193,18 +183,21 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         N = spec.N
         reducer = {q: k for k, qs in placement.node_funcs.items() for q in qs}  # q's only one
         slots: list = [None] * (spec.Q * N)
-        for i, (sender, kind, q, n, count) in enumerate(
-                zip(cols.senders, cols.kinds, cols.meta["q"], cols.meta["n"], cols.counts)):
+        for i, (sender, q, n, count) in enumerate(
+                zip(cols.senders, cols.meta["q"], cols.meta["n"], cols.counts)):
             mappers = placement.batch_of_file.get(n, ())
-            # every earlier broadcast has one payload, so this one's is payload i
-            if (kind != scheme or q not in reducer or reducer[q] in mappers
-                    or sender not in mappers):
-                raise _rejected(i, i, cols, scheme)
+            if q not in reducer or reducer[q] in mappers or sender not in mappers:
+                raise _foreign(i, cols, scheme)
             at = (q - 1) * N + n - 1
-            if count != 1 or nbits[i] != spec.T or slots[at] is not None or values[i] >> spec.T:
-                key = q, n
-                raise _rejected(i, i, cols, scheme, key, [spec.T],
-                                () if slots[at] is None else (key,))
+            if slots[at] is not None:
+                raise ValueError(f"broadcast {i}: second broadcast for {(q, n)}")
+            # every earlier broadcast has one payload, so this one's is payload i
+            if count != 1 or nbits[i] != spec.T:
+                raise ValueError(f"broadcast {i}: payloads of {nbits[i:i + count]} bits "
+                                 f"for {(q, n)}, expected {[spec.T]}")
+            if values[i] >> spec.T:
+                raise ValueError(f"broadcast {i}: payload 0 for {(q, n)} does not fit in "
+                                 f"{spec.T} bits")
             slots[at] = values[i]
         # each broadcast filled one slot
         if len(cols.senders) < sum(N - len(placement.node_files[k]) for k in reducer.values()):
@@ -222,9 +215,8 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     widths = {ell: segment_width(spec, ell) for ell in sizes}
     end = 0
-    for i, (sender, kind, count, meta) in enumerate(zip(
-            cols.senders, cols.kinds, cols.counts,
-            zip(*[cols.meta[field] for field in _META_KEYS[scheme]]))):
+    for i, (sender, count, meta) in enumerate(zip(
+            cols.senders, cols.counts, zip(*[cols.meta[field] for field in _META_KEYS[scheme]]))):
         first, end = end, end + count
         if scheme == "cdc":
             # element types first: a list inside the group cannot be hashed
@@ -234,8 +226,8 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         else:
             ell, rho, msg_len = meta
             key = (sender, ell)
-        if kind != scheme or key not in keys:
-            raise _rejected(i, first, cols, scheme)
+        if key not in keys:
+            raise _foreign(i, cols, scheme)
         ell = len(group) if scheme == "cdc" else ell
         lengths = [widths[ell]]
         if scheme == "cdc-ld":
@@ -244,10 +236,15 @@ def validate_transcript(spec: JobSpec, placement: Placement,
                 raise ValueError(f"broadcast {i}: msg_len {msg_len} and rho {rho}, "
                                  f"expected msg_len {ncols} and rho in 0..{ncols}")
             lengths = [ncols] * rho + [rho] * comb(K - 1, ell - 1)
+        if key in got:
+            raise ValueError(f"broadcast {i}: second broadcast for {key}")
+        if nbits[first:end] != lengths:
+            raise ValueError(f"broadcast {i}: payloads of {nbits[first:end]} bits for {key}, "
+                             f"expected {lengths}")
         rows = tuple(values[first:end])
-        if (nbits[first:end] != lengths or key in got
-                or any(v >> n for v, n in zip(rows, lengths))):
-            raise _rejected(i, first, cols, scheme, key, lengths, got)
+        for j, (v, n) in enumerate(zip(rows, lengths)):
+            if v >> n:
+                raise ValueError(f"broadcast {i}: payload {j} for {key} does not fit in {n} bits")
         if scheme == "cdc":
             got[key] = rows[0]
         elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
@@ -263,20 +260,11 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     return got
 
 
-def _rejected(i: int, first: int, cols: Broadcasts, scheme: str, key=None, lengths=(),
-              got=()) -> ValueError:
-    """Why broadcast i, whose payloads start at payload ``first``, is not one
-    of the job's: its kind, sender or key, else a repeated key, else its
-    payload lengths, else the first payload value that does not fit its length."""
+def _foreign(i: int, cols: Broadcasts, scheme: str) -> ValueError:
+    """Broadcast i's sender or key is not one of the job's."""
     meta = {field: column[i] for field, column in cols.meta.items()}
-    bits = cols.nbits[first:first + cols.counts[i]]
-    why = (f"{cols.kinds[i]} {meta} from node {cols.senders[i]} is not one of the job's "
-           f"{scheme} broadcasts" if key is None else f"second broadcast for {key}" if key in got
-           else f"payloads of {bits} bits for {key}, expected {lengths}"
-           if bits != lengths else next(
-               f"payload {j} for {key} does not fit in {n} bits"
-               for j, (v, n) in enumerate(zip(cols.values[first:], bits)) if v >> n))
-    return ValueError(f"broadcast {i}: {why}")
+    return ValueError(f"broadcast {i}: {scheme} {meta} from node {cols.senders[i]} is not one "
+                      f"of the job's {scheme} broadcasts")
 
 
 def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme: str,
@@ -350,13 +338,17 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
+    # built per call, so a wrapper installed on a module attribute (as
+    # perfbench's tracer installs one) is the shuffle that runs
+    shuffle = {"uncoded": run_uncoded_shuffle, "cdc": run_cdc_shuffle,
+               "cdc-ld": run_cdc_ld_shuffle}[scheme]
     placement = make_placement(spec)
     store = workload.build_store(spec)
-    transcript = globals()[_SHUFFLES[scheme]](spec, placement, store)
+    transcript = shuffle(spec, placement, store)
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
     # decode_and_verify returns the last three fields in order
-    return RunResult(spec, scheme, transcript, bits, load, transcript.ranks(),
+    return RunResult(transcript, bits, load,
                      *decode_and_verify(spec, placement, store, transcript, workload))
 
 
@@ -404,12 +396,12 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
         for meta, value in zip(metas, column):
             meta[name] = value
     payloads = [{"bits": bits, "hex": f"{value:x}"} for bits, value in zip(cols.nbits, cols.values)]
+    scheme = transcript.scheme
     broadcasts = [
-        {"sender": sender, "kind": kind, "meta": meta, "payloads": payloads[first:first + count]}
-        for sender, kind, meta, count, first in zip(
-            cols.senders, cols.kinds, metas, cols.counts, accumulate(cols.counts, initial=0))]
-    return {"scheme": transcript.scheme, "spec": transcript.spec.as_dict(),
-            "broadcasts": broadcasts}
+        {"sender": sender, "kind": scheme, "meta": meta, "payloads": payloads[first:first + count]}
+        for sender, meta, count, first in zip(
+            cols.senders, metas, cols.counts, accumulate(cols.counts, initial=0))]
+    return {"scheme": scheme, "spec": transcript.spec.as_dict(), "broadcasts": broadcasts}
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
@@ -417,9 +409,9 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
     or shape, raises ``ValueError`` naming it."""
     expect_json(obj, dict, "transcript")
     spec = obj.get("spec")
-    if type(spec) is not dict or spec.keys() != set(_SPEC_KEYS):
+    if type(spec) is not dict or spec.keys() != set(SPEC_KEYS):
         raise ValueError(f"transcript spec: expected an object with keys "
-                         f"{', '.join(_SPEC_KEYS)}, got {spec!r}")
+                         f"{', '.join(SPEC_KEYS)}, got {spec!r}")
     spec = JobSpec(**spec)
     scheme = expect_json(obj.get("scheme"), str, "transcript scheme")
     if scheme not in _META_KEYS:
@@ -436,6 +428,9 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         meta = b["meta"]
         if type(b["sender"]) is not int:
             raise ValueError(f"broadcast {i}: sender {b['sender']!r} is not an int")
+        if b["kind"] != scheme:
+            raise ValueError(f"broadcast {i}: kind {b['kind']!r} is not the transcript's "
+                             f"scheme {scheme!r}")
         if type(meta) is not dict:
             raise ValueError(f"broadcast {i}: meta {meta!r} is not an object")
         if type(b["payloads"]) is not list:
@@ -459,8 +454,7 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
     # lists side by side left the wordcount-replay benchmark's replay 4 MB
     # more peak RSS
     return ShuffleTranscript(scheme, spec, Broadcasts(
-        [b["sender"] for b in raw], [b["kind"] for b in raw],
-        {key: [b["meta"][key] for b in raw] for key in keys},
+        [b["sender"] for b in raw], {key: [b["meta"][key] for b in raw] for key in keys},
         [len(b["payloads"]) for b in raw], nbits, values))
 
 

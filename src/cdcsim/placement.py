@@ -7,7 +7,7 @@ indices are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from math import comb
 
@@ -60,7 +60,11 @@ class JobSpec:
         return self.Q // comb(self.K, self.s)
 
     def as_dict(self) -> dict[str, int]:
-        return {"K": self.K, "N": self.N, "Q": self.Q, "r": self.r, "s": self.s, "T": self.T}
+        return {name: getattr(self, name) for name in SPEC_KEYS}
+
+
+# the fields of a spec, in order: its keys in a config file and a transcript
+SPEC_KEYS = tuple(f.name for f in fields(JobSpec))
 
 
 def ksubsets(K: int, t: int) -> list[tuple[int, ...]]:

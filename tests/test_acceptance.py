@@ -99,7 +99,8 @@ def test_criterion_2_load_formula_equivalence():
             assert cdc.load_empirical == l_cdc(r, 1, K) == Fraction(1, r) * (1 - Fraction(r, K))
 
             ld = run(spec, workload, "cdc-ld")
-            assert ld.load_empirical == l_cdc_ld(r, 1, K, Q, N, T, average_rank(ld.rho, K))
+            rho = average_rank(ld.transcript.ranks(), K)
+            assert ld.load_empirical == l_cdc_ld(r, 1, K, Q, N, T, rho)
 
             for result in (uncoded, cdc, ld):
                 assert result.verification == "pass"
@@ -185,7 +186,6 @@ def test_criterion_5_fig4_reproduction():
     for row in rows:
         assert row.l_uncoded == 1 - Fraction(row.r, 10)
         assert row.l_cdc == Fraction(1, row.r) * (1 - Fraction(row.r, 10))
-        assert row.rho_label == "full-rank"
         # CSV rendering is the 12-digit image of the exact value
         assert fmt12(row.l_cdc) == f"{float(row.l_cdc):.12g}"
 
@@ -243,24 +243,27 @@ def test_criterion_7_general_s_accounting():
     spec = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)
     workload = SyntheticRankWorkload(seed=9, duplicate_prob=0.4)
 
-    cdc = build_load_report(run(spec, workload, "cdc"))
-    assert cdc.load_empirical == l_cdc(2, 2, 4) == Fraction(4, 9)
+    cdc_run = run(spec, workload, "cdc")
+    cdc = build_load_report(cdc_run)
+    assert cdc_run.load_empirical == l_cdc(2, 2, 4) == Fraction(4, 9)
     assert cdc.deviation == 0
 
-    ld = build_load_report(run(spec, workload, "cdc-ld"))
+    ld_run = run(spec, workload, "cdc-ld")
+    ld = build_load_report(ld_run)
     published = l_cdc_ld(2, 2, 4, 6, 6, 8, ld.rho_by_ell)
     accounting = l_cdc_ld_accounting(2, 2, 4, 6, 6, 8, ld.rho_by_ell)
-    matches = {"published": ld.load_empirical == published,
-               "accounting": ld.load_empirical == accounting}
+    matches = {"published": ld_run.load_empirical == published,
+               "accounting": ld_run.load_empirical == accounting}
     assert any(matches.values())            # exact agreement with >= 1 reading
     assert matches["accounting"] and not matches["published"]
     assert "K/C(K,s)" in ld.notes == GENERAL_S_FLAG  # the factor question is flagged
-    assert ld.load_analytic_alt == ld.load_empirical
+    assert ld.load_analytic_alt == ld_run.load_empirical
 
     # a second, larger multi-copy configuration
     spec2 = JobSpec(K=5, N=10, Q=10, r=2, s=2, T=8)
-    cdc2 = build_load_report(run(spec2, workload, "cdc"))
-    assert cdc2.load_empirical == l_cdc(2, 2, 5)
+    cdc2_run = run(spec2, workload, "cdc")
+    cdc2 = build_load_report(cdc2_run)
+    assert cdc2_run.load_empirical == l_cdc(2, 2, 5)
     assert cdc2.deviation == 0
     report(7, "s=2 encoder bits match one closed-form reading exactly; factor flagged")
 

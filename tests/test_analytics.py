@@ -17,6 +17,7 @@ from cdcsim.analytics import (
     l_cdc_ld_accounting,
     l_uncoded,
     load_vs_t_sweep,
+    rank_label,
     resolve_rho,
     tradeoff_sweep,
 )
@@ -81,7 +82,7 @@ class TestCdcLd:
     def test_matches_engine_bit_count(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         result = run(spec, WordCountWorkload(PAPER_BLOCKS), "cdc-ld")
-        rho_avg = Fraction(sum(result.rho.values()), 4)
+        rho_avg = Fraction(sum(result.transcript.ranks().values()), 4)
         assert l_cdc_ld(2, 1, 4, 4, 6, 30, {3: rho_avg}) == result.load_empirical
 
     def test_accounting_reading_equals_published_at_s1(self):
@@ -140,8 +141,9 @@ class TestLoadReport:
         # the full group of K=5 at r=3 combines six segments, which needs
         # GF(8); T=36 keeps every segment field-block aligned
         spec = JobSpec(K=5, N=10, Q=10, r=3, s=2, T=36)
-        report = build_load_report(run(spec, SyntheticRankWorkload(seed=6), "cdc"))
-        assert report.load_empirical == l_cdc(3, 2, 5) == Fraction(1, 4)
+        result = run(spec, SyntheticRankWorkload(seed=6), "cdc")
+        report = build_load_report(result)
+        assert result.load_empirical == l_cdc(3, 2, 5) == Fraction(1, 4)
         assert report.deviation == 0
 
 
@@ -194,22 +196,20 @@ class TestSweeps:
         assert len(caught) == 2
 
     def test_full_rank_model(self):
-        rho, label = resolve_rho("full-rank", 10, 3, 1)
-        assert label == "full-rank"
-        assert rho == {4: comb(9, 3)}
+        assert rank_label("full-rank") == "full-rank"
+        assert resolve_rho("full-rank", 10, 3, 1) == {4: comb(9, 3)}
 
     def test_constant_model(self):
-        rho, label = resolve_rho(2, 4, 2, 1)
-        assert label == "constant:2"
-        assert rho == {3: 2}
+        assert rank_label(2) == "constant:2"
+        assert resolve_rho(2, 4, 2, 1) == {3: 2}
 
     def test_measured_model(self):
-        rho, label = resolve_rho({3: Fraction(7, 4)}, 4, 2, 1)
-        assert label == "measured"
-        assert rho == {3: Fraction(7, 4)}
+        assert rank_label({3: Fraction(7, 4)}) == "measured"
+        assert resolve_rho({3: Fraction(7, 4)}, 4, 2, 1) == {3: Fraction(7, 4)}
 
     def test_measured_model_string_keys_and_gaps(self):
         # JSON object keys are strings
-        assert resolve_rho({"3": 2}, 4, 2, 1) == ({3: Fraction(2)}, "measured")
+        assert rank_label({"3": 2}) == "measured"
+        assert resolve_rho({"3": 2}, 4, 2, 1) == {3: Fraction(2)}
         with pytest.raises(ValueError, match=r"group sizes \[4\]"):
             resolve_rho({3: 2}, 4, 2, 2)  # s=2: group sizes 3 and 4

@@ -52,6 +52,14 @@ def _string_field_in_config(tmp_path):
     return ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
 
 
+def _job_config(**job):
+    def make_args(tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(job))
+        return ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    return make_args
+
+
 def _gf2mat_file(text):
     def make_args(tmp_path):
         mats = tmp_path / "mats.txt"
@@ -147,9 +155,25 @@ class TestRun:
         (_gf2mat_file("gf2mat A 2 4\nf\n1f\n"),
          "section 'A' at line 3: row 1f is wider than 4 columns"),
         (_gf2mat_file("gf2mat A x 4\n"), "section 'A' at line 1: counts 'x' and '4' are not ints"),
+        (_gf2mat_file("gf2mat A 1\n1\n"), "bad section header at line 1: 'gf2mat A 1'"),
+        (_gf2mat_file("gf2mat A 24 4\n" + "1\n" * 24), "need sections 'A' and 'X'"),
+        # the job of every _gf2mat_file case: K=4, N=6, Q=4, T=6
+        (_gf2mat_file("gf2mat A 6 4\n" + "1\n" * 6 + "gf2mat X 6 4\n" + "3\n" * 6),
+         "matrix with 6 rows cannot split into Q=4 equal blocks"),
+        (_gf2mat_file("gf2mat A 24 4\n" + "1\n" * 24 + "gf2mat X 5 4\n" + "3\n" * 5),
+         "5 input vectors, spec expects N=6"),
+        (_job_config(K=4, N=6, Q=6, r=2, s=2, T=6, workload={"kind": "lintrans"}),
+         "Q=6 must be a multiple of K=4 for linear transforms"),
+        (_job_config(K=4, N=6, Q=8, r=2, s=1, T=6, workload={"kind": "coded-lintrans"}),
+         "parity coding requires Q == K, got Q=8, K=4"),
+        (_job_config(K=4, N=6, Q=4, r=2, s=5, T=6), "s=5 must lie in 1..K=4"),
+        (_job_config(K=4, N=0, Q=4, r=2, s=1, T=6), "N=0 and Q=4 must be positive"),
+        (_job_config(K=4, N=6, Q=-4, r=2, s=1, T=6), "N=6 and Q=-4 must be positive"),
     ], ids=["out-dir-below-file", "string-K", "truncated-gf2mat", "negative-rows-gf2mat",
             "negative-cols-gf2mat", "repeated-section-gf2mat", "underscore-row-gf2mat",
-            "0x-row-gf2mat", "minus-row-gf2mat", "wide-row-gf2mat", "non-int-count-gf2mat"])
+            "0x-row-gf2mat", "minus-row-gf2mat", "wide-row-gf2mat", "non-int-count-gf2mat",
+            "short-header-gf2mat", "no-X-gf2mat", "A-rows-not-Q-blocks", "X-rows-not-N",
+            "Q-not-multiple-of-K", "coded-Q-not-K", "s-above-K", "N-zero", "Q-negative"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, make_args, message):
         code = main(["run", *make_args(tmp_path)])
         assert code == EXIT_CONFIG
@@ -159,7 +183,10 @@ class TestRun:
 
     @pytest.mark.parametrize("workload, message", [
         ({"kind": "synthetic", "duplicate_prob": "0.5"}, "workload duplicate_prob: expected a number"),
-        ({"kind": "lintrans", "m": "24"}, "workload m: expected an int"),
+        # the matrix height is Q*T, so no descriptor gives it: any m, of any
+        # type and beside any other key, is not a key
+        ({"kind": "lintrans", "m": "24"}, "workload 'm': not a key of a lintrans workload, "
+         "which takes input, kind, n, seed"),
         ({"kind": "wordcount", "text": 5}, "workload text: expected a string"),
         ({"kind": "synthetic", "seed": "1"}, "workload seed: expected an int"),
         ({"kind": "synthetic", "seed": True}, "workload seed: expected an int"),
@@ -170,16 +197,18 @@ class TestRun:
         ([], "workload: expected an object"),
         # named by field, not by what getrandbits or the block-size check would say
         ({"kind": "lintrans", "n": -1}, "workload n: expected a non-negative int, got -1"),
-        ({"kind": "coded-lintrans", "m": -5}, "workload m: expected a non-negative int, got -5"),
-        # the input file gives the matrix and the inputs; nothing else may shape them
+        ({"kind": "coded-lintrans", "m": -5}, "workload 'm': not a key of a coded-lintrans "
+         "workload, which takes input, kind, n, seed"),
         ({"kind": "lintrans", "input": "m.txt", "m": -5, "seed": 9},
-         "workload m: not taken with 'input'"),
+         "workload 'm': not a key of a lintrans workload, which takes input, kind, n, seed"),
+        # the input file gives the matrix and the inputs; nothing else may shape them
         ({"kind": "lintrans", "input": "m.txt", "n": 4}, "workload n: not taken with 'input'"),
         ({"kind": "coded-lintrans", "seed": 9, "input": "m.txt"},
          "workload seed: not taken with 'input'"),
+        ({"kind": "wordcount", "tokenizer": "char"}, "wordcount workload needs 'text' or 'input'"),
     ], ids=["duplicate_prob-str", "m-str", "text-int", "seed-str", "seed-bool", "seed-float",
             "unknown-key", "key-of-another-kind", "kind-list", "workload-list", "n-negative",
-            "m-negative", "input-with-m", "input-with-n", "coded-input-with-seed"])
+            "m-negative", "input-with-m", "input-with-n", "coded-input-with-seed", "wordcount-without-text"])
     def test_bad_workload_descriptor_exits_2(self, tmp_path, capsys, workload, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6,
@@ -367,7 +396,15 @@ class TestSweep:
         ({"kind": "fig4", "r_values": [1, "3"]}, "r_values entry '3' must be an int"),
         ({"kind": "fig3", "K": 4, "N": 6, "Q": 4, "r": 2, "T_values": [2, "4"]},
          "T_values entry '4' must be an int"),
-    ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N", "fig4-mixed-r", "fig3-mixed-T"])
+        # a sweep without rows checks the fields its rows would share, as one row does
+        ({"kind": "fig3", "K": 10.5, "N": 6, "Q": 4, "r": 2, "T_values": []},
+         "K=10.5 must be an int"),
+        ({"kind": "fig3", "K": 4, "N": 7, "Q": 4, "r": 2, "T_values": []},
+         "N=7 must be divisible by C(K,r)=C(4,2)=6"),
+        ({"kind": "fig4", "K": 10.5, "r_values": []}, "K=10.5 must be an int"),
+        ({"kind": "fig4", "Q": 361, "r_values": []}, "Q=361 must be divisible"),
+    ], ids=["fig4-float-K", "fig4-Q", "fig4-r-above-K", "fig3-N", "fig4-mixed-r", "fig3-mixed-T",
+            "fig3-empty-float-K", "fig3-empty-N", "fig4-empty-float-K", "fig4-empty-Q"])
     def test_spec_error_exits_2(self, tmp_path, capsys, sweep, message):
         base = {"kind": "fig4", "K": 10, "N": 2520, "Q": 360, "T": 64, "r_values": [1, 2, 3]}
         # a fig3 case is whole: fig4's T and r_values are not keys of a fig3 sweep
@@ -424,7 +461,14 @@ class TestSweep:
                   ("list", [2], f"sweep rho: expected {RANK_TYPES}, got [2]"),
                   ("bool", True, f"sweep rho: expected {RANK_TYPES}, got True"),
                   ("map-null", {"4": None}, "rank model {'4': None}: None is not a number; "
-                   "a model is a number, 'full-rank' or a map from group size to a number"))],
+                   "a model is a number, 'full-rank' or a map from group size to a number"),
+                  ("map-key-x", {"x": 2}, "rank model {'x': 2}: key 'x' is not a group size"),
+                  ("map-key-float", {"3.0": 2},
+                   "rank model {'3.0': 2}: key '3.0' is not a group size"))],
+            # the rank model is checked before the first row, so also when there is none
+            *[(f"{kind}-empty-rho-map-key-x", base | {values: [], "rho": {"x": 2}},
+               "rank model {'x': 2}: key 'x' is not a group size", ("config",))
+              for kind, base, values in (("fig3", FIG3, "T_values"), ("fig4", FIG4, "r_values"))],
             ("fig4-int-r_values", FIG4 | {"r_values": 3},
              "sweep r_values: expected a list, got 3", BOTH),
             ("fig4-unknown-key", FIG4 | {"typo": 3}, "sweep 'typo': not a key of a fig4 sweep, "
@@ -594,9 +638,11 @@ class TestFixture:
     @pytest.mark.parametrize("tamper, reason", [
         (_append_copy, "broadcast 12: second broadcast for (1, 4)"),
         (_prepend_conflict, "broadcast 1: second broadcast for (1, 4)"),
-    ], ids=["uncoded-dup", "uncoded-conflict"])
+        (lambda bs: bs.pop(3), "unrecoverable intermediate values: [(2, 2)]"),
+    ], ids=["uncoded-dup", "uncoded-conflict", "uncoded-missing"])
     def test_repeated_uncoded_value_prints_reason(self, tmp_path, capsys, tamper, reason):
-        # the second broadcast of a value is rejected, whichever payload came first
+        # the second broadcast of a value is rejected, whichever payload came
+        # first, and a value never sent is named
         doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-uncoded.json").read_text())
         broadcasts = doc["transcript"]["broadcasts"]
         assert len(broadcasts) == 12 and broadcasts[0]["meta"] == {"q": 1, "n": 4}
@@ -618,9 +664,6 @@ class TestFixture:
         ("uncoded", _all_sent_by_4),
         ("uncoded", lambda bs: bs[0].update(sender=99)),
         ("cdc", _resent_by_outsider),
-        ("uncoded", lambda bs: bs[0].update(kind="bogus")),
-        ("cdc", lambda bs: bs[0].update(kind="bogus")),
-        ("cdc-ld", lambda bs: bs[0].update(kind="cdc")),
         ("cdc", lambda bs: bs[0]["meta"].update(component=7)),
         ("cdc", _resent_to_group([1, 2, 99])),
         ("cdc", _resent_to_group([3, 2, 1])),
@@ -635,8 +678,8 @@ class TestFixture:
         ("uncoded", _extra_uncoded(999)),
     ], ids=["cdc-ld-rho", "cdc-bits", "uncoded-dup", "cdc-dup", "cdc-ld-dup",
             "uncoded-conflict", "cdc-conflict", "cdc-ld-conflict", "cdc-ld-extra-row",
-            "cdc-ld-dependent-row", "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider", "uncoded-kind",
-            "cdc-kind", "cdc-ld-kind", "cdc-component", "cdc-group-99", "cdc-group-reversed",
+            "cdc-ld-dependent-row", "uncoded-sender-4", "uncoded-sender-99", "cdc-outsider",
+            "cdc-component", "cdc-group-99", "cdc-group-reversed",
             "uncoded-no-payload", "cdc-no-payload", "cdc-two-payloads", "uncoded-two-payloads",
             "cdc-ld-ell-huge",
             "uncoded-bits-3", "uncoded-bits-600", "uncoded-extra-unneeded-1-1",
@@ -675,11 +718,19 @@ class TestFixture:
          "meta 'extra' is not one of the cdc meta fields group, component"),
         ("cdc-ld", ("meta", "n"), 1,
          "meta 'n' is not one of the cdc-ld meta fields ell, rho, msg_len"),
+        # a broadcast's kind is its transcript's scheme, as its meta fields are
+        ("uncoded", ("kind",), "bogus", "kind 'bogus' is not the transcript's scheme 'uncoded'"),
+        ("cdc", ("kind",), "bogus", "kind 'bogus' is not the transcript's scheme 'cdc'"),
+        ("cdc-ld", ("kind",), "cdc", "kind 'cdc' is not the transcript's scheme 'cdc-ld'"),
+        ("uncoded", ("payloads", 0, "bits"), -1, "negative bit length -1"),
+        ("uncoded", ("payloads", 0, "hex"), "ff", "value 0xff does not fit in 6 bits"),
     ], ids=["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
             "uncoded-payloads", "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
             "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
             "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
-            "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n"])
+            "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n",
+            "uncoded-kind-bogus", "cdc-kind-bogus", "cdc-ld-kind-cdc", "uncoded-bits-negative",
+            "uncoded-hex-too-wide"])
     def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field_path,
                                                 value, message):
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())

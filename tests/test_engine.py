@@ -82,7 +82,7 @@ class TestPaperRun:
     def test_rho_table(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
         result = run(spec, paper_workload(), "cdc-ld")
-        assert result.rho == {(1, 3): 2, (2, 3): 3, (3, 3): 2, (4, 3): 0}
+        assert result.transcript.ranks() == {(1, 3): 2, (2, 3): 3, (3, 3): 2, (4, 3): 0}
 
     @pytest.mark.parametrize("spec, workload", [
         (JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30), paper_workload()),
@@ -95,11 +95,11 @@ class TestPaperRun:
                 for k in range(1, spec.K + 1) for ell in group_sizes(spec.K, spec.r, spec.s)}
         assert len(set(want.values())) > 1  # the ranks tell the nodes apart
         assert run_cdc_ld_shuffle(spec, placement, store).ranks() == want
-        assert run(spec, workload, "cdc-ld").rho == want
+        assert run(spec, workload, "cdc-ld").transcript.ranks() == want
         s1 = JobSpec(spec.K, spec.N, spec.Q, spec.r, 1, spec.T)
         assert run_uncoded_shuffle(s1, make_placement(s1), workload.build_store(s1)).ranks() is None
         assert run_cdc_shuffle(spec, placement, store).ranks() is None
-        assert run(spec, workload, "cdc").rho is None
+        assert run(spec, workload, "cdc").transcript.ranks() is None
 
 
 class TestUncoded:
@@ -158,7 +158,7 @@ class TestTranscriptColumns:
         needed = [qn for k in range(1, spec.K + 1) for qn in sorted(needed_values(placement, k))]
         m = len(needed)
         assert run_uncoded_shuffle(spec, placement, store).broadcasts == Broadcasts(
-            [placement.batch_of_file[n][0] for _, n in needed], ["uncoded"] * m,
+            [placement.batch_of_file[n][0] for _, n in needed],
             {"q": [q for q, _ in needed], "n": [n for _, n in needed]}, [1] * m,
             [spec.T] * m, [store[qn] for qn in needed])
 
@@ -364,7 +364,7 @@ class TestAccounting:
         msg_len = spec.eta1 * spec.eta2 * spec.T // spec.r
         count = comb(4, 2)
         for k in range(1, 6):
-            rho = result.rho[(k, 3)]
+            rho = result.transcript.ranks()[(k, 3)]
             assert result.bits_by_node[k] == rho * msg_len + rho * count
 
 
@@ -375,7 +375,7 @@ class TestRankDegeneracy:
         ld = run(spec, workload, "cdc-ld")
         plain = run(spec, workload, "cdc")
         assert sum(ld.bits_by_node.values()) < sum(plain.bits_by_node.values())
-        assert all(rho <= 1 for rho in ld.rho.values())
+        assert all(rho <= 1 for rho in ld.transcript.ranks().values())
         assert ld.verification == "pass"
 
     def test_full_rank_costs_coefficient_overhead(self):
@@ -383,7 +383,7 @@ class TestRankDegeneracy:
         workload = SyntheticRankWorkload(seed=21, duplicate_prob=0.0)
         ld = run(spec, workload, "cdc-ld")
         plain = run(spec, workload, "cdc")
-        assert all(rho == comb(3, 2) for rho in ld.rho.values())
+        assert all(rho == comb(3, 2) for rho in ld.transcript.ranks().values())
         assert sum(ld.bits_by_node.values()) > sum(plain.bits_by_node.values())
 
 
