@@ -211,7 +211,7 @@ class TradeoffRow:
 
 
 def tradeoff_sweep(K: int, Q: int, N: int, T: int, r_values,
-                   s: int = 1, rho_model="full-rank") -> list[TradeoffRow]:
+                   s: int = 1, *, rho_model) -> list[TradeoffRow]:
     """Load of all three schemes across computation loads r.
 
     A row is skipped, with a warning, only when C(K, r) does not divide N;
@@ -250,7 +250,7 @@ class LoadVsTRow:
 
 
 def load_vs_t_sweep(K: int, Q: int, N: int, r: int, t_values,
-                    s: int = 1, rho_model=2) -> list[LoadVsTRow]:
+                    s: int = 1, *, rho_model) -> list[LoadVsTRow]:
     """Load of the coded schemes as the value length T grows; every row must
     be a valid job, or ``InvalidSpecError`` is raised, and the fields the rows
     share and the rank model are checked even when ``t_values`` is empty."""

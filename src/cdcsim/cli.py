@@ -72,6 +72,16 @@ def _fr(x: Fraction | None) -> str | None:
     return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``; one nested too deeply for the
+    decoder raises ``ValueError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     flags = vars(args)  # each subcommand registers only the flags it reads
     config: dict = {}
@@ -80,9 +90,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
         config = copy.deepcopy(PRESETS[args.preset])
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        engine.expect_json(file_cfg, dict, "config file")
+        file_cfg = engine.expect_json(_read_json(args.config), dict, "config file")
         check_keys("config", "job", file_cfg, dict.fromkeys(CONFIG_KEYS))
         config.update(file_cfg)
     for name in (*SPEC_KEYS, "scheme"):
@@ -315,7 +323,7 @@ def _replay(doc: dict) -> tuple[str, str]:
     store = workload.build_store(spec)
     try:
         outputs, reference, verification = engine.decode_and_verify(
-            spec, placement, store, transcript, workload)
+            placement, store, transcript, workload)
     except (IncompleteShuffleError, ValueError) as exc:
         return "fail", str(exc)
     if verification != "fail":
@@ -331,8 +339,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
                 raise ValueError(f"--{name.replace('_', '-')}: not taken with --input, which "
                                  "names a fixture to replay; a file-input workload's fixtures "
                                  "are written through --config")
-        with open(args.input, "r", encoding="utf-8") as fh:
-            verdict, reason = _replay(json.load(fh))
+        verdict, reason = _replay(_read_json(args.input))
         print(f"fixture {args.input}: {verdict}" + (f": {reason}" if reason else ""))
         return EXIT_VERIFY if verdict == "fail" else EXIT_OK
 

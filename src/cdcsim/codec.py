@@ -33,10 +33,9 @@ from .workloads import ValueTable
 class IncompleteShuffleError(RuntimeError):
     """Decoding could not recover every needed value."""
 
-    def __init__(self, missing: Sequence[tuple[int, int]], node: int | None = None):
+    def __init__(self, missing: Sequence[tuple[int, int]], node: int):
         self.missing = sorted(set(missing))
-        where = "" if node is None else f"node {node}: "
-        super().__init__(f"{where}unrecoverable intermediate values: {self.missing}")
+        super().__init__(f"node {node}: unrecoverable intermediate values: {self.missing}")
 
 
 def own_columns(k: int, placement: Placement, values: ValueTable, table: list) -> list:
@@ -112,10 +111,10 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
     return vset
 
 
-def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]], r: int,
-                    values: ValueTable, T: int) -> tuple[int, tuple[int, ...]]:
+def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]],
+                    values: ValueTable) -> tuple[int, tuple[int, ...]]:
     """Concatenate a value set of T-bit values and split it into r equal
-    segments; returns the segment width and the segments.
+    segments, r and T the store's; returns the segment width and the segments.
 
     ``vset`` is a value set as ``build_vset`` gives it: each of its functions
     on one run of consecutive files, q-major, so the concatenation joins one
@@ -125,15 +124,15 @@ def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]], r: int,
     keeping len(qs) * len(ns) * T bits.  The result is kept in
     ``values.segments``, so each value set is segmented once per table.
     """
-    key = vset, r, T
-    segmented = values.segments.get(key)
+    segmented = values.segments.get(vset)
     if segmented is None:
+        r, T = values.spec.r, values.spec.T
         qs, ns = vset
         payload = values.join(qs, ns[0], len(ns))
         width = -(-len(qs) * len(ns) * T // r)
         mask = (1 << width) - 1
         parts = tuple(payload >> i * width & mask for i in range(r))
-        values.segments[key] = segmented = width, parts
+        values.segments[vset] = segmented = width, parts
     return segmented
 
 
@@ -184,7 +183,7 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     if k not in group:
         raise ValueError(f"sender {k} not in group {group}")
     # k's segment of every holder subset of the group it belongs to
-    segments = [segment_usymbol(build_vset(group, holders, placement), spec.r, values, spec.T)[1]
+    segments = [segment_usymbol(build_vset(group, holders, placement), values)[1]
                 [holders.index(k)] for holders in combinations(group, spec.r) if k in holders]
     if spec.s == 1:
         acc = 0
@@ -236,7 +235,7 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
         local_segs = []
         for i in others:
             holders = tuple(h for h in group if h != i)
-            segs = segment_usymbol(build_vset(group, holders, placement), spec.r, values, T)[1]
+            segs = segment_usymbol(build_vset(group, holders, placement), values)[1]
             local_segs.append((i, holders, segs))
         symbol = 0
         for idx, (j, acc) in enumerate(zip(others, payloads)):
@@ -277,21 +276,17 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, tuple[i
     """Per node, the (q, holders) pairs served to it by some multicast value
     set: function q on the file batch of the holder subset ``holders``.
 
-    A value set's files are exactly its holders' batch (checked here), so the
-    (q, n) pairs a node is served are q with each file of that batch.  Used as
-    a structural check when no decoder runs: compare against each node's
-    demand set at the same granularity.
+    A value set's files are exactly its holders' batch (``build_vset``), so
+    the (q, n) pairs a node is served are q with each file of that batch.
+    Used as a structural check when no decoder runs: compare against each
+    node's demand set at the same granularity.
     """
     spec = placement.spec
     covered: dict[int, set[tuple[int, tuple[int, ...]]]] = {k: set() for k in range(1, spec.K + 1)}
     for ell in group_sizes(spec.K, spec.r, spec.s):
         for group in ksubsets(spec.K, ell):
             for holders in combinations(group, spec.r):
-                qs, ns = build_vset(group, holders, placement)
-                if ns != placement.file_batches[holders]:
-                    raise AssertionError(f"value set for group={group} holders={holders} has "
-                                         f"files {ns}, not its holders' batch")
-                pairs = [(q, holders) for q in qs]
+                pairs = [(q, holders) for q in build_vset(group, holders, placement)[0]]
                 for receiver in set(group) - set(holders):
                     covered[receiver].update(pairs)
     return covered

@@ -12,13 +12,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 
 from .codec import (
-    IncompleteShuffleError,
-    build_vset,
     decode_cdc_s1,
     encode_cdc,
     full_message,
@@ -104,9 +102,9 @@ class RunResult:
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
-def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
-                        store: ValueTable) -> ShuffleTranscript:
+def run_uncoded_shuffle(placement: Placement, store: ValueTable) -> ShuffleTranscript:
     """Ship every needed value plainly; the smallest node holding the file sends."""
+    spec = placement.spec
     senders, qs, ns, values = [], [], [], []
     for k in range(1, spec.K + 1):
         # sorted(needed_values(placement, k)), one shared list of files per node
@@ -123,8 +121,8 @@ def run_uncoded_shuffle(spec: JobSpec, placement: Placement,
         senders, {"q": qs, "n": ns}, [1] * m, [spec.T] * m, values))
 
 
-def run_cdc_shuffle(spec: JobSpec, placement: Placement,
-                    store: ValueTable) -> ShuffleTranscript:
+def run_cdc_shuffle(placement: Placement, store: ValueTable) -> ShuffleTranscript:
+    spec = placement.spec
     senders, groups, components, nbits, values = [], [], [], [], []
     for ell in group_sizes(spec.K, spec.r, spec.s):
         width = segment_width(spec, ell)
@@ -132,7 +130,7 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
             for k in group:
                 for index, payload in enumerate(encode_cdc(k, group, placement, store), 1):
                     senders.append(k)
-                    groups.append(list(group))
+                    groups.append(group)
                     components.append(index)
                     nbits.append(width)
                     values.append(payload)
@@ -140,9 +138,9 @@ def run_cdc_shuffle(spec: JobSpec, placement: Placement,
         senders, {"group": groups, "component": components}, [1] * len(senders), nbits, values))
 
 
-def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
-                       store: ValueTable) -> ShuffleTranscript:
+def run_cdc_ld_shuffle(placement: Placement, store: ValueTable) -> ShuffleTranscript:
     """Per node and group size, broadcast a subspace basis plus coefficients."""
+    spec = placement.spec
     senders, ells, rhos, msg_lens, counts, nbits, values = [], [], [], [], [], [], []
     for k in range(1, spec.K + 1):
         for ell in group_sizes(spec.K, spec.r, spec.s):
@@ -160,8 +158,7 @@ def run_cdc_ld_shuffle(spec: JobSpec, placement: Placement,
         senders, {"ell": ells, "rho": rhos, "msg_len": msg_lens}, counts, nbits, values))
 
 
-def validate_transcript(spec: JobSpec, placement: Placement,
-                        transcript: ShuffleTranscript) -> list | dict:
+def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> list | dict:
     """Check that a transcript holds, one to one, the broadcasts its scheme
     sends for this job, and return their payloads.
 
@@ -171,10 +168,11 @@ def validate_transcript(spec: JobSpec, placement: Placement,
     ``segment_width``-bit payload per (sender, group, component), returned
     by that key as its value; cdc-ld per (sender, ell) rho independent basis
     rows of msg_len = ``message_width`` bits and C(K-1, ell-1) coefficient
-    rows of rho bits, returned by (sender, ell) as a ``BasisDecomposition``.  Every payload value must fit in its width.  A bad
-    or repeated broadcast raises ``ValueError``, a missing one
-    ``IncompleteShuffleError``.
+    rows of rho bits, returned by (sender, ell) as a ``BasisDecomposition``.
+    Every payload value must fit in its width.  A bad, repeated or missing
+    broadcast raises ``ValueError``, a missing one named by its key.
     """
+    spec = placement.spec
     scheme, K, r = transcript.scheme, spec.K, spec.r
     sizes = group_sizes(K, r, spec.s)
     cols = transcript.broadcasts
@@ -201,9 +199,9 @@ def validate_transcript(spec: JobSpec, placement: Placement,
             slots[at] = values[i]
         # each broadcast filled one slot
         if len(cols.senders) < sum(N - len(placement.node_files[k]) for k in reducer.values()):
-            raise IncompleteShuffleError([(q, n) for k in range(1, K + 1)
-                                          for q, n in needed_values(placement, k)
-                                          if slots[(q - 1) * N + n - 1] is None])
+            missing = sorted((q, n) for k in range(1, K + 1) for q, n in needed_values(placement, k)
+                             if slots[(q - 1) * N + n - 1] is None)
+            raise ValueError(f"no uncoded broadcast for {missing}")
         return slots
     got: dict = {}
     if scheme == "cdc":
@@ -219,10 +217,8 @@ def validate_transcript(spec: JobSpec, placement: Placement,
             cols.senders, cols.counts, zip(*[cols.meta[field] for field in _META_KEYS[scheme]]))):
         first, end = end, end + count
         if scheme == "cdc":
-            # element types first: a list inside the group cannot be hashed
             group, component = meta
-            key = ((sender, tuple(group), component)
-                   if type(group) is list and all(type(j) is int for j in group) else None)
+            key = (sender, group, component)
         else:
             ell, rho, msg_len = meta
             key = (sender, ell)
@@ -252,11 +248,7 @@ def validate_transcript(spec: JobSpec, placement: Placement,
         else:
             got[key] = BasisDecomposition(basis=rows[:rho], coeffs=rows[rho:], ncols=ncols)
     if len(got) < len(keys):
-        # the value sets the sender of a missing broadcast holds a segment of
-        lost = [(j, g) for j, g, _ in keys - got.keys()] if scheme == "cdc" else [
-            (j, g) for j, ell in keys - got.keys() for g in groups_containing(spec, j, ell)]
-        raise IncompleteShuffleError([qn for j, g in lost for h in combinations(g, r)
-                                      if j in h for qn in product(*build_vset(g, h, placement))])
+        raise ValueError(f"no {scheme} broadcast for {sorted(keys - got.keys())}")
     return got
 
 
@@ -267,7 +259,7 @@ def _foreign(i: int, cols: Broadcasts, scheme: str) -> ValueError:
                       f"of the job's {scheme} broadcasts")
 
 
-def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme: str,
+def node_decoder(placement: Placement, store: ValueTable, scheme: str,
                  got) -> Callable[[int], list[int]]:
     """A function from node k to node k's table (``codec.own_columns``):
     its functions' values on every file, the values it needs decoded from
@@ -276,7 +268,7 @@ def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme:
     if scheme == "uncoded":
         # every node hears every broadcast, and reads its functions' slots
         def table_of(k: int) -> list[int]:
-            funcs, N = placement.node_funcs[k], spec.N
+            funcs, N = placement.node_funcs[k], placement.spec.N
             return own_columns(k, placement, store,
                                got[(funcs[0] - 1) * N:funcs[-1] * N])
         return table_of
@@ -284,25 +276,24 @@ def node_decoder(spec: JobSpec, placement: Placement, store: ValueTable, scheme:
     if scheme == "cdc":
         received = {(j, group): p for (j, group, _), p in got.items()}
     else:
-        received = {(j, group): msg for (j, ell), d in got.items()
-                    for group, msg in zip(groups_containing(spec, j, ell), ld_decompress(d))}
+        received = {(j, group): msg for (j, ell), d in got.items() for group, msg in
+                    zip(groups_containing(placement.spec, j, ell), ld_decompress(d))}
     return lambda k: decode_cdc_s1(k, received, store, placement)
 
 
-def reduce_phase(spec: JobSpec, placement: Placement, k: int, table: list[int],
-                 workload) -> dict[int, int]:
+def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> dict[int, int]:
     """Node k's reduce outputs: each of its functions evaluated on the
     function's row of node k's table (``codec.own_columns``).  A value the
     table lacks (``None``) raises ``IncompleteShuffleError`` naming node k
     and every (q, n) it lacks."""
-    N = spec.N
+    N, T = placement.spec.N, placement.spec.T
     require_complete(k, placement, table)
-    return {q: workload.reduce(q, table[i * N:(i + 1) * N], spec.T)
+    return {q: workload.reduce(q, table[i * N:(i + 1) * N], T)
             for i, q in enumerate(placement.node_funcs[k])}
 
 
-def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
-                      transcript: ShuffleTranscript, workload):
+def decode_and_verify(placement: Placement, store: ValueTable, transcript: ShuffleTranscript,
+                      workload):
     """Validate a transcript with ``validate_transcript``, then one node at a
     time decode its table (``node_decoder``) and reduce (``reduce_phase``),
     and compare every output to the reference.
@@ -311,7 +302,8 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
     exists: the multicast structure is checked to cover every node's demand
     set and the result is (None, None, "not-applicable").
     """
-    got = validate_transcript(spec, placement, transcript)
+    spec = placement.spec
+    got = validate_transcript(placement, transcript)
     if spec.s != 1:
         # demand and coverage per (function, file batch); a miss is named by
         # its (q, n) pairs
@@ -323,8 +315,8 @@ def decode_and_verify(spec: JobSpec, placement: Placement, store: ValueTable,
                 raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"
 
-    table_of = node_decoder(spec, placement, store, transcript.scheme, got)
-    outputs = {k: reduce_phase(spec, placement, k, table_of(k), workload)
+    table_of = node_decoder(placement, store, transcript.scheme, got)
+    outputs = {k: reduce_phase(placement, k, table_of(k), workload)
                for k in range(1, spec.K + 1)}
     reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
     ok = all(v == reference[q] for out in outputs.values() for q, v in out.items())
@@ -344,12 +336,12 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
                "cdc-ld": run_cdc_ld_shuffle}[scheme]
     placement = make_placement(spec)
     store = workload.build_store(spec)
-    transcript = shuffle(spec, placement, store)
+    transcript = shuffle(placement, store)
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
     # decode_and_verify returns the last three fields in order
     return RunResult(transcript, bits, load,
-                     *decode_and_verify(spec, placement, store, transcript, workload))
+                     *decode_and_verify(placement, store, transcript, workload))
 
 
 # --- transcript serialization (JSON metadata + hex payloads) -----------------
@@ -393,7 +385,7 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
     # paper-fig4 uncoded transcript_to_json about 20 % longer
     metas = [{} for _ in cols.senders]
     for name, column in cols.meta.items():
-        for meta, value in zip(metas, column):
+        for meta, value in zip(metas, map(list, column) if name == "group" else column):
             meta[name] = value
     payloads = [{"bits": bits, "hex": f"{value:x}"} for bits, value in zip(cols.nbits, cols.values)]
     scheme = transcript.scheme
@@ -438,7 +430,11 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         for key in keys:
             if key not in meta:
                 raise ValueError(f"broadcast {i}: meta has no {key!r}")
-            if key != "group" and type(meta[key]) is not int:
+            if key == "group":
+                if type(meta[key]) is not list or not all([type(j) is int for j in meta[key]]):
+                    raise ValueError(f"broadcast {i}: meta group {meta[key]!r} "
+                                     "is not a list of ints")
+            elif type(meta[key]) is not int:
                 raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
         if len(meta) != len(keys):
             extra = next(key for key in meta if key not in keys)
@@ -452,9 +448,11 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
             raise ValueError(f"broadcast {i}: {exc}") from None
     # one column at a time from the checked broadcasts: appending to five
     # lists side by side left the wordcount-replay benchmark's replay 4 MB
-    # more peak RSS
+    # more peak RSS.  A cdc group is held as a tuple, as the shuffle sends it
     return ShuffleTranscript(scheme, spec, Broadcasts(
-        [b["sender"] for b in raw], {key: [b["meta"][key] for b in raw] for key in keys},
+        [b["sender"] for b in raw],
+        {key: [b["meta"][key] for b in raw] if key != "group" else
+              [tuple(b["meta"][key]) for b in raw] for key in keys},
         [len(b["payloads"]) for b in raw], nbits, values))
 
 

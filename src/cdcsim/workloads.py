@@ -15,11 +15,11 @@ import os
 import random
 import string
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import filterfalse, islice, product
+from itertools import filterfalse, islice
 from operator import xor
 from typing import Sequence, TextIO
 
@@ -31,10 +31,11 @@ class CountOverflowError(ValueError):
     """A symbol count does not fit in T bits; never silently wrapped."""
 
 
-class ValueTable(Mapping):
+class ValueTable:
     """A job's store: the T-bit value v(q, n) of each function q in 1..Q on
-    each file n in 1..N, as a read-only mapping (q, n) -> value, packed from
-    ``rows`` (per function, in order, its values on files 1..N).  A missing or
+    each file n in 1..N, read a row (``row``, ``rows``) or a run of files
+    (``join``) at a time, packed from ``rows`` (per function, in order, its
+    values on files 1..N).  A missing or
     extra row raises ``ValueError``, and so does a short row or a value that
     does not fit in T bits, naming the row or the (q, n).
 
@@ -87,16 +88,6 @@ class ValueTable(Mapping):
         # whole bytes per value: a T that is not a multiple of 8 closes the gaps
         return joined if spec.T % 8 == 0 else pack(
             unpack(joined, len(qs) * count, 8 * self.width), spec.T)
-
-    def __getitem__(self, qn: tuple[int, int]) -> int:
-        q, n = qn
-        return self.join((q,), n, 1)
-
-    def __iter__(self):
-        return product(range(1, self.spec.Q + 1), range(1, self.spec.N + 1))
-
-    def __len__(self) -> int:
-        return self.spec.Q * self.spec.N
 
 
 @dataclass(frozen=True)

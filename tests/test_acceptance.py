@@ -52,11 +52,11 @@ def test_criterion_1_paper_wordcount_golden():
 
     spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
     store = workload.build_store(spec)
-    assert store[(1, 1)] == 3
-    assert store[(1, 2)] == 5
-    assert store[(1, 3)] == 3
-    assert store[(2, 3)] == 2 == store[(3, 3)]
-    assert store[(4, 1)] == 0 == store[(4, 2)]
+    assert store.join((1,), 1, 1) == 3
+    assert store.join((1,), 2, 1) == 5
+    assert store.join((1,), 3, 1) == 3
+    assert store.join((2,), 3, 1) == 2 == store.join((3,), 3, 1)
+    assert store.join((4,), 1, 1) == 0 == store.join((4,), 2, 1)
 
     placement = make_placement(spec)
     messages = [full_message(1, g, placement, store)
@@ -156,12 +156,12 @@ def test_criterion_3_end_to_end_randomized():
                 # compress -> decompress -> decode recovered the exact bits,
                 # read from the node-by-node decoding the run verified with
                 placement = make_placement(spec)
-                table_of = node_decoder(spec, placement, store, scheme,
-                                        validate_transcript(spec, placement, result.transcript))
+                table_of = node_decoder(placement, store, scheme,
+                                        validate_transcript(placement, result.transcript))
                 for k in range(1, spec.K + 1):
                     # node k's functions on every file, its needed values
                     # among them, each bit for bit
-                    assert table_of(k) == [store[q, n] for q in placement.node_funcs[k]
+                    assert table_of(k) == [store.join((q,), n, 1) for q in placement.node_funcs[k]
                                            for n in range(1, spec.N + 1)]
         cases += 1
     assert cases >= 100
@@ -193,7 +193,7 @@ def test_criterion_5_fig4_reproduction():
     # with the measured rank, at the sweep's own parameters
     spec = JobSpec(K=10, N=2520, Q=360, r=5, s=1, T=64)
     store = SyntheticRankWorkload(seed=4).build_store(spec)
-    transcript = run_cdc_ld_shuffle(spec, make_placement(spec), store)
+    transcript = run_cdc_ld_shuffle(make_placement(spec), store)
     load = Fraction(sum(transcript.bits_by_node().values()), spec.Q * spec.N * spec.T)
     rho_avg = average_rank(transcript.ranks(), 10)
     assert load == l_cdc_ld(5, 1, 10, 360, 2520, 64, rho_avg)

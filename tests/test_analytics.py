@@ -47,6 +47,11 @@ class TestUncoded:
 
 
 class TestCdc:
+    @pytest.mark.parametrize("r, s", [(0, 1), (5, 1), (2, 0), (2, 5)])
+    def test_range_check(self, r, s):
+        with pytest.raises(ValueError, match=rf"^invalid \(r={r}, s={s}\) for K=4$"):
+            l_cdc(r, s, 4)
+
     def test_single_copy_example(self):
         assert l_cdc(2, 1, 4) == Fraction(1, 4)
 
@@ -170,7 +175,7 @@ class TestFig2:
 
 class TestSweeps:
     def test_fig4_cdc_column(self):
-        rows = tradeoff_sweep(10, 360, 2520, 64, range(1, 10))
+        rows = tradeoff_sweep(10, 360, 2520, 64, range(1, 10), rho_model="full-rank")
         assert [row.r for row in rows] == list(range(1, 10))
         for row in rows:
             assert row.l_uncoded == 1 - Fraction(row.r, 10)
@@ -190,7 +195,7 @@ class TestSweeps:
     def test_divisibility_skips_row_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = tradeoff_sweep(4, 4, 6, 12, [1, 2, 3])
+            rows = tradeoff_sweep(4, 4, 6, 12, [1, 2, 3], rho_model="full-rank")
         # C(4,1)=4 and C(4,3)=4 do not divide 6
         assert [row.r for row in rows] == [2]
         assert len(caught) == 2

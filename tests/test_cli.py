@@ -241,6 +241,23 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "DEEP", "--out-dir", "OUT"],
+        ["sweep", "--config", "DEEP", "--out-dir", "OUT"],
+        ["fixture", "--input", "DEEP"],
+    ], ids=["run-config", "sweep-config", "fixture-input"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv):
+        # deeper than the decoder's recursion limit: a one-line error, not a
+        # RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        paths = {"DEEP": str(deep), "OUT": str(tmp_path / "out")}
+        assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {deep}: JSON nested too deeply to read\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -450,6 +467,7 @@ class TestSweep:
             ("fig2-float-q", FIG2 | {"q": 2.0}, "sweep q: expected an int, got 2.0", BOTH),
             ("fig2-float-K", FIG2 | {"K": 16.5}, "sweep K: expected an int, got 16.5", BOTH),
             ("fig2-str-m", FIG2 | {"m": "2048"}, "sweep m: expected an int, got '2048'", BOTH),
+            ("fig2-zero-m", FIG2 | {"m": 0}, "parameters must be positive", ("config",)),
             ("fig2-no-m", {k: v for k, v in FIG2.items() if k != "m"},
              "sweep m: missing from a fig2 sweep", ("config",)),
             ("fig2-rho", FIG2 | {"rho": 2},
@@ -638,7 +656,7 @@ class TestFixture:
     @pytest.mark.parametrize("tamper, reason", [
         (_append_copy, "broadcast 12: second broadcast for (1, 4)"),
         (_prepend_conflict, "broadcast 1: second broadcast for (1, 4)"),
-        (lambda bs: bs.pop(3), "unrecoverable intermediate values: [(2, 2)]"),
+        (lambda bs: bs.pop(3), "no uncoded broadcast for [(2, 2)]"),
     ], ids=["uncoded-dup", "uncoded-conflict", "uncoded-missing"])
     def test_repeated_uncoded_value_prints_reason(self, tmp_path, capsys, tamper, reason):
         # the second broadcast of a value is rejected, whichever payload came
@@ -653,6 +671,22 @@ class TestFixture:
         capsys.readouterr()
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
         assert capsys.readouterr().out == f"fixture {path}: fail: {reason}\n"
+
+    @pytest.mark.parametrize("scheme, key", [
+        ("uncoded", (1, 4)), ("cdc", (1, (1, 2, 3), 1)), ("cdc-ld", (1, 3))],
+        ids=["uncoded", "cdc", "cdc-ld"])
+    def test_dropped_broadcast_names_its_key(self, tmp_path, capsys, scheme, key):
+        # a missing broadcast is named by its key: (q, n), (sender, group,
+        # component) or (sender, ell)
+        doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+        doc["transcript"]["broadcasts"].pop(0)
+        assert replay_fixture(doc) == "fail"
+        path = tmp_path / "dropped.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr().out == (f"fixture {path}: fail: "
+                                           f"no {scheme} broadcast for {[key]}\n")
 
     @pytest.mark.parametrize("scheme, tamper", [
         ("cdc-ld", lambda bs: bs[0]["meta"].update(rho=bs[0]["meta"]["rho"] + 1)),
@@ -698,6 +732,9 @@ class TestFixture:
         ("cdc", ("kind",), DELETE, "has no 'kind'"),
         ("cdc-ld", ("meta",), DELETE, "has no 'meta'"),
         ("uncoded", ("payloads",), DELETE, "has no 'payloads'"),
+        ("cdc", ("meta", "group"), "1,2,3", "meta group '1,2,3' is not a list of ints"),
+        ("cdc", ("meta", "group"), [1, "2", 3], "meta group [1, '2', 3] is not a list of ints"),
+        ("cdc", ("meta", "group"), [1, True, 3], "meta group [1, True, 3] is not a list of ints"),
         ("cdc", ("meta", "component"), "1", "meta component '1' is not an int"),
         ("cdc", ("meta", "component"), 1.0, "meta component 1.0 is not an int"),
         ("cdc-ld", ("meta", "ell"), "3", "meta ell '3' is not an int"),
@@ -725,7 +762,8 @@ class TestFixture:
         ("uncoded", ("payloads", 0, "bits"), -1, "negative bit length -1"),
         ("uncoded", ("payloads", 0, "hex"), "ff", "value 0xff does not fit in 6 bits"),
     ], ids=["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
-            "uncoded-payloads", "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
+            "uncoded-payloads", "cdc-group-str", "cdc-group-str-member", "cdc-group-bool-member",
+            "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
             "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
             "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
             "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n",
@@ -909,7 +947,7 @@ class TestFixture:
         store = build_workload(desc, spec).build_store(spec)
         broadcasts = [
             {"sender": placement.batch_of_file[n][0], "kind": "uncoded", "meta": {"q": q, "n": n},
-             "payloads": [{"bits": 8, "hex": f"{store[q, n]:x}"}]}
+             "payloads": [{"bits": 8, "hex": f"{store.join((q,), n, 1):x}"}]}
             for batch, qs in placement.reduce_batches.items() for q in qs for n in range(1, 7)
             if not all(n in placement.node_files[j] for j in batch)]
         doc = {"workload": desc, "transcript": {"scheme": "uncoded", "spec": spec.as_dict(),

@@ -122,11 +122,9 @@ class TestSegmentMemo:
         for group in combinations(range(1, 5), 3):
             for holders in combinations(group, 2):
                 vset = build_vset(group, holders, placement)
-                seg_a = segment_usymbol(vset, 2, a, spec.T)
-                assert segment_usymbol(vset, 2, b, spec.T) != seg_a
-                assert segment_usymbol(vset, 2, a, spec.T) is seg_a
-                # r is part of the key
-                assert segment_usymbol(vset, 1, a, spec.T) != seg_a
+                seg_a = segment_usymbol(vset, a)
+                assert segment_usymbol(vset, b) != seg_a
+                assert segment_usymbol(vset, a) is seg_a
 
     @pytest.mark.parametrize("T", [6, 24, 64])
     def test_memoised_segments_match_a_fresh_table(self, T):
@@ -135,12 +133,12 @@ class TestSegmentMemo:
         store = SyntheticRankWorkload(seed=T).build_store(spec)
         vsets = [build_vset(group, holders, placement)
                  for group in combinations(range(1, 5), 3) for holders in combinations(group, 2)]
-        first = [segment_usymbol(vset, spec.r, store, T) for vset in vsets]
+        first = [segment_usymbol(vset, store) for vset in vsets]
         assert len(store.segments) == len(vsets)
         fresh = ValueTable(spec, map(store.row, range(1, spec.Q + 1)))
         for vset, segmented in zip(vsets, first):
-            assert segment_usymbol(vset, spec.r, store, T) is segmented
-            assert segment_usymbol(vset, spec.r, fresh, T) == segmented
+            assert segment_usymbol(vset, store) is segmented
+            assert segment_usymbol(vset, fresh) == segmented
 
 
 class TestUSymbol:
@@ -148,8 +146,8 @@ class TestUSymbol:
         spec, placement, store = paper_setup()
         vset = build_vset((1, 2, 3), (1, 3), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, 2, store, spec.T)
-        v22 = store[(2, 2)]
+        width, segs = segment_usymbol(vset, store)
+        v22 = store.join((2,), 2, 1)
         assert width == 3
         assert segs[0] == v22 & 0b111   # goes to node 1
         assert segs[1] == v22 >> 3      # goes to node 3
@@ -161,9 +159,9 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=4).build_store(spec)
         vset = build_vset((1, 2), (2,), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, 1, store, spec.T)
+        width, segs = segment_usymbol(vset, store)
         assert len(segs) == 1
-        payload = pack([store[qn] for qn in value_ids], spec.T)
+        payload = pack([store.join((q,), n, 1) for q, n in value_ids], spec.T)
         assert (width, segs[0]) == (len(value_ids) * spec.T, payload)
 
     def test_segments_partition_payload(self):
@@ -172,8 +170,9 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=6).build_store(spec)
         vset = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, 3, store, spec.T)
-        payload, nbits = pack([store[qn] for qn in value_ids], spec.T), len(value_ids) * spec.T
+        width, segs = segment_usymbol(vset, store)
+        payload = pack([store.join((q,), n, 1) for q, n in value_ids], spec.T)
+        nbits = len(value_ids) * spec.T
         rebuilt = pack(segs, width)
         assert rebuilt & ((1 << nbits) - 1) == payload
         assert len(segs) * width == nbits + (-nbits) % 3
@@ -186,7 +185,7 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=2).build_store(spec)
         vset = build_vset((1, 2, 3), (1, 2), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, 2, store, spec.T)
+        width, segs = segment_usymbol(vset, store)
         assert len(segs) * width - len(value_ids) * spec.T == 1
         assert width == 3 and all(seg >> 3 == 0 for seg in segs)
 
@@ -203,8 +202,9 @@ class TestUSymbol:
             for group in combinations(range(1, 5), ell):
                 for holders in combinations(group, spec.r):
                     vset = build_vset(group, holders, placement)
-                    width, segs = segment_usymbol(vset, spec.r, store, T)
-                    assert pack(segs, width) == pack([store[qn] for qn in product(*vset)], T)
+                    width, segs = segment_usymbol(vset, store)
+                    assert pack(segs, width) == pack(
+                        [store.join((q,), n, 1) for q, n in product(*vset)], T)
                     cases += 1
         assert cases == (12 if s == 1 else 12 + 6)
 
@@ -244,7 +244,7 @@ def xor_oracle_message(k, group, placement, store):
         if k not in holders:
             continue
         value_ids = list(product(*build_vset(group, holders, placement)))
-        payload = pack([store[qn] for qn in value_ids], spec.T)
+        payload = pack([store.join((q,), n, 1) for q, n in value_ids], spec.T)
         nbits = len(value_ids) * spec.T
         seg_len = (nbits + (-nbits) % spec.r) // spec.r
         idx = sorted(holders).index(k)
@@ -258,7 +258,7 @@ class TestEncode:
         msgs = encode_cdc(1, (1, 2, 3), placement, store)
         assert len(msgs) == 1
         assert segment_width(spec, 3) == 3
-        assert msgs[0] == (store[(2, 2)] & 0b111) ^ (store[(3, 1)] & 0b111)
+        assert msgs[0] == (store.join((2,), 2, 1) & 0b111) ^ (store.join((3,), 1, 1) & 0b111)
 
     def test_paper_node1_equal_payloads(self):
         spec, placement, store = paper_setup()
@@ -299,10 +299,10 @@ class TestEncode:
         assert len(msgs) == 2
         assert all(m >> segment_width(spec, 4) == 0 for m in msgs)
         # the transcript numbers the components 1, 2 in encoder order
-        cols = run_cdc_shuffle(spec, placement, store).broadcasts
+        cols = run_cdc_shuffle(placement, store).broadcasts
         assert set(cols.counts) == {1}  # so broadcast i carries payload i
         sent = [i for i, (sender, group) in enumerate(zip(cols.senders, cols.meta["group"]))
-                if sender == 1 and group == [1, 2, 3, 4]]
+                if sender == 1 and group == (1, 2, 3, 4)]
         assert [cols.meta["component"][i] for i in sent] == [1, 2]
         assert [cols.values[i] for i in sent] == msgs
         # first component uses the all-ones row: it is the plain segment XOR
@@ -311,7 +311,7 @@ class TestEncode:
             if 1 not in holders:
                 continue
             vset = build_vset((1, 2, 3, 4), holders, placement)
-            width, own = segment_usymbol(vset, 2, store, spec.T)
+            width, own = segment_usymbol(vset, store)
             segs.append(own[sorted(holders).index(1)])
         acc = 0
         for seg in segs:
@@ -339,7 +339,7 @@ class TestDecode:
     def node_values(self, placement, store, k):
         # node k's table as the store holds it: its functions' values on
         # every file, q-major, read one value at a time
-        return [store[q, n] for q in placement.node_funcs[k]
+        return [store.join((q,), n, 1) for q in placement.node_funcs[k]
                 for n in range(1, placement.spec.N + 1)]
 
     def test_fig1_scenario(self):
@@ -347,7 +347,7 @@ class TestDecode:
         # node 2's and node 3's broadcasts to {1,2,3} carry the halves of (1,4)
         x2 = encode_cdc(2, (1, 2, 3), placement, store)[0]
         x3 = encode_cdc(3, (1, 2, 3), placement, store)[0]
-        v14, v31, v22 = store[(1, 4)], store[(3, 1)], store[(2, 2)]
+        v14, v31, v22 = store.join((1,), 4, 1), store.join((3,), 1, 1), store.join((2,), 2, 1)
         assert segment_width(spec, 3) == 3
         assert x2 == (v14 & 0b111) ^ (v31 >> 3)
         assert x3 == (v14 >> 3) ^ (v22 >> 3)
@@ -588,7 +588,7 @@ def encode_oracle(k, group, placement, store):
                    for n in range(1, spec.N + 1) if holders_of[n] == set(holders)]
         nbits = len(members) * spec.T
         seg_len = -(-nbits // spec.r)
-        payload = sum(store[qn] << i * spec.T for i, qn in enumerate(members))
+        payload = sum(store.join((q,), n, 1) << i * spec.T for i, (q, n) in enumerate(members))
         segments.append(payload >> holders.index(k) * seg_len & ((1 << seg_len) - 1))
     m = len(segments)
     lam = next(d for d in range(1, 17) if (1 << d) - 1 >= m)

@@ -180,6 +180,10 @@ class TestExtField:
         with pytest.raises(ZeroDivisionError):
             ext_field(4).inv(0)
 
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            ext_field(3).pow(0b010, -1)
+
     def test_moduli_table_is_irreducible(self):
         # guards the hard-coded table against typos
         for lam, poly in IRREDUCIBLE_POLY.items():

@@ -42,19 +42,24 @@ def paper_spec(T=6):
 class TestWordCount:
     def test_paper_counts(self):
         store = WordCountWorkload(PAPER_BLOCKS).build_store(paper_spec())
-        assert store[(1, 1)] == 3
-        assert store[(1, 2)] == 5
-        assert store[(1, 3)] == 3
-        assert store[(2, 3)] == 2
-        assert store[(3, 3)] == 2
-        assert store[(4, 1)] == 0
-        assert store[(4, 2)] == 0
+        assert store.join((1,), 1, 1) == 3
+        assert store.join((1,), 2, 1) == 5
+        assert store.join((1,), 3, 1) == 3
+        assert store.join((2,), 3, 1) == 2
+        assert store.join((3,), 3, 1) == 2
+        assert store.join((4,), 1, 1) == 0
+        assert store.join((4,), 2, 1) == 0
+
+    @pytest.mark.parametrize("symbols", [[], [1, 2]], ids=["empty", "two-symbols"])
+    def test_zero_blocks_rejected(self, symbols):
+        with pytest.raises(ValueError, match="^need at least one block$"):
+            WordCountWorkload.from_symbols(symbols, 0)
 
     def test_empty_block_counts_zero(self):
         w = WordCountWorkload(((1, 2), (), (2,)))
         store = w.build_store(JobSpec(K=3, N=3, Q=3, r=1, s=1, T=4))
         for q in (1, 2, 3):
-            assert store[(q, 2)] == 0
+            assert store.join((q,), 2, 1) == 0
 
     def test_overflow_is_an_error(self):
         w = WordCountWorkload(((1, 1, 1, 1),),)
@@ -79,7 +84,7 @@ class TestWordCount:
             w = WordCountWorkload.from_symbols(symbols, N)
             store = w.build_store(JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=8))
             for q in range(1, Q + 1):
-                total = sum(store[(q, n)] for n in range(1, N + 1))
+                total = sum(store.join((q,), n, 1) for n in range(1, N + 1))
                 assert total == recount([list(b) for b in w.blocks], q)
 
 
@@ -105,7 +110,7 @@ class TestIngest:
         w = _ingest_string("x x x x x", 1, 2)
         spec = JobSpec(K=2, N=2, Q=1, r=1, s=2, T=4)
         store = w.build_store(spec)
-        assert store[(1, 1)] + store[(1, 2)] == 5
+        assert store.join((1,), 1, 1) + store.join((1,), 2, 1) == 5
 
     def test_two_token_block_sums(self):
         text = "a b a a b a b b a a a b"
@@ -114,7 +119,7 @@ class TestIngest:
         # pad vocabulary: Q=3 > vocab, fine -- counts for symbol 3 are zero
         store = w.build_store(spec)
         for n, block in enumerate(w.blocks, start=1):
-            total = sum(store[(q, n)] for q in (1, 2, 3))
+            total = sum(store.join((q,), n, 1) for q in (1, 2, 3))
             assert total == len(block)
 
     def test_empty_input(self):
@@ -209,9 +214,8 @@ class TestStreamingIngest:
                 assert got == want
                 kinds.add(want[0])
             else:
-                # the oracle's dict is n-major; the table is q-major
-                assert dict(got) == want
-                assert list(got) == list(product(range(1, Q + 1), range(1, N + 1)))
+                assert {(q, n): got.join((q,), n, 1)
+                        for q, n in product(range(1, Q + 1), range(1, N + 1))} == want
                 kinds.add("store")
         assert kinds == {"store", ValueError, CountOverflowError}
 
@@ -239,7 +243,7 @@ class TestLinearTransform:
         matrix = Gf2Matrix(tuple(rng.getrandbits(8) for _ in range(16)), 8)
         inputs = Gf2Matrix((0,) * 6, 8)
         store = LinearTransformWorkload(matrix, inputs).build_store(spec)
-        assert all(v == 0 for v in store.values())
+        assert all(v == 0 for v in store.rows(1, spec.Q))
 
     def test_identity_blocks_slice_input(self):
         spec = self.lt_spec()
@@ -249,7 +253,7 @@ class TestLinearTransform:
         store = LinearTransformWorkload(matrix, inputs).build_store(spec)
         for q in range(1, 5):
             for n, x in enumerate(inputs.rows, start=1):
-                assert store[(q, n)] == x >> (q - 1) * 4 & 0xf
+                assert store.join((q,), n, 1) == x >> (q - 1) * 4 & 0xf
 
     def test_matches_naive_dot_oracle(self):
         spec = self.lt_spec()
@@ -258,7 +262,7 @@ class TestLinearTransform:
         for q in range(1, 5):
             for n in range(1, 7):
                 x_bits = int_to_bits(w.inputs.rows[n - 1], 16)
-                got = store[(q, n)]
+                got = store.join((q,), n, 1)
                 for i in range(4):
                     row_bits = int_to_bits(w.matrix.rows[(q - 1) * 4 + i], 16)
                     assert (got >> i) & 1 == naive_dot(row_bits, x_bits)
@@ -273,8 +277,8 @@ class TestLinearTransform:
         sa = LinearTransformWorkload(matrix, xs).build_store(spec)
         sb = LinearTransformWorkload(matrix, ys).build_store(spec)
         sc = LinearTransformWorkload(matrix, both).build_store(spec)
-        for key in sc:
-            assert sc[key] == sa[key] ^ sb[key]
+        for q, n in product(range(1, spec.Q + 1), range(1, spec.N + 1)):
+            assert sc.join((q,), n, 1) == sa.join((q,), n, 1) ^ sb.join((q,), n, 1)
 
     def test_dimension_mismatch(self):
         spec = self.lt_spec()
@@ -295,9 +299,9 @@ class TestCodedLinearTransform:
         w = LinearTransformWorkload.random(16, 12, 6, seed=5)
         store = CodedLinearTransformWorkload(w).build_store(spec)
         for n in range(1, 7):
-            acc = store[(4, n)]
+            acc = store.join((4,), n, 1)
             for k in (1, 2, 3):
-                acc ^= store[(k, n)]
+                acc ^= store.join((k,), n, 1)
             assert acc == 0
 
     def test_zero_matrix(self):
@@ -305,14 +309,14 @@ class TestCodedLinearTransform:
         w = LinearTransformWorkload(Gf2Matrix((0,) * 16, 8),
                                     Gf2Matrix(tuple(i + 1 for i in range(6)), 8))
         store = CodedLinearTransformWorkload(w).build_store(spec)
-        assert all(v == 0 for v in store.values())
+        assert all(v == 0 for v in store.rows(1, spec.Q))
 
     def test_per_file_rank_deficient(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8)
         w = LinearTransformWorkload.random(32, 16, 6, seed=9)
         store = CodedLinearTransformWorkload(w).build_store(spec)
         for n in range(1, 7):
-            m = Gf2Matrix(tuple(store[(k, n)] for k in range(1, 5)), spec.T)
+            m = Gf2Matrix(tuple(store.join((k,), n, 1) for k in range(1, 5)), spec.T)
             assert rank_and_basis(m).rho <= 3
 
 
@@ -321,19 +325,19 @@ class TestSynthetic:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=16)
         a = SyntheticRankWorkload(seed=42).build_store(spec)
         b = SyntheticRankWorkload(seed=42).build_store(spec)
-        assert a == b
+        assert a.rows(1, spec.Q) == b.rows(1, spec.Q)
 
     def test_duplicate_prob_one_collapses(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=16)
         store = SyntheticRankWorkload(seed=1, duplicate_prob=1.0).build_store(spec)
-        distinct = set(store.values())
+        distinct = set(store.rows(1, spec.Q))
         assert len(distinct) == 1
 
     def test_duplicate_prob_zero_mostly_distinct(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=64)
         store = SyntheticRankWorkload(seed=1, duplicate_prob=0.0).build_store(spec)
-        distinct = set(store.values())
-        assert len(distinct) == len(store)
+        distinct = set(store.rows(1, spec.Q))
+        assert len(distinct) == spec.Q * spec.N
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
