@@ -61,10 +61,20 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# the most characters a printed error or replay verdict line holds: a message
+# that echoes a large value is cut to this length, its last character "…"
+MAX_LINE = 1000
+
+
+def _line(text: str) -> str:
+    """``text`` cut to ``MAX_LINE`` characters."""
+    return text if len(text) <= MAX_LINE else text[:MAX_LINE - 1] + "…"
+
+
 def _fail(exc: Exception) -> int:
     """Print a one-line error and return its exit code: the only place
     exceptions map to exit codes."""
-    print(f"error: {exc}", file=sys.stderr)
+    print(_line(f"error: {exc}"), file=sys.stderr)
     return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedCombinationError) else EXIT_CONFIG
 
 
@@ -292,6 +302,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def fixture_to_json(result: engine.RunResult, workload_desc: dict) -> dict:
+    """The fixture document of a run for ``dump_json`` to write; its
+    broadcasts are ``engine.Rows`` (see ``engine.transcript_to_json``), so
+    parse the written text to read or edit it."""
     return {
         "workload": workload_desc,
         "transcript": engine.transcript_to_json(result.transcript),
@@ -340,7 +353,7 @@ def cmd_fixture(args: argparse.Namespace) -> int:
                                  "names a fixture to replay; a file-input workload's fixtures "
                                  "are written through --config")
         verdict, reason = _replay(_read_json(args.input))
-        print(f"fixture {args.input}: {verdict}" + (f": {reason}" if reason else ""))
+        print(_line(f"fixture {args.input}: {verdict}" + (f": {reason}" if reason else "")))
         return EXIT_VERIFY if verdict == "fail" else EXIT_OK
 
     config = _merge_config(args)

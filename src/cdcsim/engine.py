@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf as _INF
 
@@ -346,6 +346,29 @@ def run(spec: JobSpec, workload, scheme: str) -> RunResult:
 
 # --- transcript serialization (JSON metadata + hex payloads) -----------------
 
+# rows are joined this many at a time: one list of every row's string took
+# the Fig. 4-scale (N=2520) uncoded fixture write from 447 to 527 MB peak RSS
+_ROWS_PER_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class Slot:
+    """A varying leaf of a ``Rows`` skeleton: the row's value in the column
+    of this name."""
+
+    name: str
+
+
+@dataclass
+class Rows:
+    """A list of like objects for ``dump_json``: row i is ``skeleton`` with
+    each ``Slot`` replaced by value i of its column.  Every column holds one
+    value per row; a ``Slot`` anywhere but in a skeleton is not JSON."""
+
+    skeleton: object
+    columns: dict[str, list]
+
+
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -380,20 +403,27 @@ def _payload_from_json(obj: dict) -> tuple[int, int]:
 
 
 def transcript_to_json(transcript: ShuffleTranscript) -> dict:
+    """The transcript as a document for ``dump_json`` to write, its broadcasts
+    one ``Rows`` over the transcript's columns; parse the written text to
+    read or edit it."""
     cols = transcript.broadcasts
-    # filled a field at a time: building each with dict(zip(...)) took the
-    # paper-fig4 uncoded transcript_to_json about 20 % longer
-    metas = [{} for _ in cols.senders]
-    for name, column in cols.meta.items():
-        for meta, value in zip(metas, map(list, column) if name == "group" else column):
-            meta[name] = value
-    payloads = [{"bits": bits, "hex": f"{value:x}"} for bits, value in zip(cols.nbits, cols.values)]
-    scheme = transcript.scheme
-    broadcasts = [
-        {"sender": sender, "kind": scheme, "meta": meta, "payloads": payloads[first:first + count]}
-        for sender, meta, count, first in zip(
-            cols.senders, metas, cols.counts, accumulate(cols.counts, initial=0))]
-    return {"scheme": scheme, "spec": transcript.spec.as_dict(), "broadcasts": broadcasts}
+    hexes = [f"{value:x}" for value in cols.values]
+    payload = {"bits": Slot("bits"), "hex": Slot("hex")}
+    columns = {"sender": cols.senders, **cols.meta}
+    if set(cols.counts) <= {1}:
+        # one payload per broadcast, so its fields are broadcast columns too
+        payloads = [payload]
+        columns |= {"bits": cols.nbits, "hex": hexes}
+    else:
+        payloads = Slot("payloads")
+        columns["payloads"] = [
+            Rows(payload, {"bits": cols.nbits[first:first + count],
+                           "hex": hexes[first:first + count]})
+            for count, first in zip(cols.counts, accumulate(cols.counts, initial=0))]
+    skeleton = {"sender": Slot("sender"), "kind": transcript.scheme,
+                "meta": {name: Slot(name) for name in cols.meta}, "payloads": payloads}
+    return {"scheme": transcript.scheme, "spec": transcript.spec.as_dict(),
+            "broadcasts": Rows(skeleton, columns)}
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
@@ -467,8 +497,9 @@ def _key(k) -> str:
 
 
 def _render(o, nl: str) -> str:
-    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` renders it, where
-    ``nl`` is the newline and indent of the line ``o`` starts on."""
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a
+    ``Rows`` as the list of its rows, where ``nl`` is the newline and indent
+    of the line ``o`` starts on."""
     # No object is two of dict, list, tuple, str, int and float, so testing
     # containers first gives json's text.  Exact ints and strs, nearly every
     # leaf of a transcript, are rendered in the item loop without a call.
@@ -500,16 +531,58 @@ def _render(o, nl: str) -> str:
         if o != o:
             return "NaN"
         return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
+    if type(o) is Rows:
+        return _render_rows(o, nl)
+    if type(o) is Slot:
+        # _quote escapes NUL, so only a slot puts one in the text
+        return "\0" + _quote(o.name) + "\0"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def dump_json(obj: dict) -> str:
+def _render_rows(rows: Rows, nl: str) -> str:
+    """``rows`` as ``_render`` renders the list of its rows: the skeleton is
+    rendered once into a ``%``-template with a ``%s`` per slot, and the
+    template is filled a row at a time."""
+    lengths = {len(column) for column in rows.columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"Rows columns of {sorted(lengths)} values, expected one length")
+    if not (n := max(lengths, default=0)):
+        return "[]"
+    inner = nl + "  "
+    # text and quoted slot names alternate; each slot is on a line of its
+    # own, and that line's newline and indent is the slot value's nl
+    parts = (inner + _render(rows.skeleton, inner)).split("\0")
+    by_marker = {_quote(name): column for name, column in rows.columns.items()}
+    filled = []
+    for before, marker in zip(parts[::2], parts[1::2]):
+        column = by_marker[marker]
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            filled.append(map(int.__repr__, column))
+        elif kinds == {str}:
+            filled.append(map(_quote, column))
+        else:
+            line = before[before.rfind("\n"):]
+            value_nl = line[:len(line) - len(line[1:].lstrip(" "))]
+            filled.append(map(_render, column, repeat(value_nl)))
+    template = "%s".join([text.replace("%", "%%") for text in parts[::2]])[len(inner):]
+    lines = map(template.__mod__, zip(*filled)) if filled else repeat(template % (), n)
+    sep = "," + inner
+    pieces = ["[", inner]
+    while chunk := sep.join(islice(lines, _ROWS_PER_CHUNK)):
+        pieces += (chunk, sep)
+    pieces[-1] = nl + "]"
+    return "".join(pieces)
+
+
+def dump_json(obj) -> str:
     """Canonical JSON rendering used for every artifact this package writes.
 
-    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``:
-    sorted keys, 2-space indent, ASCII escapes and a trailing newline.  Each
-    container is joined once, so no list of every small chunk is held.  Unlike
-    ``json.dumps``, a document that contains itself raises ``RecursionError``;
-    the package never builds one.
+    The text of a plain value is exactly ``json.dumps(obj, sort_keys=True,
+    indent=2) + "\\n"``: sorted keys, 2-space indent, ASCII escapes and a
+    trailing newline.  A ``Rows`` value is written as the list of its rows,
+    each from one template of its skeleton, in chunks of rows, so no list of
+    every row is held.  Unlike ``json.dumps``, a document that contains itself
+    raises ``RecursionError``; the package never builds one.
     """
     return _render(obj, "\n") + "\n"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import hashlib
 import json
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from cdcsim.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY,
+    MAX_LINE,
     build_workload,
     fixture_to_json,
     main,
@@ -27,6 +30,7 @@ from cdcsim.cli import (
 )
 from cdcsim.placement import JobSpec, make_placement
 from corpora import write_corpus
+from documents import written
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -106,6 +110,19 @@ class TestRun:
         code = main(["run", "--K", "4", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "missing job parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K", [
+        "x" * 5_000_000, functools.reduce(lambda k, _: [k], range(900), 1),
+    ], ids=["5MB-string", "nested-900"])
+    def test_error_line_is_cut_to_max_line(self, tmp_path, capsys, K):
+        # the message echoes the value of K, here longer than MAX_LINE
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"K": K, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 6}))
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) == MAX_LINE + 1
+        assert err.startswith(f"error: K={K!r}"[:100]) and err.endswith("…\n")
 
     def test_uncoded_multi_copy_exits_4(self, tmp_path):
         code = main(["run", "--K", "4", "--N", "6", "--Q", "6", "--r", "2", "--s", "2",
@@ -565,7 +582,7 @@ def _extra_uncoded(q):
 def _s2_fixture(kw, scheme):
     spec = JobSpec(**kw)
     desc = {"kind": "synthetic", "seed": 2}
-    return fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+    return written(fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc))
 
 
 def _relabel_component(broadcasts):
@@ -794,7 +811,7 @@ class TestFixture:
         # segments put letters in the hex, so str.upper has something to change
         spec = JobSpec(K=5, N=10, Q=5, r=3, s=1, T=30)
         desc = {"kind": "synthetic", "seed": 3}
-        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), "cdc"), desc)
+        doc = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), "cdc"), desc))
         i, payload = next((i, p) for i, b in enumerate(doc["transcript"]["broadcasts"])
                           for p in b["payloads"] if edit(p["hex"]) != p["hex"])
         canonical = payload["hex"]
@@ -813,7 +830,7 @@ class TestFixture:
         # group's segment width can tell a payload of the wrong length
         spec = JobSpec(K=5, N=10, Q=10, r=1, s=1, T=8)
         desc = {"kind": "synthetic", "seed": 5}
-        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        doc = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc))
         b = doc["transcript"]["broadcasts"][0]
         if scheme == "cdc":
             b["payloads"][0]["bits"] += grow
@@ -832,7 +849,7 @@ class TestFixture:
         # segment is the zero padding of the symbol nodes 1 and 2 recover
         spec = JobSpec(K=3, N=3, Q=3, r=2, s=1, T=5)
         desc = {"kind": "synthetic", "seed": 2}
-        doc = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        doc = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc))
         b = doc["transcript"]["broadcasts"][2]
         assert b["sender"] == 3 and b["payloads"][0] == {"bits": 3, "hex": "2"}
         b["payloads"][0]["hex"] = "6"
@@ -850,7 +867,8 @@ class TestFixture:
         # raises OverflowError if the padding check let a set bit through
         spec = JobSpec(K=4, N=4, Q=4, r=3, s=1, T=8)
         desc = {"kind": "synthetic", "seed": 2}
-        honest = fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme), desc)
+        honest = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), scheme),
+                                         desc))
         path = tmp_path / "tampered.json"
         flips = 0
         for i, b in enumerate(honest["transcript"]["broadcasts"]):
@@ -893,6 +911,40 @@ class TestFixture:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+
+    def test_fail_line_is_cut_to_max_line(self, tmp_path, capsys):
+        # with no broadcast at all the reason lists every needed (q, n), 360
+        # pairs here, and a reason shorter than the cap keeps its text
+        spec = JobSpec(K=4, N=12, Q=40, r=2, s=1, T=8)
+        desc = {"kind": "synthetic", "seed": 1}
+        doc = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), "uncoded"),
+                                      desc))
+        path = tmp_path / "empty.json"
+        for kept, cut in ((doc["transcript"]["broadcasts"][1:], False), ([], True)):
+            doc["transcript"]["broadcasts"] = kept
+            path.write_text(json.dumps(doc))
+            assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
+            out = capsys.readouterr().out
+            assert out.startswith(f"fixture {path}: fail: no uncoded broadcast for [")
+            assert out.count("\n") == 1 and out.endswith("…\n" if cut else ")]\n")
+            assert (len(out) == MAX_LINE + 1) == cut and len(out) <= MAX_LINE + 1
+
+    def test_second_write_peak_memory(self):
+        # the paper-fig4 uncoded fixture, 7.55 MB of text, written again while
+        # the first text is alive, as the benchmark repeats a short write: a
+        # dict per broadcast, rendered by _render, peaked at 37.4 MB
+        spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
+        desc = {"kind": "synthetic", "seed": 1}
+        result = engine.run(spec, build_workload(desc, spec), "uncoded")
+        first = engine.dump_json(fixture_to_json(result, desc))
+        tracemalloc.start()
+        try:
+            second = engine.dump_json(fixture_to_json(result, desc))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second == first and len(first) > 7_000_000
+        assert peak < 4 * len(first)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d["transcript"]["broadcasts"].__setitem__(0, 5) or d, "broadcast 0"),
@@ -1094,7 +1146,7 @@ class TestArtifactDigests:
                                                 workload))
                 + engine.dump_json(fixture))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert replay_fixture(fixture) == "pass"
+        assert replay_fixture(written(fixture)) == "pass"
 
 
 class TestDeterminism:

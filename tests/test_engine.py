@@ -20,6 +20,8 @@ from cdcsim.codec import (IncompleteShuffleError, build_vset, full_message, grou
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
+    Rows,
+    Slot,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
@@ -43,6 +45,7 @@ from cdcsim.workloads import (
     ValueTable,
     WordCountWorkload,
 )
+from documents import written
 from oracles import recount
 
 PAPER_BLOCKS = (
@@ -145,7 +148,7 @@ class TestTranscriptColumns:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_view_length_and_bits_match_json(self, scheme):
         result = run(self.SPEC, SyntheticRankWorkload(seed=3), scheme)
-        doc = transcript_to_json(result.transcript)
+        doc = written(transcript_to_json(result.transcript))
         assert len(result.transcript.broadcasts) == len(doc["broadcasts"]) > 0
         assert transcript_from_json(doc).bits_by_node() == result.bits_by_node
 
@@ -167,7 +170,7 @@ class TestTranscriptColumns:
         # columns keep every payload with its broadcast, through reader,
         # writer and bits_by_node
         result = run(self.SPEC, SyntheticRankWorkload(seed=3), "uncoded")
-        doc = transcript_to_json(result.transcript)
+        doc = written(transcript_to_json(result.transcript))
         b0, b1, b2 = doc["broadcasts"][:3]
         b0["payloads"] = []
         b1["payloads"] = [b1["payloads"][0], {"bits": 3, "hex": "5"}]
@@ -483,7 +486,7 @@ class TestReducePhase:
         store = workload.build_store(spec)
         # broadcast 0's key: (q, n), (sender, group, component), (sender, ell)
         for scheme, key in (("uncoded", (1, 4)), ("cdc", (1, (1, 2, 3), 1)), ("cdc-ld", (1, 3))):
-            doc = transcript_to_json(run(spec, workload, scheme).transcript)
+            doc = written(transcript_to_json(run(spec, workload, scheme).transcript))
             doc["broadcasts"].pop(0)
             transcript = transcript_from_json(doc)
             # the validator names the broadcast by its key, under no one node
@@ -505,14 +508,14 @@ class TestDeterminism:
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
         result = run(spec, paper_workload(), scheme)
         doc = transcript_to_json(result.transcript)
-        back = transcript_from_json(doc)
+        back = transcript_from_json(written(doc))
         assert back == result.transcript
         assert dump_json(transcript_to_json(back)) == dump_json(doc)
         if scheme != "uncoded":
             # a general-s transcript reads back column for column too
             s3 = run(JobSpec(K=6, N=15, Q=20, r=2, s=3, T=17), SyntheticRankWorkload(seed=1),
                      scheme).transcript
-            assert transcript_from_json(transcript_to_json(s3)) == s3
+            assert transcript_from_json(written(transcript_to_json(s3))) == s3
         # and the deserialized transcript still decodes
         placement = make_placement(spec)
         store = paper_workload().build_store(spec)
@@ -579,6 +582,89 @@ class TestDumpJson:
             tracemalloc.stop()
         assert len(text) > 7_000_000
         assert peak < 32_000_000
+
+
+# Keys and strings that a template must keep as text: a % of either kind,
+# a NUL (the slot marker) and characters that need escapes.
+TEMPLATE_TEXT = st.sampled_from(["%", "%s", "%%d", "\0", "a\"b\\", "\n"]) | TEXT
+LEAVES = st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | FLOATS | TEMPLATE_TEXT
+# one column's values: all of one leaf type, or any mix of leaves and small
+# trees (a cdc group is a tuple)
+COLUMN_ELEMENTS = [st.integers(-2 ** 200, 2 ** 200), TEMPLATE_TEXT, st.booleans(), FLOATS,
+                   st.none(), st.recursive(LEAVES, lambda children: (
+                       st.lists(children, max_size=2) | st.tuples(children, children)
+                       | st.dictionaries(TEMPLATE_TEXT, children, max_size=2)), max_leaves=4)]
+
+
+# a skeleton of nested dicts and lists, half its leaves where a slot goes
+SLOT = object()
+SKELETONS = st.recursive(
+    st.booleans().flatmap(lambda slot: st.just(SLOT) if slot else LEAVES),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(TEMPLATE_TEXT, children, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def rows_values(draw, depth: int = 2) -> Rows:
+    """A ``Rows`` of 0 to 3 rows: a skeleton with constant leaves and slots,
+    and one to three columns, whose values may themselves be ``Rows`` down
+    to ``depth`` levels."""
+    names = draw(st.lists(TEMPLATE_TEXT, unique=True, min_size=1, max_size=3))
+
+    def slotted(o):
+        if o is SLOT:
+            return Slot(draw(st.sampled_from(names)))
+        if isinstance(o, dict):
+            return {k: slotted(v) for k, v in o.items()}
+        return [slotted(v) for v in o] if isinstance(o, list) else o
+
+    skeleton = slotted(draw(SKELETONS))
+    elements = COLUMN_ELEMENTS + ([rows_values(depth - 1)] if depth else [])
+    n = draw(st.sampled_from([3, 1, 2, 0]))
+    columns = {}
+    for name in names:
+        values = draw(st.sampled_from(elements) | st.just(st.one_of(elements)))
+        columns[name] = draw(st.lists(values, min_size=n, max_size=n))
+    return Rows(skeleton, columns)
+
+
+def materialised(rows: Rows) -> list:
+    """The plain list of ``rows``: the skeleton filled from each row."""
+    def fill(o, i: int):
+        if isinstance(o, Slot):
+            value = rows.columns[o.name][i]
+            return materialised(value) if isinstance(value, Rows) else value
+        if isinstance(o, dict):
+            return {k: fill(v, i) for k, v in o.items()}
+        if isinstance(o, list):
+            return [fill(v, i) for v in o]
+        return o
+    n = len(next(iter(rows.columns.values()), ()))
+    return [fill(rows.skeleton, i) for i in range(n)]
+
+
+class TestRows:
+    """A ``Rows`` value writes as ``json.dumps`` writes the list of its rows,
+    at any depth of the document."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(rows=rows_values(), depth=st.integers(0, 3))
+    def test_matches_stdlib_json_of_the_rows(self, rows, depth):
+        doc, plain = rows, materialised(rows)
+        for level in range(depth):
+            doc, plain = ({"%d": doc}, {"%d": plain}) if level % 2 else ([doc, 0], [plain, 0])
+        assert dump_json(doc) == stdlib_json(plain)
+
+    def test_rows_across_chunks(self):
+        # more rows than one chunk joins, with a nested value in every row
+        rows = Rows({"i": Slot("i"), "pair": Slot("pair"), "kind": "x"},
+                    {"i": list(range(600)), "pair": [(i, [i]) for i in range(600)]})
+        assert dump_json({"rows": rows}) == stdlib_json({"rows": materialised(rows)})
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="expected one length"):
+            dump_json(Rows({"a": Slot("a"), "b": Slot("b")}, {"a": [1, 2], "b": [3]}))
 
 
 def _int16(text: str) -> int | None:
