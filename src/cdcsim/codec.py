@@ -80,10 +80,15 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
     of the group containing every receiver; a file index n qualifies when it
     is held by exactly the holder subset.  The set's (q, n) pairs are
     ``product(qs, ns)``, sorted by q then n.  Each value set is built once per
-    placement and kept in ``placement.vsets``; a repeat call returns the
-    same object.
+    placement and kept in ``placement.vsets`` under its sorted group and
+    holders; a repeat call returns the same object.  Sorted tuples, as every
+    engine caller passes, are answered by one probe; other arguments are
+    sorted into the key.
     """
-    key = tuple(sorted(group)), tuple(sorted(holders))
+    try:
+        return placement.vsets[group, holders]
+    except (KeyError, TypeError):  # not built yet, or lists
+        key = tuple(sorted(group)), tuple(sorted(holders))
     vset = placement.vsets.get(key)
     if vset is not None:
         return vset

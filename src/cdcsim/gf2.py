@@ -96,15 +96,19 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
     """Extract an independent row basis and per-row combination coefficients.
 
     Rows are processed top to bottom; an incoming row is reduced against the
-    pivots found so far (pivot = first nonzero position of the reduced row).
-    A row that survives reduction joins the basis in its original form, so
-    the basis is a subset of the input rows and the whole procedure is
-    deterministic.
+    reduced rows kept so far, each keyed by its top set bit, until it is
+    zero or its top bit keys no reduced row.  A row that survives reduction is
+    independent of the rows before it and joins the basis in its original
+    form.  The output therefore does not depend on the pivot rule: the basis
+    is the first maximal independent subset of the rows, in order, and each
+    coefficient vector is the unique combination of that basis giving its
+    row.
     """
     basis: list[int] = []
     coeffs: list[int] = []
-    # (pivot position, reduced row, expansion of the reduced row over basis slots)
+    # top bit position + 1 of a reduced row -> its slot in reduced_rows
     pivot_of: dict[int, int] = {}
+    # each reduced row, and its expansion over basis slots
     reduced_rows: list[int] = []
     expansions: list[int] = []
 
@@ -112,16 +116,16 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
         cur = row
         exp = 0
         while cur:
-            p = (cur & -cur).bit_length() - 1
-            slot = pivot_of.get(p)
+            slot = pivot_of.get(cur.bit_length())
             if slot is None:
                 break
+            # clears cur's top bit, touching only lower ones
             cur ^= reduced_rows[slot]
             exp ^= expansions[slot]
         if cur:
             b = len(basis)
             basis.append(row)
-            pivot_of[(cur & -cur).bit_length() - 1] = len(reduced_rows)
+            pivot_of[cur.bit_length()] = len(reduced_rows)
             reduced_rows.append(cur)
             # cur == row xor (the basis combination recorded in exp)
             expansions.append(exp ^ (1 << b))
@@ -133,20 +137,29 @@ def rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
 
 
 def reconstruct(b: BasisDecomposition) -> Gf2Matrix:
-    """Rebuild the original matrix from a basis decomposition, bit for bit."""
-    for vec in b.basis:
+    """Rebuild the original matrix from a basis decomposition, bit for bit.
+
+    Each row is the XOR of the basis rows its coefficient vector selects,
+    one step per set bit.  A basis row that does not fit in ``ncols`` bits,
+    or a coefficient vector that does not fit in rho bits, raises
+    ``MalformedDecompositionError`` naming the first one; both checks come
+    before the set-bit loop, which a negative vector would never leave.
+    """
+    basis, rho = b.basis, b.rho
+    for vec in basis:
         if vec < 0 or vec >> b.ncols:
             raise MalformedDecompositionError(
                 f"basis row {vec:#x} does not fit in {b.ncols} columns")
     rows = []
     for i, c in enumerate(b.coeffs):
-        if c < 0 or c >> b.rho:
+        if c < 0 or c >> rho:
             raise MalformedDecompositionError(
-                f"coefficient vector {i} ({c:#x}) does not fit in rho={b.rho} bits")
+                f"coefficient vector {i} ({c:#x}) does not fit in rho={rho} bits")
         acc = 0
-        for j in range(b.rho):
-            if (c >> j) & 1:
-                acc ^= b.basis[j]
+        while c:
+            j = c.bit_length() - 1
+            acc ^= basis[j]
+            c ^= 1 << j
         rows.append(acc)
     return Gf2Matrix(tuple(rows), b.ncols)
 

@@ -3,14 +3,17 @@
 Everything here is deliberately written the slow, obvious way (list-of-bits
 arithmetic, long division, permutation sums, direct predicate enumeration)
 so it shares no code path with the library it checks.  The word-count
-oracles are the former whole-corpus ingest and per-function rescan; they
-build the library's result types only, so results compare with ``==``.
+oracles are the former whole-corpus ingest and per-function rescan, and the
+GF(2) decomposition oracles the former lowest-bit-pivot elimination and
+bit-by-bit decompression; they build the library's result types only, so
+results compare with ``==``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from cdcsim.gf2 import BasisDecomposition, Gf2Matrix, MalformedDecompositionError
 from cdcsim.workloads import CountOverflowError, WordCountWorkload
 
 
@@ -39,6 +42,65 @@ def naive_rank(rows: list[list[int]]) -> int:
         if pivot_row == len(work):
             break
     return rank
+
+
+def reference_rank_and_basis(m: Gf2Matrix) -> BasisDecomposition:
+    """Extract an independent row basis and per-row combination coefficients.
+
+    Rows are processed top to bottom; an incoming row is reduced against the
+    pivots found so far (pivot = first nonzero position of the reduced row).
+    A row that survives reduction joins the basis in its original form, so
+    the basis is a subset of the input rows and the whole procedure is
+    deterministic.
+    """
+    basis: list[int] = []
+    coeffs: list[int] = []
+    # (pivot position, reduced row, expansion of the reduced row over basis slots)
+    pivot_of: dict[int, int] = {}
+    reduced_rows: list[int] = []
+    expansions: list[int] = []
+
+    for row in m.rows:
+        cur = row
+        exp = 0
+        while cur:
+            p = (cur & -cur).bit_length() - 1
+            slot = pivot_of.get(p)
+            if slot is None:
+                break
+            cur ^= reduced_rows[slot]
+            exp ^= expansions[slot]
+        if cur:
+            b = len(basis)
+            basis.append(row)
+            pivot_of[(cur & -cur).bit_length() - 1] = len(reduced_rows)
+            reduced_rows.append(cur)
+            # cur == row xor (the basis combination recorded in exp)
+            expansions.append(exp ^ (1 << b))
+            coeffs.append(1 << b)
+        else:
+            coeffs.append(exp)
+
+    return BasisDecomposition(basis=tuple(basis), coeffs=tuple(coeffs), ncols=m.ncols)
+
+
+def reference_reconstruct(b: BasisDecomposition) -> Gf2Matrix:
+    """Rebuild the original matrix from a basis decomposition, bit for bit."""
+    for vec in b.basis:
+        if vec < 0 or vec >> b.ncols:
+            raise MalformedDecompositionError(
+                f"basis row {vec:#x} does not fit in {b.ncols} columns")
+    rows = []
+    for i, c in enumerate(b.coeffs):
+        if c < 0 or c >> b.rho:
+            raise MalformedDecompositionError(
+                f"coefficient vector {i} ({c:#x}) does not fit in rho={b.rho} bits")
+        acc = 0
+        for j in range(b.rho):
+            if (c >> j) & 1:
+                acc ^= b.basis[j]
+        rows.append(acc)
+    return Gf2Matrix(tuple(rows), b.ncols)
 
 
 def int_to_bits(value: int, nbits: int) -> list[int]:

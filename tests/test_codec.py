@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import cdcsim.codec
 from cdcsim.codec import (
     IncompleteShuffleError,
     build_vset,
@@ -99,9 +100,32 @@ class TestVSetCache:
         assert build_vset((1, 2, 3), (1, 3), placement) is first
         assert build_vset((3, 1, 2), (3, 1), placement) is first
         assert build_vset([2, 3, 1], [1, 3], placement) is first
-        # the cache belongs to the placement: another one builds its own set
-        other = build_vset((1, 2, 3), (1, 3), make_placement(spec))
+        assert list(placement.vsets) == [((1, 2, 3), (1, 3))]
+        # the cache belongs to the placement: another one builds its own
+        # set, kept under sorted tuples whatever the first call passed
+        other_placement = make_placement(spec)
+        other = build_vset([3, 2, 1], [3, 1], other_placement)
         assert other == first and other is not first
+        assert list(other_placement.vsets) == [((1, 2, 3), (1, 3))]
+
+    @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
+    def test_job_at_paper_fig4_k_and_r_makes_5880_calls(self, scheme, monkeypatch):
+        # perfbench/selfcheck.py pins 5 880 calls per paper-fig4 coded job;
+        # the count depends on K and r only, so this job with Q cut to 30
+        # makes as many
+        calls = 0
+        original = cdcsim.codec.build_vset
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cdcsim.codec, "build_vset", counted)
+        spec = JobSpec(K=10, N=120, Q=30, r=3, s=1, T=64)
+        result = run(spec, SyntheticRankWorkload(seed=1, duplicate_prob=0.5), scheme)
+        assert result.verification == "pass"
+        assert calls == 5880
 
     def test_invalid_arguments_raise_every_call_and_are_not_cached(self):
         _, placement, _ = paper_setup()

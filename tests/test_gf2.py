@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.gf2 import (
     IRREDUCIBLE_POLY,
@@ -18,7 +20,8 @@ from cdcsim.gf2 import (
     reconstruct,
     vandermonde,
 )
-from oracles import gf_mul_longdiv, int_to_bits, is_irreducible, naive_rank, perm_det
+from oracles import (gf_mul_longdiv, int_to_bits, is_irreducible, naive_rank, perm_det,
+                     reference_rank_and_basis, reference_reconstruct)
 
 
 def matrix(values, ncols):
@@ -144,6 +147,81 @@ class TestReconstruct:
         values = [rng.getrandbits(32) for _ in range(5)]
         m = matrix(values, 32)
         assert reconstruct(rank_and_basis(m)) == m
+
+
+# widths from empty to the cdc-ld message widths of paper-fig4 (768 bits)
+# and of Fig. 4 (16 128 bits)
+WIDTHS = st.sampled_from([0, 1, 5, 64, 768, 16128])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def drawn_rows(rng, nrows, ncols, generators, repeat_prob, zero_prob):
+    """nrows rows of ncols bits: random, or (with ``generators`` given) random
+    combinations of that many random rows, each row a repeat of an earlier
+    one with ``repeat_prob`` or zero with ``zero_prob``."""
+    gens = [rng.getrandbits(ncols) for _ in range(generators or 0)]
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < repeat_prob:
+            rows.append(rng.choice(rows))
+        elif rng.random() < zero_prob:
+            rows.append(0)
+        elif generators is None:
+            rows.append(rng.getrandbits(ncols))
+        else:
+            acc = 0
+            for g in gens:
+                if rng.getrandbits(1):
+                    acc ^= g
+            rows.append(acc)
+    return rows
+
+
+def outcome(fn, arg):
+    """fn(arg), or the message of the MalformedDecompositionError it raises."""
+    try:
+        return fn(arg)
+    except MalformedDecompositionError as exc:
+        return f"MalformedDecompositionError: {exc}"
+
+
+class TestAgainstReference:
+    """The kernels give the reference elimination's decomposition (pivot on
+    the lowest set bit) and the reference bit-by-bit decompression's rows and
+    errors, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=SEEDS, ncols=WIDTHS, nrows=st.integers(0, 90),
+           generators=st.sampled_from([None, 0, 1, 4, 16]),
+           repeat_prob=st.sampled_from([0.0, 0.3]), zero_prob=st.sampled_from([0.0, 0.3]))
+    def test_decomposition_matches_reference(self, seed, ncols, nrows, generators,
+                                             repeat_prob, zero_prob):
+        rows = drawn_rows(random.Random(seed), nrows, ncols, generators, repeat_prob, zero_prob)
+        m = matrix(rows, ncols)
+        d = rank_and_basis(m)
+        assert d == reference_rank_and_basis(m)
+        assert reconstruct(d) == reference_reconstruct(d) == m
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=SEEDS, ncols=WIDTHS, rho=st.integers(0, 90), ncoeffs=st.integers(0, 90),
+           flaws=st.lists(st.sampled_from(["wide basis", "negative basis",
+                                           "wide coeff", "negative coeff"]), max_size=3))
+    def test_reconstruct_matches_reference(self, seed, ncols, rho, ncoeffs, flaws):
+        # dense coefficients over any rows, independent or not, with up to
+        # three rows made too wide or negative
+        rng = random.Random(seed)
+        basis = [rng.getrandbits(ncols) for _ in range(rho)]
+        coeffs = [rng.getrandbits(rho) for _ in range(ncoeffs)]
+        for flaw in flaws:
+            rows, width = (basis, ncols) if "basis" in flaw else (coeffs, rho)
+            if rows:
+                i = rng.randrange(len(rows))
+                if flaw.startswith("negative"):
+                    rows[i] = -1 - rows[i]
+                else:
+                    rows[i] |= 1 << width + rng.randrange(3)
+        d = BasisDecomposition(basis=tuple(basis), coeffs=tuple(coeffs), ncols=ncols)
+        assert outcome(reconstruct, d) == outcome(reference_reconstruct, d)
 
 
 class TestExtField:
