@@ -317,8 +317,8 @@ def replay_fixture(doc: dict) -> str:
 
     A transcript that is not, one to one, the broadcasts its scheme sends
     (see ``engine.validate_transcript``) or that does not decode fails rather
-    than raising; a document with a field of the wrong type or shape, or a
-    broadcast whose meta lacks a field, raises ``ValueError``, and an uncoded
+    than raising; a document with a field of the wrong type or shape, a
+    missing field or an unknown one raises ``ValueError``, and an uncoded
     transcript at s >= 2 ``UnsupportedCombinationError``, as ``run`` does.
     """
     return _replay(doc)[0]
@@ -330,6 +330,9 @@ def _replay(doc: dict) -> tuple[str, str]:
     engine.expect_json(doc, dict, "fixture document")
     engine.expect_json(doc.get("workload"), dict, "fixture workload")
     transcript = engine.transcript_from_json(doc.get("transcript"))
+    if len(doc) != 2:
+        raise ValueError("fixture document "
+                         + engine.unknown_field(doc, ("workload", "transcript"), "fixture"))
     spec = transcript.spec
     workload = build_workload(doc["workload"], spec)
     placement = make_placement(spec)

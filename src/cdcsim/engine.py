@@ -9,12 +9,13 @@ the values it decoded, and a pass/fail comparison against a single-machine refer
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb, inf as _INF
+from math import comb
 
 from .codec import (
     decode_cdc_s1,
@@ -379,6 +380,13 @@ def expect_json(value, kind: type, field: str):
     return value
 
 
+def unknown_field(obj: dict, keys: tuple, what: str) -> str:
+    """Why ``obj``, which holds every key of ``keys`` and more, is refused:
+    its first other key is not one of the ``what`` fields."""
+    extra = next(key for key in obj if key not in keys)
+    return f"{extra!r} is not one of the {what} fields {', '.join(keys)}"
+
+
 def _payload_from_json(obj: dict) -> tuple[int, int]:
     """The (bits, value) of a payload object: a non-negative width and a value
     that fits in it."""
@@ -386,6 +394,8 @@ def _payload_from_json(obj: dict) -> tuple[int, int]:
         bits, digits = obj.get("bits"), obj.get("hex")
         if type(bits) is int and type(digits) is str:
             value = int(digits, 16)
+            if len(obj) != 2:
+                raise ValueError(f"payload {unknown_field(obj, ('bits', 'hex'), 'payload')}")
             if bits < 0:
                 raise ValueError(f"negative bit length {bits}")
             if value < 0 or value >> bits:
@@ -427,8 +437,8 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
 
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
-    """Read a transcript back; an unknown scheme, or a field of the wrong type
-    or shape, raises ``ValueError`` naming it."""
+    """Read a transcript back; an unknown scheme, a missing or unknown field,
+    or a field of the wrong type or shape, raises ``ValueError`` naming it."""
     expect_json(obj, dict, "transcript")
     spec = obj.get("spec")
     if type(spec) is not dict or spec.keys() != set(SPEC_KEYS):
@@ -440,6 +450,9 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         raise ValueError(f"transcript scheme {scheme!r}: expected one of {', '.join(SCHEMES)}")
     keys = _META_KEYS[scheme]
     raw = expect_json(obj.get("broadcasts"), list, "transcript broadcasts")
+    if len(obj) != 3:
+        raise ValueError("transcript "
+                         + unknown_field(obj, ("scheme", "spec", "broadcasts"), "transcript"))
     nbits, values = [], []
     for i, b in enumerate(raw):
         if type(b) is not dict:
@@ -467,9 +480,9 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
             elif type(meta[key]) is not int:
                 raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
         if len(meta) != len(keys):
-            extra = next(key for key in meta if key not in keys)
-            raise ValueError(f"broadcast {i}: meta {extra!r} is not one of the {scheme} "
-                             f"meta fields {', '.join(keys)}")
+            raise ValueError(f"broadcast {i}: meta {unknown_field(meta, keys, scheme + ' meta')}")
+        if len(b) != len(_BROADCAST_KEYS):
+            raise ValueError(f"broadcast {i}: {unknown_field(b, _BROADCAST_KEYS, 'broadcast')}")
         try:
             for bits, value in map(_payload_from_json, b["payloads"]):
                 nbits.append(bits)
@@ -486,29 +499,20 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         [len(b["payloads"]) for b in raw], nbits, values))
 
 
-def _key(k) -> str:
-    # json sorts the keys first, then writes a number, bool or None key as
-    # the quoted text of the value
-    if isinstance(k, str):
-        return _quote(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _render(k, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _render(o, nl: str) -> str:
     """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a
     ``Rows`` as the list of its rows, where ``nl`` is the newline and indent
     of the line ``o`` starts on."""
-    # No object is two of dict, list, tuple, str, int and float, so testing
-    # containers first gives json's text.  Exact ints and strs, nearly every
-    # leaf of a transcript, are rendered in the item loop without a call.
+    # Containers are joined here, with exact ints and strs, nearly every leaf
+    # of a transcript, rendered in the item loop without a call.  Any other
+    # leaf or key is json's own text, and json's TypeError for what it cannot
+    # write; json sorts the items first, then writes a non-str key as text.
     inner = nl + "  "
     if isinstance(o, dict):
         if not o:
             return "{}"
         return "{" + inner + ("," + inner).join([
-            (_quote(k) if type(k) is str else _key(k)) + ": "
+            (_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
             + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
                else _render(v, inner)) for k, v in sorted(o.items())]) + nl + "}"
     if isinstance(o, (list, tuple)):
@@ -517,26 +521,12 @@ def _render(o, nl: str) -> str:
         return "[" + inner + ("," + inner).join([
             _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
             else _render(v, inner) for v in o]) + nl + "]"
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
     if type(o) is Rows:
         return _render_rows(o, nl)
     if type(o) is Slot:
         # _quote escapes NUL, so only a slot puts one in the text
         return "\0" + _quote(o.name) + "\0"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return json.dumps(o)
 
 
 def _render_rows(rows: Rows, nl: str) -> str:

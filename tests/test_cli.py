@@ -772,6 +772,14 @@ class TestFixture:
          "meta 'extra' is not one of the cdc meta fields group, component"),
         ("cdc-ld", ("meta", "n"), 1,
          "meta 'n' is not one of the cdc-ld meta fields ell, rho, msg_len"),
+        ("uncoded", ("extra",), 1,
+         "'extra' is not one of the broadcast fields sender, kind, meta, payloads"),
+        ("cdc-ld", ("q",), 1,
+         "'q' is not one of the broadcast fields sender, kind, meta, payloads"),
+        ("cdc", ("payloads", 0, "extra"), 1,
+         "payload 'extra' is not one of the payload fields bits, hex"),
+        ("cdc-ld", ("payloads", 0, "rho"), 2,
+         "payload 'rho' is not one of the payload fields bits, hex"),
         # a broadcast's kind is its transcript's scheme, as its meta fields are
         ("uncoded", ("kind",), "bogus", "kind 'bogus' is not the transcript's scheme 'uncoded'"),
         ("cdc", ("kind",), "bogus", "kind 'bogus' is not the transcript's scheme 'cdc'"),
@@ -784,6 +792,8 @@ class TestFixture:
             "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
             "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
             "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n",
+            "uncoded-broadcast-extra", "cdc-ld-broadcast-q", "cdc-payload-extra",
+            "cdc-ld-payload-rho",
             "uncoded-kind-bogus", "cdc-kind-bogus", "cdc-ld-kind-cdc", "uncoded-bits-negative",
             "uncoded-hex-too-wide"])
     def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field_path,
@@ -968,6 +978,28 @@ class TestFixture:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scheme", ["uncoded", "cdc", "cdc-ld"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(extra=1),
+         "fixture document 'extra' is not one of the fixture fields workload, transcript"),
+        (lambda d: d.update(placement={}),
+         "fixture document 'placement' is not one of the fixture fields workload, transcript"),
+        (lambda d: d["transcript"].update(extra=None),
+         "transcript 'extra' is not one of the transcript fields scheme, spec, broadcasts"),
+        (lambda d: d["transcript"].update(workload={}),
+         "transcript 'workload' is not one of the transcript fields scheme, spec, broadcasts"),
+    ], ids=["document-extra", "document-placement", "transcript-extra", "transcript-workload"])
+    def test_unknown_document_key_exits_2(self, tmp_path, capsys, scheme, edit, message):
+        # the same golden fixture without the key replays pass
+        doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+        assert replay_fixture(doc) == "pass"
+        edit(doc)
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_flags_define_the_job(self, tmp_path):
         assert main(["fixture", "--K", "5", "--N", "10", "--Q", "5", "--r", "3", "--s", "1",
