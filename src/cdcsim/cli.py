@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, OverflowError) as exc:
         return _fail(exc)
 
 

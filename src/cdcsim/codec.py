@@ -205,20 +205,28 @@ def full_message(k: int, group: Sequence[int], placement: Placement,
     return pack(encode_cdc(k, group, placement, values), segment_width(placement.spec, len(group)))
 
 
+def decode_uncoded(k: int, slots: list, values: ValueTable, placement: Placement) -> list:
+    """Node k's table (``own_columns``) from an uncoded shuffle's Q*N
+    ``slots`` (``engine.validate_transcript``): every node hears every
+    broadcast and reads its own functions' slots."""
+    funcs, N = placement.node_funcs[k], placement.spec.N
+    return own_columns(k, placement, values, slots[(funcs[0] - 1) * N:funcs[-1] * N])
+
+
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
                   values: ValueTable, placement: Placement) -> list[int]:
     """Recover node k's missing values by XOR peeling (single-copy reduce
     only) and return node k's table (``own_columns``).
 
-    ``received`` maps (sender, group) to that sender's broadcast payload.  In
-    each group containing k, every other member's message leaves exactly one
-    unknown segment once k cancels the segments it can rebuild from its own
-    map results; the r recovered segments reassemble the symbol holding k's
-    wanted values for that group: its functions on the group's file batch.
-    ``values`` is the job's store, read in place: only the values of files k
-    mapped are read from it.  Payload lengths are
-    ``engine.validate_transcript``'s to check; a recovered symbol whose zero
-    padding is not zero raises ``ValueError``, and a value no payload
+    ``received`` maps (sender, group) to that sender's message, as
+    ``engine.validate_transcript`` returns them; their lengths are its to
+    check.  In each group containing k, every other member's message leaves
+    exactly one unknown segment once k cancels the segments it can rebuild
+    from its own map results; the r recovered segments reassemble the symbol
+    holding k's wanted values for that group: its functions on the group's
+    file batch.  ``values`` is the job's store, read in place: only the
+    values of files k mapped are read from it.  A recovered symbol whose zero
+    padding is not zero raises ``ValueError``, and a value no message
     recovers ``IncompleteShuffleError`` (``require_complete``).
     """
     spec = placement.spec

@@ -10,7 +10,6 @@ the values it decoded, and a pass/fail comparison against a single-machine refer
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -19,6 +18,7 @@ from math import comb
 
 from .codec import (
     decode_cdc_s1,
+    decode_uncoded,
     encode_cdc,
     full_message,
     groups_containing,
@@ -26,7 +26,6 @@ from .codec import (
     ld_decompress,
     message_width,
     multicast_coverage,
-    own_columns,
     require_complete,
     segment_width,
 )
@@ -160,16 +159,16 @@ def run_cdc_ld_shuffle(placement: Placement, store: ValueTable) -> ShuffleTransc
 
 
 def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> list | dict:
-    """Check that a transcript holds, one to one, the broadcasts its scheme
-    sends for this job, and return their payloads.
+    """Check that a transcript holds, one to one and in any order, the
+    broadcasts its scheme sends for this job, and return what a node hears.
 
     uncoded (s=1 only) sends one T-bit payload per needed (q, n), from a node
     that mapped file n, returned as a list of Q*N slots: the value of (q, n)
     at index (q-1)*N + n-1, ``None`` where nothing was sent.  cdc sends one
-    ``segment_width``-bit payload per (sender, group, component), returned
-    by that key as its value; cdc-ld per (sender, ell) rho independent basis
-    rows of msg_len = ``message_width`` bits and C(K-1, ell-1) coefficient
-    rows of rho bits, returned by (sender, ell) as a ``BasisDecomposition``.
+    ``segment_width``-bit payload per (sender, group, component); cdc-ld per
+    (sender, ell) rho independent basis rows of msg_len = ``message_width``
+    bits and C(K-1, ell-1) coefficient rows of rho bits.  Both return the
+    messages by (sender, group), laid out as ``full_message`` lays them out.
     Every payload value must fit in its width.  A bad, repeated or missing
     broadcast raises ``ValueError``, a missing one named by its key.
     """
@@ -204,7 +203,6 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
                              if slots[(q - 1) * N + n - 1] is None)
             raise ValueError(f"no uncoded broadcast for {missing}")
         return slots
-    got: dict = {}
     if scheme == "cdc":
         keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
                 for c in range(1, comb(ell - 2, r - 1) + 1)}
@@ -213,6 +211,9 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     widths = {ell: segment_width(spec, ell) for ell in sizes}
+    # a repeated or missing broadcast is named by its wire key, not its message's
+    seen: set = set()
+    got: dict = {}
     end = 0
     for i, (sender, count, meta) in enumerate(zip(
             cols.senders, cols.counts, zip(*[cols.meta[field] for field in _META_KEYS[scheme]]))):
@@ -233,8 +234,9 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
                 raise ValueError(f"broadcast {i}: msg_len {msg_len} and rho {rho}, "
                                  f"expected msg_len {ncols} and rho in 0..{ncols}")
             lengths = [ncols] * rho + [rho] * comb(K - 1, ell - 1)
-        if key in got:
+        if key in seen:
             raise ValueError(f"broadcast {i}: second broadcast for {key}")
+        seen.add(key)
         if nbits[first:end] != lengths:
             raise ValueError(f"broadcast {i}: payloads of {nbits[first:end]} bits for {key}, "
                              f"expected {lengths}")
@@ -243,13 +245,15 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
             if v >> n:
                 raise ValueError(f"broadcast {i}: payload {j} for {key} does not fit in {n} bits")
         if scheme == "cdc":
-            got[key] = rows[0]
+            pair = sender, group
+            got[pair] = got.get(pair, 0) | rows[0] << (component - 1) * lengths[0]
         elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
             raise ValueError(f"broadcast {i}: its {rho} basis rows have rank {rank}")
         else:
-            got[key] = BasisDecomposition(basis=rows[:rho], coeffs=rows[rho:], ncols=ncols)
-    if len(got) < len(keys):
-        raise ValueError(f"no {scheme} broadcast for {sorted(keys - got.keys())}")
+            got.update(zip([(sender, g) for g in groups_containing(spec, sender, ell)],
+                           ld_decompress(BasisDecomposition(rows[:rho], rows[rho:], ncols))))
+    if len(seen) < len(keys):
+        raise ValueError(f"no {scheme} broadcast for {sorted(keys - seen)}")
     return got
 
 
@@ -258,28 +262,6 @@ def _foreign(i: int, cols: Broadcasts, scheme: str) -> ValueError:
     meta = {field: column[i] for field, column in cols.meta.items()}
     return ValueError(f"broadcast {i}: {scheme} {meta} from node {cols.senders[i]} is not one "
                       f"of the job's {scheme} broadcasts")
-
-
-def node_decoder(placement: Placement, store: ValueTable, scheme: str,
-                 got) -> Callable[[int], list[int]]:
-    """A function from node k to node k's table (``codec.own_columns``):
-    its functions' values on every file, the values it needs decoded from
-    ``got``, what ``validate_transcript`` returned for an s=1 transcript.  A
-    coded node decodes its own values with ``decode_cdc_s1`` on each call."""
-    if scheme == "uncoded":
-        # every node hears every broadcast, and reads its functions' slots
-        def table_of(k: int) -> list[int]:
-            funcs, N = placement.node_funcs[k], placement.spec.N
-            return own_columns(k, placement, store,
-                               got[(funcs[0] - 1) * N:funcs[-1] * N])
-        return table_of
-    # at s=1 every cdc broadcast is component 1 of its group's message
-    if scheme == "cdc":
-        received = {(j, group): p for (j, group, _), p in got.items()}
-    else:
-        received = {(j, group): msg for (j, ell), d in got.items() for group, msg in
-                    zip(groups_containing(placement.spec, j, ell), ld_decompress(d))}
-    return lambda k: decode_cdc_s1(k, received, store, placement)
 
 
 def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> dict[int, int]:
@@ -296,8 +278,8 @@ def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> di
 def decode_and_verify(placement: Placement, store: ValueTable, transcript: ShuffleTranscript,
                       workload):
     """Validate a transcript with ``validate_transcript``, then one node at a
-    time decode its table (``node_decoder``) and reduce (``reduce_phase``),
-    and compare every output to the reference.
+    time decode its table (``decode_uncoded`` or ``decode_cdc_s1``) and
+    reduce (``reduce_phase``), and compare every output to the reference.
 
     Returns (outputs, reference, verification).  With s >= 2 no decoder
     exists: the multicast structure is checked to cover every node's demand
@@ -316,8 +298,8 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
                 raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"
 
-    table_of = node_decoder(placement, store, transcript.scheme, got)
-    outputs = {k: reduce_phase(placement, k, table_of(k), workload)
+    decode = decode_uncoded if transcript.scheme == "uncoded" else decode_cdc_s1
+    outputs = {k: reduce_phase(placement, k, decode(k, got, store, placement), workload)
                for k in range(1, spec.K + 1)}
     reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
     ok = all(v == reference[q] for out in outputs.values() for q, v in out.items())

@@ -27,8 +27,8 @@ from cdcsim.analytics import (
     tradeoff_sweep,
 )
 from cdcsim.cli import main
-from cdcsim.codec import full_message, groups_containing, ld_compress
-from cdcsim.engine import node_decoder, run, run_cdc_ld_shuffle, validate_transcript
+from cdcsim.codec import decode_cdc_s1, full_message, groups_containing, ld_compress
+from cdcsim.engine import run, run_cdc_ld_shuffle, validate_transcript
 from cdcsim.gf2 import Gf2Matrix, ext_field, rank_and_basis, reconstruct
 from cdcsim.placement import JobSpec, make_placement
 from cdcsim.workloads import (
@@ -156,13 +156,13 @@ def test_criterion_3_end_to_end_randomized():
                 # compress -> decompress -> decode recovered the exact bits,
                 # read from the node-by-node decoding the run verified with
                 placement = make_placement(spec)
-                table_of = node_decoder(placement, store, scheme,
-                                        validate_transcript(placement, result.transcript))
+                got = validate_transcript(placement, result.transcript)
                 for k in range(1, spec.K + 1):
                     # node k's functions on every file, its needed values
                     # among them, each bit for bit
-                    assert table_of(k) == [store.join((q,), n, 1) for q in placement.node_funcs[k]
-                                           for n in range(1, spec.N + 1)]
+                    assert decode_cdc_s1(k, got, store, placement) == [
+                        store.join((q,), n, 1) for q in placement.node_funcs[k]
+                        for n in range(1, spec.N + 1)]
         cases += 1
     assert cases >= 100
     report(3, f"{cases} randomized specs: all schemes match the reference bit-exactly")

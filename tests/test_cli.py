@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import pathlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -274,6 +275,29 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: {deep}: JSON nested too deeply to read\n"
         assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--K", "4", "--N", "6", "--Q", "4", "--r", "2", "--s", "1",
+         "--T", "100000000000", "--out-dir", "OUT"],
+        ["run", "--K", "2", "--N", "2" + "0" * 30, "--Q", "2", "--r", "1", "--s", "1",
+         "--T", "8", "--out-dir", "OUT"],
+        ["fixture", "--input", "BIG_T"],
+    ], ids=["run-T", "run-N", "fixture-T"])
+    def test_overflowing_spec_number_exits_2(self, tmp_path, capsys, argv):
+        # a spec number too large for a machine int or shift: a one-line
+        # error, not an OverflowError traceback; the fixture is the golden
+        # cdc-ld one with T = 10**30
+        doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-cdc-ld.json").read_text())
+        doc["transcript"]["spec"]["T"] = 10 ** 30
+        big = tmp_path / "big-t.json"
+        big.write_text(json.dumps(doc))
+        paths = {"BIG_T": str(big), "OUT": str(tmp_path / "out")}
+        assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*(too large to convert|too many digits)[^\n]*\n",
+                            captured.err)
+        assert [p.name for p in tmp_path.iterdir()] == ["big-t.json"]
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out-dir", str(tmp_path)])

@@ -15,18 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim.codec import (IncompleteShuffleError, build_vset, full_message, groups_containing,
-                          ld_compress, own_columns)
+from cdcsim.codec import (IncompleteShuffleError, build_vset, decode_cdc_s1, decode_uncoded,
+                          full_message, groups_containing, ld_compress, own_columns)
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
     Rows,
+    ShuffleTranscript,
     Slot,
     UnsupportedCombinationError,
     _payload_from_json,
     decode_and_verify,
     dump_json,
-    node_decoder,
     reduce_phase,
     run,
     run_cdc_ld_shuffle,
@@ -37,7 +37,7 @@ from cdcsim.engine import (
     validate_transcript,
 )
 from cdcsim.gf2 import Gf2Matrix, pack
-from cdcsim.placement import JobSpec, group_sizes, make_placement, needed_values
+from cdcsim.placement import JobSpec, group_sizes, ksubsets, make_placement, needed_values
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     LinearTransformWorkload,
@@ -231,6 +231,51 @@ class TestPayloadRange:
             validate_transcript(placement, transcript)
 
 
+def reversed_broadcasts(cols: Broadcasts) -> Broadcasts:
+    """The same broadcasts in reverse order, each with its payloads in order."""
+    firsts = list(accumulate(cols.counts, initial=0))
+    spans = [range(first, first + count) for first, count in zip(firsts, cols.counts)][::-1]
+    return Broadcasts(cols.senders[::-1], {field: column[::-1] for field, column in
+                                           cols.meta.items()}, cols.counts[::-1],
+                      [cols.nbits[j] for span in spans for j in span],
+                      [cols.values[j] for span in spans for j in span])
+
+
+S1_SPEC = JobSpec(K=5, N=10, Q=5, r=2, s=1, T=8)
+S2_SPEC = JobSpec(K=5, N=10, Q=10, r=2, s=2, T=8)
+
+
+class TestReceivedMessages:
+    """A node hears the same thing from either coded scheme: one message
+    per (sender, group), laid out as ``full_message`` lays it out, in
+    whatever order the broadcasts come."""
+
+    @pytest.mark.parametrize("spec", [S1_SPEC, S2_SPEC], ids=["s1", "s2"])
+    def test_cdc_and_cdc_ld_validate_to_the_full_messages(self, spec):
+        workload = SyntheticRankWorkload(seed=7, duplicate_prob=0.5)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        want = {(k, g): full_message(k, g, placement, store)
+                for ell in group_sizes(spec.K, spec.r, spec.s)
+                for g in ksubsets(spec.K, ell) for k in g}
+        cdc = validate_transcript(placement, run_cdc_shuffle(placement, store))
+        cdc_ld = validate_transcript(placement, run_cdc_ld_shuffle(placement, store))
+        assert cdc == cdc_ld == want
+
+    @pytest.mark.parametrize("spec, scheme", [
+        (S1_SPEC, "uncoded"), (S1_SPEC, "cdc"), (S1_SPEC, "cdc-ld"),
+        (S2_SPEC, "cdc"), (S2_SPEC, "cdc-ld")],
+        ids=["s1-uncoded", "s1-cdc", "s1-cdc-ld", "s2-cdc", "s2-cdc-ld"])
+    def test_reversed_broadcasts_validate_alike(self, spec, scheme):
+        placement = make_placement(spec)
+        transcript = run(spec, SyntheticRankWorkload(seed=7, duplicate_prob=0.5),
+                         scheme).transcript
+        backwards = ShuffleTranscript(scheme, spec, reversed_broadcasts(transcript.broadcasts))
+        assert backwards.broadcasts.senders != transcript.broadcasts.senders
+        assert sorted(backwards.broadcasts.values) == sorted(transcript.broadcasts.values)
+        assert validate_transcript(placement, backwards) == validate_transcript(
+            placement, transcript)
+
+
 @pytest.mark.parametrize("T", [6, 8, 16, 33, 64, 70])
 def test_node_values_bytes_match_per_value_join(T):
     # whole-word widths pack through struct, the rest value by value; the
@@ -328,7 +373,8 @@ class TestSchemeEquivalence:
                                               for q in range(1, Q + 1)])
                     funcs = placement.node_funcs[k]
                     assert len(funcs) == Q // spec.K
-                    assert node_decoder(placement, local, scheme, got)(k) == [
+                    decode = decode_uncoded if scheme == "uncoded" else decode_cdc_s1
+                    assert decode(k, got, local, placement) == [
                         store.join((q,), n, 1) for q in funcs for n in range(1, spec.N + 1)]
 
 
