@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import analytics, engine
 from .codec import IncompleteShuffleError
-from .engine import UnsupportedCombinationError, dump_json
+from .engine import UnsupportedCombinationError, write_json
 from .placement import SPEC_KEYS, JobSpec, make_placement, placement_to_json
 from .workloads import (
     CodedLinearTransformWorkload,
@@ -216,6 +216,13 @@ def result_to_json(result: engine.RunResult, report: analytics.LoadReport, workl
     return doc
 
 
+def _write_json(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` as ``engine.dump_json`` renders it, straight
+    to the file, never as one string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(doc, fh)
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -241,8 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
           analytics.fmt12(report.load_analytic),
           analytics.fmt12(report.deviation)]],
     )
-    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(result_to_json(result, report, workload)))
+    _write_json(os.path.join(out_dir, "result.json"), result_to_json(result, report, workload))
 
     total = sum(result.bits_by_node.values())
     print(f"scheme={scheme} bits={total} load={result.load_empirical} "
@@ -295,8 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [[str(cell) if isinstance(cell, int) else analytics.fmt12(cell)
           for cell in astuple(row)] for row in rows],
     )
-    with open(os.path.join(out_dir, f"{kind}.meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(meta))
+    _write_json(os.path.join(out_dir, f"{kind}.meta.json"), meta)
     print(f"wrote {kind} table to {out_dir}")
     return EXIT_OK
 
@@ -365,15 +370,12 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     workload = build_workload(workload_desc, spec)
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "placement.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(placement_to_json(make_placement(spec))))
+    _write_json(os.path.join(out_dir, "placement.json"), placement_to_json(make_placement(spec)))
     verdicts = []
     for scheme in engine.SCHEMES:
         result = engine.run(spec, workload, scheme)
-        doc = fixture_to_json(result, workload_desc)
         path = os.path.join(out_dir, f"fixture-{scheme}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(doc))
+        _write_json(path, fixture_to_json(result, workload_desc))
         verdicts.append(result.verification)
         print(f"wrote {path} ({result.verification})")
     return EXIT_VERIFY if "fail" in verdicts else EXIT_OK

@@ -9,6 +9,7 @@ the values it decoded, and a pass/fail comparison against a single-machine refer
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -481,49 +482,75 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
         [len(b["payloads"]) for b in raw], nbits, values))
 
 
-def _render(o, nl: str) -> str:
-    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a
-    ``Rows`` as the list of its rows, where ``nl`` is the newline and indent
-    of the line ``o`` starts on."""
-    # Containers are joined here, with exact ints and strs, nearly every leaf
-    # of a transcript, rendered in the item loop without a call.  Any other
-    # leaf or key is json's own text, and json's TypeError for what it cannot
-    # write; json sorts the items first, then writes a non-str key as text.
+def _render(o, nl: str, write) -> None:
+    """Pass ``o`` to ``write`` in pieces, in document order, as
+    ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a ``Rows`` as the
+    list of its rows, where ``nl`` is the newline and indent of the line ``o``
+    starts on."""
+    # Containers are walked here, with exact ints and strs, nearly every leaf
+    # of a transcript, written with their item's head without a call.  Any
+    # other leaf or key is json's own text, and json's TypeError for what it
+    # cannot write; json sorts the items first, then writes a non-str key as text.
     inner = nl + "  "
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            (_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
-            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-               else _render(v, inner)) for k, v in sorted(o.items())]) + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-            else _render(v, inner) for v in o]) + nl + "]"
-    if type(o) is Rows:
-        return _render_rows(o, nl)
-    if type(o) is Slot:
+        # each key is written just before its value, as json writes them
+        opener, closer = "{", "}"
+        items = (((_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": ", v)
+                 for k, v in sorted(o.items()))
+    elif isinstance(o, (list, tuple)):
+        # a list of exact ints and strs only, such as a cdc group, is one piece
+        # from one comprehension: walked item by item, cdc writes took 20 % longer
+        texts = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else None
+                 for v in o]
+        if o and None not in texts:
+            return write("[" + inner + ("," + inner).join(texts) + nl + "]")
+        opener, closer, items = "[", "]", zip(repeat(""), o)
+    elif type(o) is Rows:
+        return _render_rows(o, nl, write)
+    elif type(o) is Slot:
         # _quote escapes NUL, so only a slot puts one in the text
-        return "\0" + _quote(o.name) + "\0"
-    return json.dumps(o)
+        return write("\0" + _quote(o.name) + "\0")
+    else:
+        return write(json.dumps(o))
+    if not o:
+        return write(opener + closer)
+    # a run of leaf items is joined into one piece, written before the next
+    # container; the "" left after a container puts a comma before the next item
+    start, comma, texts = opener + inner, "," + inner, []
+    for head, v in items:
+        if type(v) is str:
+            texts.append(head + _quote(v))
+        elif type(v) is int:
+            texts.append(head + int.__repr__(v))
+        else:
+            texts.append(head)
+            write(start + comma.join(texts))
+            _render(v, inner, write)
+            start, texts = "", [""]
+    write(start + comma.join(texts) + nl + closer)
 
 
-def _render_rows(rows: Rows, nl: str) -> str:
-    """``rows`` as ``_render`` renders the list of its rows: the skeleton is
-    rendered once into a ``%``-template with a ``%s`` per slot, and the
-    template is filled a row at a time."""
+def _text(o, nl: str) -> str:
+    """``o`` as ``_render`` writes it, as one string: for a skeleton or one
+    row's value, whose few pieces a list joins faster than a ``StringIO``."""
+    pieces = []
+    _render(o, nl, pieces.append)
+    return "".join(pieces)
+
+
+def _render_rows(rows: Rows, nl: str, write) -> None:
+    """Write ``rows`` as ``_render`` writes the list of its rows: the skeleton
+    is rendered once into a ``%``-template with a ``%s`` per slot, and the
+    template is filled a row at a time, each chunk of rows one piece."""
     lengths = {len(column) for column in rows.columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"Rows columns of {sorted(lengths)} values, expected one length")
     if not (n := max(lengths, default=0)):
-        return "[]"
+        return write("[]")
     inner = nl + "  "
     # text and quoted slot names alternate; each slot is on a line of its
     # own, and that line's newline and indent is the slot value's nl
-    parts = (inner + _render(rows.skeleton, inner)).split("\0")
+    parts = (inner + _text(rows.skeleton, inner)).split("\0")
     by_marker = {_quote(name): column for name, column in rows.columns.items()}
     filled = []
     for before, marker in zip(parts[::2], parts[1::2]):
@@ -536,15 +563,24 @@ def _render_rows(rows: Rows, nl: str) -> str:
         else:
             line = before[before.rfind("\n"):]
             value_nl = line[:len(line) - len(line[1:].lstrip(" "))]
-            filled.append(map(_render, column, repeat(value_nl)))
+            filled.append(map(_text, column, repeat(value_nl)))
     template = "%s".join([text.replace("%", "%%") for text in parts[::2]])[len(inner):]
     lines = map(template.__mod__, zip(*filled)) if filled else repeat(template % (), n)
     sep = "," + inner
-    pieces = ["[", inner]
+    head = "[" + inner
     while chunk := sep.join(islice(lines, _ROWS_PER_CHUNK)):
-        pieces += (chunk, sep)
-    pieces[-1] = nl + "]"
-    return "".join(pieces)
+        write(head)
+        write(chunk)
+        head = sep
+    write(nl + "]")
+
+
+def write_json(obj, fh) -> None:
+    """Write ``obj`` to the open text file ``fh`` as ``dump_json`` renders it,
+    piece by piece, so the whole text is never held; the trailing newline is
+    its own piece."""
+    _render(obj, "\n", fh.write)
+    fh.write("\n")
 
 
 def dump_json(obj) -> str:
@@ -554,7 +590,11 @@ def dump_json(obj) -> str:
     indent=2) + "\\n"``: sorted keys, 2-space indent, ASCII escapes and a
     trailing newline.  A ``Rows`` value is written as the list of its rows,
     each from one template of its skeleton, in chunks of rows, so no list of
-    every row is held.  Unlike ``json.dumps``, a document that contains itself
-    raises ``RecursionError``; the package never builds one.
+    every row is held.  The pieces go into one ``io.StringIO``: a list of
+    every piece would hold each piece's object as well.  ``write_json``
+    writes the same text to a file.  Unlike ``json.dumps``, a document that
+    contains itself raises ``RecursionError``; the package never builds one.
     """
-    return _render(obj, "\n") + "\n"
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()

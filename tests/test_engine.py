@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -35,6 +37,7 @@ from cdcsim.engine import (
     transcript_from_json,
     transcript_to_json,
     validate_transcript,
+    write_json,
 )
 from cdcsim.gf2 import Gf2Matrix, pack
 from cdcsim.placement import JobSpec, group_sizes, ksubsets, make_placement, needed_values
@@ -711,6 +714,60 @@ class TestRows:
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="expected one length"):
             dump_json(Rows({"a": Slot("a"), "b": Slot("b")}, {"a": [1, 2], "b": [3]}))
+
+
+# values json rejects, alone or after a sibling that it writes; the Fraction
+# key sorts among int keys, and json rejects it only when it reaches it
+UNWRITABLE = st.sampled_from([
+    {1, 2}, b"ab", Gf2Matrix((3,), 2), {(1, 2): 0}, {1: "a", "b": 2},
+    {1: [0, {2}], Fraction(3, 2): 0}, {0: "a", Fraction(1, 2): {3}}])
+
+
+class TestWriteJson:
+    """``write_json`` passes a file the text ``dump_json`` returns, piece by
+    piece."""
+
+    @staticmethod
+    def written_to_file(obj) -> str:
+        out = io.StringIO()
+        write_json(obj, out)
+        return out.getvalue()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(obj=JSON_TREES | rows_values())
+    def test_writes_what_dump_json_returns(self, obj):
+        assert self.written_to_file(obj) == dump_json(obj)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(before=st.lists(JSON_TREES, max_size=2), bad=UNWRITABLE,
+           after=st.lists(JSON_TREES | UNWRITABLE, max_size=2))
+    def test_raises_json_own_type_error(self, before, bad, after):
+        obj = before + [bad] + after
+        with pytest.raises(TypeError) as expected:
+            stdlib_json(obj)
+        for render in (dump_json, self.written_to_file):
+            with pytest.raises(TypeError) as got:
+                render(obj)
+            assert str(got.value) == str(expected.value)
+
+    def test_file_write_peak_memory(self):
+        # the paper-fig4 uncoded fixture document, 30 240 broadcasts as rows
+        # and about 7.5 MB of text, goes to the file a chunk of rows at a
+        # time; rendered as one string it peaks near 15 MB
+        spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
+        transcript = run_uncoded_shuffle(make_placement(spec),
+                                         SyntheticRankWorkload(seed=1).build_store(spec))
+        doc = {"workload": {"kind": "synthetic", "seed": 1},
+               "transcript": transcript_to_json(transcript)}
+        assert len(doc["transcript"]["broadcasts"].columns["sender"]) == 30_240
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                write_json(doc, fh)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def _int16(text: str) -> int | None:
