@@ -78,12 +78,15 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
     A function index q qualifies when every non-holder in the group wants it
     and nobody outside the group does, i.e. its reduce batch is an s-subset
     of the group containing every receiver; a file index n qualifies when it
-    is held by exactly the holder subset.  The set's (q, n) pairs are
-    ``product(qs, ns)``, sorted by q then n.  Each value set is built once per
-    placement and kept in ``placement.vsets`` under its sorted group and
-    holders; a repeat call returns the same object.  Sorted tuples, as every
-    engine caller passes, are answered by one probe; other arguments are
-    sorted into the key.
+    is held by exactly the holder subset.  Those s-subsets are the receivers
+    joined with each (s - |receivers|)-subset of the holders, so a miss
+    lists its C(r, ell - s) batches without scanning all C(ell, s) subsets
+    of the group.  The set's (q, n) pairs are ``product(qs, ns)``, sorted by
+    q then n.  Each value set is built once per placement and kept in
+    ``placement.vsets`` under its sorted group and holders; a repeat call
+    returns the same object.  Sorted tuples, as every engine caller passes,
+    are answered by one probe; other arguments are sorted into the key.  A
+    group or holders that repeat a node raise ``ValueError``.
     """
     try:
         return placement.vsets[group, holders]
@@ -99,11 +102,13 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
         raise ValueError(f"group size {ell} invalid for r={spec.r}, s={spec.s}, K={spec.K}")
     if len(holders) != spec.r or not set(holders) <= set(group):
         raise ValueError(f"holders {holders} must be an r={spec.r} subset of group {group}")
+    if len(set(group)) != ell or len(set(holders)) != spec.r:
+        raise ValueError(f"group {group} with holders {holders} repeats a node")
 
-    receivers = set(group) - set(holders)
+    receivers = tuple(k for k in group if k not in holders)
     qs = tuple(sorted(chain.from_iterable(
-        placement.reduce_batches[subset]
-        for subset in combinations(group, spec.s) if receivers <= set(subset)
+        placement.reduce_batches[tuple(sorted(receivers + extra))]
+        for extra in combinations(holders, spec.s - len(receivers))
     )))
     ns = placement.file_batches[holders]
     expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
@@ -541,7 +541,10 @@ def _text(o, nl: str) -> str:
 def _render_rows(rows: Rows, nl: str, write) -> None:
     """Write ``rows`` as ``_render`` writes the list of its rows: the skeleton
     is rendered once into a ``%``-template with a ``%s`` per slot, and the
-    template is filled a row at a time, each chunk of rows one piece."""
+    template is filled a row at a time, each chunk of rows one piece.  A
+    column of exact ints or strs is formatted cell by cell without a call to
+    ``_render``; a column of tuples of exact ints, such as a cdc ``group``,
+    is rendered once per distinct tuple."""
     lengths = {len(column) for column in rows.columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"Rows columns of {sorted(lengths)} values, expected one length")
@@ -563,7 +566,13 @@ def _render_rows(rows: Rows, nl: str, write) -> None:
         else:
             line = before[before.rfind("\n"):]
             value_nl = line[:len(line) - len(line[1:].lstrip(" "))]
-            filled.append(map(_text, column, repeat(value_nl)))
+            if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
+                # a cdc group: one text per distinct group, not per row.  Only
+                # exact ints, as (True, 2) and (1.0, 2) equal (1, 2) as keys
+                texts = {value: _text(value, value_nl) for value in dict.fromkeys(column)}
+                filled.append(map(texts.__getitem__, column))
+            else:
+                filled.append(map(_text, column, repeat(value_nl)))
     template = "%s".join([text.replace("%", "%%") for text in parts[::2]])[len(inner):]
     lines = map(template.__mod__, zip(*filled)) if filled else repeat(template % (), n)
     sep = "," + inner

@@ -61,10 +61,12 @@ class TestVSet:
                 assert len(value_ids) == spec.eta1 * spec.eta2
 
     def test_matches_membership_oracle(self):
-        for K, r, s in ((5, 2, 2), (5, 1, 1), (5, 2, 1), (5, 1, 3), (5, 2, 3), (6, 3, 3)):
-            spec = JobSpec(K=K, N=2 * comb(K, r), Q=2 * comb(K, s), r=r, s=s, T=4)
+        # every spec with K = 2..6 nodes, one batch per subset
+        specs = [(K, r, s) for K in range(2, 7) for r in range(1, K + 1) for s in range(1, K + 1)]
+        for K, r, s in specs:
+            spec = JobSpec(K=K, N=comb(K, r), Q=comb(K, s), r=r, s=s, T=4)
             placement = make_placement(spec)
-            for ell in range(max(r + 1, s), min(r + s, K) + 1):
+            for ell in group_sizes(K, r, s):
                 for group in combinations(range(1, K + 1), ell):
                     for holders in combinations(group, r):
                         qs, ns = build_vset(group, holders, placement)
@@ -133,6 +135,15 @@ class TestVSetCache:
             for _ in range(2):
                 with pytest.raises(ValueError):
                     build_vset(group, holders, placement)
+        assert placement.vsets == {}
+
+    def test_repeated_nodes_raise_and_are_not_cached(self):
+        # (1, 1, 2, 3) has a valid size and C(3, 2) subsets of its holders,
+        # as many as a value set of 4 distinct nodes lists
+        placement = make_placement(JobSpec(K=4, N=4, Q=6, r=3, s=2, T=4))
+        for group, holders in (((1, 1, 2, 3), (1, 2, 3)), ((1, 2, 3, 4), (1, 1, 2))):
+            with pytest.raises(ValueError, match="repeats a node"):
+                build_vset(group, holders, placement)
         assert placement.vsets == {}
 
 

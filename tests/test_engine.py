@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdcsim.engine
+from cdcsim.cli import build_workload, fixture_to_json
 from cdcsim.codec import (IncompleteShuffleError, build_vset, decode_cdc_s1, decode_uncoded,
                           full_message, groups_containing, ld_compress, own_columns)
 from cdcsim.engine import (
@@ -637,10 +639,12 @@ class TestDumpJson:
 # a NUL (the slot marker) and characters that need escapes.
 TEMPLATE_TEXT = st.sampled_from(["%", "%s", "%%d", "\0", "a\"b\\", "\n"]) | TEXT
 LEAVES = st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | FLOATS | TEMPLATE_TEXT
-# one column's values: all of one leaf type, or any mix of leaves and small
-# trees (a cdc group is a tuple)
+# one column's values: all of one leaf type, cdc groups (tuples of exact ints
+# from a pool small enough that a column of 2 or 3 rows repeats one), or any
+# mix of leaves and small trees
+CDC_GROUPS = st.sampled_from([(1, 2, 3), (2, 3, 5), (-1, 2 ** 70), ()])
 COLUMN_ELEMENTS = [st.integers(-2 ** 200, 2 ** 200), TEMPLATE_TEXT, st.booleans(), FLOATS,
-                   st.none(), st.recursive(LEAVES, lambda children: (
+                   st.none(), CDC_GROUPS, st.recursive(LEAVES, lambda children: (
                        st.lists(children, max_size=2) | st.tuples(children, children)
                        | st.dictionaries(TEMPLATE_TEXT, children, max_size=2)), max_leaves=4)]
 
@@ -710,6 +714,34 @@ class TestRows:
         rows = Rows({"i": Slot("i"), "pair": Slot("pair"), "kind": "x"},
                     {"i": list(range(600)), "pair": [(i, [i]) for i in range(600)]})
         assert dump_json({"rows": rows}) == stdlib_json({"rows": materialised(rows)})
+
+    @pytest.mark.parametrize("column", [
+        [(1, 2), (True, 2), (1.0, 2), (1, 2), (2, 1)],
+        [(1, [2]), (1, [2])],
+    ], ids=["equal-keys", "unhashable"])
+    def test_tuple_column_renders_each_cell_as_json(self, column):
+        # (1, 2), (True, 2) and (1.0, 2) are one dict key but three texts
+        rows = Rows({"group": Slot("group")}, {"group": column})
+        assert dump_json({"rows": rows}) == stdlib_json({"rows": materialised(rows)})
+
+    def test_cdc_groups_render_once_each(self, monkeypatch):
+        # the general-s cdc fixture names 154 groups across 2 128 broadcasts
+        tuples = []
+        text = cdcsim.engine._text
+
+        def counted(o, nl):
+            if type(o) is tuple:
+                tuples.append(o)
+            return text(o, nl)
+
+        spec = JobSpec(K=8, N=224, Q=56, r=3, s=3, T=64)
+        desc = {"kind": "synthetic", "seed": 1}
+        doc = fixture_to_json(run(spec, build_workload(desc, spec), "cdc"), desc)
+        groups = doc["transcript"]["broadcasts"].columns["group"]
+        monkeypatch.setattr(cdcsim.engine, "_text", counted)
+        dump_json(doc)
+        assert (len(groups), len(tuples)) == (2128, 154)
+        assert tuples == list(dict.fromkeys(groups))
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="expected one length"):
