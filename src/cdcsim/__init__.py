@@ -20,7 +20,7 @@ from .codec import (
     ld_decompress,
     segment_usymbol,
 )
-from .engine import RunResult, ShuffleTranscript, run, run_uncoded_shuffle
+from .engine import RunResult, ShuffleTranscript, run, run_on, run_uncoded_shuffle
 from .gf2 import (
     BasisDecomposition,
     Gf2ExtField,

@@ -370,10 +370,11 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     workload = build_workload(workload_desc, spec)
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "placement.json"), placement_to_json(make_placement(spec)))
+    placement, store = make_placement(spec), workload.build_store(spec)
+    _write_json(os.path.join(out_dir, "placement.json"), placement_to_json(placement))
     verdicts = []
     for scheme in engine.SCHEMES:
-        result = engine.run(spec, workload, scheme)
+        result = engine.run_on(placement, store, workload, scheme)
         path = os.path.join(out_dir, f"fixture-{scheme}.json")
         _write_json(path, fixture_to_json(result, workload_desc))
         verdicts.append(result.verification)

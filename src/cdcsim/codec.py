@@ -121,10 +121,10 @@ def build_vset(group: Sequence[int], holders: Sequence[int],
     return vset
 
 
-def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]],
-                    values: ValueTable) -> tuple[int, tuple[int, ...]]:
-    """Concatenate a value set of T-bit values and split it into r equal
-    segments, r and T the store's; returns the segment width and the segments.
+def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]], values: ValueTable,
+                    r: int) -> tuple[int, tuple[int, ...]]:
+    """Concatenate a value set of T-bit values (T the store's) and split it
+    into r equal segments; returns the segment width and the segments.
 
     ``vset`` is a value set as ``build_vset`` gives it: each of its functions
     on one run of consecutive files, q-major, so the concatenation joins one
@@ -132,17 +132,17 @@ def segment_usymbol(vset: tuple[Sequence[int], Sequence[int]],
     smallest holder.  The concatenation is zero-padded at the end to a
     multiple of r so the split is even; a receiver strips the padding by
     keeping len(qs) * len(ns) * T bits.  The result is kept in
-    ``values.segments``, so each value set is segmented once per table.
+    ``values.segments`` under (vset, r): one table serves every r, and at K=4
+    ((4,), (1,)) is a value set of r=1's and of r=3's, split 1 and 3 ways.
     """
-    segmented = values.segments.get(vset)
+    segmented = values.segments.get((vset, r))
     if segmented is None:
-        r, T = values.spec.r, values.spec.T
         qs, ns = vset
         payload = values.join(qs, ns[0], len(ns))
-        width = -(-len(qs) * len(ns) * T // r)
+        width = -(-len(qs) * len(ns) * values.T // r)
         mask = (1 << width) - 1
         parts = tuple(payload >> i * width & mask for i in range(r))
-        values.segments[vset] = segmented = width, parts
+        values.segments[vset, r] = segmented = width, parts
     return segmented
 
 
@@ -193,7 +193,7 @@ def encode_cdc(k: int, group: Sequence[int], placement: Placement,
     if k not in group:
         raise ValueError(f"sender {k} not in group {group}")
     # k's segment of every holder subset of the group it belongs to
-    segments = [segment_usymbol(build_vset(group, holders, placement), values)[1]
+    segments = [segment_usymbol(build_vset(group, holders, placement), values, spec.r)[1]
                 [holders.index(k)] for holders in combinations(group, spec.r) if k in holders]
     if spec.s == 1:
         acc = 0
@@ -253,7 +253,7 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
         local_segs = []
         for i in others:
             holders = tuple(h for h in group if h != i)
-            segs = segment_usymbol(build_vset(group, holders, placement), values)[1]
+            segs = segment_usymbol(build_vset(group, holders, placement), values, spec.r)[1]
             local_segs.append((i, holders, segs))
         symbol = 0
         for idx, (j, acc) in enumerate(zip(others, payloads)):

@@ -307,19 +307,28 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
     return outputs, reference, "pass" if ok else "fail"
 
 
-def run(spec: JobSpec, workload, scheme: str) -> RunResult:
-    """Execute one full job under the given shuffle scheme, then decode,
-    reduce and verify it with ``decode_and_verify`` (accounting and a
-    structural check only at s >= 2)."""
+def _shuffle(scheme: str):
+    """The shuffle of ``scheme``, looked up per call, so that a wrapper on a
+    module attribute (as perfbench's tracer installs one) is what runs."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    return {"uncoded": run_uncoded_shuffle, "cdc": run_cdc_shuffle,
+            "cdc-ld": run_cdc_ld_shuffle}[scheme]
 
-    # built per call, so a wrapper installed on a module attribute (as
-    # perfbench's tracer installs one) is the shuffle that runs
-    shuffle = {"uncoded": run_uncoded_shuffle, "cdc": run_cdc_shuffle,
-               "cdc-ld": run_cdc_ld_shuffle}[scheme]
-    placement = make_placement(spec)
-    store = workload.build_store(spec)
+
+def run(spec: JobSpec, workload, scheme: str) -> RunResult:
+    """``run_on`` a placement and a store built for the job, once the scheme is known."""
+    _shuffle(scheme)
+    return run_on(make_placement(spec), workload.build_store(spec), workload, scheme)
+
+
+def run_on(placement: Placement, store: ValueTable, workload, scheme: str) -> RunResult:
+    """Execute one full job under the given scheme on a built placement and a
+    store of the spec's Q, N and T (else ``ValueError``), then decode, reduce
+    and verify it with ``decode_and_verify`` (a structural check at s >= 2)."""
+    shuffle, spec = _shuffle(scheme), placement.spec
+    if (got := (store.Q, store.N, store.T)) != (want := (spec.Q, spec.N, spec.T)):
+        raise ValueError(f"a store of (Q, N, T) = {got} does not fit the spec's {want}")
     transcript = shuffle(placement, store)
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)

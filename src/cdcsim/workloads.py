@@ -41,18 +41,18 @@ class ValueTable:
 
     Values are held q-major, ceil(T/8) little-endian bytes each, in one
     ``bytes``, so a table holds no object per value, and a value is found by
-    index arithmetic.  ``segments`` is ``codec.segment_usymbol``'s memo of the
-    value sets it segmented from this table, kept as long as the table.
+    index arithmetic.  It keeps only Q, N and T, so it serves every K, r and s;
+    ``segments`` is ``codec.segment_usymbol``'s memo, by (value set, r).
     """
 
-    __slots__ = ("spec", "width", "data", "segments")
+    __slots__ = ("Q", "N", "T", "width", "data", "segments")
 
     def __init__(self, spec: JobSpec, rows: Iterable[Sequence[int]]):
-        self.spec, T, N = spec, spec.T, spec.N
+        self.Q, self.N, self.T = Q, N, T = spec.Q, spec.N, spec.T
         self.width = width = (T + 7) // 8
         self.segments: dict = {}
         chunks = []
-        for q, row in zip(range(1, spec.Q + 1), rows, strict=True):
+        for q, row in zip(range(1, Q + 1), rows, strict=True):
             if len(row) != N:
                 raise ValueError(f"row {q} has {len(row)} values, expected {N}")
             if min(row) < 0 or max(row) >> T:
@@ -68,26 +68,26 @@ class ValueTable:
     def rows(self, q: int, count: int) -> list[int]:
         """The rows of functions q..q+count-1 concatenated: function q+i's
         value on file n at index i*N + n-1."""
-        if count < 1 or q not in range(1, self.spec.Q + 2 - count):
+        if count < 1 or q not in range(1, self.Q + 2 - count):
             raise KeyError(q)
-        size = self.spec.N * self.width
+        size = self.N * self.width
         return unpack(int.from_bytes(self.data[(q - 1) * size:(q - 1 + count) * size], "little"),
-                      count * self.spec.N, 8 * self.width)
+                      count * self.N, 8 * self.width)
 
     def join(self, qs: Sequence[int], n: int, count: int) -> int:
         """The values of files n..n+count-1 for each function in ``qs``, in
         that order, concatenated as ``pack`` concatenates T-bit values."""
-        spec = self.spec
-        if count < 1 or n not in range(1, spec.N + 2 - count):
+        N, Q = self.N, self.Q
+        if count < 1 or n not in range(1, N + 2 - count):
             raise KeyError(n)
-        if qs and (min(qs) < 1 or max(qs) > spec.Q):
-            raise KeyError(next(q for q in qs if not 0 < q <= spec.Q))
-        stride, at, size = spec.N * self.width, (n - 1) * self.width, count * self.width
+        if qs and (min(qs) < 1 or max(qs) > Q):
+            raise KeyError(next(q for q in qs if not 0 < q <= Q))
+        stride, at, size = N * self.width, (n - 1) * self.width, count * self.width
         joined = int.from_bytes(b"".join([
             self.data[(q - 1) * stride + at:(q - 1) * stride + at + size] for q in qs]), "little")
         # whole bytes per value: a T that is not a multiple of 8 closes the gaps
-        return joined if spec.T % 8 == 0 else pack(
-            unpack(joined, len(qs) * count, 8 * self.width), spec.T)
+        return joined if self.T % 8 == 0 else pack(
+            unpack(joined, len(qs) * count, 8 * self.width), self.T)
 
 
 @dataclass(frozen=True)

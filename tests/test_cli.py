@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import functools
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim import analytics, engine
+from cdcsim import analytics, cli, engine
 from cdcsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -30,6 +31,7 @@ from cdcsim.cli import (
     result_to_json,
 )
 from cdcsim.placement import JobSpec, make_placement
+from cdcsim.workloads import WordCountWorkload
 from corpora import write_corpus
 from documents import written
 
@@ -651,6 +653,18 @@ class TestFixture:
                                 "to replay; a file-input workload's fixtures are written "
                                 "through --config\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "fx"]
+
+    def test_one_placement_and_one_map_serve_every_scheme(self, tmp_path, monkeypatch):
+        # placement.json and the three runs share one placement and one store
+        calls = collections.Counter()
+        build = WordCountWorkload.build_store
+        monkeypatch.setattr(WordCountWorkload, "build_store",
+                            lambda self, spec: calls.update(["build_store"]) or build(self, spec))
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "make_placement",
+                                lambda spec: calls.update(["make_placement"]) or make_placement(spec))
+        assert main(["fixture", "--preset", "paper-wordcount", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert calls == {"build_store": 1, "make_placement": 1}
 
     def test_replay_passes(self, tmp_path):
         assert main(["fixture", "--preset", "paper-wordcount", "--out-dir", str(tmp_path)]) == EXIT_OK

@@ -157,9 +157,9 @@ class TestSegmentMemo:
         for group in combinations(range(1, 5), 3):
             for holders in combinations(group, 2):
                 vset = build_vset(group, holders, placement)
-                seg_a = segment_usymbol(vset, a)
-                assert segment_usymbol(vset, b) != seg_a
-                assert segment_usymbol(vset, a) is seg_a
+                seg_a = segment_usymbol(vset, a, spec.r)
+                assert segment_usymbol(vset, b, spec.r) != seg_a
+                assert segment_usymbol(vset, a, spec.r) is seg_a
 
     @pytest.mark.parametrize("T", [6, 24, 64])
     def test_memoised_segments_match_a_fresh_table(self, T):
@@ -168,12 +168,27 @@ class TestSegmentMemo:
         store = SyntheticRankWorkload(seed=T).build_store(spec)
         vsets = [build_vset(group, holders, placement)
                  for group in combinations(range(1, 5), 3) for holders in combinations(group, 2)]
-        first = [segment_usymbol(vset, store) for vset in vsets]
+        first = [segment_usymbol(vset, store, spec.r) for vset in vsets]
         assert len(store.segments) == len(vsets)
         fresh = ValueTable(spec, map(store.row, range(1, spec.Q + 1)))
         for vset, segmented in zip(vsets, first):
-            assert segment_usymbol(vset, store) is segmented
-            assert segment_usymbol(vset, fresh) == segmented
+            assert segment_usymbol(vset, store, spec.r) is segmented
+            assert segment_usymbol(vset, fresh, spec.r) == segmented
+
+    @pytest.mark.parametrize("order", [(1, 3), (3, 1)])
+    def test_memo_is_keyed_by_r(self, order):
+        # ((4,), (1,)) is the value set of group (1, 4) and holders (1,) at
+        # r=1, and of group (1, 2, 3, 4) and holders (1, 2, 3) at r=3: one
+        # store splits it one way for the first and three ways for the second
+        specs = {r: JobSpec(K=4, N=4, Q=4, r=r, s=1, T=8) for r in (1, 3)}
+        vset = build_vset((1, 4), (1,), make_placement(specs[1]))
+        assert build_vset((1, 2, 3, 4), (1, 2, 3), make_placement(specs[3])) == vset == ((4,), (1,))
+        store = SyntheticRankWorkload(seed=1).build_store(specs[1])
+        got = {r: segment_usymbol(vset, store, r) for r in order}
+        assert got == {1: (8, (230,)), 3: (3, (6, 4, 3))}
+        for r, spec in specs.items():
+            fresh = ValueTable(spec, map(store.row, range(1, spec.Q + 1)))
+            assert segment_usymbol(vset, fresh, r) == got[r]
 
 
 class TestUSymbol:
@@ -181,7 +196,7 @@ class TestUSymbol:
         spec, placement, store = paper_setup()
         vset = build_vset((1, 2, 3), (1, 3), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, store)
+        width, segs = segment_usymbol(vset, store, spec.r)
         v22 = store.join((2,), 2, 1)
         assert width == 3
         assert segs[0] == v22 & 0b111   # goes to node 1
@@ -194,7 +209,7 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=4).build_store(spec)
         vset = build_vset((1, 2), (2,), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, store)
+        width, segs = segment_usymbol(vset, store, spec.r)
         assert len(segs) == 1
         payload = pack([store.join((q,), n, 1) for q, n in value_ids], spec.T)
         assert (width, segs[0]) == (len(value_ids) * spec.T, payload)
@@ -205,7 +220,7 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=6).build_store(spec)
         vset = build_vset((1, 2, 3, 4), (1, 2, 4), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, store)
+        width, segs = segment_usymbol(vset, store, spec.r)
         payload = pack([store.join((q,), n, 1) for q, n in value_ids], spec.T)
         nbits = len(value_ids) * spec.T
         rebuilt = pack(segs, width)
@@ -220,7 +235,7 @@ class TestUSymbol:
         store = SyntheticRankWorkload(seed=2).build_store(spec)
         vset = build_vset((1, 2, 3), (1, 2), placement)
         value_ids = list(product(*vset))
-        width, segs = segment_usymbol(vset, store)
+        width, segs = segment_usymbol(vset, store, spec.r)
         assert len(segs) * width - len(value_ids) * spec.T == 1
         assert width == 3 and all(seg >> 3 == 0 for seg in segs)
 
@@ -237,7 +252,7 @@ class TestUSymbol:
             for group in combinations(range(1, 5), ell):
                 for holders in combinations(group, spec.r):
                     vset = build_vset(group, holders, placement)
-                    width, segs = segment_usymbol(vset, store)
+                    width, segs = segment_usymbol(vset, store, spec.r)
                     assert pack(segs, width) == pack(
                         [store.join((q,), n, 1) for q, n in product(*vset)], T)
                     cases += 1
@@ -346,7 +361,7 @@ class TestEncode:
             if 1 not in holders:
                 continue
             vset = build_vset((1, 2, 3, 4), holders, placement)
-            width, own = segment_usymbol(vset, store)
+            width, own = segment_usymbol(vset, store, spec.r)
             segs.append(own[sorted(holders).index(1)])
         acc = 0
         for seg in segs:

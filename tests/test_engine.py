@@ -35,6 +35,7 @@ from cdcsim.engine import (
     run,
     run_cdc_ld_shuffle,
     run_cdc_shuffle,
+    run_on,
     run_uncoded_shuffle,
     transcript_from_json,
     transcript_to_json,
@@ -350,6 +351,21 @@ class TestSchemeEquivalence:
                 for q, v in out.items():
                     assert v == reference[q]
 
+    @pytest.mark.parametrize("spec,schemes", [
+        (JobSpec(K=5, N=20, Q=10, r=2, s=1, T=13), SCHEMES),
+        (JobSpec(K=5, N=10, Q=10, r=2, s=2, T=8), ("cdc", "cdc-ld")),
+    ], ids=["s1-T13", "s2"])
+    def test_runs_on_one_store_equal_fresh_runs(self, spec, schemes):
+        # the schemes run in turn on one placement and one store, so cdc-ld
+        # reads the segments cdc memoised; each run is the one run() gives
+        workload = SyntheticRankWorkload(seed=11, duplicate_prob=0.3)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        for scheme in schemes:
+            # every field: transcript columns, bits, load, outputs, reference, verdict
+            shared = run_on(placement, store, workload, scheme)
+            assert shared == run(spec, workload, scheme)
+        assert shared.verification == ("pass" if spec.s == 1 else "not-applicable")
+
     def test_recovered_values_bit_exact(self):
         # Q=10 gives each node two reduce functions, so the values of a node
         # are laid out over more than one function; the values are read from
@@ -381,6 +397,32 @@ class TestSchemeEquivalence:
                     decode = decode_uncoded if scheme == "uncoded" else decode_cdc_s1
                     assert decode(k, got, local, placement) == [
                         store.join((q,), n, 1) for q in funcs for n in range(1, spec.N + 1)]
+
+
+class TestRunOn:
+    def test_unknown_scheme_raises_before_any_placement_or_map(self, monkeypatch):
+        calls = Counter()
+        build = SyntheticRankWorkload.build_store
+        monkeypatch.setattr(SyntheticRankWorkload, "build_store",
+                            lambda self, spec: calls.update(["build_store"]) or build(self, spec))
+        monkeypatch.setattr(cdcsim.engine, "make_placement",
+                            lambda spec: calls.update(["make_placement"]) or make_placement(spec))
+        spec, workload = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            run(spec, workload, "bogus")
+        assert calls == {}
+        run(spec, workload, "cdc")
+        assert calls == {"build_store": 1, "make_placement": 1}
+
+    @pytest.mark.parametrize("other, shape", [({"T": 9}, (4, 6, 9)), ({"N": 12}, (4, 12, 8))])
+    def test_store_of_another_shape_is_refused(self, other, shape):
+        spec, workload = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
+        store = workload.build_store(JobSpec(**{**spec.as_dict(), **other}))
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError) as info:
+                run_on(make_placement(spec), store, workload, scheme)
+            assert str(info.value) == (f"a store of (Q, N, T) = {shape} does not fit the "
+                                       "spec's (4, 6, 8)")
 
 
 class TestAccounting:
