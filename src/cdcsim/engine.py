@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
+from operator import countOf, itemgetter, rshift
 
 from .codec import (
     decode_cdc_s1,
@@ -381,7 +382,8 @@ def unknown_field(obj: dict, keys: tuple, what: str) -> str:
 
 def _payload_from_json(obj: dict) -> tuple[int, int]:
     """The (bits, value) of a payload object: a non-negative width and a value
-    that fits in it."""
+    that fits in it, written as ``f"{value:x}"`` writes it.  ``_columns``
+    checks every payload at once; this explains one it refused."""
     if type(obj) is dict:
         bits, digits = obj.get("bits"), obj.get("hex")
         if type(bits) is int and type(digits) is str:
@@ -393,12 +395,8 @@ def _payload_from_json(obj: dict) -> tuple[int, int]:
             if value < 0 or value >> bits:
                 raise ValueError(f"value 0x{value:x} does not fit in {bits} bits")
             # int(_, 16) also reads "0x3", " 3 ", "0_3", "03", "+3", "A" and
-            # non-ASCII digits.  A string it reads with exactly as many
-            # characters as the value has hex digits holds those digits alone,
-            # so it is canonical when it is ASCII and lowercase as well; this
-            # costs less than comparing with hex(value) on long payloads.
-            if not (digits.isascii() and len(digits) == ((value.bit_length() + 3) // 4 or 1)
-                    and digits.lower() == digits):
+            # non-ASCII digits
+            if digits != f"{value:x}":
                 raise ValueError(f"payload hex {digits!r} is not written as '{value:x}'")
             return bits, value
     raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
@@ -430,7 +428,9 @@ def transcript_to_json(transcript: ShuffleTranscript) -> dict:
 
 def transcript_from_json(obj: dict) -> ShuffleTranscript:
     """Read a transcript back; an unknown scheme, a missing or unknown field,
-    or a field of the wrong type or shape, raises ``ValueError`` naming it."""
+    or a field of the wrong type or shape, raises ``ValueError`` naming it.
+    The broadcasts are checked a column at a time (``_columns``); only when
+    that refuses them are they read one by one, to name the first fault."""
     expect_json(obj, dict, "transcript")
     spec = obj.get("spec")
     if type(spec) is not dict or spec.keys() != set(SPEC_KEYS):
@@ -440,55 +440,102 @@ def transcript_from_json(obj: dict) -> ShuffleTranscript:
     scheme = expect_json(obj.get("scheme"), str, "transcript scheme")
     if scheme not in _META_KEYS:
         raise ValueError(f"transcript scheme {scheme!r}: expected one of {', '.join(SCHEMES)}")
-    keys = _META_KEYS[scheme]
     raw = expect_json(obj.get("broadcasts"), list, "transcript broadcasts")
     if len(obj) != 3:
         raise ValueError("transcript "
                          + unknown_field(obj, ("scheme", "spec", "broadcasts"), "transcript"))
-    nbits, values = [], []
-    for i, b in enumerate(raw):
-        if type(b) is not dict:
-            raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
-        for key in _BROADCAST_KEYS:
-            if key not in b:
-                raise ValueError(f"broadcast {i}: has no {key!r}")
-        meta = b["meta"]
-        if type(b["sender"]) is not int:
-            raise ValueError(f"broadcast {i}: sender {b['sender']!r} is not an int")
-        if b["kind"] != scheme:
-            raise ValueError(f"broadcast {i}: kind {b['kind']!r} is not the transcript's "
-                             f"scheme {scheme!r}")
-        if type(meta) is not dict:
-            raise ValueError(f"broadcast {i}: meta {meta!r} is not an object")
-        if type(b["payloads"]) is not list:
-            raise ValueError(f"broadcast {i}: payloads {b['payloads']!r} is not a list")
-        for key in keys:
-            if key not in meta:
-                raise ValueError(f"broadcast {i}: meta has no {key!r}")
-            if key == "group":
-                if type(meta[key]) is not list or not all([type(j) is int for j in meta[key]]):
-                    raise ValueError(f"broadcast {i}: meta group {meta[key]!r} "
-                                     "is not a list of ints")
-            elif type(meta[key]) is not int:
-                raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
-        if len(meta) != len(keys):
-            raise ValueError(f"broadcast {i}: meta {unknown_field(meta, keys, scheme + ' meta')}")
-        if len(b) != len(_BROADCAST_KEYS):
-            raise ValueError(f"broadcast {i}: {unknown_field(b, _BROADCAST_KEYS, 'broadcast')}")
-        try:
-            for bits, value in map(_payload_from_json, b["payloads"]):
-                nbits.append(bits)
-                values.append(value)
-        except ValueError as exc:
-            raise ValueError(f"broadcast {i}: {exc}") from None
-    # one column at a time from the checked broadcasts: appending to five
-    # lists side by side left the wordcount-replay benchmark's replay 4 MB
-    # more peak RSS.  A cdc group is held as a tuple, as the shuffle sends it
-    return ShuffleTranscript(scheme, spec, Broadcasts(
-        [b["sender"] for b in raw],
-        {key: [b["meta"][key] for b in raw] if key != "group" else
-              [tuple(b["meta"][key]) for b in raw] for key in keys},
-        [len(b["payloads"]) for b in raw], nbits, values))
+    cols = _columns(raw, scheme)
+    if cols is None:
+        for i, b in enumerate(raw):
+            _check_broadcast(i, b, scheme, _META_KEYS[scheme])
+        raise ValueError("transcript broadcasts: the column check refused broadcasts "
+                         "that each pass the per-broadcast check")
+    return ShuffleTranscript(scheme, spec, cols)
+
+
+def _columns(raw: list, scheme: str) -> Broadcasts | None:
+    """The columns of ``raw``, broadcasts of ``scheme``, or ``None`` when any
+    of them breaks a rule of ``_check_broadcast``.  Each check is one pass
+    over a field of every broadcast: a rule per broadcast cost a Python-level
+    step each, most of the reader's time on a fixture of many broadcasts."""
+    keys = _META_KEYS[scheme]
+    try:
+        if not (_exactly(dict, raw) and set(map(len, raw)) <= {len(_BROADCAST_KEYS)}
+                and countOf(map(itemgetter("kind"), raw), scheme) == len(raw)):
+            return None
+        senders, metas, payloads = (list(map(itemgetter(key), raw))
+                                    for key in ("sender", "meta", "payloads"))
+        if not (_exactly(int, senders) and _exactly(dict, metas)
+                and set(map(len, metas)) <= {len(keys)} and _exactly(list, payloads)):
+            return None
+        meta = {key: list(map(itemgetter(key), metas)) for key in keys}
+        groups = meta.get("group")
+        if groups is not None:
+            if not (_exactly(list, groups) and _exactly(int, chain.from_iterable(groups))):
+                return None
+            meta["group"] = list(map(tuple, groups))  # as the shuffle sends it
+        if not all(_exactly(int, meta[key]) for key in keys if key != "group"):
+            return None
+        flat = list(chain.from_iterable(payloads))
+        if not (_exactly(dict, flat) and set(map(len, flat)) <= {2}):
+            return None
+        nbits, hexes = list(map(itemgetter("bits"), flat)), list(map(itemgetter("hex"), flat))
+        if not (_exactly(int, nbits) and _exactly(str, hexes)):
+            return None
+        values = list(map(int, hexes, repeat(16)))
+        # a negative width raises ValueError, and a negative value shifts to
+        # -1, so it does not fit.  Every string int(_, 16) reads has at least
+        # as many characters as its value's canonical digits, so equal joined
+        # texts force equal lengths one by one, hence each hex canonical
+        canonical = ("%x" * len(values)) % tuple(values)
+        if any(map(rshift, values, nbits)) or "".join(hexes) != canonical:
+            return None
+    except (KeyError, TypeError, ValueError):
+        return None
+    return Broadcasts(senders, meta, list(map(len, payloads)), nbits, values)
+
+
+def _exactly(kind: type, column) -> bool:
+    """Whether every item of ``column`` is of exactly the type ``kind``."""
+    return set(map(type, column)) <= {kind}
+
+
+def _check_broadcast(i: int, b, scheme: str, keys: tuple) -> None:
+    """Raise the ``ValueError`` that names broadcast ``i``'s first fault, if it
+    has one: ``b`` must be a broadcast object of ``scheme`` with meta ``keys``."""
+    if type(b) is not dict:
+        raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
+    for key in _BROADCAST_KEYS:
+        if key not in b:
+            raise ValueError(f"broadcast {i}: has no {key!r}")
+    meta = b["meta"]
+    if type(b["sender"]) is not int:
+        raise ValueError(f"broadcast {i}: sender {b['sender']!r} is not an int")
+    if b["kind"] != scheme:
+        raise ValueError(f"broadcast {i}: kind {b['kind']!r} is not the transcript's "
+                         f"scheme {scheme!r}")
+    if type(meta) is not dict:
+        raise ValueError(f"broadcast {i}: meta {meta!r} is not an object")
+    if type(b["payloads"]) is not list:
+        raise ValueError(f"broadcast {i}: payloads {b['payloads']!r} is not a list")
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"broadcast {i}: meta has no {key!r}")
+        if key == "group":
+            if type(meta[key]) is not list or not all([type(j) is int for j in meta[key]]):
+                raise ValueError(f"broadcast {i}: meta group {meta[key]!r} "
+                                 "is not a list of ints")
+        elif type(meta[key]) is not int:
+            raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
+    if len(meta) != len(keys):
+        raise ValueError(f"broadcast {i}: meta {unknown_field(meta, keys, scheme + ' meta')}")
+    if len(b) != len(_BROADCAST_KEYS):
+        raise ValueError(f"broadcast {i}: {unknown_field(b, _BROADCAST_KEYS, 'broadcast')}")
+    try:
+        for payload in b["payloads"]:
+            _payload_from_json(payload)
+    except ValueError as exc:
+        raise ValueError(f"broadcast {i}: {exc}") from None
 
 
 def _render(o, nl: str, write) -> None:

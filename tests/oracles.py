@@ -6,14 +6,18 @@ so it shares no code path with the library it checks.  The word-count
 oracles are the former whole-corpus ingest and per-function rescan, and the
 GF(2) decomposition oracles the former lowest-bit-pivot elimination and
 bit-by-bit decompression; they build the library's result types only, so
-results compare with ``==``.
+results compare with ``==``.  The transcript reader is the former one that
+checks every rule broadcast by broadcast.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from cdcsim.engine import (_BROADCAST_KEYS, _META_KEYS, SCHEMES, Broadcasts, ShuffleTranscript,
+                           expect_json, unknown_field)
 from cdcsim.gf2 import BasisDecomposition, Gf2Matrix, MalformedDecompositionError
+from cdcsim.placement import SPEC_KEYS, JobSpec
 from cdcsim.workloads import CountOverflowError, WordCountWorkload
 
 
@@ -237,3 +241,82 @@ def naive_ingest_text(source, Q, N, tokenizer="word"):
 
     symbols = [symbol_of_token[t] for t in tokens if t in symbol_of_token]
     return WordCountWorkload.from_symbols(symbols, N)
+
+
+def reference_payload_from_json(obj: dict) -> tuple[int, int]:
+    """The (bits, value) of a payload object, or ``ValueError`` naming its fault."""
+    if type(obj) is dict:
+        bits, digits = obj.get("bits"), obj.get("hex")
+        if type(bits) is int and type(digits) is str:
+            value = int(digits, 16)
+            if len(obj) != 2:
+                raise ValueError(f"payload {unknown_field(obj, ('bits', 'hex'), 'payload')}")
+            if bits < 0:
+                raise ValueError(f"negative bit length {bits}")
+            if value < 0 or value >> bits:
+                raise ValueError(f"value 0x{value:x} does not fit in {bits} bits")
+            if not (digits.isascii() and len(digits) == ((value.bit_length() + 3) // 4 or 1)
+                    and digits.lower() == digits):
+                raise ValueError(f"payload hex {digits!r} is not written as '{value:x}'")
+            return bits, value
+    raise ValueError(f"payload {obj!r} is not an object with an int 'bits' and a str 'hex'")
+
+
+def reference_transcript_from_json(obj: dict) -> ShuffleTranscript:
+    """Read a transcript back, checking each broadcast in turn; the first
+    fault raises ``ValueError`` naming it."""
+    expect_json(obj, dict, "transcript")
+    spec = obj.get("spec")
+    if type(spec) is not dict or spec.keys() != set(SPEC_KEYS):
+        raise ValueError(f"transcript spec: expected an object with keys "
+                         f"{', '.join(SPEC_KEYS)}, got {spec!r}")
+    spec = JobSpec(**spec)
+    scheme = expect_json(obj.get("scheme"), str, "transcript scheme")
+    if scheme not in _META_KEYS:
+        raise ValueError(f"transcript scheme {scheme!r}: expected one of {', '.join(SCHEMES)}")
+    keys = _META_KEYS[scheme]
+    raw = expect_json(obj.get("broadcasts"), list, "transcript broadcasts")
+    if len(obj) != 3:
+        raise ValueError("transcript "
+                         + unknown_field(obj, ("scheme", "spec", "broadcasts"), "transcript"))
+    nbits, values = [], []
+    for i, b in enumerate(raw):
+        if type(b) is not dict:
+            raise ValueError(f"broadcast {i}: expected an object, got {type(b).__name__}")
+        for key in _BROADCAST_KEYS:
+            if key not in b:
+                raise ValueError(f"broadcast {i}: has no {key!r}")
+        meta = b["meta"]
+        if type(b["sender"]) is not int:
+            raise ValueError(f"broadcast {i}: sender {b['sender']!r} is not an int")
+        if b["kind"] != scheme:
+            raise ValueError(f"broadcast {i}: kind {b['kind']!r} is not the transcript's "
+                             f"scheme {scheme!r}")
+        if type(meta) is not dict:
+            raise ValueError(f"broadcast {i}: meta {meta!r} is not an object")
+        if type(b["payloads"]) is not list:
+            raise ValueError(f"broadcast {i}: payloads {b['payloads']!r} is not a list")
+        for key in keys:
+            if key not in meta:
+                raise ValueError(f"broadcast {i}: meta has no {key!r}")
+            if key == "group":
+                if type(meta[key]) is not list or not all([type(j) is int for j in meta[key]]):
+                    raise ValueError(f"broadcast {i}: meta group {meta[key]!r} "
+                                     "is not a list of ints")
+            elif type(meta[key]) is not int:
+                raise ValueError(f"broadcast {i}: meta {key} {meta[key]!r} is not an int")
+        if len(meta) != len(keys):
+            raise ValueError(f"broadcast {i}: meta {unknown_field(meta, keys, scheme + ' meta')}")
+        if len(b) != len(_BROADCAST_KEYS):
+            raise ValueError(f"broadcast {i}: {unknown_field(b, _BROADCAST_KEYS, 'broadcast')}")
+        try:
+            for bits, value in map(reference_payload_from_json, b["payloads"]):
+                nbits.append(bits)
+                values.append(value)
+        except ValueError as exc:
+            raise ValueError(f"broadcast {i}: {exc}") from None
+    return ShuffleTranscript(scheme, spec, Broadcasts(
+        [b["sender"] for b in raw],
+        {key: [b["meta"][key] for b in raw] if key != "group" else
+              [tuple(b["meta"][key]) for b in raw] for key in keys},
+        [len(b["payloads"]) for b in raw], nbits, values))

@@ -34,6 +34,7 @@ from cdcsim.placement import JobSpec, make_placement
 from cdcsim.workloads import WordCountWorkload
 from corpora import write_corpus
 from documents import written
+from oracles import reference_transcript_from_json
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -548,6 +549,13 @@ class TestSweep:
 DELETE = object()  # marks a field the test removes instead of setting
 
 
+def at_first_and_last(cases, ids):
+    """Each case at broadcast 0, under its id, and at the last broadcast
+    (position -1), under its id with "-last" appended."""
+    return [pytest.param(*case, position, id=name + suffix)
+            for case, name in zip(cases, ids) for position, suffix in ((0, ""), (-1, "-last"))]
+
+
 def _append_copy(broadcasts):
     broadcasts.append(copy.deepcopy(broadcasts[0]))
 
@@ -780,7 +788,7 @@ class TestFixture:
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("scheme, field_path, value, message", [
+    @pytest.mark.parametrize("scheme, field_path, value, message, position", at_first_and_last([
         ("uncoded", ("meta", "q"), DELETE, "meta has no 'q'"),
         ("cdc", ("meta", "group"), DELETE, "meta has no 'group'"),
         ("uncoded", ("sender",), DELETE, "has no 'sender'"),
@@ -798,7 +806,7 @@ class TestFixture:
         ("uncoded", ("sender",), "1", "sender '1' is not an int"),
         ("cdc", ("meta",), [], "meta [] is not an object"),
         ("uncoded", ("payloads",), {}, "payloads {} is not a list"),
-        ("cdc", ("payloads", 0, "bits"), "6",
+        ("cdc", ("payloads", 0), {"bits": "6", "hex": "3"},
          "payload {'bits': '6', 'hex': '3'} is not an object with an int 'bits' and a str 'hex'"),
         ("cdc", ("payloads", 0, "hex"), 5,
          "payload {'bits': 3, 'hex': 5} is not an object with an int 'bits' and a str 'hex'"),
@@ -824,21 +832,24 @@ class TestFixture:
         ("cdc-ld", ("kind",), "cdc", "kind 'cdc' is not the transcript's scheme 'cdc-ld'"),
         ("uncoded", ("payloads", 0, "bits"), -1, "negative bit length -1"),
         ("uncoded", ("payloads", 0, "hex"), "ff", "value 0xff does not fit in 6 bits"),
-    ], ids=["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
-            "uncoded-payloads", "cdc-group-str", "cdc-group-str-member", "cdc-group-bool-member",
-            "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
-            "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
-            "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
-            "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n",
-            "uncoded-broadcast-extra", "cdc-ld-broadcast-q", "cdc-payload-extra",
-            "cdc-ld-payload-rho",
-            "uncoded-kind-bogus", "cdc-kind-bogus", "cdc-ld-kind-cdc", "uncoded-bits-negative",
-            "uncoded-hex-too-wide"])
+    ], ["uncoded-q", "cdc-group", "uncoded-sender", "cdc-kind", "cdc-ld-meta",
+        "uncoded-payloads", "cdc-group-str", "cdc-group-str-member", "cdc-group-bool-member",
+        "cdc-component-str", "cdc-component-float", "cdc-ld-ell-str",
+        "cdc-ld-rho-str", "uncoded-n-bool", "uncoded-sender-str", "cdc-meta-list",
+        "uncoded-payloads-object", "cdc-bits-str", "cdc-hex-int", "uncoded-payload-int",
+        "cdc-hex-not-hex", "uncoded-meta-extra", "cdc-meta-extra", "cdc-ld-meta-n",
+        "uncoded-broadcast-extra", "cdc-ld-broadcast-q", "cdc-payload-extra",
+        "cdc-ld-payload-rho",
+        "uncoded-kind-bogus", "cdc-kind-bogus", "cdc-ld-kind-cdc", "uncoded-bits-negative",
+        "uncoded-hex-too-wide"]))
     def test_missing_meta_field_names_broadcast(self, tmp_path, capsys, scheme, field_path,
-                                                value, message):
+                                                value, message, position):
+        # at the last broadcast the reader passes every valid one before it
         doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+        broadcasts = doc["transcript"]["broadcasts"]
+        i = position % len(broadcasts)
         *parents, last = field_path
-        node = doc["transcript"]["broadcasts"][0]
+        node = broadcasts[i]
         for key in parents:
             node = node[key]
         if value is DELETE:
@@ -848,23 +859,37 @@ class TestFixture:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: broadcast 0: {message}\n"
+        assert capsys.readouterr().err == f"error: broadcast {i}: {message}\n"
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: "0x" + h, lambda h: f" {h} ", lambda h: "0_" + h, lambda h: "0" + h,
-        str.upper, lambda h: "+" + h, lambda h: h.translate(ARABIC_INDIC_DIGITS),
-    ], ids=["0x", "spaces", "underscore", "leading-zero", "uppercase", "plus", "arabic-indic"])
-    def test_non_canonical_hex_names_broadcast(self, tmp_path, capsys, edit):
+    def test_lower_of_two_faults_is_named(self, tmp_path, capsys):
+        # broadcast 3 breaks the rule checked last, broadcast 11 the one
+        # checked first: the first faulty broadcast is named, not the first rule
+        doc = json.loads((FIXTURE_DIR / "paper-wordcount-fixture-uncoded.json").read_text())
+        broadcasts = doc["transcript"]["broadcasts"]
+        broadcasts[3]["payloads"][0]["extra"] = 1
+        del broadcasts[11]["sender"]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: broadcast 3: payload 'extra' is not one of the payload fields bits, hex\n")
+
+    @pytest.mark.parametrize("edit, position", at_first_and_last([
+        (lambda h: "0x" + h,), (lambda h: f" {h} ",), (lambda h: "0_" + h,), (lambda h: "0" + h,),
+        (str.upper,), (lambda h: "+" + h,), (lambda h: h.translate(ARABIC_INDIC_DIGITS),),
+    ], ["0x", "spaces", "underscore", "leading-zero", "uppercase", "plus", "arabic-indic"]))
+    def test_non_canonical_hex_names_broadcast(self, tmp_path, capsys, edit, position):
         # int(_, 16) reads each edited string as the same value; 10-bit
         # segments put letters in the hex, so str.upper has something to change
         spec = JobSpec(K=5, N=10, Q=5, r=3, s=1, T=30)
         desc = {"kind": "synthetic", "seed": 3}
         doc = written(fixture_to_json(engine.run(spec, build_workload(desc, spec), "cdc"), desc))
-        i, payload = next((i, p) for i, b in enumerate(doc["transcript"]["broadcasts"])
-                          for p in b["payloads"] if edit(p["hex"]) != p["hex"])
+        broadcasts = doc["transcript"]["broadcasts"]
+        i = position % len(broadcasts)
+        payload = broadcasts[i]["payloads"][0]
         canonical = payload["hex"]
         payload["hex"] = edit(canonical)
-        assert int(payload["hex"], 16) == int(canonical, 16)
+        assert payload["hex"] != canonical and int(payload["hex"], 16) == int(canonical, 16)
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
         assert main(["fixture", "--input", str(path)]) == EXIT_CONFIG
@@ -1101,6 +1126,89 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=4,
 )
+
+
+def fields(node, path=()):
+    """The path of every field below ``node``, none if it is not an object
+    or a list."""
+    if isinstance(node, (dict, list)):
+        for key in sorted(node) if isinstance(node, dict) else range(len(node)):
+            yield path + (key,)
+            yield from fields(node[key], path + (key,))
+
+
+def near_values(old):
+    """Random JSON, or ``old`` nearly kept: a hex rewritten but readable, a
+    width or member off by one, an int of another type."""
+    if type(old) is str:
+        near = [old.upper(), "0" + old, f" {old}", "0x" + old, "-" + old, old + "0", old[1:]]
+    elif type(old) is int:
+        near = [old + 1, old - 1, -old - 1, float(old), str(old), True]
+    elif type(old) is list:
+        near = [old + [1], old + [True], old[1:], old[::-1]]
+    else:
+        return JSON_VALUES
+    return st.sampled_from(near) | JSON_VALUES
+
+
+def edit_field(data, node, key) -> None:
+    """Delete, replace or add beside one of ``node[key]`` and the fields below it."""
+    *parents, key = data.draw(st.sampled_from([(key,), *fields(node[key], (key,))]),
+                              label="field")
+    for parent in parents:
+        node = node[parent]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]), label="action")
+    if action == "replace":
+        node[key] = data.draw(near_values(node[key]), label="value")
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.sampled_from(["extra", "bits", "q", "group"]), label="new key")] = \
+            data.draw(near_values(node[key]), label="value")
+    else:
+        node.append(data.draw(near_values(node[key]), label="value"))
+
+
+@functools.cache
+def reader_pool() -> dict:
+    """The fuzz pool's transcripts plus every scheme's at K=10 N=120, where
+    uncoded and cdc send 840 broadcasts each."""
+    spec = JobSpec(K=10, N=120, Q=10, r=3, s=1, T=64)
+    workload = build_workload({"kind": "synthetic", "seed": 1}, spec)
+    pool = {name: doc["transcript"] for name, doc in FUZZ_POOL.items()}
+    for scheme in engine.SCHEMES:
+        transcript = engine.run(spec, workload, scheme).transcript
+        pool[f"k10-{scheme}"] = written(engine.transcript_to_json(transcript))
+    return pool
+
+
+def read_or_refuse(reader, obj):
+    try:
+        return reader(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderDifferential:
+    """One or two random edits inside the broadcasts of a pool transcript:
+    ``transcript_from_json``, which checks a column at a time, returns what
+    the reference reader, which checks broadcast by broadcast, returns, or
+    raises ``ValueError`` with the same text.  The reference never says the
+    column check refused, so neither may the reader."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_matches_reference_reader(self, data):
+        pool = reader_pool()
+        name = data.draw(st.sampled_from(sorted(pool)), label="transcript")
+        obj = dict(pool[name])
+        obj["broadcasts"] = broadcasts = list(obj["broadcasts"])  # copied where edited
+        for _ in range(data.draw(st.integers(1, 2), label="edits")):
+            i = data.draw(st.integers(0, len(broadcasts) - 1), label="broadcast")
+            broadcasts[i] = copy.deepcopy(broadcasts[i])
+            edit_field(data, broadcasts, i)
+        assert (read_or_refuse(engine.transcript_from_json, obj)
+                == read_or_refuse(reference_transcript_from_json, obj))
 
 
 class TestReplayFuzz:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -862,3 +863,22 @@ class TestPayloadHex:
         else:
             with pytest.raises(ValueError, match="is not written as"):
                 _payload_from_json({"bits": 24, "hex": text})
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(texts=st.lists(st.text("0123456789abcdefABCDEFxX_ +-\t\u0663\u0669", max_size=6)
+                          .filter(lambda t: _int16(t) is not None and _int16(t) >= 0),
+                          min_size=1, max_size=3))
+    def test_reader_accepts_exactly_canonical_payloads(self, texts):
+        # the reader compares all payloads' hex joined, so a digit one payload
+        # lacks must not be made up by another's extra character
+        spec = {"K": 4, "N": 6, "Q": 4, "r": 2, "s": 1, "T": 24}
+        obj = {"scheme": "uncoded", "spec": spec, "broadcasts": [
+            {"sender": 1, "kind": "uncoded", "meta": {"q": 1, "n": 1},
+             "payloads": [{"bits": 24, "hex": text} for text in texts]}]}
+        bad = next((text for text in texts if text != f"{int(text, 16):x}"), None)
+        if bad is None:
+            assert transcript_from_json(obj).broadcasts.values == [int(t, 16) for t in texts]
+        else:
+            message = f"broadcast 0: payload hex {bad!r} is not written as"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                transcript_from_json(obj)
