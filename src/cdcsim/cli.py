@@ -368,6 +368,8 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     spec = _build_spec(config)
     workload_desc = config.get("workload", {})
     workload = build_workload(workload_desc, spec)
+    for scheme in engine.SCHEMES:
+        engine.check_scheme(scheme, spec)
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     placement, store = make_placement(spec), workload.build_store(spec)

@@ -47,6 +47,16 @@ class UnsupportedCombinationError(ValueError):
     """Scheme cannot run with these parameters (e.g. uncoded with s >= 2)."""
 
 
+def check_scheme(scheme: str, spec: JobSpec) -> None:
+    """Refuse a scheme that cannot run ``spec``: an unknown one with
+    ``ValueError``, uncoded at s >= 2 with ``UnsupportedCombinationError``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme == "uncoded" and spec.s != 1:
+        raise UnsupportedCombinationError(
+            f"uncoded shuffle is defined only for s=1, got s={spec.s}")
+
+
 @dataclass
 class Broadcasts:
     """A transcript's broadcasts as columns: per broadcast its sender and
@@ -70,9 +80,7 @@ class ShuffleTranscript:
     broadcasts: Broadcasts
 
     def __post_init__(self) -> None:
-        if self.scheme == "uncoded" and self.spec.s != 1:
-            raise UnsupportedCombinationError(
-                f"uncoded shuffle is defined only for s=1, got s={self.spec.s}")
+        check_scheme(self.scheme, self.spec)
 
     def bits_by_node(self) -> dict[int, int]:
         counts = {k: 0 for k in range(1, self.spec.K + 1)}
@@ -208,10 +216,8 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
     if scheme == "cdc":
         keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
                 for c in range(1, comb(ell - 2, r - 1) + 1)}
-    elif scheme == "cdc-ld":
-        keys = {(j, ell) for j in range(1, K + 1) for ell in sizes}
     else:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        keys = {(j, ell) for j in range(1, K + 1) for ell in sizes}
     widths = {ell: segment_width(spec, ell) for ell in sizes}
     # a repeated or missing broadcast is named by its wire key, not its message's
     seen: set = set()
@@ -308,18 +314,9 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
     return outputs, reference, "pass" if ok else "fail"
 
 
-def _shuffle(scheme: str):
-    """The shuffle of ``scheme``, looked up per call, so that a wrapper on a
-    module attribute (as perfbench's tracer installs one) is what runs."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    return {"uncoded": run_uncoded_shuffle, "cdc": run_cdc_shuffle,
-            "cdc-ld": run_cdc_ld_shuffle}[scheme]
-
-
 def run(spec: JobSpec, workload, scheme: str) -> RunResult:
-    """``run_on`` a placement and a store built for the job, once the scheme is known."""
-    _shuffle(scheme)
+    """``run_on`` a placement and a store built for the job, once ``check_scheme`` passes."""
+    check_scheme(scheme, spec)
     return run_on(make_placement(spec), workload.build_store(spec), workload, scheme)
 
 
@@ -327,9 +324,13 @@ def run_on(placement: Placement, store: ValueTable, workload, scheme: str) -> Ru
     """Execute one full job under the given scheme on a built placement and a
     store of the spec's Q, N and T (else ``ValueError``), then decode, reduce
     and verify it with ``decode_and_verify`` (a structural check at s >= 2)."""
-    shuffle, spec = _shuffle(scheme), placement.spec
+    spec = placement.spec
+    check_scheme(scheme, spec)
     if (got := (store.Q, store.N, store.T)) != (want := (spec.Q, spec.N, spec.T)):
         raise ValueError(f"a store of (Q, N, T) = {got} does not fit the spec's {want}")
+    # looked up per call, so that a wrapper perfbench's tracer installs is what runs
+    shuffle = {"uncoded": run_uncoded_shuffle, "cdc": run_cdc_shuffle,
+               "cdc-ld": run_cdc_ld_shuffle}[scheme]
     transcript = shuffle(placement, store)
     bits = transcript.bits_by_node()
     load = Fraction(sum(bits.values()), spec.Q * spec.N * spec.T)
@@ -543,8 +544,8 @@ def _render(o, nl: str, write) -> None:
     ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a ``Rows`` as the
     list of its rows, where ``nl`` is the newline and indent of the line ``o``
     starts on."""
-    # Containers are walked here, with exact ints and strs, nearly every leaf
-    # of a transcript, written with their item's head without a call.  Any
+    # Containers are walked here, item by item, and exact ints and strs,
+    # nearly every leaf of a transcript, are written without a call.  Any
     # other leaf or key is json's own text, and json's TypeError for what it
     # cannot write; json sorts the items first, then writes a non-str key as text.
     inner = nl + "  "
@@ -554,8 +555,8 @@ def _render(o, nl: str, write) -> None:
         items = (((_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": ", v)
                  for k, v in sorted(o.items()))
     elif isinstance(o, (list, tuple)):
-        # a list of exact ints and strs only, such as a cdc group, is one piece
-        # from one comprehension: walked item by item, cdc writes took 20 % longer
+        # a list of exact ints and strs only, such as a cdc group, is one piece from one
+        # comprehension: item by item, the general-s cdc fixture write took 4.1 ms, not 3.1
         texts = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else None
                  for v in o]
         if o and None not in texts:
@@ -564,26 +565,23 @@ def _render(o, nl: str, write) -> None:
     elif type(o) is Rows:
         return _render_rows(o, nl, write)
     elif type(o) is Slot:
-        # _quote escapes NUL, so only a slot puts one in the text
-        return write("\0" + _quote(o.name) + "\0")
+        # _quote escapes NUL, so only a slot marker, which holds its value's nl, has one
+        return write("\0" + _quote(o.name) + "\0" + nl + "\0")
     else:
         return write(json.dumps(o))
     if not o:
         return write(opener + closer)
-    # a run of leaf items is joined into one piece, written before the next
-    # container; the "" left after a container puts a comma before the next item
-    start, comma, texts = opener + inner, "," + inner, []
+    sep = opener + inner
     for head, v in items:
         if type(v) is str:
-            texts.append(head + _quote(v))
+            write(sep + head + _quote(v))
         elif type(v) is int:
-            texts.append(head + int.__repr__(v))
+            write(sep + head + int.__repr__(v))
         else:
-            texts.append(head)
-            write(start + comma.join(texts))
+            write(sep + head)
             _render(v, inner, write)
-            start, texts = "", [""]
-    write(start + comma.join(texts) + nl + closer)
+        sep = "," + inner
+    write(nl + closer)
 
 
 def _text(o, nl: str) -> str:
@@ -607,29 +605,25 @@ def _render_rows(rows: Rows, nl: str, write) -> None:
     if not (n := max(lengths, default=0)):
         return write("[]")
     inner = nl + "  "
-    # text and quoted slot names alternate; each slot is on a line of its
-    # own, and that line's newline and indent is the slot value's nl
-    parts = (inner + _text(rows.skeleton, inner)).split("\0")
+    # text, then each slot's quoted name and its value's newline and indent
+    parts = _text(rows.skeleton, inner).split("\0")
     by_marker = {_quote(name): column for name, column in rows.columns.items()}
     filled = []
-    for before, marker in zip(parts[::2], parts[1::2]):
+    for marker, value_nl in zip(parts[1::3], parts[2::3]):
         column = by_marker[marker]
         kinds = set(map(type, column))
         if kinds == {int}:
             filled.append(map(int.__repr__, column))
         elif kinds == {str}:
             filled.append(map(_quote, column))
+        elif kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
+            # a cdc group: one text per distinct group, not per row.  Only
+            # exact ints, as (True, 2) and (1.0, 2) equal (1, 2) as keys
+            texts = {value: _text(value, value_nl) for value in dict.fromkeys(column)}
+            filled.append(map(texts.__getitem__, column))
         else:
-            line = before[before.rfind("\n"):]
-            value_nl = line[:len(line) - len(line[1:].lstrip(" "))]
-            if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
-                # a cdc group: one text per distinct group, not per row.  Only
-                # exact ints, as (True, 2) and (1.0, 2) equal (1, 2) as keys
-                texts = {value: _text(value, value_nl) for value in dict.fromkeys(column)}
-                filled.append(map(texts.__getitem__, column))
-            else:
-                filled.append(map(_text, column, repeat(value_nl)))
-    template = "%s".join([text.replace("%", "%%") for text in parts[::2]])[len(inner):]
+            filled.append(map(_text, column, repeat(value_nl)))
+    template = "%s".join([text.replace("%", "%%") for text in parts[::3]])
     lines = map(template.__mod__, zip(*filled)) if filled else repeat(template % (), n)
     sep = "," + inner
     head = "[" + inner

@@ -1084,6 +1084,8 @@ class TestFixture:
         assert code == EXIT_UNSUPPORTED
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # refused before the placement is built, so nothing is written
+        assert list(tmp_path.iterdir()) == []
 
     def test_uncoded_multi_copy_replay_exits_4(self, tmp_path, capsys):
         # no run writes an uncoded transcript at s=2, so build one by hand:

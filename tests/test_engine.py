@@ -409,9 +409,14 @@ class TestRunOn:
         monkeypatch.setattr(cdcsim.engine, "make_placement",
                             lambda spec: calls.update(["make_placement"]) or make_placement(spec))
         spec, workload = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
-        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
-            run(spec, workload, "bogus")
-        assert calls == {}
+        multi_copy = JobSpec(K=4, N=6, Q=6, r=2, s=2, T=8)
+        for job, scheme, error, message in (
+                (spec, "bogus", ValueError, "unknown scheme 'bogus'"),
+                (multi_copy, "uncoded", UnsupportedCombinationError,
+                 "uncoded shuffle is defined only for s=1, got s=2")):
+            with pytest.raises(error, match=message):
+                run(job, workload, scheme)
+            assert calls == {}
         run(spec, workload, "cdc")
         assert calls == {"build_store": 1, "make_placement": 1}
 
