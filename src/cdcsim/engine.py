@@ -349,16 +349,18 @@ _ROWS_PER_CHUNK = 256
 @dataclass(frozen=True)
 class Slot:
     """A varying leaf of a ``Rows`` skeleton: the row's value in the column
-    of this name."""
+    of this name, or with ``hex`` that value, an exact int, as the string of
+    its ``f"{value:x}"`` digits.  A ``Slot`` anywhere else is not JSON."""
 
     name: str
+    hex: bool = False
 
 
 @dataclass
 class Rows:
     """A list of like objects for ``dump_json``: row i is ``skeleton`` with
     each ``Slot`` replaced by value i of its column.  Every column holds one
-    value per row; a ``Slot`` anywhere but in a skeleton is not JSON."""
+    value per row."""
 
     skeleton: object
     columns: dict[str, list]
@@ -405,21 +407,20 @@ def _payload_from_json(obj: dict) -> tuple[int, int]:
 
 def transcript_to_json(transcript: ShuffleTranscript) -> dict:
     """The transcript as a document for ``dump_json`` to write, its broadcasts
-    one ``Rows`` over the transcript's columns; parse the written text to
-    read or edit it."""
+    one ``Rows`` over the transcript's columns, a payload's ``hex`` a hex slot
+    over its ``values``; parse the written text to read or edit it."""
     cols = transcript.broadcasts
-    hexes = [f"{value:x}" for value in cols.values]
-    payload = {"bits": Slot("bits"), "hex": Slot("hex")}
+    payload = {"bits": Slot("bits"), "hex": Slot("hex", hex=True)}
     columns = {"sender": cols.senders, **cols.meta}
     if set(cols.counts) <= {1}:
         # one payload per broadcast, so its fields are broadcast columns too
         payloads = [payload]
-        columns |= {"bits": cols.nbits, "hex": hexes}
+        columns |= {"bits": cols.nbits, "hex": cols.values}
     else:
         payloads = Slot("payloads")
         columns["payloads"] = [
             Rows(payload, {"bits": cols.nbits[first:first + count],
-                           "hex": hexes[first:first + count]})
+                           "hex": cols.values[first:first + count]})
             for count, first in zip(cols.counts, accumulate(cols.counts, initial=0))]
     skeleton = {"sender": Slot("sender"), "kind": transcript.scheme,
                 "meta": {name: Slot(name) for name in cols.meta}, "payloads": payloads}
@@ -539,11 +540,12 @@ def _check_broadcast(i: int, b, scheme: str, keys: tuple) -> None:
         raise ValueError(f"broadcast {i}: {exc}") from None
 
 
-def _render(o, nl: str, write) -> None:
+def _render(o, nl: str, write, slots: bool = False) -> None:
     """Pass ``o`` to ``write`` in pieces, in document order, as
     ``json.dumps(o, sort_keys=True, indent=2)`` renders it, a ``Rows`` as the
     list of its rows, where ``nl`` is the newline and indent of the line ``o``
-    starts on."""
+    starts on.  ``slots`` is set for a ``Rows`` skeleton, which alone may
+    hold a ``Slot``."""
     # Containers are walked here, item by item, and exact ints and strs,
     # nearly every leaf of a transcript, are written without a call.  Any
     # other leaf or key is json's own text, and json's TypeError for what it
@@ -564,9 +566,10 @@ def _render(o, nl: str, write) -> None:
         opener, closer, items = "[", "]", zip(repeat(""), o)
     elif type(o) is Rows:
         return _render_rows(o, nl, write)
-    elif type(o) is Slot:
-        # _quote escapes NUL, so only a slot marker, which holds its value's nl, has one
-        return write("\0" + _quote(o.name) + "\0" + nl + "\0")
+    elif type(o) is Slot and slots:
+        # _quote escapes NUL, so only a slot marker has one: it holds its
+        # value's nl, or "x" for a hex slot, whose value is a string leaf
+        return write("\0" + _quote(o.name) + "\0" + ("x" if o.hex else nl) + "\0")
     else:
         return write(json.dumps(o))
     if not o:
@@ -579,26 +582,27 @@ def _render(o, nl: str, write) -> None:
             write(sep + head + int.__repr__(v))
         else:
             write(sep + head)
-            _render(v, inner, write)
+            _render(v, inner, write, slots)
         sep = "," + inner
     write(nl + closer)
 
 
-def _text(o, nl: str) -> str:
+def _text(o, nl: str, slots: bool = False) -> str:
     """``o`` as ``_render`` writes it, as one string: for a skeleton or one
     row's value, whose few pieces a list joins faster than a ``StringIO``."""
     pieces = []
-    _render(o, nl, pieces.append)
+    _render(o, nl, pieces.append, slots)
     return "".join(pieces)
 
 
 def _render_rows(rows: Rows, nl: str, write) -> None:
     """Write ``rows`` as ``_render`` writes the list of its rows: the skeleton
-    is rendered once into a ``%``-template with a ``%s`` per slot, and the
-    template is filled a row at a time, each chunk of rows one piece.  A
-    column of exact ints or strs is formatted cell by cell without a call to
-    ``_render``; a column of tuples of exact ints, such as a cdc ``group``,
-    is rendered once per distinct tuple."""
+    is rendered once into a ``%``-template with a hole per slot, filled a row
+    at a time, each chunk of rows one piece.  A column of exact ints is a
+    ``%d`` hole, or ``"%x"`` for a hex slot (which refuses any other column
+    with ``TypeError``), fed the column itself.  Any other column is a ``%s``
+    hole: exact strs quoted, tuples of exact ints, such as a cdc ``group``,
+    rendered once per distinct tuple, other cells one by one."""
     lengths = {len(column) for column in rows.columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"Rows columns of {sorted(lengths)} values, expected one length")
@@ -606,15 +610,27 @@ def _render_rows(rows: Rows, nl: str, write) -> None:
         return write("[]")
     inner = nl + "  "
     # text, then each slot's quoted name and its value's newline and indent
-    parts = _text(rows.skeleton, inner).split("\0")
+    # ("x" for a hex slot)
+    parts = _text(rows.skeleton, inner, True).split("\0")
     by_marker = {_quote(name): column for name, column in rows.columns.items()}
-    filled = []
+    holes, filled = [], []
     for marker, value_nl in zip(parts[1::3], parts[2::3]):
+        if marker not in by_marker:
+            raise ValueError(f"Rows slot {json.loads(marker)!r} names no column, "
+                             f"expected one of {list(rows.columns)}")
         column = by_marker[marker]
         kinds = set(map(type, column))
         if kinds == {int}:
-            filled.append(map(int.__repr__, column))
-        elif kinds == {str}:
+            # "%x" writes the digits f"{value:x}" writes, "%d" int.__repr__'s
+            holes.append('"%x"' if value_nl == "x" else "%d")
+            filled.append(column)
+            continue
+        if value_nl == "x":
+            raise TypeError(f"hex slot {json.loads(marker)!r} over a column of "
+                            f"{', '.join(sorted(kind.__name__ for kind in kinds))}, "
+                            "expected exact ints")
+        holes.append("%s")
+        if kinds == {str}:
             filled.append(map(_quote, column))
         elif kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {int}:
             # a cdc group: one text per distinct group, not per row.  Only
@@ -623,7 +639,8 @@ def _render_rows(rows: Rows, nl: str, write) -> None:
             filled.append(map(texts.__getitem__, column))
         else:
             filled.append(map(_text, column, repeat(value_nl)))
-    template = "%s".join([text.replace("%", "%%") for text in parts[::3]])
+    consts = [text.replace("%", "%%") for text in parts[::3]]
+    template = "".join(map(str.__add__, consts, holes)) + consts[-1]
     lines = map(template.__mod__, zip(*filled)) if filled else repeat(template % (), n)
     sep = "," + inner
     head = "[" + inner

@@ -8,10 +8,11 @@ import json
 import os
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import comb, inf, nan
 
 import pytest
@@ -706,16 +707,22 @@ SKELETONS = st.recursive(
     max_leaves=8)
 
 
+# a hex slot's column: exact ints, the ends and signs included
+HEX_CELLS = st.sampled_from([0, 2 ** 200, -1, -2 ** 200]) | st.integers(-2 ** 200, 2 ** 200)
+
+
 @st.composite
 def rows_values(draw, depth: int = 2) -> Rows:
     """A ``Rows`` of 0 to 3 rows: a skeleton with constant leaves and slots,
     and one to three columns, whose values may themselves be ``Rows`` down
-    to ``depth`` levels."""
+    to ``depth`` levels.  A column of exact ints may also fill hex slots."""
     names = draw(st.lists(TEMPLATE_TEXT, unique=True, min_size=1, max_size=3))
+    hex_names = draw(st.sets(st.sampled_from(names)))
 
     def slotted(o):
         if o is SLOT:
-            return Slot(draw(st.sampled_from(names)))
+            name = draw(st.sampled_from(names))
+            return Slot(name, hex=name in hex_names and draw(st.booleans()))
         if isinstance(o, dict):
             return {k: slotted(v) for k, v in o.items()}
         return [slotted(v) for v in o] if isinstance(o, list) else o
@@ -725,7 +732,8 @@ def rows_values(draw, depth: int = 2) -> Rows:
     n = draw(st.sampled_from([3, 1, 2, 0]))
     columns = {}
     for name in names:
-        values = draw(st.sampled_from(elements) | st.just(st.one_of(elements)))
+        values = HEX_CELLS if name in hex_names else draw(
+            st.sampled_from(elements) | st.just(st.one_of(elements)))
         columns[name] = draw(st.lists(values, min_size=n, max_size=n))
     return Rows(skeleton, columns)
 
@@ -735,6 +743,8 @@ def materialised(rows: Rows) -> list:
     def fill(o, i: int):
         if isinstance(o, Slot):
             value = rows.columns[o.name][i]
+            if o.hex:
+                return f"{value:x}"
             return materialised(value) if isinstance(value, Rows) else value
         if isinstance(o, dict):
             return {k: fill(v, i) for k, v in o.items()}
@@ -777,10 +787,10 @@ class TestRows:
         tuples = []
         text = cdcsim.engine._text
 
-        def counted(o, nl):
+        def counted(o, *args):
             if type(o) is tuple:
                 tuples.append(o)
-            return text(o, nl)
+            return text(o, *args)
 
         spec = JobSpec(K=8, N=224, Q=56, r=3, s=3, T=64)
         desc = {"kind": "synthetic", "seed": 1}
@@ -795,12 +805,57 @@ class TestRows:
         with pytest.raises(ValueError, match="expected one length"):
             dump_json(Rows({"a": Slot("a"), "b": Slot("b")}, {"a": [1, 2], "b": [3]}))
 
+    def test_slot_that_names_no_column_is_refused(self):
+        rows = Rows({"a": Slot("a"), "b": [Slot("y")]}, {"a": [1, 2], "b": [3, 4]})
+        message = "Rows slot 'y' names no column, expected one of ['a', 'b']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dump_json({"rows": rows})
+
+    @pytest.mark.parametrize("column", [[True, False], [1, True], ["a", "b"], [1.5, 2.0]],
+                             ids=["bool", "int-and-bool", "str", "float"])
+    def test_hex_slot_over_other_than_exact_ints_is_refused(self, column):
+        rows = Rows({"hex": Slot("hex", hex=True)}, {"hex": column})
+        with pytest.raises(TypeError, match="^hex slot 'hex' over a column of .*expected exact ints$"):
+            dump_json(rows)
+
+    @pytest.mark.parametrize("cell", [Slot("x"), [1, {"b": Slot("x", hex=True)}]],
+                             ids=["slot", "nested-slot"])
+    def test_slot_in_a_column_cell_is_json_type_error(self, cell):
+        # json's own wording, as for a Slot anywhere else outside a skeleton
+        with pytest.raises(TypeError, match="^Object of type Slot is not JSON serializable$"):
+            dump_json(Rows({"a": Slot("a")}, {"a": [cell]}))
+
+    @pytest.mark.parametrize("scheme", ["uncoded", "cdc-ld"])
+    def test_hex_slots_take_the_transcripts_own_values(self, scheme):
+        spec = JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64)
+        transcript = run(spec, SyntheticRankWorkload(seed=1), scheme).transcript
+        values = transcript.broadcasts.values
+        tracemalloc.start()
+        try:
+            doc = transcript_to_json(transcript)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = {"bits": Slot("bits"), "hex": Slot("hex", hex=True)}
+        rows = doc["broadcasts"]
+        if scheme == "uncoded":
+            assert rows.skeleton["payloads"] == [payload]
+            assert rows.columns["hex"] is values
+        else:
+            nested = rows.columns["payloads"]
+            assert all(p.skeleton == payload for p in nested)
+            assert list(chain.from_iterable(p.columns["hex"] for p in nested)) == values
+        # one hex string per payload would take more than all of this
+        assert peak < sum(sys.getsizeof(f"{value:x}") for value in values) / 4, peak
+
 
 # values json rejects, alone or after a sibling that it writes; the Fraction
-# key sorts among int keys, and json rejects it only when it reaches it
+# key sorts among int keys, and json rejects it only when it reaches it; a
+# Slot outside a Rows skeleton is not JSON either
 UNWRITABLE = st.sampled_from([
     {1, 2}, b"ab", Gf2Matrix((3,), 2), {(1, 2): 0}, {1: "a", "b": 2},
-    {1: [0, {2}], Fraction(3, 2): 0}, {0: "a", Fraction(1, 2): {3}}])
+    {1: [0, {2}], Fraction(3, 2): 0}, {0: "a", Fraction(1, 2): {3}},
+    Slot("x"), {"a": [Slot("x", hex=True)]}])
 
 
 class TestWriteJson:
