@@ -200,6 +200,8 @@ def result_to_json(result: engine.RunResult, report: analytics.LoadReport, workl
         "deviation": _fr(report.deviation),
         "verification": result.verification,
     }
+    if result.mismatch is not None:
+        doc["mismatch"] = result.mismatch
     if report.load_analytic_alt is not None:
         doc["load_analytic_alt"] = _fr(report.load_analytic_alt)
         doc["deviation_alt"] = _fr(report.deviation_alt)
@@ -251,8 +253,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(os.path.join(out_dir, "result.json"), result_to_json(result, report, workload))
 
     total = sum(result.bits_by_node.values())
-    print(f"scheme={scheme} bits={total} load={result.load_empirical} "
-          f"verification={result.verification}")
+    print(_line(f"scheme={scheme} bits={total} load={result.load_empirical} "
+                f"verification={result.verification}"
+                + ("" if result.mismatch is None else f": {result.mismatch}")))
     return EXIT_VERIFY if result.verification == "fail" else EXIT_OK
 
 
@@ -317,8 +320,8 @@ def fixture_to_json(result: engine.RunResult, workload_desc: dict) -> dict:
 
 
 def replay_fixture(doc: dict) -> str:
-    """Validate and decode a serialized transcript against its workload;
-    returns the verdict: "pass", "fail", or "not-applicable" at s >= 2.
+    """Validate a serialized transcript and check every decoded value against
+    its workload's store; returns "pass", "fail", or "not-applicable" at s >= 2.
 
     A transcript that is not, one to one, the broadcasts its scheme sends
     (see ``engine.validate_transcript``) or that does not decode fails rather
@@ -331,7 +334,7 @@ def replay_fixture(doc: dict) -> str:
 
 def _replay(doc: dict) -> tuple[str, str]:
     """``replay_fixture``'s verdict and why a replay failed: the message of the
-    error that rejected it, or the first node and function with a wrong output."""
+    error that rejected it, or ``decode_and_verify``'s first wrong value."""
     engine.expect_json(doc, dict, "fixture document")
     engine.expect_json(doc.get("workload"), dict, "fixture workload")
     transcript = engine.transcript_from_json(doc.get("transcript"))
@@ -340,17 +343,12 @@ def _replay(doc: dict) -> tuple[str, str]:
                          + engine.unknown_field(doc, ("workload", "transcript"), "fixture"))
     spec = transcript.spec
     workload = build_workload(doc["workload"], spec)
-    placement = make_placement(spec)
-    store = workload.build_store(spec)
+    placement, store = make_placement(spec), workload.build_store(spec)
     try:
-        outputs, reference, verification = engine.decode_and_verify(
-            placement, store, transcript, workload)
+        _, mismatch, verdict = engine.decode_and_verify(placement, store, transcript, workload)
     except (IncompleteShuffleError, ValueError) as exc:
         return "fail", str(exc)
-    if verification != "fail":
-        return verification, ""
-    k, q = next((k, q) for k, out in outputs.items() for q, v in out.items() if v != reference[q])
-    return "fail", f"node {k}: the reduce output of function {q} differs from the reference"
+    return verdict, mismatch or ""
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:

@@ -4,7 +4,7 @@ The network model is a zero-latency lossless broadcast: every payload a node
 sends is visible to all others and the only cost tracked is its exact bit
 length.  A run produces a transcript of every broadcast, per-node bit
 counters, and (for single-copy reduce) reduce outputs, one node at a time from
-the values it decoded, and a pass/fail comparison against a single-machine reference.
+the values it decoded, and a pass/fail check of every decoded value against the store.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import countOf, itemgetter, rshift
@@ -102,13 +102,13 @@ class ShuffleTranscript:
 @dataclass
 class RunResult:
     """A run's transcript, the bits and load measured from it, and the
-    outputs, reference and verdict of ``decode_and_verify``."""
+    outputs, mismatch and verdict of ``decode_and_verify``."""
 
     transcript: ShuffleTranscript
     bits_by_node: dict[int, int]
     load_empirical: Fraction
     outputs: dict[int, dict[int, int]] | None
-    reference: dict[int, int] | None
+    mismatch: str | None  # the first wrong decoded value, on "fail" only
     verification: str  # "pass" | "fail" | "not-applicable"
 
 
@@ -286,12 +286,12 @@ def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> di
 def decode_and_verify(placement: Placement, store: ValueTable, transcript: ShuffleTranscript,
                       workload):
     """Validate a transcript with ``validate_transcript``, then one node at a
-    time decode its table (``decode_uncoded`` or ``decode_cdc_s1``) and
-    reduce (``reduce_phase``), and compare every output to the reference.
+    time decode its table (``decode_uncoded`` or ``decode_cdc_s1``), reduce it
+    (``reduce_phase``) and compare it, a row at a time, with the store's rows.
 
-    Returns (outputs, reference, verification).  With s >= 2 no decoder
-    exists: the multicast structure is checked to cover every node's demand
-    set and the result is (None, None, "not-applicable").
+    Returns (outputs, mismatch, verification), "fail" with the first wrong
+    value by node, then table order.  With s >= 2 no decoder exists: the
+    multicast check covers every node's demand; (None, None, "not-applicable").
     """
     spec = placement.spec
     got = validate_transcript(placement, transcript)
@@ -307,11 +307,16 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
         return None, None, "not-applicable"
 
     decode = decode_uncoded if transcript.scheme == "uncoded" else decode_cdc_s1
-    outputs = {k: reduce_phase(placement, k, decode(k, got, store, placement), workload)
-               for k in range(1, spec.K + 1)}
-    reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
-    ok = all(v == reference[q] for out in outputs.values() for q, v in out.items())
-    return outputs, reference, "pass" if ok else "fail"
+    N, outputs, mismatch = spec.N, {}, None
+    for k, funcs in placement.node_funcs.items():
+        table = decode(k, got, store, placement)
+        outputs[k] = reduce_phase(placement, k, table, workload)
+        for q, at in zip(funcs, range(0, len(table), N)):
+            if mismatch is None and table[at:at + N] != (row := store.row(q)):
+                mismatch = next(f"node {k}: function {q} on file {n} decoded as 0x{v:x}, expected "
+                                f"0x{w:x}" for n, v, w in zip(count(1), table[at:], row) if v != w)
+        del table  # not held through the next node's decode
+    return outputs, mismatch, "pass" if mismatch is None else "fail"
 
 
 def run(spec: JobSpec, workload, scheme: str) -> RunResult:

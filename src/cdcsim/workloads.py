@@ -4,9 +4,9 @@ Three families are provided: symbol counting over a block-partitioned
 sequence, GF(2) linear transforms (plain and with a parity-coded row block),
 and a synthetic generator with tunable value duplication for rank
 experiments.  Each workload builds the job's store, the one ``ValueTable``
-(functions 1..Q on files 1..N), knows how to reduce a function's values to an
-int, so end-to-end runs can be checked against a single-machine reference,
-and writes that int as the output text of ``result.json``.
+(functions 1..Q on files 1..N), against which a run checks every value a
+node decoded, knows how to reduce a function's values to an int, the node's
+output, and writes that int as the output text of ``result.json``.
 """
 
 from __future__ import annotations

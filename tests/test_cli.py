@@ -128,6 +128,29 @@ class TestRun:
         assert err.count("\n") == 1 and len(err) == MAX_LINE + 1
         assert err.startswith(f"error: K={K!r}"[:100]) and err.endswith("…\n")
 
+    def test_wrong_decoded_value_is_named(self, tmp_path, capsys, monkeypatch):
+        # node 2's decoder returns its table with one value's low bit flipped:
+        # the run fails, and result.json and the summary name that value
+        args = ["run", "--preset", "paper-wordcount", "--out-dir", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        assert "mismatch" not in json.loads((tmp_path / "result.json").read_text())
+        decode = engine.decode_cdc_s1
+
+        def flipped(k, received, values, placement):
+            table = decode(k, received, values, placement)
+            if k == 2:
+                table[1] ^= 1  # node 2's one function, 2, on file 2
+            return table
+
+        monkeypatch.setattr(engine, "decode_cdc_s1", flipped)
+        capsys.readouterr()
+        assert main(args) == EXIT_VERIFY
+        mismatch = "node 2: function 2 on file 2 decoded as 0x3, expected 0x2"
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert (doc["verification"], doc["mismatch"]) == ("fail", mismatch)
+        assert capsys.readouterr().out == (f"scheme=cdc bits=36 load=1/4 "
+                                           f"verification=fail: {mismatch}\n")
+
     def test_uncoded_multi_copy_exits_4(self, tmp_path):
         code = main(["run", "--K", "4", "--N", "6", "--Q", "6", "--r", "2", "--s", "2",
                      "--T", "8", "--workload", "synthetic", "--scheme", "uncoded",
@@ -701,7 +724,7 @@ class TestFixture:
 
     @pytest.mark.parametrize("tamper, reason", [
         (lambda bs: bs[0]["payloads"][0].update(hex="2"),  # was "3": one bit flipped
-         "node 2: the reduce output of function 2 differs from the reference"),
+         "node 2: function 2 on file 2 decoded as 0x3, expected 0x2"),
         (lambda bs: bs.extend([copy.deepcopy(bs[0]), copy.deepcopy(bs[0])]),
          "broadcast 12: second broadcast for (1, (1, 2, 3), 1)"),
     ], ids=["flipped-bit", "broadcast-0-appended-twice"])

@@ -11,8 +11,9 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, inf, nan
 
 import pytest
@@ -88,7 +89,10 @@ class TestPaperRun:
         result = run(spec, paper_workload(), "cdc")
         blocks = [list(b) for b in PAPER_BLOCKS]
         assert result.outputs[1][1] == recount(blocks, 1) == 22
-        assert result.reference == {q: recount(blocks, q) for q in range(1, 5)}
+        assert result.mismatch is None
+        # every node's outputs are the single-machine counts
+        assert {q: v for out in result.outputs.values() for q, v in out.items()} == {
+            q: recount(blocks, q) for q in range(1, 5)}
 
     def test_rho_table(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=30)
@@ -345,10 +349,11 @@ class TestSchemeEquivalence:
     def test_all_schemes_match_reference(self, spec, workload):
         results = {scheme: run(spec, workload, scheme)
                    for scheme in ("uncoded", "cdc", "cdc-ld")}
-        reference = results["uncoded"].reference
+        store = workload.build_store(spec)
+        reference = {q: workload.reduce(q, store.row(q), spec.T) for q in range(1, spec.Q + 1)}
         for result in results.values():
             assert result.verification == "pass"
-            assert result.reference == reference
+            assert result.mismatch is None
             for k, out in result.outputs.items():
                 for q, v in out.items():
                     assert v == reference[q]
@@ -363,7 +368,7 @@ class TestSchemeEquivalence:
         workload = SyntheticRankWorkload(seed=11, duplicate_prob=0.3)
         placement, store = make_placement(spec), workload.build_store(spec)
         for scheme in schemes:
-            # every field: transcript columns, bits, load, outputs, reference, verdict
+            # every field: transcript columns, bits, load, outputs, mismatch, verdict
             shared = run_on(placement, store, workload, scheme)
             assert shared == run(spec, workload, scheme)
         assert shared.verification == ("pass" if spec.s == 1 else "not-applicable")
@@ -547,10 +552,13 @@ class TestReducePhase:
         inputs = Gf2Matrix(tuple(rng.getrandbits(16) for _ in range(6)), 16)
         workload = LinearTransformWorkload(matrix, inputs)
         result = run(spec, workload, "cdc")
+        store = workload.build_store(spec)
+        outputs = {q: v for out in result.outputs.values() for q, v in out.items()}
         for q in range(1, 5):
             expected = pack([x >> (q - 1) * 4 & 0xf for x in inputs.rows], 4)
-            assert result.reference[q] == expected
-            assert workload.output_text(result.reference[q], spec) == f"{4 * 6}:{expected:x}"
+            reference = workload.reduce(q, store.row(q), spec.T)
+            assert reference == outputs[q] == expected
+            assert workload.output_text(reference, spec) == f"{4 * 6}:{expected:x}"
 
     def test_missing_value_propagates(self):
         spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=6)
@@ -593,6 +601,34 @@ class TestReducePhase:
             with pytest.raises(ValueError) as err:
                 decode_and_verify(placement, store, transcript, workload)
             assert str(err.value) == f"no {scheme} broadcast for {[key]}"
+
+
+class TestTwoFlipEdits:
+    """The same bit flipped in the last payload of two broadcasts of the K=4
+    job: XOR and integer-sum reduces can cancel such a pair, but the decoded
+    values then differ from the store's, so every edit fails (or is refused)."""
+
+    @pytest.mark.parametrize("scheme, edits", [("uncoded", 264), ("cdc", 264), ("cdc-ld", 24)])
+    def test_every_edit_fails(self, scheme, edits):
+        spec = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8)
+        workload = SyntheticRankWorkload(seed=1)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        cols = run_on(placement, store, workload, scheme).transcript.broadcasts
+        ends = list(accumulate(cols.counts))  # broadcast i's last payload is ends[i] - 1
+        passed, count = [], 0
+        for pair, bit in product(combinations(range(len(cols)), 2), range(4)):
+            values = list(cols.values)
+            for i in pair:
+                values[ends[i] - 1] ^= 1 << bit
+            edited = ShuffleTranscript(scheme, spec, replace(cols, values=values))
+            count += 1
+            try:
+                if decode_and_verify(placement, store, edited, workload)[2] != "fail":
+                    passed.append((pair, bit))
+            except ValueError:
+                pass
+        assert count == edits
+        assert passed == []
 
 
 class TestDeterminism:

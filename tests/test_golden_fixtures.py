@@ -6,8 +6,10 @@ them byte for byte, either the encoding or the fixture schema drifted.
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
+from itertools import combinations, product
 
 import pytest
 
@@ -39,6 +41,29 @@ def test_placement_matches_frozen_bytes(regenerated):
 def test_frozen_fixtures_still_decode(scheme):
     doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
     assert replay_fixture(doc) == "pass"
+
+
+@pytest.mark.parametrize("scheme, edits", [("uncoded", 132), ("cdc", 132), ("cdc-ld", 12)])
+def test_two_flip_edits_fail(scheme, edits):
+    # the same bit flipped in the last payload of two broadcasts: a pair an
+    # integer-sum reduce can cancel, yet every decoded value is checked, so
+    # each edit fails (or is refused as unreadable)
+    doc = json.loads((FIXTURE_DIR / f"paper-wordcount-fixture-{scheme}.json").read_text())
+    passed, count = [], 0
+    for pair, bit in product(combinations(range(len(doc["transcript"]["broadcasts"])), 2),
+                             range(2)):
+        edited = copy.deepcopy(doc)
+        for i in pair:
+            payload = edited["transcript"]["broadcasts"][i]["payloads"][-1]
+            payload["hex"] = f"{int(payload['hex'], 16) ^ 1 << bit:x}"
+        count += 1
+        try:
+            if replay_fixture(edited) != "fail":
+                passed.append((pair, bit))
+        except ValueError:
+            pass
+    assert count == edits
+    assert passed == []
 
 
 def test_frozen_rank_compressed_costs():
