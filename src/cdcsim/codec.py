@@ -11,7 +11,7 @@ not decoded.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
@@ -26,7 +26,7 @@ from .gf2 import (
     unpack,
     vandermonde,
 )
-from .placement import JobSpec, Placement, group_sizes, ksubsets
+from .placement import JobSpec, Placement
 from .workloads import ValueTable
 
 
@@ -69,55 +69,52 @@ def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
     return [g for g in combinations(range(1, spec.K + 1), ell) if k in g]
 
 
+def _value_sets(placement: Placement) -> dict:
+    """``placement.vsets``, filled on first use in one pass over every (file
+    batch H, reduce batch S) pair: each S not inside H adds its functions to
+    the value set of group H | S with holders H, on H's files.  Each set's
+    size is checked once, as it is stored."""
+    vsets = placement.vsets
+    if not vsets:
+        spec = placement.spec
+        funcs: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        for holders in placement.file_batches:
+            held = set(holders)
+            # batches come in increasing function order, so each set's are sorted
+            for batch, qs in placement.reduce_batches.items():
+                if not held.issuperset(batch):
+                    funcs.setdefault((tuple(sorted(held.union(batch))), holders), []).extend(qs)
+        for (group, holders), qs in funcs.items():
+            ns = placement.file_batches[holders]
+            expected = comb(spec.r, len(group) - spec.s) * spec.eta1 * spec.eta2
+            if len(qs) * len(ns) != expected:
+                raise AssertionError(f"value set for group={group} holders={holders} has "
+                                     f"{len(qs) * len(ns)} entries, expected {expected}")
+            vsets[group, holders] = tuple(qs), ns
+    return vsets
+
+
 def build_vset(group: Sequence[int], holders: Sequence[int],
                placement: Placement) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The value set of one (group, holders) multicast: the values known
     exclusively by the holders and wanted by the rest of the group, as the
     rectangle (qs, ns) of its sorted functions and its consecutive files.
 
-    A function index q qualifies when every non-holder in the group wants it
-    and nobody outside the group does, i.e. its reduce batch is an s-subset
-    of the group containing every receiver; a file index n qualifies when it
-    is held by exactly the holder subset.  Those s-subsets are the receivers
-    joined with each (s - |receivers|)-subset of the holders, so a miss
-    lists its C(r, ell - s) batches without scanning all C(ell, s) subsets
-    of the group.  The set's (q, n) pairs are ``product(qs, ns)``, sorted by
-    q then n.  Each value set is built once per placement and kept in
-    ``placement.vsets`` under its sorted group and holders; a repeat call
-    returns the same object.  Sorted tuples, as every engine caller passes,
-    are answered by one probe; other arguments are sorted into the key.  A
-    group or holders that repeat a node raise ``ValueError``.
+    Its functions are those of every reduce batch S with holders | S =
+    group, and its files the holders' batch; its (q, n) pairs are
+    ``product(qs, ns)``.  All of a placement's value sets are built at once
+    (``placement.vsets``), so a repeat call, in any order, returns the same
+    object; a pair that is no multicast raises ``ValueError``.
     """
     try:
         return placement.vsets[group, holders]
-    except (KeyError, TypeError):  # not built yet, or lists
+    except (KeyError, TypeError):  # not built yet, another order, or lists
         key = tuple(sorted(group)), tuple(sorted(holders))
-    vset = placement.vsets.get(key)
-    if vset is not None:
-        return vset
-    spec = placement.spec
-    group, holders = key
-    ell = len(group)
-    if ell not in group_sizes(spec.K, spec.r, spec.s):
-        raise ValueError(f"group size {ell} invalid for r={spec.r}, s={spec.s}, K={spec.K}")
-    if len(holders) != spec.r or not set(holders) <= set(group):
-        raise ValueError(f"holders {holders} must be an r={spec.r} subset of group {group}")
-    if len(set(group)) != ell or len(set(holders)) != spec.r:
-        raise ValueError(f"group {group} with holders {holders} repeats a node")
-
-    receivers = tuple(k for k in group if k not in holders)
-    qs = tuple(sorted(chain.from_iterable(
-        placement.reduce_batches[tuple(sorted(receivers + extra))]
-        for extra in combinations(holders, spec.s - len(receivers))
-    )))
-    ns = placement.file_batches[holders]
-    expected = comb(spec.r, ell - spec.s) * spec.eta1 * spec.eta2
-    if len(qs) * len(ns) != expected:
-        raise AssertionError(
-            f"value set for group={group} holders={holders} has {len(qs) * len(ns)} "
-            f"entries, expected {expected}"
-        )
-    placement.vsets[key] = vset = qs, ns
+    vset = _value_sets(placement).get(key)
+    if vset is None:
+        spec = placement.spec
+        raise ValueError(f"group {key[0]} with holders {key[1]} is no multicast of "
+                         f"K={spec.K}, r={spec.r}, s={spec.s}")
     return vset
 
 
@@ -301,10 +298,8 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, tuple[i
     """
     spec = placement.spec
     covered: dict[int, set[tuple[int, tuple[int, ...]]]] = {k: set() for k in range(1, spec.K + 1)}
-    for ell in group_sizes(spec.K, spec.r, spec.s):
-        for group in ksubsets(spec.K, ell):
-            for holders in combinations(group, spec.r):
-                pairs = [(q, holders) for q in build_vset(group, holders, placement)[0]]
-                for receiver in set(group) - set(holders):
-                    covered[receiver].update(pairs)
+    for (group, holders), (qs, _) in _value_sets(placement).items():
+        pairs = [(q, holders) for q in qs]
+        for receiver in set(group) - set(holders):
+            covered[receiver].update(pairs)
     return covered

@@ -83,10 +83,10 @@ def group_sizes(K: int, r: int, s: int) -> range:
 class Placement:
     """Batch maps and the per-node file / function sets they induce.
 
-    ``vsets`` holds each multicast value set ``codec.build_vset`` has built
-    for this placement, by sorted (group, holders), and ``combiners`` the
-    s >= 2 encoder's ``codec.combiner`` per group size; both fill on first
-    use.
+    ``vsets`` holds every multicast value set of this placement by sorted
+    (group, holders), filled whole by ``codec`` on first use, and
+    ``combiners`` the s >= 2 encoder's ``codec.combiner`` per group size,
+    each on first use.
     """
 
     spec: JobSpec

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -66,9 +67,11 @@ class TestVSet:
         for K, r, s in specs:
             spec = JobSpec(K=K, N=comb(K, r), Q=comb(K, s), r=r, s=s, T=4)
             placement = make_placement(spec)
+            asked = set()
             for ell in group_sizes(K, r, s):
                 for group in combinations(range(1, K + 1), ell):
                     for holders in combinations(group, r):
+                        asked.add((group, holders))
                         qs, ns = build_vset(group, holders, placement)
                         # sorted functions on one run of consecutive files
                         assert list(qs) == sorted(set(qs))
@@ -77,6 +80,8 @@ class TestVSet:
                         oracle = vset_members_bruteforce(placement, group, holders)
                         assert value_ids == tuple(sorted(oracle))
                         assert len(value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
+            # the table holds every multicast of the placement and nothing else
+            assert set(placement.vsets) == asked
 
     def test_canonical_order(self):
         spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=4)
@@ -94,21 +99,31 @@ class TestVSet:
             build_vset((1, 2, 3), (1, 4), placement)  # holders outside group
 
 
+def multicast_count(spec):
+    """The value sets of a placement: one per group and r-subset of it."""
+    K, r = spec.K, spec.r
+    return sum(comb(K, ell) * comb(ell, r) for ell in group_sizes(K, r, spec.s))
+
+
 class TestVSetCache:
     def test_repeat_call_returns_the_same_object(self):
         spec = JobSpec(K=5, N=20, Q=10, r=2, s=1, T=4)
         placement = make_placement(spec)
         first = build_vset((1, 2, 3), (1, 3), placement)
+        # the first call builds every value set of the placement
+        keys = list(placement.vsets)
+        assert len(keys) == multicast_count(spec) == 30
         assert build_vset((1, 2, 3), (1, 3), placement) is first
         assert build_vset((3, 1, 2), (3, 1), placement) is first
         assert build_vset([2, 3, 1], [1, 3], placement) is first
-        assert list(placement.vsets) == [((1, 2, 3), (1, 3))]
+        assert list(placement.vsets) == keys
         # the cache belongs to the placement: another one builds its own
-        # set, kept under sorted tuples whatever the first call passed
+        # sets, kept under sorted tuples whatever the first call passed
         other_placement = make_placement(spec)
         other = build_vset([3, 2, 1], [3, 1], other_placement)
         assert other == first and other is not first
-        assert list(other_placement.vsets) == [((1, 2, 3), (1, 3))]
+        assert other_placement.vsets[(1, 2, 3), (1, 3)] is other
+        assert set(other_placement.vsets) == set(keys)
 
     @pytest.mark.parametrize("scheme", ["cdc", "cdc-ld"])
     def test_job_at_paper_fig4_k_and_r_makes_5880_calls(self, scheme, monkeypatch):
@@ -130,21 +145,26 @@ class TestVSetCache:
         assert calls == 5880
 
     def test_invalid_arguments_raise_every_call_and_are_not_cached(self):
-        _, placement, _ = paper_setup()
+        spec, placement, _ = paper_setup()
         for group, holders in (((1, 2), (1, 2)), ((1, 2, 3), (1,)), ((1, 2, 3), (1, 4))):
+            message = f"group {group} with holders {holders} is no multicast of K=4, r=2, s=1"
             for _ in range(2):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     build_vset(group, holders, placement)
-        assert placement.vsets == {}
+            assert (group, holders) not in placement.vsets
+        assert len(placement.vsets) == multicast_count(spec) == 12
 
     def test_repeated_nodes_raise_and_are_not_cached(self):
-        # (1, 1, 2, 3) has a valid size and C(3, 2) subsets of its holders,
-        # as many as a value set of 4 distinct nodes lists
-        placement = make_placement(JobSpec(K=4, N=4, Q=6, r=3, s=2, T=4))
+        # (1, 1, 2, 3) has a valid size and holds its holders, but sorts to
+        # no key of the table
+        spec = JobSpec(K=4, N=4, Q=6, r=3, s=2, T=4)
+        placement = make_placement(spec)
         for group, holders in (((1, 1, 2, 3), (1, 2, 3)), ((1, 2, 3, 4), (1, 1, 2))):
-            with pytest.raises(ValueError, match="repeats a node"):
+            message = f"group {group} with holders {holders} is no multicast of K=4, r=3, s=2"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build_vset(group, holders, placement)
-        assert placement.vsets == {}
+            assert (group, holders) not in placement.vsets
+        assert len(placement.vsets) == multicast_count(spec) == 4
 
 
 class TestSegmentMemo:
