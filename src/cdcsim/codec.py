@@ -3,7 +3,10 @@ messages, the single-copy XOR-peeling decoder, and rank compression of each
 node's message set.
 
 For reduce replication s=1 every coded message is a plain XOR of segments and
-every receiver can peel out the one segment it is missing.  For s >= 2 the
+every receiver can peel out the one segment it is missing: ``peel_cdc_s1``
+yields a node's recovered components per group, which the engine checks
+against the store's segments and ``decode_cdc_s1`` unpacks into the node's
+table of values.  For s >= 2 the
 encoder combines segments blockwise over a small extension field using rows
 of powers of distinct field points; those messages are built and counted but
 not decoded.
@@ -215,19 +218,55 @@ def decode_uncoded(k: int, slots: list, values: ValueTable, placement: Placement
     return own_columns(k, placement, values, slots[(funcs[0] - 1) * N:funcs[-1] * N])
 
 
-def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
-                  values: ValueTable, placement: Placement) -> list[int]:
-    """Recover node k's missing values by XOR peeling (single-copy reduce
-    only) and return node k's table (``own_columns``).
+def peel_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
+                values: ValueTable, placement: Placement):
+    """Peel node k's messages apart by XOR (single-copy reduce only): yield,
+    for each group containing k in ``groups_containing`` order, the group,
+    its value set ``build_vset(group, others)`` (the values k wants from the
+    other members) and the r components k recovered, or ``None`` where a
+    message is missing.
 
     ``received`` maps (sender, group) to that sender's message, as
-    ``engine.validate_transcript`` returns them; their lengths are its to
-    check.  In each group containing k, every other member's message leaves
-    exactly one unknown segment once k cancels the segments it can rebuild
-    from its own map results; the r recovered segments reassemble the symbol
-    holding k's wanted values for that group: its functions on the group's
-    file batch.  ``values`` is the job's store, read in place: only the
-    values of files k mapped are read from it.  A recovered symbol whose zero
+    ``engine.validate_transcript`` returns them.  Every other member j's
+    message leaves exactly one unknown segment once k cancels the segments
+    it rebuilds from its own map results (``values`` is read only on files k
+    mapped): j's segment of the wanted value set.  The components, in
+    holder order, are that set's r segments as ``segment_usymbol`` splits
+    them, padding included.
+    """
+    spec = placement.spec
+    for group in groups_containing(spec, k, spec.r + 1):
+        others = tuple(j for j in group if j != k)
+        vset = build_vset(group, others, placement)
+        payloads = [received.get((j, group)) for j in others]
+        if None in payloads:
+            yield group, vset, None
+            continue
+        # the segments this node can compute itself: those of each holder
+        # subset containing k, the group without one other member i
+        local_segs = []
+        for i in others:
+            holders = tuple(h for h in group if h != i)
+            segs = segment_usymbol(build_vset(group, holders, placement), values, spec.r)[1]
+            local_segs.append((i, holders, segs))
+        components = []
+        for j, acc in zip(others, payloads):
+            # j's message is its segment of every holder subset it is in
+            for i, holders, segs in local_segs:
+                if i != j:
+                    acc ^= segs[holders.index(j)]
+            components.append(acc)
+        yield group, vset, tuple(components)
+
+
+def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
+                  values: ValueTable, placement: Placement) -> list[int]:
+    """Node k's table (``own_columns``) filled with the values
+    ``peel_cdc_s1`` recovers (single-copy reduce only): in each group, the r
+    components joined are the symbol of k's wanted values, its functions on
+    the group's file batch.  ``received`` is as the peel takes it, its
+    lengths ``engine.validate_transcript``'s to check; ``values``, the job's
+    store, is read only on files k mapped.  A recovered symbol whose zero
     padding is not zero raises ``ValueError``, and a value no message
     recovers ``IncompleteShuffleError`` (``require_complete``).
     """
@@ -237,34 +276,18 @@ def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
     T, N, width = spec.T, spec.N, segment_width(spec, spec.r + 1)
     table = own_columns(k, placement, values, [None] * (len(placement.node_funcs[k]) * N))
 
-    for group in groups_containing(spec, k, spec.r + 1):
-        others = tuple(j for j in group if j != k)
-        # at s=1 qs are all of node k's functions, so file n of the symbol
-        # fills the column table[n-1::N]
-        qs, ns = build_vset(group, others, placement)
-        payloads = [received.get((j, group)) for j in others]
-        if None in payloads:
+    for group, (qs, ns), components in peel_cdc_s1(k, received, values, placement):
+        if components is None:
             continue
-        # the segments this node can compute itself: those of each holder
-        # subset containing k, the group without one other member i
-        local_segs = []
-        for i in others:
-            holders = tuple(h for h in group if h != i)
-            segs = segment_usymbol(build_vset(group, holders, placement), values, spec.r)[1]
-            local_segs.append((i, holders, segs))
-        symbol = 0
-        for idx, (j, acc) in enumerate(zip(others, payloads)):
-            # j's message is its segment of every holder subset it is in
-            for i, holders, segs in local_segs:
-                if i != j:
-                    acc ^= segs[holders.index(j)]
-            symbol |= acc << idx * width
+        symbol = pack(components, width)
         # the trailing zero padding the segmentation added lies above the
         # values; check it first, since unpack raises OverflowError on it
         m = len(ns)
         count = len(qs) * m
         if symbol >> count * T:
             raise ValueError(f"node {k}: the padding of group {group}'s symbol is not zero")
+        # at s=1 qs are all of node k's functions, so file n of the symbol
+        # fills the column table[n-1::N]
         vals = unpack(symbol, count, T)
         for j, n in enumerate(ns):
             table[n - 1::N] = vals[j::m]

@@ -3,8 +3,11 @@
 The network model is a zero-latency lossless broadcast: every payload a node
 sends is visible to all others and the only cost tracked is its exact bit
 length.  A run produces a transcript of every broadcast, per-node bit
-counters, and (for single-copy reduce) reduce outputs, one node at a time from
-the values it decoded, and a pass/fail check of every decoded value against the store.
+counters, and (for single-copy reduce) reduce outputs and a pass/fail check of
+every decoded value against the store: a coded run compares each component a
+node peels with the store's segment of that value set, and decodes, reduces
+and compares node tables one node at a time, as uncoded always does, only when
+some component differs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .codec import (
     ld_decompress,
     message_width,
     multicast_coverage,
+    peel_cdc_s1,
     require_complete,
+    segment_usymbol,
     segment_width,
 )
 from .gf2 import BasisDecomposition, Gf2Matrix, rank_and_basis
@@ -285,9 +290,17 @@ def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> di
 
 def decode_and_verify(placement: Placement, store: ValueTable, transcript: ShuffleTranscript,
                       workload):
-    """Validate a transcript with ``validate_transcript``, then one node at a
-    time decode its table (``decode_uncoded`` or ``decode_cdc_s1``), reduce it
-    (``reduce_phase``) and compare it, a row at a time, with the store's rows.
+    """Validate a transcript with ``validate_transcript``, then check what
+    each node decodes against the store.
+
+    For cdc and cdc-ld (s = 1), every component ``peel_cdc_s1`` recovers is
+    first compared with the store's segment of the same value set
+    (``segment_usymbol``, memoised in the store): when all are equal,
+    every node's decoded values are the store's, and each output is its
+    function's reduce over the store's row.  Otherwise, and for uncoded, one
+    node at a time decodes its table (``decode_uncoded`` or
+    ``decode_cdc_s1``), reduces it (``reduce_phase``) and compares it, a row
+    at a time, with the store's rows.
 
     Returns (outputs, mismatch, verification), "fail" with the first wrong
     value by node, then table order.  With s >= 2 no decoder exists: the
@@ -305,6 +318,14 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
                 pairs = sorted((q, n) for q, b in missed for n in batches[b])
                 raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"
+
+    if transcript.scheme != "uncoded" and all(
+            components == segment_usymbol(vset, store, spec.r)[1]
+            for k in placement.node_funcs
+            for _, vset, components in peel_cdc_s1(k, got, store, placement)):
+        # each node decoded exactly the store's values
+        return ({k: {q: workload.reduce(q, store.row(q), spec.T) for q in funcs}
+                 for k, funcs in placement.node_funcs.items()}, None, "pass")
 
     decode = decode_uncoded if transcript.scheme == "uncoded" else decode_cdc_s1
     N, outputs, mismatch = spec.N, {}, None

@@ -28,18 +28,22 @@ class MalformedDecompositionError(ValueError):
 
 
 # struct codes of the value widths that are whole machine words
-_WORD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
+WORD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def pack(values: Sequence[int], T: int) -> int:
     """Concatenate T-bit values, value i at bits i*T; each must fit in T bits.
 
-    Linear in len(values) when T is 8, 16, 32 or 64; any other T takes one
-    shift per value, quadratic in len(values).
+    Linear in len(values) when T is a multiple of 8 (whole bytes per value,
+    through ``struct`` for 8, 16, 32 and 64); any other T takes one shift per
+    value, quadratic in len(values).
     """
-    code = _WORD_CODE.get(T)
+    code = WORD_CODE.get(T)
     if code is not None:
         return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    if T % 8 == 0:
+        size = T // 8
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
     acc = 0
     for i, v in enumerate(values):
         acc |= v << i * T
@@ -48,10 +52,15 @@ def pack(values: Sequence[int], T: int) -> int:
 
 def unpack(x: int, n: int, T: int) -> list[int]:
     """The n T-bit values ``pack`` concatenated into x, which must be below
-    2**(n*T): for T in 8, 16, 32, 64 a wider x raises ``OverflowError``."""
-    code = _WORD_CODE.get(T)
+    2**(n*T): for T a multiple of 8 a wider x raises ``OverflowError``.
+    Linear in n when T is a multiple of 8, quadratic otherwise."""
+    code = WORD_CODE.get(T)
     if code is not None:
         return list(struct.unpack(f"<{n}{code}", x.to_bytes(n * T // 8, "little")))
+    if T % 8 == 0:
+        size = T // 8
+        data = x.to_bytes(n * size, "little")
+        return [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(n)]
     mask = (1 << T) - 1
     return [x >> i * T & mask for i in range(n)]
 

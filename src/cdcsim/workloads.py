@@ -23,7 +23,7 @@ from itertools import filterfalse, islice
 from operator import xor
 from typing import Sequence, TextIO
 
-from .gf2 import Gf2Matrix, pack, unpack
+from .gf2 import WORD_CODE, Gf2Matrix, pack, unpack
 from .placement import JobSpec
 
 
@@ -76,18 +76,30 @@ class ValueTable:
 
     def join(self, qs: Sequence[int], n: int, count: int) -> int:
         """The values of files n..n+count-1 for each function in ``qs``, in
-        that order, concatenated as ``pack`` concatenates T-bit values."""
-        N, Q = self.N, self.Q
+        that order, concatenated as ``pack`` concatenates T-bit values.
+
+        One file of a consecutive run of functions, at 1, 2, 4 or 8 bytes a
+        value, is one strided slice of the store (a column of its rows); any
+        other read joins one slice of bytes per function.
+        """
+        N, Q, width = self.N, self.Q, self.width
         if count < 1 or n not in range(1, N + 2 - count):
             raise KeyError(n)
         if qs and (min(qs) < 1 or max(qs) > Q):
             raise KeyError(next(q for q in qs if not 0 < q <= Q))
-        stride, at, size = N * self.width, (n - 1) * self.width, count * self.width
-        joined = int.from_bytes(b"".join([
-            self.data[(q - 1) * stride + at:(q - 1) * stride + at + size] for q in qs]), "little")
+        code = WORD_CODE.get(8 * width)
+        if count == 1 and code and qs and tuple(qs) == tuple(range(qs[0], qs[0] + len(qs))):
+            at = (qs[0] - 1) * N + n - 1
+            joined = int.from_bytes(
+                memoryview(self.data).cast(code)[at:at + (len(qs) - 1) * N + 1:N], "little")
+        else:
+            stride, at, size = N * width, (n - 1) * width, count * width
+            joined = int.from_bytes(b"".join([
+                self.data[(q - 1) * stride + at:(q - 1) * stride + at + size] for q in qs]),
+                "little")
         # whole bytes per value: a T that is not a multiple of 8 closes the gaps
         return joined if self.T % 8 == 0 else pack(
-            unpack(joined, len(qs) * count, 8 * self.width), self.T)
+            unpack(joined, len(qs) * count, 8 * width), self.T)
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,56 @@ oracles are the former whole-corpus ingest and per-function rescan, and the
 GF(2) decomposition oracles the former lowest-bit-pivot elimination and
 bit-by-bit decompression; they build the library's result types only, so
 results compare with ``==``.  The transcript reader is the former one that
-checks every rule broadcast by broadcast.
+checks every rule broadcast by broadcast.  ``shift_pack`` and ``shift_unpack``
+are the one-shift-per-value definition of ``gf2.pack`` and ``gf2.unpack``, and
+``table_path_verify`` the former s = 1 verification of a coded transcript, which
+decodes, reduces and compares every node's whole table.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from cdcsim.codec import decode_cdc_s1
 from cdcsim.engine import (_BROADCAST_KEYS, _META_KEYS, SCHEMES, Broadcasts, ShuffleTranscript,
-                           expect_json, unknown_field)
+                           expect_json, reduce_phase, unknown_field, validate_transcript)
 from cdcsim.gf2 import BasisDecomposition, Gf2Matrix, MalformedDecompositionError
 from cdcsim.placement import SPEC_KEYS, JobSpec
 from cdcsim.workloads import CountOverflowError, WordCountWorkload
+
+
+def shift_pack(values, T: int) -> int:
+    """Value i of ``values`` at bits i*T, one shift and OR per value."""
+    acc = 0
+    for i, v in enumerate(values):
+        acc |= v << i * T
+    return acc
+
+
+def shift_unpack(x: int, n: int, T: int) -> list[int]:
+    """The n T-bit values at bits i*T of x, one shift and mask per value."""
+    return [x >> i * T & (1 << T) - 1 for i in range(n)]
+
+
+def table_path_verify(placement, store, transcript, workload):
+    """(outputs, mismatch, verification) of a coded s = 1 transcript: each
+    node's table decoded by ``decode_cdc_s1``, reduced by ``reduce_phase``
+    and compared value by value with the store's rows, the first wrong value
+    named by node, then table order."""
+    got = validate_transcript(placement, transcript)
+    N = placement.spec.N
+    outputs, mismatch = {}, None
+    for k, funcs in placement.node_funcs.items():
+        table = decode_cdc_s1(k, got, store, placement)
+        outputs[k] = reduce_phase(placement, k, table, workload)
+        for i, q in enumerate(funcs):
+            row = store.row(q)
+            for n in range(1, N + 1):
+                v, w = table[i * N + n - 1], row[n - 1]
+                if mismatch is None and v != w:
+                    mismatch = (f"node {k}: function {q} on file {n} decoded as 0x{v:x}, "
+                                f"expected 0x{w:x}")
+    return outputs, mismatch, "pass" if mismatch is None else "fail"
 
 
 def naive_rank(rows: list[list[int]]) -> int:

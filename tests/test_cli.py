@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim import analytics, cli, engine
+from cdcsim import analytics, cli, codec, engine
 from cdcsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -129,20 +129,28 @@ class TestRun:
         assert err.startswith(f"error: K={K!r}"[:100]) and err.endswith("…\n")
 
     def test_wrong_decoded_value_is_named(self, tmp_path, capsys, monkeypatch):
-        # node 2's decoder returns its table with one value's low bit flipped:
-        # the run fails, and result.json and the summary name that value
+        # node 2's peel recovers one value's low bit flipped: the run fails,
+        # and result.json and the summary name that value
         args = ["run", "--preset", "paper-wordcount", "--out-dir", str(tmp_path)]
         assert main(args) == EXIT_OK
         assert "mismatch" not in json.loads((tmp_path / "result.json").read_text())
-        decode = engine.decode_cdc_s1
+        peel = codec.peel_cdc_s1
 
         def flipped(k, received, values, placement):
-            table = decode(k, received, values, placement)
-            if k == 2:
-                table[1] ^= 1  # node 2's one function, 2, on file 2
-            return table
+            for group, (qs, ns), components in peel(k, received, values, placement):
+                if k == 2 and 2 in qs and 2 in ns:
+                    # node 2's one function, 2, on file 2: the bit of the
+                    # component that carries the value's low bit
+                    width = codec.segment_width(placement.spec, len(group))
+                    at = (qs.index(2) * len(ns) + ns.index(2)) * placement.spec.T
+                    components = list(components)
+                    components[at // width] ^= 1 << at % width
+                    components = tuple(components)
+                yield group, (qs, ns), components
 
-        monkeypatch.setattr(engine, "decode_cdc_s1", flipped)
+        # the symbol check and the table path it falls back to both peel
+        monkeypatch.setattr(codec, "peel_cdc_s1", flipped)
+        monkeypatch.setattr(engine, "peel_cdc_s1", flipped)
         capsys.readouterr()
         assert main(args) == EXIT_VERIFY
         mismatch = "node 2: function 2 on file 2 decoded as 0x3, expected 0x2"

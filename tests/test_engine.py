@@ -55,7 +55,8 @@ from cdcsim.workloads import (
     WordCountWorkload,
 )
 from documents import written
-from oracles import recount
+from oracles import recount, table_path_verify
+from test_small_specs import small_specs
 
 PAPER_BLOCKS = (
     (1, 2, 1, 2, 2, 3, 1),
@@ -629,6 +630,66 @@ class TestTwoFlipEdits:
                 pass
         assert count == edits
         assert passed == []
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:  # IncompleteShuffleError is a RuntimeError
+        return type(err), str(err)
+
+
+def single_copy_jobs(rng):
+    """The s = 1 small specs, each with a synthetic store and a word-count
+    store whose counts are 0 or 1, so that they fit at T = 1."""
+    for spec in small_specs():
+        if spec.s == 1:
+            yield spec, SyntheticRankWorkload(seed=1)
+            yield spec, WordCountWorkload(tuple(
+                tuple(q for q in range(1, spec.Q + 1) if rng.random() < 0.6)
+                for _ in range(spec.N)))
+
+
+class TestSymbolCheck:
+    """At s = 1, cdc and cdc-ld verify each component a node peels against
+    the store's segment of the same value set, and decode node tables only
+    when one differs: the result is the table path's."""
+
+    def test_matches_the_table_path_honest_and_with_flipped_bits(self):
+        rng = random.Random(38)
+        seen = Counter()
+        for spec, workload in single_copy_jobs(rng):
+            placement, store = make_placement(spec), workload.build_store(spec)
+            for scheme in ("cdc", "cdc-ld"):
+                cols = run_on(placement, store, workload, scheme).transcript.broadcasts
+                bits = [(i, b) for i, width in enumerate(cols.nbits) for b in range(width)]
+                edits = [()] + [(bit,) for bit in rng.sample(bits, min(4, len(bits)))]
+                edits += [tuple(rng.sample(bits, 2)) for _ in range(4 if len(bits) > 1 else 0)]
+                for edit in edits:
+                    values = list(cols.values)
+                    for i, b in edit:
+                        values[i] ^= 1 << b
+                    edited = ShuffleTranscript(scheme, spec, replace(cols, values=values))
+                    expected = outcome(table_path_verify, placement, store, edited, workload)
+                    assert outcome(decode_and_verify, placement, store, edited, workload) == \
+                        expected, (spec, workload, scheme, edit)
+                    seen[len(edit), expected[2] if type(expected[0]) is dict else expected[0]] += 1
+        # 42 specs, two stores, two schemes: every honest transcript passes
+        assert seen[0, "pass"] == 42 * 2 * 2
+        # edits end in a named wrong value or a ValueError: a padding that
+        # is not zero, or cdc-ld basis rows of lower rank
+        assert {(1, "fail"), (2, "fail"), (1, ValueError), (2, ValueError)} <= set(seen)
+
+    def test_honest_job_decodes_no_node_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a node table was decoded")
+
+        monkeypatch.setattr(cdcsim.engine, "decode_cdc_s1", refuse)
+        for spec, workload in single_copy_jobs(random.Random(38)):
+            for scheme in ("cdc", "cdc-ld"):
+                result = run(spec, workload, scheme)
+                assert (result.mismatch, result.verification) == (None, "pass")
 
 
 class TestDeterminism:

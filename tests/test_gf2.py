@@ -16,16 +16,38 @@ from cdcsim.gf2 import (
     MalformedDecompositionError,
     UnsupportedDegreeError,
     ext_field,
+    pack,
     rank_and_basis,
     reconstruct,
+    unpack,
     vandermonde,
 )
 from oracles import (gf_mul_longdiv, int_to_bits, is_irreducible, naive_rank, perm_det,
-                     reference_rank_and_basis, reference_reconstruct)
+                     reference_rank_and_basis, reference_reconstruct, shift_pack, shift_unpack)
 
 
 def matrix(values, ncols):
     return Gf2Matrix(tuple(values), ncols)
+
+
+class TestPack:
+    # whole machine words go through struct, other multiples of 8 through
+    # bytes, the rest one shift per value
+    @pytest.mark.parametrize("T", [*range(8, 129, 8), 1, 5, 12, 63, 65, 100])
+    def test_matches_the_shift_definition(self, T):
+        rng = random.Random(T)
+        for n in (0, 1, 2, 7, 300):
+            values = [rng.getrandbits(T) for _ in range(n)]
+            values[:2] = [(1 << T) - 1, 0][:n]
+            x = shift_pack(values, T)
+            assert pack(values, T) == x
+            assert unpack(x, n, T) == shift_unpack(x, n, T) == values
+
+    @pytest.mark.parametrize("T", range(8, 129, 8))
+    def test_unpack_of_a_wider_int_overflows_at_byte_widths(self, T):
+        for n in (1, 3):
+            with pytest.raises(OverflowError):
+                unpack(1 << n * T, n, T)
 
 
 class TestGf2Matrix:

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import io
 import random
+import time
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from cdcsim.gf2 import Gf2Matrix, rank_and_basis
+from cdcsim.gf2 import Gf2Matrix, pack, rank_and_basis
 from cdcsim.placement import JobSpec
 from cdcsim.workloads import (
     CodedLinearTransformWorkload,
     CountOverflowError,
     LinearTransformWorkload,
     SyntheticRankWorkload,
+    ValueTable,
     WordCountWorkload,
     ingest_text,
     load_gf2_sections,
@@ -361,6 +363,43 @@ class TestSynthetic:
                     data += value.to_bytes((T + 7) // 8, "little")
                 store = SyntheticRankWorkload(seed, duplicate_prob).build_store(spec)
                 assert store.data == data
+
+
+@pytest.mark.parametrize("T", [1, 5, 8, 12, 16, 24, 32, 40, 64, 65, 128])
+def test_join_matches_per_value_reads(T):
+    # one file of a consecutive run of functions at 1, 2, 4 or 8 bytes a
+    # value (T = 1..16, 32, 64) is read as one strided slice, every other
+    # read as a slice per function; both are the pack of the values read
+    # one (q, n) at a time
+    rng = random.Random(T)
+    for _ in range(8):
+        Q, N = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.getrandbits(T) for _ in range(N)] for _ in range(Q)]
+        store = ValueTable(JobSpec(K=2, N=N, Q=Q, r=2, s=2, T=T), rows)
+        # every run of functions, ending at Q among them, then a reversed
+        # run, every other function, a repeated function and a shuffle
+        runs = [tuple(range(a, b + 1)) for a in range(1, Q + 1) for b in range(a, Q + 1)]
+        runs += [tuple(range(Q, 0, -1)), tuple(range(1, Q + 1, 2)), (Q, Q),
+                 tuple(rng.sample(range(1, Q + 1), Q))]
+        # every run of files, ending at N among them
+        files = [(n, count) for n in range(1, N + 1) for count in range(1, N + 2 - n)]
+        for qs, (n, count) in product(runs, files):
+            assert store.join(qs, n, count) == pack(
+                [rows[q - 1][m - 1] for q in qs for m in range(n, n + count)], T), (qs, n, count)
+
+
+@pytest.mark.parametrize("T", [24, 40])
+def test_rows_of_byte_multiple_widths_read_in_linear_time(T):
+    # at K=10 N=2520 Q=360 these 36 rows took 4.6 s (T=24) and 6.4 s (T=40)
+    # unpacked one shift per value, against 5-7 ms through bytes
+    spec = JobSpec(K=10, N=2520, Q=360, r=3, s=1, T=T)
+    rng = random.Random(T)
+    row = [rng.getrandbits(T) for _ in range(spec.N)]
+    store = ValueTable(spec, [row] * spec.Q)
+    start = time.perf_counter()
+    rows = store.rows(1, 36)
+    assert time.perf_counter() - start < 1.0
+    assert rows == row * 36
 
 
 def write_gf2_sections(path, sections):
