@@ -2,8 +2,8 @@
 
 Configuration comes from an optional JSON file plus flag overrides (flags
 win).  Presets are embedded in this module so fixture bytes cannot drift.
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 unsupported parameter combination.
+Exit codes: 0 success, 2 configuration error or a job that runs out of
+memory, 3 verification failure, 4 unsupported parameter combination.
 """
 
 from __future__ import annotations
@@ -418,6 +418,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (KeyError, ValueError, OSError, OverflowError) as exc:
         return _fail(exc)
+    except MemoryError:
+        pass
+    # reported once the handler has let go of the error's frames and what they held
+    return _fail(MemoryError("out of memory: the job does not fit in the memory this process "
+                             "may use"))
 
 
 if __name__ == "__main__":

@@ -5,11 +5,11 @@ node's message set.
 For reduce replication s=1 every coded message is a plain XOR of segments and
 every receiver can peel out the one segment it is missing: ``peel_cdc_s1``
 yields a node's recovered components per group, which the engine checks
-against the store's segments and ``decode_cdc_s1`` unpacks into the node's
-table of values.  For s >= 2 the
-encoder combines segments blockwise over a small extension field using rows
-of powers of distinct field points; those messages are built and counted but
-not decoded.
+against the store's segments, and only for a node with a differing
+component does ``decode_cdc_s1`` unpack them into the node's table of
+values.  For s >= 2 the encoder combines segments blockwise over a small
+extension field using rows of powers of distinct field points; those
+messages are built and counted but not decoded.
 """
 
 from __future__ import annotations
@@ -39,22 +39,6 @@ class IncompleteShuffleError(RuntimeError):
     def __init__(self, missing: Sequence[tuple[int, int]], node: int):
         self.missing = sorted(set(missing))
         super().__init__(f"node {node}: unrecoverable intermediate values: {self.missing}")
-
-
-def own_columns(k: int, placement: Placement, values: ValueTable, table: list) -> list:
-    """Copy into node k's ``table`` the columns of the files k mapped, read
-    from the store ``values``, and return the table.
-
-    A node's table holds the values of its functions (at s=1 one run of
-    consecutive functions) on files 1..N, q-major: the value of its i-th
-    function on file n at index i*N + n-1.  Only the store's values on files
-    k mapped are read.
-    """
-    funcs, N = placement.node_funcs[k], placement.spec.N
-    full = values.rows(funcs[0], len(funcs))
-    for n in placement.node_files[k]:
-        table[n - 1::N] = full[n - 1::N]
-    return table
 
 
 def require_complete(k: int, placement: Placement, table: list) -> list:
@@ -210,14 +194,6 @@ def full_message(k: int, group: Sequence[int], placement: Placement,
     return pack(encode_cdc(k, group, placement, values), segment_width(placement.spec, len(group)))
 
 
-def decode_uncoded(k: int, slots: list, values: ValueTable, placement: Placement) -> list:
-    """Node k's table (``own_columns``) from an uncoded shuffle's Q*N
-    ``slots`` (``engine.validate_transcript``): every node hears every
-    broadcast and reads its own functions' slots."""
-    funcs, N = placement.node_funcs[k], placement.spec.N
-    return own_columns(k, placement, values, slots[(funcs[0] - 1) * N:funcs[-1] * N])
-
-
 def peel_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
                 values: ValueTable, placement: Placement):
     """Peel node k's messages apart by XOR (single-copy reduce only): yield,
@@ -261,20 +237,28 @@ def peel_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
 
 def decode_cdc_s1(k: int, received: Mapping[tuple[int, tuple[int, ...]], int],
                   values: ValueTable, placement: Placement) -> list[int]:
-    """Node k's table (``own_columns``) filled with the values
-    ``peel_cdc_s1`` recovers (single-copy reduce only): in each group, the r
-    components joined are the symbol of k's wanted values, its functions on
-    the group's file batch.  ``received`` is as the peel takes it, its
-    lengths ``engine.validate_transcript``'s to check; ``values``, the job's
-    store, is read only on files k mapped.  A recovered symbol whose zero
-    padding is not zero raises ``ValueError``, and a value no message
+    """Node k's table (single-copy reduce only): the values of its
+    functions (at s=1 one run of consecutive functions) on files 1..N,
+    q-major, the value of its i-th function on file n at index i*N + n-1.
+
+    The columns of the files k mapped are read from ``values``, the job's
+    store, which is read on no other file; every other value is one
+    ``peel_cdc_s1`` recovers: in each group, the r components joined are
+    the symbol of k's wanted values, its functions on the group's file
+    batch.  ``received`` is as the peel takes it, its lengths
+    ``engine.validate_transcript``'s to check.  A recovered symbol whose
+    zero padding is not zero raises ``ValueError``, and a value no message
     recovers ``IncompleteShuffleError`` (``require_complete``).
     """
     spec = placement.spec
     if spec.s != 1:
         raise ValueError("peeling decoder only applies when each reduce function has one copy")
     T, N, width = spec.T, spec.N, segment_width(spec, spec.r + 1)
-    table = own_columns(k, placement, values, [None] * (len(placement.node_funcs[k]) * N))
+    funcs = placement.node_funcs[k]
+    table, rows = [None] * (len(funcs) * N), values.rows(funcs[0], len(funcs))
+    for n in placement.node_files[k]:
+        table[n - 1::N] = rows[n - 1::N]
+    del rows
 
     for group, (qs, ns), components in peel_cdc_s1(k, received, values, placement):
         if components is None:

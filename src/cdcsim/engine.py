@@ -4,10 +4,10 @@ The network model is a zero-latency lossless broadcast: every payload a node
 sends is visible to all others and the only cost tracked is its exact bit
 length.  A run produces a transcript of every broadcast, per-node bit
 counters, and (for single-copy reduce) reduce outputs and a pass/fail check of
-every decoded value against the store: a coded run compares each component a
-node peels with the store's segment of that value set, and decodes, reduces
-and compares node tables one node at a time, as uncoded always does, only when
-some component differs.
+every decoded value against the store, one node at a time: a coded node
+whose every peeled component equals the store's segment of that value set
+reduces the store's rows; any other node, and every uncoded one, builds its
+table, reduces it and compares it with its store rows.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import countOf, itemgetter, rshift
 
 from .codec import (
     decode_cdc_s1,
-    decode_uncoded,
     encode_cdc,
     full_message,
     groups_containing,
@@ -279,9 +278,9 @@ def _foreign(i: int, cols: Broadcasts, scheme: str) -> ValueError:
 
 def reduce_phase(placement: Placement, k: int, table: list[int], workload) -> dict[int, int]:
     """Node k's reduce outputs: each of its functions evaluated on the
-    function's row of node k's table (``codec.own_columns``).  A value the
-    table lacks (``None``) raises ``IncompleteShuffleError`` naming node k
-    and every (q, n) it lacks."""
+    function's row of node k's table (as ``codec.decode_cdc_s1`` lays it
+    out).  A value the table lacks (``None``) raises
+    ``IncompleteShuffleError`` naming node k and every (q, n) it lacks."""
     N, T = placement.spec.N, placement.spec.T
     require_complete(k, placement, table)
     return {q: workload.reduce(q, table[i * N:(i + 1) * N], T)
@@ -293,14 +292,16 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
     """Validate a transcript with ``validate_transcript``, then check what
     each node decodes against the store.
 
-    For cdc and cdc-ld (s = 1), every component ``peel_cdc_s1`` recovers is
-    first compared with the store's segment of the same value set
-    (``segment_usymbol``, memoised in the store): when all are equal,
-    every node's decoded values are the store's, and each output is its
-    function's reduce over the store's row.  Otherwise, and for uncoded, one
-    node at a time decodes its table (``decode_uncoded`` or
-    ``decode_cdc_s1``), reduces it (``reduce_phase``) and compares it, a row
-    at a time, with the store's rows.
+    At s = 1 this is one pass over the nodes.  For cdc and cdc-ld, every
+    component ``peel_cdc_s1`` recovers for node k is compared with the
+    store's segment of the same value set (``segment_usymbol``, memoised in
+    the store): when all are equal, k's decoded values are the store's, and
+    each output is its function's reduce over the store's row.  Any other
+    node, and every uncoded one, reads its store rows once, builds its table
+    (``decode_cdc_s1``; for uncoded its functions' slots of what
+    ``validate_transcript`` returns, with the columns of the files it mapped
+    from those rows), reduces it (``reduce_phase``) and compares it with the
+    rows.
 
     Returns (outputs, mismatch, verification), "fail" with the first wrong
     value by node, then table order.  With s >= 2 no decoder exists: the
@@ -319,24 +320,29 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
                 raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"
 
-    if transcript.scheme != "uncoded" and all(
-            components == segment_usymbol(vset, store, spec.r)[1]
-            for k in placement.node_funcs
-            for _, vset, components in peel_cdc_s1(k, got, store, placement)):
-        # each node decoded exactly the store's values
-        return ({k: {q: workload.reduce(q, store.row(q), spec.T) for q in funcs}
-                 for k, funcs in placement.node_funcs.items()}, None, "pass")
-
-    decode = decode_uncoded if transcript.scheme == "uncoded" else decode_cdc_s1
-    N, outputs, mismatch = spec.N, {}, None
+    coded, N, T = transcript.scheme != "uncoded", spec.N, spec.T
+    outputs, mismatch = {}, None
     for k, funcs in placement.node_funcs.items():
-        table = decode(k, got, store, placement)
+        if coded and all(components == segment_usymbol(vset, store, spec.r)[1]
+                         for _, vset, components in peel_cdc_s1(k, got, store, placement)):
+            # node k decoded exactly the store's values
+            outputs[k] = {q: workload.reduce(q, store.row(q), T) for q in funcs}
+            continue
+        rows = store.rows(funcs[0], len(funcs))
+        if coded:
+            table = decode_cdc_s1(k, got, store, placement)
+        else:
+            # node k hears every broadcast: its functions' slots, with the
+            # columns of the files it mapped read from the store
+            table = got[(funcs[0] - 1) * N:funcs[-1] * N]
+            for n in placement.node_files[k]:
+                table[n - 1::N] = rows[n - 1::N]
         outputs[k] = reduce_phase(placement, k, table, workload)
-        for q, at in zip(funcs, range(0, len(table), N)):
-            if mismatch is None and table[at:at + N] != (row := store.row(q)):
-                mismatch = next(f"node {k}: function {q} on file {n} decoded as 0x{v:x}, expected "
-                                f"0x{w:x}" for n, v, w in zip(count(1), table[at:], row) if v != w)
-        del table  # not held through the next node's decode
+        if mismatch is None and table != rows:
+            i, v, w = next((i, v, w) for i, (v, w) in enumerate(zip(table, rows)) if v != w)
+            mismatch = (f"node {k}: function {funcs[i // N]} on file {i % N + 1} decoded as "
+                        f"0x{v:x}, expected 0x{w:x}")
+        del table, rows  # not held through the next node's decode
     return outputs, mismatch, "pass" if mismatch is None else "fail"
 
 

@@ -9,7 +9,7 @@ bit-by-bit decompression; they build the library's result types only, so
 results compare with ``==``.  The transcript reader is the former one that
 checks every rule broadcast by broadcast.  ``shift_pack`` and ``shift_unpack``
 are the one-shift-per-value definition of ``gf2.pack`` and ``gf2.unpack``, and
-``table_path_verify`` the former s = 1 verification of a coded transcript, which
+``table_path_verify`` the former s = 1 verification of a transcript, which
 decodes, reduces and compares every node's whole table.
 """
 
@@ -39,15 +39,22 @@ def shift_unpack(x: int, n: int, T: int) -> list[int]:
 
 
 def table_path_verify(placement, store, transcript, workload):
-    """(outputs, mismatch, verification) of a coded s = 1 transcript: each
-    node's table decoded by ``decode_cdc_s1``, reduced by ``reduce_phase``
-    and compared value by value with the store's rows, the first wrong value
-    named by node, then table order."""
+    """(outputs, mismatch, verification) of an s = 1 transcript: each node's
+    table decoded, reduced by ``reduce_phase`` and compared value by value
+    with the store's rows, the first wrong value named by node, then table
+    order.  A coded table is ``decode_cdc_s1``'s; an uncoded one holds the
+    node's functions' Q*N slots, its own files' values read from the store
+    one by one."""
     got = validate_transcript(placement, transcript)
     N = placement.spec.N
     outputs, mismatch = {}, None
     for k, funcs in placement.node_funcs.items():
-        table = decode_cdc_s1(k, got, store, placement)
+        if transcript.scheme == "uncoded":
+            own = set(placement.node_files[k])
+            table = [store.join((q,), n, 1) if n in own else got[(q - 1) * N + n - 1]
+                     for q in funcs for n in range(1, N + 1)]
+        else:
+            table = decode_cdc_s1(k, got, store, placement)
         outputs[k] = reduce_phase(placement, k, table, workload)
         for i, q in enumerate(funcs):
             row = store.row(q)

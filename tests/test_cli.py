@@ -1376,18 +1376,38 @@ class TestDeterminism:
         assert (a / "fig4.csv").read_bytes() == (b / "fig4.csv").read_bytes()
 
 
-def test_console_entry_point():
+def run_child(args, **kwargs):
+    """``python -m cdcsim.cli *args`` in a child process that imports the
+    same package the tests run against, installed or not."""
     import os
     import subprocess
     import sys
 
     import cdcsim
-    # the child imports the same package the tests run against, installed or not
     src = str(pathlib.Path(cdcsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "cdcsim.cli", "run",
-                           "--preset", "paper-wordcount", "--out-dir", "/tmp/cdcsim-smoke"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "cdcsim.cli", *args],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_console_entry_point():
+    proc = run_child(["run", "--preset", "paper-wordcount", "--out-dir", "/tmp/cdcsim-smoke"])
     assert proc.returncode == 0
     assert "verification=pass" in proc.stdout
+
+
+def test_job_that_runs_out_of_memory_exits_2_with_one_line(tmp_path):
+    import resource
+
+    def cap_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    # C(30, 15) = 155 117 520 file batches: its placement alone needs gigabytes
+    proc = run_child(["run", "--K", "30", "--N", "155117520", "--Q", "30", "--r", "15",
+                      "--s", "1", "--T", "8", "--scheme", "cdc", "--out-dir", str(tmp_path)],
+                     preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: out of memory: the job does not fit in the memory this process may use"]

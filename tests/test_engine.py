@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import cdcsim.engine
 from cdcsim.cli import build_workload, fixture_to_json
-from cdcsim.codec import (IncompleteShuffleError, build_vset, decode_cdc_s1, decode_uncoded,
-                          full_message, groups_containing, ld_compress, own_columns)
+from cdcsim.codec import (IncompleteShuffleError, build_vset, decode_cdc_s1, full_message,
+                          groups_containing, ld_compress)
 from cdcsim.engine import (
     SCHEMES,
     Broadcasts,
@@ -392,6 +392,9 @@ class TestSchemeEquivalence:
                     assert len(got) == spec.Q * spec.N
                     for (q, n), v in zip(product(range(1, Q + 1), range(1, spec.N + 1)), got):
                         assert v == (store.join((q,), n, 1) if (q, n) in needed else None)
+                    # decode_and_verify builds the uncoded tables from these
+                    # slots; TestSymbolCheck compares it with the oracle's
+                    continue
                 for k in range(1, spec.K + 1):
                     # node k's functions on every file, q-major, each value bit for bit:
                     # the needed ones decoded, the rest its own map results, read
@@ -402,8 +405,7 @@ class TestSchemeEquivalence:
                                               for q in range(1, Q + 1)])
                     funcs = placement.node_funcs[k]
                     assert len(funcs) == Q // spec.K
-                    decode = decode_uncoded if scheme == "uncoded" else decode_cdc_s1
-                    assert decode(k, got, local, placement) == [
+                    assert decode_cdc_s1(k, got, local, placement) == [
                         store.join((q,), n, 1) for q in funcs for n in range(1, spec.N + 1)]
 
 
@@ -574,7 +576,9 @@ class TestReducePhase:
             assert reduce_phase(placement, k, full, workload) == outputs
             # the node holds its own mapped values but received nothing, or
             # all but one value: the error names the node and exactly what it lacks
-            own = own_columns(k, placement, store, [None] * len(full))
+            files = set(placement.node_files[k])
+            own = [store.join((q,), n, 1) if n in files else None
+                   for q in funcs for n in range(1, spec.N + 1)]
             with pytest.raises(IncompleteShuffleError) as err:
                 reduce_phase(placement, k, own, workload)
             assert err.value.missing == sorted(needed)
@@ -653,15 +657,16 @@ def single_copy_jobs(rng):
 
 class TestSymbolCheck:
     """At s = 1, cdc and cdc-ld verify each component a node peels against
-    the store's segment of the same value set, and decode node tables only
-    when one differs: the result is the table path's."""
+    the store's segment of the same value set, and decode a node's table
+    only when one differs; uncoded builds every node's table from its slots:
+    the result is the table path's."""
 
     def test_matches_the_table_path_honest_and_with_flipped_bits(self):
         rng = random.Random(38)
         seen = Counter()
         for spec, workload in single_copy_jobs(rng):
             placement, store = make_placement(spec), workload.build_store(spec)
-            for scheme in ("cdc", "cdc-ld"):
+            for scheme in SCHEMES:
                 cols = run_on(placement, store, workload, scheme).transcript.broadcasts
                 bits = [(i, b) for i, width in enumerate(cols.nbits) for b in range(width)]
                 edits = [()] + [(bit,) for bit in rng.sample(bits, min(4, len(bits)))]
@@ -675,8 +680,8 @@ class TestSymbolCheck:
                     assert outcome(decode_and_verify, placement, store, edited, workload) == \
                         expected, (spec, workload, scheme, edit)
                     seen[len(edit), expected[2] if type(expected[0]) is dict else expected[0]] += 1
-        # 42 specs, two stores, two schemes: every honest transcript passes
-        assert seen[0, "pass"] == 42 * 2 * 2
+        # 42 specs, two stores, three schemes: every honest transcript passes
+        assert seen[0, "pass"] == 42 * 2 * 3
         # edits end in a named wrong value or a ValueError: a padding that
         # is not zero, or cdc-ld basis rows of lower rank
         assert {(1, "fail"), (2, "fail"), (1, ValueError), (2, ValueError)} <= set(seen)
@@ -690,6 +695,66 @@ class TestSymbolCheck:
             for scheme in ("cdc", "cdc-ld"):
                 result = run(spec, workload, scheme)
                 assert (result.mismatch, result.verification) == (None, "pass")
+
+
+class TestOneNodeAtATime:
+    """At s = 1 each node is verified on its own: a coded node decodes a
+    table only when a component it peels differs from the store's, and a
+    node that builds a table reads its store rows once."""
+
+    def test_one_flipped_bit_decodes_the_other_members_tables(self, monkeypatch):
+        spec, workload = JobSpec(K=4, N=6, Q=4, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        cols = run_on(placement, store, workload, "cdc").transcript.broadcasts
+        assert set(cols.counts) == {1}  # broadcast i's payload is payload i
+        decoded = []
+        decode = cdcsim.engine.decode_cdc_s1
+        monkeypatch.setattr(cdcsim.engine, "decode_cdc_s1",
+                            lambda k, *args: decoded.append(k) or decode(k, *args))
+        by_broadcast = {}
+        for i, (sender, group) in enumerate(zip(cols.senders, cols.meta["group"])):
+            values = list(cols.values)
+            values[i] ^= 1
+            decoded.clear()
+            edited = ShuffleTranscript("cdc", spec, replace(cols, values=values))
+            assert decode_and_verify(placement, store, edited, workload)[2] == "fail"
+            # only the receivers of the flipped broadcast can hold a wrong value
+            assert decoded == [j for j in group if j != sender]
+            by_broadcast[sender, group] = list(decoded)
+        assert by_broadcast[1, (1, 2, 3)] == [2, 3]
+
+    def test_first_wrong_value_is_named_on_nodes_with_two_functions(self):
+        # the small specs give each node one function; Q=8 gives it two, so
+        # the first wrong value may lie in the row of a node's second one
+        spec, workload = JobSpec(K=4, N=6, Q=8, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        reducer = {q: k for k, qs in placement.node_funcs.items() for q in qs}
+        for scheme in SCHEMES:
+            cols = run_on(placement, store, workload, scheme).transcript.broadcasts
+            for j in range(len(cols.values)):
+                values = list(cols.values)
+                values[j] ^= 1
+                edited = ShuffleTranscript(scheme, spec, replace(cols, values=values))
+                got = outcome(decode_and_verify, placement, store, edited, workload)
+                assert got == outcome(table_path_verify, placement, store, edited, workload)
+                if scheme == "uncoded":  # payload j is broadcast j's, the value of its (q, n)
+                    q, n = cols.meta["q"][j], cols.meta["n"][j]
+                    v = store.join((q,), n, 1)
+                    assert got[1] == (f"node {reducer[q]}: function {q} on file {n} decoded as "
+                                      f"0x{v ^ 1:x}, expected 0x{v:x}")
+
+    def test_honest_uncoded_job_reads_each_nodes_rows_once(self, monkeypatch):
+        # Q=8: each node reduces two functions, read in one call
+        spec, workload = JobSpec(K=4, N=6, Q=8, r=2, s=1, T=8), SyntheticRankWorkload(seed=1)
+        placement, store = make_placement(spec), workload.build_store(spec)
+        transcript = run_on(placement, store, workload, "uncoded").transcript
+        calls = Counter()
+        rows, row = ValueTable.rows, ValueTable.row
+        monkeypatch.setattr(ValueTable, "rows", lambda self, q, count: calls.update(
+            [("rows", q, count)]) or rows(self, q, count))
+        monkeypatch.setattr(ValueTable, "row", lambda self, q: calls.update(["row"]) or row(self, q))
+        assert decode_and_verify(placement, store, transcript, workload)[1:] == (None, "pass")
+        assert calls == {("rows", q, 2): 1 for q in (1, 3, 5, 7)}
 
 
 class TestDeterminism:
