@@ -58,26 +58,34 @@ def groups_containing(spec: JobSpec, k: int, ell: int) -> list[tuple[int, ...]]:
 
 def _value_sets(placement: Placement) -> dict:
     """``placement.vsets``, filled on first use in one pass over every (file
-    batch H, reduce batch S) pair: each S not inside H adds its functions to
-    the value set of group H | S with holders H, on H's files.  Each set's
-    size is checked once, as it is stored."""
+    batch H, reduce batch S) pair, with each node subset a bitmask: each S
+    with a node outside H adds its functions to the value set of group
+    H | S with holders H, on H's files.  Each distinct group mask becomes its
+    sorted tuple once, and each set's size is checked once, as it is
+    stored."""
     vsets = placement.vsets
     if not vsets:
         spec = placement.spec
-        funcs: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-        for holders in placement.file_batches:
-            held = set(holders)
+        nodes = range(1, spec.K + 1)
+        batches = [(sum(1 << j for j in batch), qs)
+                   for batch, qs in placement.reduce_batches.items()]
+        groups: dict[int, tuple[tuple[int, ...], int]] = {}  # mask -> group, its set's size
+        for holders, ns in placement.file_batches.items():
+            held = sum(1 << j for j in holders)
             # batches come in increasing function order, so each set's are sorted
-            for batch, qs in placement.reduce_batches.items():
-                if not held.issuperset(batch):
-                    funcs.setdefault((tuple(sorted(held.union(batch))), holders), []).extend(qs)
-        for (group, holders), qs in funcs.items():
-            ns = placement.file_batches[holders]
-            expected = comb(spec.r, len(group) - spec.s) * spec.eta1 * spec.eta2
-            if len(qs) * len(ns) != expected:
-                raise AssertionError(f"value set for group={group} holders={holders} has "
-                                     f"{len(qs) * len(ns)} entries, expected {expected}")
-            vsets[group, holders] = tuple(qs), ns
+            funcs: dict[int, list[int]] = {}
+            for batch, qs in batches:
+                if batch & ~held:
+                    funcs.setdefault(batch | held, []).extend(qs)
+            for union, qs in funcs.items():
+                if union not in groups:
+                    group = tuple(j for j in nodes if union >> j & 1)
+                    groups[union] = group, comb(spec.r, len(group) - spec.s) * spec.eta1 * spec.eta2
+                group, expected = groups[union]
+                if len(qs) * len(ns) != expected:
+                    raise AssertionError(f"value set for group={group} holders={holders} has "
+                                         f"{len(qs) * len(ns)} entries, expected {expected}")
+                vsets[group, holders] = tuple(qs), ns
     return vsets
 
 
@@ -300,8 +308,9 @@ def multicast_coverage(placement: Placement) -> dict[int, set[tuple[int, tuple[i
 
     A value set's files are exactly its holders' batch (``build_vset``), so
     the (q, n) pairs a node is served are q with each file of that batch.
-    Used as a structural check when no decoder runs: compare against each
-    node's demand set at the same granularity.
+    ``engine.decode_and_verify`` checks coverage at s >= 2 on sets of
+    functions per (node, file batch), and builds these pairs only when that
+    finds a miss, to name the (q, n) pairs the node lacks.
     """
     spec = placement.spec
     covered: dict[int, set[tuple[int, tuple[int, ...]]]] = {k: set() for k in range(1, spec.K + 1)}

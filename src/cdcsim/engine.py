@@ -22,6 +22,7 @@ from math import comb
 from operator import countOf, itemgetter, rshift
 
 from .codec import (
+    _value_sets,
     decode_cdc_s1,
     encode_cdc,
     full_message,
@@ -185,6 +186,12 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
     messages by (sender, group), laid out as ``full_message`` lays them out.
     Every payload value must fit in its width.  A bad, repeated or missing
     broadcast raises ``ValueError``, a missing one named by its key.
+
+    cdc is checked over whole columns: one payload per broadcast, the set of
+    (sender, group, component) keys equal to the job's with none repeated,
+    each width its group's and every value fitting.  Only a transcript these
+    checks refuse is read one broadcast at a time, as cdc-ld always is, to
+    name its first fault; the cdc messages are built by the column pass only.
     """
     spec = placement.spec
     scheme, K, r = transcript.scheme, spec.K, spec.r
@@ -217,12 +224,25 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
                              if slots[(q - 1) * N + n - 1] is None)
             raise ValueError(f"no uncoded broadcast for {missing}")
         return slots
+    widths = {ell: segment_width(spec, ell) for ell in sizes}
     if scheme == "cdc":
+        indices = {ell: range(1, comb(ell - 2, r - 1) + 1) for ell in sizes}  # per group size
         keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
-                for c in range(1, comb(ell - 2, r - 1) + 1)}
+                for c in indices[ell]}
+        groups, components = cols.meta["group"], cols.meta["component"]
+        # whole columns: as many broadcasts as keys, each of one payload, so
+        # equal key sets leave no key repeated; each width its group's, and
+        # every value fits
+        if (cols.counts == [1] * len(keys) and set(zip(cols.senders, groups, components)) == keys
+                and nbits == list(map(widths.__getitem__, map(len, groups)))
+                and not any(map(rshift, values, nbits))):
+            got = {}
+            for pair, component, value, width in zip(zip(cols.senders, groups), components,
+                                                     values, nbits):
+                got[pair] = got.get(pair, 0) | value << (component - 1) * width
+            return got
     else:
         keys = {(j, ell) for j in range(1, K + 1) for ell in sizes}
-    widths = {ell: segment_width(spec, ell) for ell in sizes}
     # a repeated or missing broadcast is named by its wire key, not its message's
     seen: set = set()
     got: dict = {}
@@ -256,16 +276,16 @@ def validate_transcript(placement: Placement, transcript: ShuffleTranscript) -> 
         for j, (v, n) in enumerate(zip(rows, lengths)):
             if v >> n:
                 raise ValueError(f"broadcast {i}: payload {j} for {key} does not fit in {n} bits")
-        if scheme == "cdc":
-            pair = sender, group
-            got[pair] = got.get(pair, 0) | rows[0] << (component - 1) * lengths[0]
-        elif (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
-            raise ValueError(f"broadcast {i}: its {rho} basis rows have rank {rank}")
-        else:
+        if scheme == "cdc-ld":
+            if (rank := rank_and_basis(Gf2Matrix(rows[:rho], ncols)).rho) != rho:
+                raise ValueError(f"broadcast {i}: its {rho} basis rows have rank {rank}")
             got.update(zip([(sender, g) for g in groups_containing(spec, sender, ell)],
                            ld_decompress(BasisDecomposition(rows[:rho], rows[rho:], ncols))))
     if len(seen) < len(keys):
         raise ValueError(f"no {scheme} broadcast for {sorted(keys - seen)}")
+    if scheme == "cdc":
+        raise ValueError("cdc broadcasts: the column check refused broadcasts that each pass "
+                         "the per-broadcast check")
     return got
 
 
@@ -304,8 +324,12 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
     rows.
 
     Returns (outputs, mismatch, verification), "fail" with the first wrong
-    value by node, then table order.  With s >= 2 no decoder exists: the
-    multicast check covers every node's demand; (None, None, "not-applicable").
+    value by node, then table order.  With s >= 2 no decoder exists: one pass
+    over the placement's value sets collects the functions served to each
+    node on each file batch it did not map, and each such set must hold all
+    of the node's functions; (None, None, "not-applicable").  A miss raises
+    ``AssertionError`` naming the first such node and, from
+    ``multicast_coverage``, the (q, n) pairs it lacks.
     """
     spec = placement.spec
     got = validate_transcript(placement, transcript)
@@ -313,9 +337,17 @@ def decode_and_verify(placement: Placement, store: ValueTable, transcript: Shuff
         # demand and coverage per (function, file batch); a miss is named by
         # its (q, n) pairs
         batches = placement.file_batches
-        for k, covered in multicast_coverage(placement).items():
-            needed = {(q, b) for b in batches if k not in b for q in placement.node_funcs[k]}
-            if missed := needed - covered:
+        served: dict = {k: {} for k in placement.node_funcs}  # node -> holders -> functions
+        for (group, holders), (qs, _) in _value_sets(placement).items():
+            for k in group:
+                if k not in holders:
+                    served[k].setdefault(holders, []).extend(qs)
+        for k, funcs in placement.node_funcs.items():
+            # compared as sets: a count would let a repeated function hide a miss
+            unmapped = [b for b in batches if k not in b]
+            if not all(map(set(funcs).issubset, map(served[k].get, unmapped, repeat(())))):
+                needed = {(q, b) for b in unmapped for q in funcs}
+                missed = needed - multicast_coverage(placement)[k]
                 pairs = sorted((q, n) for q, b in missed for n in batches[b])
                 raise AssertionError(f"multicast structure misses {pairs} for node {k}")
         return None, None, "not-applicable"

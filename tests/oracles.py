@@ -7,21 +7,25 @@ oracles are the former whole-corpus ingest and per-function rescan, and the
 GF(2) decomposition oracles the former lowest-bit-pivot elimination and
 bit-by-bit decompression; they build the library's result types only, so
 results compare with ``==``.  The transcript reader is the former one that
-checks every rule broadcast by broadcast.  ``shift_pack`` and ``shift_unpack``
-are the one-shift-per-value definition of ``gf2.pack`` and ``gf2.unpack``, and
-``table_path_verify`` the former s = 1 verification of a transcript, which
-decodes, reduces and compares every node's whole table.
+checks every rule broadcast by broadcast, and ``reference_validate_cdc`` the
+former cdc validation, one broadcast at a time.  ``reference_value_sets`` is
+the former pass over (file batch, reduce batch) pairs on sets of nodes.
+``shift_pack`` and ``shift_unpack`` are the one-shift-per-value definition of
+``gf2.pack`` and ``gf2.unpack``, and ``table_path_verify`` the former s = 1
+verification of a transcript, which decodes, reduces and compares every
+node's whole table.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import comb
 
-from cdcsim.codec import decode_cdc_s1
+from cdcsim.codec import decode_cdc_s1, segment_width
 from cdcsim.engine import (_BROADCAST_KEYS, _META_KEYS, SCHEMES, Broadcasts, ShuffleTranscript,
                            expect_json, reduce_phase, unknown_field, validate_transcript)
 from cdcsim.gf2 import BasisDecomposition, Gf2Matrix, MalformedDecompositionError
-from cdcsim.placement import SPEC_KEYS, JobSpec
+from cdcsim.placement import SPEC_KEYS, JobSpec, group_sizes, ksubsets
 from cdcsim.workloads import CountOverflowError, WordCountWorkload
 
 
@@ -238,6 +242,71 @@ def vset_members_bruteforce(placement, group, holders) -> set[tuple[int, int]]:
             if holders_of_n == holders:
                 members.add((q, n))
     return members
+
+
+def reference_value_sets(placement) -> dict:
+    """A placement's value sets by (group, holders), built on sets of nodes:
+    each reduce batch S not inside file batch H adds its functions to the
+    set of group sorted(H | S) with holders H, on H's files; a set of the
+    wrong size raises ``AssertionError``."""
+    spec = placement.spec
+    funcs: dict = {}
+    for holders in placement.file_batches:
+        held = set(holders)
+        for batch, qs in placement.reduce_batches.items():
+            if not held.issuperset(batch):
+                funcs.setdefault((tuple(sorted(held.union(batch))), holders), []).extend(qs)
+    vsets = {}
+    for (group, holders), qs in funcs.items():
+        ns = placement.file_batches[holders]
+        expected = comb(spec.r, len(group) - spec.s) * spec.eta1 * spec.eta2
+        if len(qs) * len(ns) != expected:
+            raise AssertionError(f"value set for group={group} holders={holders} has "
+                                 f"{len(qs) * len(ns)} entries, expected {expected}")
+        vsets[group, holders] = tuple(qs), ns
+    return vsets
+
+
+def reference_validate_cdc(placement, transcript) -> dict:
+    """A cdc transcript's messages by (sender, group), each broadcast checked
+    in turn: its key is one of the job's and not repeated, it has one
+    payload of its group's ``segment_width`` and the value fits; the first
+    fault, or the keys no broadcast sent, raise ``ValueError``."""
+    spec = placement.spec
+    K, r = spec.K, spec.r
+    sizes = group_sizes(K, r, spec.s)
+    cols = transcript.broadcasts
+    nbits, values = cols.nbits, cols.values
+    keys = {(j, g, c) for ell in sizes for g in ksubsets(K, ell) for j in g
+            for c in range(1, comb(ell - 2, r - 1) + 1)}
+    widths = {ell: segment_width(spec, ell) for ell in sizes}
+    seen: set = set()
+    got: dict = {}
+    end = 0
+    for i, (sender, count, group, component) in enumerate(zip(
+            cols.senders, cols.counts, cols.meta["group"], cols.meta["component"])):
+        first, end = end, end + count
+        key = (sender, group, component)
+        if key not in keys:
+            meta = {field: column[i] for field, column in cols.meta.items()}
+            raise ValueError(f"broadcast {i}: cdc {meta} from node {sender} is not one "
+                             f"of the job's cdc broadcasts")
+        lengths = [widths[len(group)]]
+        if key in seen:
+            raise ValueError(f"broadcast {i}: second broadcast for {key}")
+        seen.add(key)
+        if nbits[first:end] != lengths:
+            raise ValueError(f"broadcast {i}: payloads of {nbits[first:end]} bits for {key}, "
+                             f"expected {lengths}")
+        rows = tuple(values[first:end])
+        for j, (v, n) in enumerate(zip(rows, lengths)):
+            if v >> n:
+                raise ValueError(f"broadcast {i}: payload {j} for {key} does not fit in {n} bits")
+        pair = sender, group
+        got[pair] = got.get(pair, 0) | rows[0] << (component - 1) * lengths[0]
+    if len(seen) < len(keys):
+        raise ValueError(f"no cdc broadcast for {sorted(keys - seen)}")
+    return got
 
 
 def naive_wordcount_map(w, spec):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -12,6 +13,7 @@ import pytest
 import cdcsim.codec
 from cdcsim.codec import (
     IncompleteShuffleError,
+    _value_sets,
     build_vset,
     combiner,
     decode_cdc_s1,
@@ -29,7 +31,13 @@ from cdcsim.gf2 import (IRREDUCIBLE_POLY, BasisDecomposition, BlockCombiner, Gf2
                         ext_field, pack, unpack)
 from cdcsim.placement import JobSpec, group_sizes, make_placement, needed_values
 from cdcsim.workloads import SyntheticRankWorkload, ValueTable, WordCountWorkload
-from oracles import gf_mul_longdiv, vset_members_bruteforce
+from oracles import gf_mul_longdiv, reference_value_sets, vset_members_bruteforce
+from test_small_specs import small_specs
+
+# the specs of the benchmark's paper-fig4, general-s and wordcount-replay workloads
+BENCHMARK_SPECS = (JobSpec(K=10, N=120, Q=360, r=3, s=1, T=64),
+                   JobSpec(K=8, N=224, Q=56, r=3, s=3, T=64),
+                   JobSpec(K=6, N=300, Q=120, r=2, s=1, T=16))
 
 PAPER_BLOCKS = (
     (1, 2, 1, 2, 2, 3, 1),
@@ -82,6 +90,28 @@ class TestVSet:
                         assert len(value_ids) == comb(r, ell - s) * spec.eta1 * spec.eta2
             # the table holds every multicast of the placement and nothing else
             assert set(placement.vsets) == asked
+
+    def test_matches_the_pass_on_node_sets(self):
+        # keys, values and insertion order, on every placement of the small
+        # specs (T does not change one) and of the benchmark's specs
+        specs = {replace(spec, T=1) for spec in small_specs()}
+        for spec in sorted(specs, key=repr) + list(BENCHMARK_SPECS):
+            placement = make_placement(spec)
+            assert list(_value_sets(placement).items()) == \
+                list(reference_value_sets(placement).items()), spec
+
+    def test_set_of_the_wrong_size_raises_as_the_pass_on_node_sets(self):
+        for spec in BENCHMARK_SPECS:
+            placement = make_placement(spec)
+            # a reduce batch without node 1 loses its last function
+            batch = next(b for b in placement.reduce_batches if len(b) == spec.s and 1 not in b)
+            placement.reduce_batches[batch] = placement.reduce_batches[batch][:-1]
+            with pytest.raises(AssertionError) as want:
+                reference_value_sets(placement)
+            with pytest.raises(AssertionError, match=f"^{re.escape(str(want.value))}$"):
+                _value_sets(placement)
+            assert re.fullmatch(r"value set for group=\(.*\) holders=\(.*\) has \d+ entries, "
+                                r"expected \d+", str(want.value))
 
     def test_canonical_order(self):
         spec = JobSpec(K=4, N=12, Q=8, r=2, s=1, T=4)
@@ -743,6 +773,20 @@ def test_rank_never_exceeds_count_or_length():
                         for g in groups_containing(spec, k, ell)]
                 d = ld_compress(ell, msgs, spec)
                 assert d.rho <= min(comb(K - 1, ell - 1), d.ncols)
+
+
+def test_groups_containing_is_k_put_into_each_subset_of_the_others():
+    # the same groups, in the same order, as inserting k into each
+    # (ell-1)-subset of the other nodes, whose lexicographic order it keeps
+    for K in range(2, 9):
+        spec = JobSpec(K=K, N=K, Q=K, r=1, s=1, T=1)
+        for k in range(1, K + 1):
+            others = [j for j in range(1, K + 1) if j != k]
+            for ell in range(1, K + 1):
+                want = [tuple(sorted(c + (k,))) for c in combinations(others, ell - 1)]
+                assert groups_containing(spec, k, ell) == want, (K, k, ell)
+            assert groups_containing(spec, k, K + 1) == []
+        assert groups_containing(spec, K + 1, 1) == groups_containing(spec, 0, 1) == []
 
 
 def test_multicast_coverage_matches_demand():

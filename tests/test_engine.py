@@ -55,7 +55,7 @@ from cdcsim.workloads import (
     WordCountWorkload,
 )
 from documents import written
-from oracles import recount, table_path_verify
+from oracles import recount, reference_validate_cdc, table_path_verify
 from test_small_specs import small_specs
 
 PAPER_BLOCKS = (
@@ -242,6 +242,80 @@ class TestPayloadRange:
         with pytest.raises(ValueError, match=rf"^broadcast {i}: payload {j} for .* "
                                              rf"does not fit in {n} bits$"):
             validate_transcript(placement, transcript)
+
+
+def cdc_edits(cols: Broadcasts, spec: JobSpec, i: int) -> dict:
+    """A cdc transcript's broadcasts with broadcast i dropped, repeated at the
+    end, sent to a group of one node (no multicast), given a component its
+    group does not have, given two payloads, widened by a bit, or given a
+    value one bit too wide for its width."""
+    assert set(cols.counts) == {1}  # broadcast j's payload is payload j
+    rows = [list(row) for row in zip(cols.senders, cols.meta["group"], cols.meta["component"],
+                                     cols.counts, cols.nbits, cols.values)]
+    sender, group, _, _, width, value = rows[i]
+    changed = {"group": (sender,), "component": comb(len(group) - 2, spec.r - 1) + 1,
+               "count": 2, "nbits": width + 1, "value": value | 1 << width}
+    edits = {"dropped": rows[:i] + rows[i + 1:], "repeated": rows + [rows[i]]}
+    for field, new in changed.items():
+        edited = [list(row) for row in rows]
+        edited[i][("sender", "group", "component", "count", "nbits", "value").index(field)] = new
+        edits[field] = edited
+    out = {}
+    for name, edited in edits.items():
+        senders, groups, components, counts, nbits, values = map(list, zip(*edited))
+        # a broadcast of two payloads holds its width and value twice
+        nbits = [w for w, c in zip(nbits, counts) for _ in range(c)]
+        values = [v for v, c in zip(values, counts) for _ in range(c)]
+        out[name] = Broadcasts(senders, {"group": groups, "component": components},
+                               counts, nbits, values)
+    return out
+
+
+class TestCdcColumnCheck:
+    """cdc ``validate_transcript`` accepts a transcript by checks over whole
+    columns, and runs the per-broadcast loop only on one they refuse: it
+    returns what the loop returns, or raises the loop's error."""
+
+    def test_equals_the_per_broadcast_loop_at_every_s(self):
+        rng = random.Random(40)
+        seen = Counter()
+        for spec in small_specs():
+            placement = make_placement(spec)
+            cols = run(spec, SyntheticRankWorkload(seed=1), "cdc").transcript.broadcasts
+            cases = {"honest": cols}
+            if len(cols):
+                cases |= cdc_edits(cols, spec, rng.randrange(len(cols)))
+                # broadcast 0 carries broadcast 1's payload too and broadcast 1
+                # none, so every width stays in place
+                cases["moved"] = replace(cols, counts=[2, 0] + cols.counts[2:])
+            for name, edited in cases.items():
+                transcript = ShuffleTranscript("cdc", spec, edited)
+                got = outcome(validate_transcript, placement, transcript)
+                assert got == outcome(reference_validate_cdc, placement, transcript), \
+                    (spec, name)
+                seen[name, type(got) is dict] += 1
+        # every honest transcript is accepted, and every edit of the 130 that
+        # carry a broadcast refused
+        assert seen == {("honest", True): 176, **{(name, False): 130 for name in (
+            "dropped", "repeated", "group", "component", "count", "nbits", "value", "moved")}}
+
+    def test_refusals_name_the_first_fault(self):
+        spec = S2_SPEC
+        placement = make_placement(spec)
+        cols = run(spec, SyntheticRankWorkload(seed=7), "cdc").transcript.broadcasts
+        key = (cols.senders[5], cols.meta["group"][5], cols.meta["component"][5])
+        width = cols.nbits[5]
+        for name, message in {
+                "dropped": f"no cdc broadcast for [{key}]",
+                "repeated": f"broadcast {len(cols)}: second broadcast for {key}",
+                "count": f"broadcast 5: payloads of [{width}, {width}] bits for {key}, "
+                         f"expected [{width}]",
+                "nbits": f"broadcast 5: payloads of [{width + 1}] bits for {key}, "
+                         f"expected [{width}]",
+                "value": f"broadcast 5: payload 0 for {key} does not fit in {width} bits"}.items():
+            edited = ShuffleTranscript("cdc", spec, cdc_edits(cols, spec, 5)[name])
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                validate_transcript(placement, edited)
 
 
 def reversed_broadcasts(cols: Broadcasts) -> Broadcasts:
@@ -540,6 +614,21 @@ class TestGeneralS:
         assert str(err.value) == (f"multicast structure misses {[(qs[-1], n) for n in ns]} "
                                   f"for node 3")
 
+    def test_coverage_miss_is_found_when_a_repeated_function_keeps_the_size(self):
+        # the same lost function with another repeated in its place: a count
+        # of the functions served would read full
+        spec = JobSpec(K=5, N=20, Q=10, r=2, s=2, T=4)
+        workload = SyntheticRankWorkload(seed=4)
+        transcript = run(spec, workload, "cdc").transcript
+        placement = make_placement(spec)
+        qs, ns = build_vset((1, 2, 3), (1, 2), placement)
+        placement.vsets[(1, 2, 3), (1, 2)] = qs[:-1] + qs[:1], ns
+        assert len(qs[:-1] + qs[:1]) == len(qs)
+        with pytest.raises(AssertionError) as err:
+            decode_and_verify(placement, workload.build_store(spec), transcript, workload)
+        assert str(err.value) == (f"multicast structure misses {[(qs[-1], n) for n in ns]} "
+                                  f"for node 3")
+
 
 class TestReducePhase:
     def test_zero_workload_zero_outputs(self):
@@ -680,8 +769,8 @@ class TestSymbolCheck:
                     assert outcome(decode_and_verify, placement, store, edited, workload) == \
                         expected, (spec, workload, scheme, edit)
                     seen[len(edit), expected[2] if type(expected[0]) is dict else expected[0]] += 1
-        # 42 specs, two stores, three schemes: every honest transcript passes
-        assert seen[0, "pass"] == 42 * 2 * 3
+        # 56 specs, two stores, three schemes: every honest transcript passes
+        assert seen[0, "pass"] == 56 * 2 * 3
         # edits end in a named wrong value or a ValueError: a padding that
         # is not zero, or cdc-ld basis rows of lower rank
         assert {(1, "fail"), (2, "fail"), (1, ValueError), (2, ValueError)} <= set(seen)

@@ -3,6 +3,9 @@
 Every spec with K = 2..5, r and s in 1..K, N = C(K, r), Q = C(K, s) and T in
 {1, 5, 8} runs under each scheme that applies to it.  T=1 and T=5 put values
 at widths that are not whole bytes in the store and in every node's table.
+So that a node reduces two functions and a value set holds two files, each
+s = 1 spec also runs with N = 2 C(K, r), Q = 2K and T = 15, where every value
+set's 60 bits split evenly r ways.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ def small_specs():
             for s in range(1, K + 1):
                 for T in (1, 5, 8):
                     yield JobSpec(K=K, N=comb(K, r), Q=comb(K, s), r=r, s=s, T=T)
+            yield JobSpec(K=K, N=2 * comb(K, r), Q=2 * K, r=r, s=1, T=15)
 
 
 def padded(spec: JobSpec) -> bool:
@@ -75,12 +79,13 @@ def test_every_small_spec_verifies_replays_and_meets_its_closed_form():
                     flipped += 1
                 else:
                     silent += 1
-    assert runs == 366
-    # of the 42 specs at s=1, the 12 with r = K leave no node a file to
+    assert runs == 408
+    # of the 56 specs at s=1, the 16 with r = K leave no node a file to
     # receive, so none of their three transcripts carries a payload bit
-    assert (flipped, silent) == (3 * 30, 3 * 12)
-    # the uncoded runs and the coded runs without padding
-    assert exact == 236
+    assert (flipped, silent) == (3 * 40, 3 * 16)
+    # the uncoded runs and the coded runs without padding, which include
+    # every run of the 14 specs with Q = 2K
+    assert exact == 278
 
 
 # sha256 of ValueTable.data for SyntheticRankWorkload(seed, duplicate_prob) at
